@@ -3,8 +3,9 @@
 Subcommands: verify | retrofit | saturate | regions | simulate | sets.
 Inputs are JSON files (system, network, initial-set polytope); outputs are
 JSON and CSV files in --out-dir.  Exit codes: 0 when the certificate verdict
-is a stability certificate, 2 when verification fails, 1 on I/O or
-validation errors.  Set CERTNN_LOG to error/info/debug to control logging.
+is a stability certificate, 2 when verification fails, 1 on bad arguments,
+I/O or validation errors and on any certnn error (one "error:" line on
+stderr).  Set CERTNN_LOG to error/info/debug to control logging.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from certnn import control, verify
+from certnn.errors import CertnnError
 from certnn.network import ReluNetwork, retrofit_lqr, saturate
 from certnn.polytope import Polytope, vertices_2d
 from certnn.regions import enumerate_regions
@@ -27,8 +29,15 @@ from certnn.regions import enumerate_regions
 log = logging.getLogger("certnn")
 
 
-class ConfigError(Exception):
+class ConfigError(CertnnError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ConfigError, so they exit 1 instead of argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _fmt(x: float) -> str:
@@ -106,7 +115,7 @@ def cmd_verify(args) -> int:
         K_ref = control.lqr(sys_obj, aux["Q"], aux["R"]).K
     cert = verify.verify_stability(
         sys_obj, net, xin, aux["X"], aux["U"],
-        k_max=args.kmax, K_ref=K_ref, tol=args.tol, threads=args.threads,
+        k_max=args.kmax, K_ref=K_ref, tol=args.tol,
     )
     out = _out_dir(args)
     _write_json(out / "certificate.json", cert.to_json())
@@ -191,7 +200,7 @@ def cmd_sets(args) -> int:
     r_lqr = control.lqr_admissible_set(sys_obj, K, aux["X"], aux["U"])
     cert = verify.verify_stability(
         sys_obj, net, xin, aux["X"], aux["U"],
-        k_max=args.kmax, K_ref=K, tol=args.tol, threads=args.threads,
+        k_max=args.kmax, K_ref=K, tol=args.tol,
     )
     named = {"r_lqr": r_lqr, "x1_out": cert.X_1_out}
     if cert.stability is not None:
@@ -208,7 +217,7 @@ def cmd_sets(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="certnn", description=__doc__)
+    p = _Parser(prog="certnn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, network=True, xin=True):
@@ -218,13 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
         if xin:
             sp.add_argument("--xin", required=True, help="initial-set polytope JSON file")
         sp.add_argument("--out-dir", default=".", help="output directory")
-        sp.add_argument("--kmax", type=int, default=25)
-        sp.add_argument("--tol", type=float, default=1e-6)
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=0, help="accepted for reproducibility; the pipeline is deterministic")
+
+    def certification(sp):
+        sp.add_argument("--kmax", type=int, default=25, help="largest reach horizon searched")
+        sp.add_argument("--tol", type=float, default=1e-6, help="stability residual tolerance")
 
     sp = sub.add_parser("verify", help="run the full certification pipeline")
     common(sp)
+    certification(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("retrofit", help="retrofit the output layer to a reference gain")
@@ -248,16 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sets", help="compute and export the certification sets")
     common(sp)
+    certification(sp)
     sp.set_defaults(func=cmd_sets)
     return p
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (CertnnError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

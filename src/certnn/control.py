@@ -6,17 +6,25 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from certnn import numerics
+from certnn.errors import NoConvergence
 from certnn.network import ReluNetwork
 from certnn.polytope import Polytope, intersect, max_positively_invariant
 
-RICCATI_TOL = 1e-10
-RICCATI_MAX_ITER = 100_000
 
-
-class NoConvergence(Exception):
-    """Riccati iteration did not converge (pair not stabilizable or bad weights)."""
+def spectral_radius(A) -> float:
+    """Maximum eigenvalue modulus of a square matrix."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got {A.shape}")
+    if A.shape[0] == 0:
+        return 0.0
+    try:
+        eig = np.linalg.eigvals(A)
+    except np.linalg.LinAlgError as exc:  # QR iteration did not converge
+        raise NoConvergence(str(exc)) from exc
+    return float(np.max(np.abs(eig)))
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,8 @@ class LtiSystem:
             raise ValueError(f"A must be square, got {A.shape}")
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise ValueError(f"B shape {B.shape} does not match A {A.shape}")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+            raise ValueError("system matrices must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -52,10 +62,10 @@ class LqrSolution:
 
 
 def lqr(sys: LtiSystem, Q, R) -> LqrSolution:
-    """Infinite-horizon discrete LQR via fixed-point Riccati backward iteration.
+    """Infinite-horizon discrete LQR from the stabilizing solution of the DARE.
 
-    Converges elementwise to RICCATI_TOL; raises NoConvergence after the
-    iteration cap, which operationally signals a non-stabilizable pair.
+    Raises NoConvergence when the Riccati equation has no stabilizing
+    solution, which signals a non-stabilizable pair.
     """
     A, B = sys.A, sys.B
     Q = np.asarray(Q, dtype=float)
@@ -66,24 +76,14 @@ def lqr(sys: LtiSystem, Q, R) -> LqrSolution:
         raise ValueError("Q must be positive semidefinite")
     if np.min(np.linalg.eigvalsh(R)) <= 0.0:
         raise ValueError("R must be positive definite")
-    P = Q.copy()
-    for _ in range(RICCATI_MAX_ITER):
-        BtP = B.T @ P
-        K = np.linalg.solve(R + BtP @ B, BtP @ A)
-        P_next = Q + A.T @ P @ A - A.T @ P @ B @ K
-        P_next = 0.5 * (P_next + P_next.T)
-        if not np.all(np.isfinite(P_next)) or np.max(np.abs(P_next)) > 1e150:
-            raise NoConvergence("Riccati iteration diverged (pair not stabilizable)")
-        if np.max(np.abs(P_next - P)) < RICCATI_TOL:
-            P = P_next
-            break
-        P = P_next
-    else:
-        raise NoConvergence(f"Riccati iteration exceeded {RICCATI_MAX_ITER} iterations")
+    try:
+        P = scipy.linalg.solve_discrete_are(A, B, Q, R)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"no stabilizing Riccati solution: {exc}") from exc
     BtP = B.T @ P
     K = np.linalg.solve(R + BtP @ B, BtP @ A)
-    if numerics.spectral_radius(A - B @ K) >= 1.0:
-        raise NoConvergence("Riccati fixed point does not stabilize the closed loop")
+    if spectral_radius(A - B @ K) >= 1.0:
+        raise NoConvergence("Riccati solution does not stabilize the closed loop")
     return LqrSolution(K=K, P=P)
 
 

@@ -9,16 +9,18 @@ branch-and-bound relaxations go through :func:`solve_lp`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+
+from certnn.errors import CertnnError
 
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-9
 
 
-class LpError(Exception):
+class LpError(CertnnError):
     """The LP solver failed for a reason other than infeasible/unbounded."""
 
 

@@ -22,12 +22,12 @@ optimality to a relative gap of 1e-6.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from certnn import lp
+from certnn.errors import CertnnError
 from certnn.network import ReluNetwork
 from certnn.polytope import Polytope, Unbounded, bounding_box
 
@@ -36,11 +36,11 @@ PRUNE_TOL = 1e-9
 GAP_REL = 1e-6
 
 
-class UnboundedInput(Exception):
+class UnboundedInput(CertnnError):
     """The input polytope is unbounded in some coordinate."""
 
 
-class MilpError(Exception):
+class MilpError(CertnnError):
     pass
 
 
@@ -51,7 +51,7 @@ class BnbStatus:
 
 @dataclass
 class NeuronBounds:
-    """Pre-activation intervals and derived big-M constants, per hidden layer."""
+    """Pre-activation intervals per hidden layer, plus the input and output boxes."""
 
     input_lo: np.ndarray
     input_hi: np.ndarray
@@ -59,18 +59,6 @@ class NeuronBounds:
     pre_hi: list[np.ndarray]
     out_lo: np.ndarray
     out_hi: np.ndarray
-
-    @property
-    def m_pos(self) -> list[np.ndarray]:
-        return [np.maximum(hi, 0.0) for hi in self.pre_hi]
-
-    @property
-    def m_neg(self) -> list[np.ndarray]:
-        return [np.maximum(-lo, 0.0) for lo in self.pre_lo]
-
-    @property
-    def m_global(self) -> float:
-        return float(max((hi.max(initial=0.0) for hi in self.pre_hi), default=0.0) + 1.0)
 
 
 @dataclass
@@ -85,9 +73,7 @@ class MilpModel:
     lb: np.ndarray
     ub: np.ndarray
     binaries: np.ndarray
-    bigm: np.ndarray  # M_pos per binary, after any scaling
     x0_idx: np.ndarray
-    out_idx: np.ndarray
 
     def relax(self, lb=None, ub=None) -> lp.LinearProgram:
         """LP relaxation (binaries relaxed to their box), optionally with node bounds."""
@@ -150,7 +136,6 @@ class _Builder:
         self.rows_ub: list[tuple[np.ndarray, np.ndarray, float]] = []
         self.rows_eq: list[tuple[np.ndarray, np.ndarray, float]] = []
         self.binaries: list[int] = []
-        self.bigm: list[float] = []
 
     @property
     def n_vars(self) -> int:
@@ -178,7 +163,7 @@ class _Builder:
             b[i] = rhs
         return A, b
 
-    def build(self, objective_idx, objective_coef, x0_idx, out_idx) -> MilpModel:
+    def build(self, objective_idx, objective_coef, x0_idx) -> MilpModel:
         c = np.zeros(self.n_vars)
         c[np.asarray(objective_idx)] = objective_coef
         A_ub, b_ub = self._assemble(self.rows_ub)
@@ -192,27 +177,25 @@ class _Builder:
             np.array(self.lb),
             np.array(self.ub),
             np.array(self.binaries, dtype=int),
-            np.array(self.bigm),
             np.asarray(x0_idx),
-            np.asarray(out_idx),
         )
 
 
-def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, nb: NeuronBounds, bigm_scale):
+def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, nb: NeuronBounds):
     """Add one network evaluation; returns the indices of the output variables."""
     prev_idx = np.asarray(x_idx)
     for layer, (W, b) in enumerate(net.layers[:-1]):
         n_l, n_prev = W.shape
         lo, hi = nb.pre_lo[layer], nb.pre_hi[layer]
-        m_pos = np.maximum(hi, 0.0) * bigm_scale
-        m_neg = np.maximum(-lo, 0.0) * bigm_scale
-        z_idx = builder.new_vars(n_l, 0.0, np.maximum(hi, 0.0))
+        # big-M constants M_pos, M_neg of the module docstring
+        big_pos = np.maximum(hi, 0.0)
+        big_neg = np.maximum(-lo, 0.0)
+        z_idx = builder.new_vars(n_l, 0.0, big_pos)
         # Sign-determined neurons get their indicator fixed.
         t_lo = np.where(hi <= 0.0, 1.0, 0.0)
         t_hi = np.where(lo >= 0.0, 0.0, 1.0)
         t_idx = builder.new_vars(n_l, t_lo, t_hi)
         builder.binaries.extend(t_idx.tolist())
-        builder.bigm.extend(m_pos.tolist())
         for j in range(n_l):
             row = W[j]
             # a_j - z_j <= -b_j        (z >= W xi + b)
@@ -220,11 +203,11 @@ def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, nb: NeuronBounds
             # z_j - a_j - M_neg t_j <= b_j
             builder.add_ub(
                 np.concatenate([prev_idx, [z_idx[j]], [t_idx[j]]]),
-                np.concatenate([-row, [1.0], [-m_neg[j]]]),
+                np.concatenate([-row, [1.0], [-big_neg[j]]]),
                 b[j],
             )
             # z_j + M_pos t_j <= M_pos
-            builder.add_ub([z_idx[j], t_idx[j]], [1.0, m_pos[j]], m_pos[j])
+            builder.add_ub([z_idx[j], t_idx[j]], [1.0, big_pos[j]], big_pos[j])
         prev_idx = z_idx
     W, b = net.layers[-1]
     u_idx = builder.new_vars(net.n_u, nb.out_lo, nb.out_hi)
@@ -240,9 +223,7 @@ def _add_polytope_rows(builder: _Builder, x_idx, P: Polytope):
         builder.add_ub(x_idx, row, rhs)
 
 
-def encode_output_range(
-    net: ReluNetwork, X_in: Polytope, direction, bigm_scale: float = 1.0
-) -> MilpModel:
+def encode_output_range(net: ReluNetwork, X_in: Polytope, direction) -> MilpModel:
     """Model whose optimum is max direction.N(x) over x in X_in."""
     direction = np.asarray(direction, dtype=float).reshape(-1)
     if direction.size != net.n_u:
@@ -251,38 +232,27 @@ def encode_output_range(
     builder = _Builder()
     x_idx = builder.new_vars(net.n_x, nb.input_lo, nb.input_hi)
     _add_polytope_rows(builder, x_idx, X_in)
-    u_idx = _encode_network(builder, net, x_idx, nb, bigm_scale)
-    return builder.build(u_idx, direction, x_idx, u_idx)
+    u_idx = _encode_network(builder, net, x_idx, nb)
+    return builder.build(u_idx, direction, x_idx)
 
 
 def _tighten_with_lp(builder: _Builder, idx) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate min/max of the given variables over the relaxation so far."""
-    A_ub, b_ub = builder._assemble(builder.rows_ub)
-    A_eq, b_eq = builder._assemble(builder.rows_eq)
-    lb = np.array(builder.lb)
-    ub = np.array(builder.ub)
+    model = builder.build(idx, 0.0, idx)  # each LP below replaces the objective
     lo = np.empty(len(idx))
     hi = np.empty(len(idx))
     for i, var in enumerate(idx):
         c = np.zeros(builder.n_vars)
         c[var] = 1.0
         for sign, dest in ((1.0, hi), (-1.0, lo)):
-            out = lp.solve_lp(
-                lp.LinearProgram(
-                    sign * c, A_ub, b_ub, lb, ub,
-                    A_eq=A_eq if A_eq.size else None,
-                    b_eq=b_eq if A_eq.size else None,
-                )
-            )
+            out = lp.solve_lp(replace(model, c=sign * c).relax())
             if out.status != lp.LpStatus.OPTIMAL:
                 raise MilpError(f"bound-tightening LP {out.status.value}")
             dest[i] = sign * out.value
     return lo, hi
 
 
-def encode_reach(
-    system, net: ReluNetwork, X_in: Polytope, k: int, direction, bigm_scale: float = 1.0
-) -> MilpModel:
+def encode_reach(system, net: ReluNetwork, X_in: Polytope, k: int, direction) -> MilpModel:
     """Model whose optimum is max direction.x_k over k closed-loop steps from X_in."""
     if k < 1:
         raise MilpError("need k >= 1")
@@ -292,17 +262,13 @@ def encode_reach(
     n_x = A.shape[0]
     if direction.size != n_x:
         raise MilpError(f"direction length {direction.size}, expected {n_x}")
-    try:
-        lo, hi = bounding_box(X_in)
-    except Unbounded as exc:
-        raise UnboundedInput("input polytope unbounded in some coordinate") from exc
+    nb = propagate_bounds(net, X_in)
     builder = _Builder()
-    x_idx = builder.new_vars(n_x, lo, hi)
+    x_idx = builder.new_vars(n_x, nb.input_lo, nb.input_hi)
     x0_idx = x_idx
     _add_polytope_rows(builder, x_idx, X_in)
     for _ in range(k):
-        nb = bounds_from_box(net, lo, hi)
-        u_idx = _encode_network(builder, net, x_idx, nb, bigm_scale)
+        u_idx = _encode_network(builder, net, x_idx, nb)
         next_idx = builder.new_vars(n_x, -np.inf, np.inf)
         for i in range(n_x):
             builder.add_eq(
@@ -315,7 +281,8 @@ def encode_reach(
             builder.lb[var] = lo[i]
             builder.ub[var] = hi[i]
         x_idx = next_idx
-    return builder.build(x_idx, direction, x0_idx, x_idx)
+        nb = bounds_from_box(net, lo, hi)
+    return builder.build(x_idx, direction, x0_idx)
 
 
 def solve_milp(m: MilpModel, max_nodes: int = 1_000_000) -> BnbResult:
@@ -370,64 +337,29 @@ def solve_milp(m: MilpModel, max_nodes: int = 1_000_000) -> BnbResult:
     return BnbResult(BnbStatus.OPTIMAL, value=inc_val, point=inc_point, nodes=nodes)
 
 
-def _solve_directions(make_model, directions, threads: int = 1) -> list[BnbResult]:
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-
-    def run(d):
+def _solve_directions(make_model, directions) -> list[BnbResult]:
+    results = []
+    for d in np.atleast_2d(np.asarray(directions, dtype=float)):
         res = solve_milp(make_model(d))
         if res.status != BnbStatus.OPTIMAL:
             raise MilpError("direction query infeasible; input set is empty")
-        return res
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, directions))
-    return [run(d) for d in directions]
+        results.append(res)
+    return results
 
 
-def output_range_results(
-    net: ReluNetwork, X_in: Polytope, directions, threads: int = 1
-) -> list[BnbResult]:
-    return _solve_directions(
-        lambda d: encode_output_range(net, X_in, d), directions, threads
-    )
+def output_range_results(net: ReluNetwork, X_in: Polytope, directions) -> list[BnbResult]:
+    return _solve_directions(lambda d: encode_output_range(net, X_in, d), directions)
 
 
-def output_range(net: ReluNetwork, X_in: Polytope, directions, threads: int = 1) -> np.ndarray:
+def output_range(net: ReluNetwork, X_in: Polytope, directions) -> np.ndarray:
     """Exact per-direction maxima of the network output over X_in."""
-    return np.array([r.value for r in output_range_results(net, X_in, directions, threads)])
+    return np.array([r.value for r in output_range_results(net, X_in, directions)])
 
 
-def reach_results(
-    system, net: ReluNetwork, X_in: Polytope, k: int, directions, threads: int = 1
-) -> list[BnbResult]:
-    return _solve_directions(
-        lambda d: encode_reach(system, net, X_in, k, d), directions, threads
-    )
+def reach_results(system, net: ReluNetwork, X_in: Polytope, k: int, directions) -> list[BnbResult]:
+    return _solve_directions(lambda d: encode_reach(system, net, X_in, k, d), directions)
 
 
-def reach_set(
-    system, net: ReluNetwork, X_in: Polytope, k: int, directions, threads: int = 1
-) -> np.ndarray:
+def reach_set(system, net: ReluNetwork, X_in: Polytope, k: int, directions) -> np.ndarray:
     """Exact per-direction maxima of the k-step closed-loop state over X_in."""
-    return np.array(
-        [r.value for r in reach_results(system, net, X_in, k, directions, threads)]
-    )
-
-
-def dump_lp_text(m: MilpModel) -> str:
-    """Plain-text rendering of a model for cross-checks with external solvers."""
-    lines = ["maximize"]
-    terms = " + ".join(f"{c!r} x{i}" for i, c in enumerate(m.c) if c != 0.0)
-    lines.append("  " + (terms or "0"))
-    lines.append("subject to")
-    for A, b, op in ((m.A_ub, m.b_ub, "<="), (m.A_eq, m.b_eq, "=")):
-        for row, rhs in zip(A, b):
-            terms = " + ".join(f"{c!r} x{i}" for i, c in enumerate(row) if c != 0.0)
-            lines.append(f"  {terms} {op} {rhs!r}")
-    lines.append("bounds")
-    for i, (lo, hi) in enumerate(zip(m.lb, m.ub)):
-        lines.append(f"  {lo!r} <= x{i} <= {hi!r}")
-    lines.append("binary")
-    lines.append("  " + " ".join(f"x{i}" for i in m.binaries))
-    return "\n".join(lines) + "\n"
+    return np.array([r.value for r in reach_results(system, net, X_in, k, directions)])

@@ -20,26 +20,22 @@ import json
 
 import numpy as np
 
-from certnn import numerics
+from certnn.errors import CertnnError, DimensionMismatch
 from certnn.polytope import Polytope, is_empty, remove_redundant
 
 # An activation pattern is one 0/1 vector per hidden layer.
 Pattern = tuple[np.ndarray, ...]
 
 
-class DimensionMismatch(Exception):
-    pass
-
-
-class EmptyRegion(Exception):
+class EmptyRegion(CertnnError):
     """The requested activation pattern is not realized by any input."""
 
 
-class InvalidBounds(Exception):
+class InvalidBounds(CertnnError):
     pass
 
 
-class RankDeficient(Exception):
+class RankDeficient(CertnnError):
     """The retrofit equality system violates one of its rank requirements."""
 
 
@@ -254,8 +250,7 @@ def retrofit_lqr(net: ReluNetwork, K) -> tuple[ReluNetwork, float]:
         raise RankDeficient("too few output-layer weights: n_u * n_L < rank(Aeq)")
 
     # Full system over [vec(W_new rows); b_new]: gain rows plus bias rows.
-    n_vars = n_u * n_L + n_u
-    A_full = np.zeros((n_u * net.n_x + n_u, n_vars))
+    A_full = np.zeros((n_u * net.n_x + n_u, n_u * n_L + n_u))
     b_full = np.zeros(n_u * net.n_x + n_u)
     A_full[: n_u * net.n_x, : n_u * n_L] = A_w
     b_full[: n_u * net.n_x] = b_w
@@ -263,7 +258,12 @@ def retrofit_lqr(net: ReluNetwork, K) -> tuple[ReluNetwork, float]:
         A_full[n_u * net.n_x + i, i * n_L : (i + 1) * n_L] = b_eq
         A_full[n_u * net.n_x + i, n_u * n_L + i] = 1.0
     target = np.concatenate([W_out.reshape(-1), b_out])
-    sol = numerics.eq_constrained_lsq(np.eye(n_vars), target, A_full, b_full)
+    # The closest feasible point to target is target plus the min-norm
+    # solution of A_full d = b_full - A_full target.
+    sol = target + np.linalg.lstsq(A_full, b_full - A_full @ target, rcond=None)[0]
+    residual = np.max(np.abs(A_full @ sol - b_full))
+    if residual > 1e-8 * (1.0 + np.max(np.abs(b_full))):
+        raise RankDeficient(f"retrofit equality residual {residual:.3e} too large")
     W_new = sol[: n_u * n_L].reshape(n_u, n_L)
     b_new = sol[n_u * n_L :]
     cost = float(np.sum((sol - target) ** 2))

@@ -15,26 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from certnn import lp
+from certnn.errors import CertnnError, DimensionMismatch, NoConvergence
 
 CONTAINMENT_TOL = 1e-7
 REDUNDANCY_TOL = 1e-9
 FIXPOINT_TOL = 1e-7
 
 
-class EmptyInput(Exception):
+class EmptyInput(CertnnError):
     """The operation requires a nonempty polytope."""
 
 
-class DimensionMismatch(Exception):
-    pass
-
-
-class Unbounded(Exception):
+class Unbounded(CertnnError):
     """The polytope is unbounded in the queried direction."""
-
-
-class NoConvergence(Exception):
-    """The invariant-set fixpoint did not terminate within the iteration cap."""
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from certnn.errors import CertnnError
 from certnn.network import Pattern, ReluNetwork
 from certnn.polytope import Polytope, is_empty, remove_redundant
 
 NEURON_CAP = 20
 
 
-class TooManyNeurons(Exception):
+class TooManyNeurons(CertnnError):
     pass
 
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from certnn import milp, numerics
-from certnn.control import LtiSystem, lqr_admissible_set
+from certnn import milp
+from certnn.control import LtiSystem, lqr_admissible_set, spectral_radius
+from certnn.errors import CertnnError
 from certnn.network import ReluNetwork
 from certnn.polytope import EmptyInput, Polytope, intersect, is_empty, max_positively_invariant
 
@@ -25,7 +26,7 @@ RESIDUAL_TOL = 1e-6
 CONTAIN_TOL = 1e-9
 
 
-class EmptyStabilitySet(Exception):
+class EmptyStabilitySet(CertnnError):
     pass
 
 
@@ -95,22 +96,43 @@ class Certificate:
         return out
 
 
-def verify_input(
-    net: ReluNetwork, X_in: Polytope, U: Polytope, threads: int = 1
-) -> tuple[bool, Polytope]:
+def _input_check(net: ReluNetwork, X_in: Polytope, U: Polytope) -> tuple[bool, Polytope, int]:
+    """verify_input plus the number of branch-and-bound nodes it took."""
+    results = milp.output_range_results(net, X_in, U.F)
+    c_star = np.array([r.value for r in results])
+    ok = bool(np.all(c_star <= U.g + CONTAIN_TOL))
+    return ok, Polytope(U.F.copy(), c_star), sum(r.nodes for r in results)
+
+
+def verify_input(net: ReluNetwork, X_in: Polytope, U: Polytope) -> tuple[bool, Polytope]:
     """Exact output-range check of the controller against the input constraints.
 
     Returns (ok, U_star) where U_star = {u : F_U u <= c*} collects the
     per-facet maxima; ok iff c* <= g_U componentwise, i.e. U_star is inside U.
     """
-    results = milp.output_range_results(net, X_in, U.F, threads)
+    ok, U_star, _ = _input_check(net, X_in, U)
+    return ok, U_star
+
+
+def _one_step_check(
+    sys: LtiSystem, net: ReluNetwork, X_in: Polytope
+) -> tuple[bool, Polytope, list[np.ndarray], int]:
+    """Facet-wise check that the one-step image of X_in stays inside X_in.
+
+    Returns (ok, X_1, witnesses, nodes).  Each violated facet contributes the
+    MILP incumbent's x0, a point of X_in whose one-step image violates it.
+    """
+    results = milp.reach_results(sys, net, X_in, 1, X_in.F)
     c_star = np.array([r.value for r in results])
-    ok = bool(np.all(c_star <= U.g + CONTAIN_TOL))
-    return ok, Polytope(U.F.copy(), c_star)
+    violated = c_star > X_in.g + CONTAIN_TOL
+    # x0 is always the first block of model variables (see encode_reach).
+    witnesses = [r.point[: sys.n_x] for r, v in zip(results, violated) if v]
+    nodes = sum(r.nodes for r in results)
+    return not violated.any(), Polytope(X_in.F.copy(), c_star), witnesses, nodes
 
 
 def verify_invariance(
-    sys: LtiSystem, net: ReluNetwork, X_in: Polytope, U: Polytope, threads: int = 1
+    sys: LtiSystem, net: ReluNetwork, X_in: Polytope, U: Polytope
 ) -> tuple[bool, Polytope, list[np.ndarray]]:
     """One-step admissible control-invariance of X_in.
 
@@ -119,17 +141,9 @@ def verify_invariance(
     fails, the MILP incumbent provides a concrete witness x0 in X_in whose
     one-step image violates that facet; all witnesses are returned.
     """
-    input_ok, _ = verify_input(net, X_in, U, threads)
-    results = milp.reach_results(sys, net, X_in, 1, X_in.F, threads)
-    c_star = np.array([r.value for r in results])
-    # x0 is always the first block of model variables (see encode_reach).
-    witnesses = [
-        r.point[: sys.n_x]
-        for r, violated in zip(results, c_star > X_in.g + CONTAIN_TOL)
-        if violated
-    ]
-    ok = input_ok and bool(np.all(c_star <= X_in.g + CONTAIN_TOL))
-    return ok, Polytope(X_in.F.copy(), c_star), witnesses
+    input_ok, _ = verify_input(net, X_in, U)
+    ok, X_1, witnesses, _ = _one_step_check(sys, net, X_in)
+    return input_ok and ok, X_1, witnesses
 
 
 def equilibrium_gain_bias(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +166,7 @@ def check_stability_conditions(
     """
     gain, bias = equilibrium_gain_bias(net)
     bias_residual = float(np.max(np.abs(bias), initial=0.0))
-    rho = numerics.spectral_radius(sys.A + sys.B @ gain)
+    rho = spectral_radius(sys.A + sys.B @ gain)
     match = None
     if K_ref is not None:
         K_ref = np.asarray(K_ref, dtype=float).reshape(net.n_u, net.n_x)
@@ -189,7 +203,6 @@ def verify_stability(
     k_max: int = 25,
     K_ref=None,
     tol: float = RESIDUAL_TOL,
-    threads: int = 1,
 ) -> Certificate:
     """Full certificate: constraint satisfaction plus asymptotic stability.
 
@@ -198,18 +211,9 @@ def verify_stability(
     the first k <= k_max with the k-step reachable set certified inside R_as
     (directions = facets of R_as, so containment is componentwise).
     """
-    nodes = 0
-    input_results = milp.output_range_results(net, X_in, U.F, threads)
-    nodes += sum(r.nodes for r in input_results)
-    c_u = np.array([r.value for r in input_results])
-    input_ok = bool(np.all(c_u <= U.g + CONTAIN_TOL))
-    U_star = Polytope(U.F.copy(), c_u)
-
-    inv_results = milp.reach_results(sys, net, X_in, 1, X_in.F, threads)
-    nodes += sum(r.nodes for r in inv_results)
-    c_1 = np.array([r.value for r in inv_results])
-    invariance_ok = input_ok and bool(np.all(c_1 <= X_in.g + CONTAIN_TOL))
-    X_1 = Polytope(X_in.F.copy(), c_1)
+    input_ok, U_star, input_nodes = _input_check(net, X_in, U)
+    one_step_ok, X_1, witnesses, one_step_nodes = _one_step_check(sys, net, X_in)
+    invariance_ok = input_ok and one_step_ok
 
     bias_residual, rho, match = check_stability_conditions(sys, net, K_ref)
     report = StabilityReport(
@@ -222,7 +226,8 @@ def verify_stability(
         U_star=U_star,
         X_1_out=X_1,
         stability=report,
-        milp_nodes=nodes,
+        witnesses=witnesses,
+        milp_nodes=input_nodes + one_step_nodes,
     )
 
     def fallback(reason: str) -> Certificate:
@@ -251,7 +256,7 @@ def verify_stability(
         return fallback("empty stability set")
 
     for k in range(1, k_max + 1):
-        results = milp.reach_results(sys, net, X_in, k, R_as.F, threads)
+        results = milp.reach_results(sys, net, X_in, k, R_as.F)
         cert.milp_nodes += sum(r.nodes for r in results)
         c_k = np.array([r.value for r in results])
         if np.all(c_k <= R_as.g + CONTAIN_TOL):

@@ -199,3 +199,84 @@ def test_sets_outputs(case_files):
         assert (out / f"{name}.csv").exists()
     r_as = Polytope.from_json(json.loads((out / "r_as.json").read_text()))
     assert r_as.contains_point([0.0, 0.0])
+
+
+def _verify_argv(sys_path, net_path, xin_path, out):
+    return [
+        "verify", "--system", sys_path, "--network", net_path,
+        "--xin", str(xin_path), "--out-dir", str(out), "--kmax", "2",
+    ]
+
+
+def test_certificate_carries_replayable_witnesses(case_files):
+    sys_path, net_path, _, tmp = case_files
+    # the closed loop rotates this small box, so its corners leave it in one step
+    X_in = Polytope.box([-0.02, -0.02], [0.02, 0.02])
+    xin_path = tmp / "small.json"
+    xin_path.write_text(json.dumps(X_in.to_json()))
+    out = tmp / "small_out"
+    main(_verify_argv(sys_path, net_path, xin_path, out))
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["invariance_ok"] is False
+    assert len(cert["witnesses"]) >= 1
+    net = ReluNetwork.load(net_path)
+    for w in cert["witnesses"]:
+        x0 = np.asarray(w)
+        assert X_in.contains_point(x0, tol=1e-7)
+        x1 = CASE_A @ x0 + CASE_B @ net.eval(x0)
+        assert np.any(X_in.F @ x1 > X_in.g + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "xin",
+    [
+        {"F": [[1.0, 0.0], [0.0, 1.0]], "g": [1.0, 1.0]},  # unbounded
+        {"F": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], "g": [1.0, -2.0, 1.0, 1.0]},  # empty
+    ],
+    ids=["unbounded", "empty"],
+)
+def test_bad_initial_set_exit_code(case_files, tmp_path, capsys, xin):
+    sys_path, net_path, _, tmp = case_files
+    xin_path = tmp_path / "bad_xin.json"
+    xin_path.write_text(json.dumps(xin))
+    assert main(_verify_argv(sys_path, net_path, xin_path, tmp / "bad_out")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_finite_system_exit_code(case_files, tmp_path, capsys):
+    sys_path, net_path, xin_path, tmp = case_files
+    with open(sys_path) as f:
+        system = json.load(f)
+    system["A"][0][0] = float("nan")
+    nan_path = tmp_path / "nan_system.json"
+    nan_path.write_text(json.dumps(system))  # json writes NaN and reads it back
+    assert main(_verify_argv(str(nan_path), net_path, xin_path, tmp / "nan_out")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unknown_flag_exit_code(case_files, capsys):
+    sys_path, net_path, xin_path, tmp = case_files
+    argv = _verify_argv(sys_path, net_path, xin_path, tmp / "flag_out") + ["--no-such-flag"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--kmax" in capsys.readouterr().out
+
+
+def test_every_certnn_exception_is_a_certnn_error():
+    import importlib
+    import inspect
+
+    from certnn.errors import CertnnError
+
+    names = ("cli", "control", "errors", "lp", "milp", "network", "polytope", "regions", "verify")
+    for module in (importlib.import_module(f"certnn.{name}") for name in names):
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__.startswith("certnn"):
+                assert issubclass(obj, CertnnError), obj

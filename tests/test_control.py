@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from conftest import (
@@ -18,10 +20,10 @@ from certnn.control import (
     lqr,
     lqr_admissible_set,
     simulate,
+    spectral_radius,
     system_from_json,
 )
 from certnn.network import synth_satlqr
-from certnn.numerics import spectral_radius
 from certnn.polytope import Polytope, bounding_box, contains_set, support
 
 
@@ -34,6 +36,39 @@ class TestLtiSystem:
             LtiSystem(np.ones((2, 3)), np.ones((2, 1)))
         with pytest.raises(ValueError):
             LtiSystem(np.eye(2), np.ones((3, 1)))
+
+    def test_non_finite(self):
+        with pytest.raises(ValueError):
+            LtiSystem(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones((2, 1)))
+        with pytest.raises(ValueError):
+            LtiSystem(np.eye(2), np.array([[np.inf], [1.0]]))
+
+
+class TestSpectralRadius:
+    def test_identity(self):
+        assert spectral_radius(np.eye(2)) == pytest.approx(1.0)
+
+    def test_rotation(self):
+        assert spectral_radius(np.array([[0.0, 1.0], [-1.0, 0.0]])) == pytest.approx(1.0)
+
+    def test_case_study_closed_loop(self, case_system):
+        K = np.array([[0.2501, 0.8290]])
+        A_cl = case_system.A - case_system.B @ K
+        rho = spectral_radius(A_cl)
+        # oracle: roots of the 2x2 characteristic polynomial
+        tr, det = np.trace(A_cl), np.linalg.det(A_cl)
+        roots = np.roots([1.0, -tr, det])
+        assert rho == pytest.approx(np.max(np.abs(roots)), abs=1e-8)
+        assert rho < 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        c=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_scaling(self, c, seed):
+        A = np.random.default_rng(seed).standard_normal((4, 4))
+        assert spectral_radius(c * A) == pytest.approx(abs(c) * spectral_radius(A), abs=1e-8)
 
 
 class TestLqr:
