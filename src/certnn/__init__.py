@@ -10,7 +10,14 @@ it reproduces the LQR feedback inside its equilibrium activation region.
 """
 
 from certnn.control import LqrSolution, LtiSystem, lqr, lqr_admissible_set, simulate
-from certnn.milp import BnbResult, MilpModel, output_range, reach_set, solve_milp
+from certnn.milp import (
+    BnbResult,
+    ClosedLoopEncoding,
+    MilpModel,
+    output_range,
+    reach_set,
+    solve_milp,
+)
 from certnn.network import ReluNetwork, retrofit_lqr, saturate, synth_satlqr
 from certnn.polytope import Polytope
 from certnn.verify import Certificate, verify_stability
@@ -18,6 +25,7 @@ from certnn.verify import Certificate, verify_stability
 __all__ = [
     "BnbResult",
     "Certificate",
+    "ClosedLoopEncoding",
     "LqrSolution",
     "LtiSystem",
     "MilpModel",

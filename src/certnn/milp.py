@@ -9,14 +9,21 @@ z = a):
 with per-neuron constants M_pos = max(hi, 0) and M_neg = max(-lo, 0) taken
 from interval bound propagation seeded by support LPs over the input
 polytope.  Neurons whose pre-activation interval is sign-determined get their
-binary fixed up front.  The same pass, repeated per time step and chained
-through the plant x+ = A x + B u, encodes the k-step closed loop; the state
-box of each step is tightened with per-coordinate LPs on the relaxation built
-so far.
+binary fixed up front.
+
+The k-step closed loop is held by a :class:`ClosedLoopEncoding`, which
+extends step k - 1 to step k by one more network evaluation chained through
+the plant x+ = A x + B u.  The state box of each new step is tightened once,
+with per-coordinate LPs on the relaxation built so far, and seeds the
+interval bounds of the next network copy.  A query at step k reuses the
+model of that step and replaces only its objective, so directions and
+horizons share one encoding; the open-loop output-range model is built once
+per input set in the same way.
 
 The solver is a best-first branch and bound on the LP relaxation, branching
-on the most fractional binary (ties to the lowest index), and proves global
-optimality to a relative gap of 1e-6.
+on the most fractional binary (ties to the lowest index).  It stops at a
+relative gap of 1e-6 and returns both the incumbent and a proven upper
+bound on the maximum.
 """
 
 from __future__ import annotations
@@ -90,10 +97,13 @@ class MilpModel:
 
 @dataclass
 class BnbResult:
+    """value is the incumbent, attained at point; bound is a proven upper bound on the max."""
+
     status: str
     value: float | None = None
     point: np.ndarray | None = None
     nodes: int = 0
+    bound: float | None = None
 
 
 def _interval_affine(W, b, lo, hi):
@@ -223,17 +233,29 @@ def _add_polytope_rows(builder: _Builder, x_idx, P: Polytope):
         builder.add_ub(x_idx, row, rhs)
 
 
-def encode_output_range(net: ReluNetwork, X_in: Polytope, direction) -> MilpModel:
-    """Model whose optimum is max direction.N(x) over x in X_in."""
+def _with_objective(m: MilpModel, idx, direction) -> MilpModel:
+    """m with objective direction on the variables idx (and zero elsewhere)."""
     direction = np.asarray(direction, dtype=float).reshape(-1)
-    if direction.size != net.n_u:
-        raise MilpError(f"direction length {direction.size}, expected {net.n_u}")
+    if direction.size != len(idx):
+        raise MilpError(f"direction length {direction.size}, expected {len(idx)}")
+    c = np.zeros_like(m.c)
+    c[idx] = direction
+    return replace(m, c=c)
+
+
+def _output_range_model(net: ReluNetwork, X_in: Polytope) -> tuple[MilpModel, np.ndarray]:
+    """Network over X_in with a zero objective, plus the indices of its outputs."""
     nb = propagate_bounds(net, X_in)
     builder = _Builder()
     x_idx = builder.new_vars(net.n_x, nb.input_lo, nb.input_hi)
     _add_polytope_rows(builder, x_idx, X_in)
     u_idx = _encode_network(builder, net, x_idx, nb)
-    return builder.build(u_idx, direction, x_idx)
+    return builder.build(u_idx, 0.0, x_idx), u_idx
+
+
+def encode_output_range(net: ReluNetwork, X_in: Polytope, direction) -> MilpModel:
+    """Model whose optimum is max direction.N(x) over x in X_in."""
+    return _with_objective(*_output_range_model(net, X_in), direction)
 
 
 def _tighten_with_lp(builder: _Builder, idx) -> tuple[np.ndarray, np.ndarray]:
@@ -252,27 +274,36 @@ def _tighten_with_lp(builder: _Builder, idx) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def encode_reach(system, net: ReluNetwork, X_in: Polytope, k: int, direction) -> MilpModel:
-    """Model whose optimum is max direction.x_k over k closed-loop steps from X_in."""
-    if k < 1:
-        raise MilpError("need k >= 1")
-    direction = np.asarray(direction, dtype=float).reshape(-1)
-    A = np.asarray(system.A, dtype=float)
-    B = np.asarray(system.B, dtype=float)
-    n_x = A.shape[0]
-    if direction.size != n_x:
-        raise MilpError(f"direction length {direction.size}, expected {n_x}")
-    nb = propagate_bounds(net, X_in)
-    builder = _Builder()
-    x_idx = builder.new_vars(n_x, nb.input_lo, nb.input_hi)
-    x0_idx = x_idx
-    _add_polytope_rows(builder, x_idx, X_in)
-    for _ in range(k):
-        u_idx = _encode_network(builder, net, x_idx, nb)
-        next_idx = builder.new_vars(n_x, -np.inf, np.inf)
-        for i in range(n_x):
+class ClosedLoopEncoding:
+    """The closed loop x+ = A x + B N(x) from X_in, encoded step by step.
+
+    ``model(k, direction)`` extends the encoding up to step k and returns the
+    model of max direction.x_k.  Steps are only ever added: each one is
+    tightened once, and the assembled model of the current step (only) is
+    kept, so further directions at that step only swap the objective.
+    """
+
+    def __init__(self, system, net: ReluNetwork, X_in: Polytope):
+        self._A = np.asarray(system.A, dtype=float)
+        self._B = np.asarray(system.B, dtype=float)
+        self._net = net
+        self._nb = propagate_bounds(net, X_in)
+        self._builder = _Builder()
+        self._x0_idx = self._builder.new_vars(
+            self._A.shape[0], self._nb.input_lo, self._nb.input_hi
+        )
+        _add_polytope_rows(self._builder, self._x0_idx, X_in)
+        self._x_idx = self._x0_idx
+        self._k = 0
+        self._model: MilpModel | None = None
+
+    def _extend(self):
+        builder, A, B = self._builder, self._A, self._B
+        u_idx = _encode_network(builder, self._net, self._x_idx, self._nb)
+        next_idx = builder.new_vars(A.shape[0], -np.inf, np.inf)
+        for i in range(A.shape[0]):
             builder.add_eq(
-                np.concatenate([x_idx, u_idx, [next_idx[i]]]),
+                np.concatenate([self._x_idx, u_idx, [next_idx[i]]]),
                 np.concatenate([A[i], B[i], [-1.0]]),
                 0.0,
             )
@@ -280,9 +311,27 @@ def encode_reach(system, net: ReluNetwork, X_in: Polytope, k: int, direction) ->
         for i, var in enumerate(next_idx):
             builder.lb[var] = lo[i]
             builder.ub[var] = hi[i]
-        x_idx = next_idx
-        nb = bounds_from_box(net, lo, hi)
-    return builder.build(x_idx, direction, x0_idx)
+        self._x_idx = next_idx
+        self._nb = bounds_from_box(self._net, lo, hi)
+        self._k += 1
+        self._model = None
+
+    def model(self, k: int, direction) -> MilpModel:
+        """Model whose optimum is max direction.x_k over k closed-loop steps from X_in."""
+        if k < 1:
+            raise MilpError("need k >= 1")
+        if k < self._k:
+            raise MilpError(f"encoding is at step {self._k}; it cannot return to step {k}")
+        while self._k < k:
+            self._extend()
+        if self._model is None:
+            self._model = self._builder.build(self._x_idx, 0.0, self._x0_idx)
+        return _with_objective(self._model, self._x_idx, direction)
+
+
+def encode_reach(system, net: ReluNetwork, X_in: Polytope, k: int, direction) -> MilpModel:
+    """Model whose optimum is max direction.x_k over k closed-loop steps from X_in."""
+    return ClosedLoopEncoding(system, net, X_in).model(k, direction)
 
 
 def solve_milp(m: MilpModel, max_nodes: int = 1_000_000) -> BnbResult:
@@ -304,11 +353,14 @@ def solve_milp(m: MilpModel, max_nodes: int = 1_000_000) -> BnbResult:
     heap = [(-root.value, tie, m.lb.copy(), m.ub.copy(), root.point)]
     inc_val = -np.inf
     inc_point = None
+    proven = -np.inf  # raised by a gap stop; an emptied heap proves the incumbent itself
     binaries = m.binaries
     while heap:
         neg_bound, _, lb, ub, x = heapq.heappop(heap)
         bound = -neg_bound
         if inc_point is not None and bound - inc_val <= GAP_REL * (1.0 + abs(inc_val)):
+            # best first: the popped bound is the largest of every node still open
+            proven = bound
             break
         tvals = x[binaries]
         frac = np.minimum(np.abs(tvals), np.abs(1.0 - tvals))
@@ -334,7 +386,9 @@ def solve_milp(m: MilpModel, max_nodes: int = 1_000_000) -> BnbResult:
             heapq.heappush(heap, (-out.value, tie, clb, cub, out.point))
     if inc_point is None:
         return BnbResult(BnbStatus.INFEASIBLE, nodes=nodes)
-    return BnbResult(BnbStatus.OPTIMAL, value=inc_val, point=inc_point, nodes=nodes)
+    return BnbResult(
+        BnbStatus.OPTIMAL, value=inc_val, point=inc_point, nodes=nodes, bound=max(inc_val, proven)
+    )
 
 
 def _solve_directions(make_model, directions) -> list[BnbResult]:
@@ -348,7 +402,8 @@ def _solve_directions(make_model, directions) -> list[BnbResult]:
 
 
 def output_range_results(net: ReluNetwork, X_in: Polytope, directions) -> list[BnbResult]:
-    return _solve_directions(lambda d: encode_output_range(net, X_in, d), directions)
+    m, u_idx = _output_range_model(net, X_in)
+    return _solve_directions(lambda d: _with_objective(m, u_idx, d), directions)
 
 
 def output_range(net: ReluNetwork, X_in: Polytope, directions) -> np.ndarray:
@@ -356,8 +411,17 @@ def output_range(net: ReluNetwork, X_in: Polytope, directions) -> np.ndarray:
     return np.array([r.value for r in output_range_results(net, X_in, directions)])
 
 
-def reach_results(system, net: ReluNetwork, X_in: Polytope, k: int, directions) -> list[BnbResult]:
-    return _solve_directions(lambda d: encode_reach(system, net, X_in, k, d), directions)
+def reach_results(
+    system, net: ReluNetwork, X_in: Polytope, k: int, directions, encoding=None
+) -> list[BnbResult]:
+    """One branch and bound per direction at step k, all on one encoding.
+
+    Pass ``encoding`` (a ClosedLoopEncoding of the same system, net and X_in)
+    to share it with queries at other horizons.
+    """
+    if encoding is None:
+        encoding = ClosedLoopEncoding(system, net, X_in)
+    return _solve_directions(lambda d: encoding.model(k, d), directions)
 
 
 def reach_set(system, net: ReluNetwork, X_in: Polytope, k: int, directions) -> np.ndarray:

@@ -7,7 +7,9 @@ loop), construction of the stability set R_as, and a search for the smallest
 horizon k at which the k-step reachable set is certified inside R_as.  The
 reach queries in the final step use the facets of R_as itself as directions,
 so containment is a componentwise comparison rather than an
-over-approximation.
+over-approximation.  Every containment check is decided on the proven upper
+bound of the branch and bound, not on its incumbent, and the one-step check
+and the reach search share one closed-loop encoding.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class Certificate:
 def _input_check(net: ReluNetwork, X_in: Polytope, U: Polytope) -> tuple[bool, Polytope, int]:
     """verify_input plus the number of branch-and-bound nodes it took."""
     results = milp.output_range_results(net, X_in, U.F)
-    c_star = np.array([r.value for r in results])
+    c_star = np.array([r.bound for r in results])
     ok = bool(np.all(c_star <= U.g + CONTAIN_TOL))
     return ok, Polytope(U.F.copy(), c_star), sum(r.nodes for r in results)
 
@@ -108,27 +110,30 @@ def verify_input(net: ReluNetwork, X_in: Polytope, U: Polytope) -> tuple[bool, P
     """Exact output-range check of the controller against the input constraints.
 
     Returns (ok, U_star) where U_star = {u : F_U u <= c*} collects the
-    per-facet maxima; ok iff c* <= g_U componentwise, i.e. U_star is inside U.
+    proven per-facet upper bounds; ok iff c* <= g_U componentwise, i.e.
+    U_star is inside U.
     """
     ok, U_star, _ = _input_check(net, X_in, U)
     return ok, U_star
 
 
 def _one_step_check(
-    sys: LtiSystem, net: ReluNetwork, X_in: Polytope
+    sys: LtiSystem, net: ReluNetwork, X_in: Polytope, encoding=None
 ) -> tuple[bool, Polytope, list[np.ndarray], int]:
     """Facet-wise check that the one-step image of X_in stays inside X_in.
 
-    Returns (ok, X_1, witnesses, nodes).  Each violated facet contributes the
-    MILP incumbent's x0, a point of X_in whose one-step image violates it.
+    Returns (ok, X_1, witnesses, nodes); ``encoding`` is passed on to
+    ``milp.reach_results``.  ok iff every facet's proven bound is within
+    X_in.  Each facet whose MILP incumbent leaves X_in contributes that
+    incumbent's x0, a point of X_in whose one-step image violates the facet.
     """
-    results = milp.reach_results(sys, net, X_in, 1, X_in.F)
-    c_star = np.array([r.value for r in results])
-    violated = c_star > X_in.g + CONTAIN_TOL
-    # x0 is always the first block of model variables (see encode_reach).
-    witnesses = [r.point[: sys.n_x] for r, v in zip(results, violated) if v]
+    results = milp.reach_results(sys, net, X_in, 1, X_in.F, encoding=encoding)
+    c_star = np.array([r.bound for r in results])
+    # x0 is always the first block of model variables (see ClosedLoopEncoding).
+    witnesses = [r.point[: sys.n_x] for r, g in zip(results, X_in.g) if r.value > g + CONTAIN_TOL]
     nodes = sum(r.nodes for r in results)
-    return not violated.any(), Polytope(X_in.F.copy(), c_star), witnesses, nodes
+    ok = bool(np.all(c_star <= X_in.g + CONTAIN_TOL))
+    return ok, Polytope(X_in.F.copy(), c_star), witnesses, nodes
 
 
 def verify_invariance(
@@ -212,7 +217,8 @@ def verify_stability(
     (directions = facets of R_as, so containment is componentwise).
     """
     input_ok, U_star, input_nodes = _input_check(net, X_in, U)
-    one_step_ok, X_1, witnesses, one_step_nodes = _one_step_check(sys, net, X_in)
+    encoding = milp.ClosedLoopEncoding(sys, net, X_in)
+    one_step_ok, X_1, witnesses, one_step_nodes = _one_step_check(sys, net, X_in, encoding)
     invariance_ok = input_ok and one_step_ok
 
     bias_residual, rho, match = check_stability_conditions(sys, net, K_ref)
@@ -256,9 +262,9 @@ def verify_stability(
         return fallback("empty stability set")
 
     for k in range(1, k_max + 1):
-        results = milp.reach_results(sys, net, X_in, k, R_as.F)
+        results = milp.reach_results(sys, net, X_in, k, R_as.F, encoding=encoding)
         cert.milp_nodes += sum(r.nodes for r in results)
-        c_k = np.array([r.value for r in results])
+        c_k = np.array([r.bound for r in results])
         if np.all(c_k <= R_as.g + CONTAIN_TOL):
             report.k_star = k
             report.X_k_out = Polytope(R_as.F.copy(), c_k)

@@ -6,6 +6,7 @@ from conftest import random_net
 from certnn import milp
 from certnn.control import LtiSystem
 from certnn.milp import (
+    ClosedLoopEncoding,
     MilpError,
     UnboundedInput,
     bounds_from_box,
@@ -13,6 +14,7 @@ from certnn.milp import (
     encode_reach,
     output_range,
     propagate_bounds,
+    reach_results,
     reach_set,
     solve_milp,
 )
@@ -107,6 +109,9 @@ class TestOutputRange:
         assert float(net.eval(x_star)[0]) == pytest.approx(res.value, abs=1e-6)
 
 
+MODEL_ARRAYS = ("c", "A_ub", "b_ub", "A_eq", "b_eq", "lb", "ub", "binaries", "x0_idx")
+
+
 class TestReach:
     def _sys(self):
         return LtiSystem(
@@ -147,10 +152,53 @@ class TestReach:
             X = X @ sys.A.T + U @ sys.B.T
         assert np.all(X @ FAN8.T <= vals + 1e-7)
 
+    def test_shared_encoding_equals_fresh_encode_reach(self):
+        rng = np.random.default_rng(8)
+        sys = self._sys()
+        for _ in range(3):
+            net = random_net(rng, 2, [3, 2], 1, scale=0.5)
+            enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+            for k in range(1, 5):
+                d = rng.standard_normal(2)
+                got = enc.model(k, d)
+                want = encode_reach(sys, net, UNIT_BOX, k, d)
+                for name in MODEL_ARRAYS:
+                    np.testing.assert_array_equal(
+                        getattr(got, name), getattr(want, name), err_msg=name
+                    )
+            with pytest.raises(MilpError):
+                enc.model(3, d)
+
+    def test_shared_encoding_matches_oracle(self):
+        rng = np.random.default_rng(9)
+        sys = self._sys()
+        net = random_net(rng, 2, [3], 1, scale=0.5)
+        dirs = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-0.6, 0.8]])
+        enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+        for k in range(1, 4):
+            got = [r.value for r in reach_results(sys, net, UNIT_BOX, k, dirs, encoding=enc)]
+            want = [
+                helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, d) for d in dirs
+            ]
+            np.testing.assert_allclose(got, want, atol=1e-6)
+
     def test_k_validation(self, identity_pair_net):
         sys = LtiSystem(np.eye(1), np.eye(1))
         with pytest.raises(MilpError):
             encode_reach(sys, identity_pair_net, Polytope.box([-1.0], [1.0]), 0, [1.0])
+
+
+def test_gap_stop_bound_covers_true_max(monkeypatch):
+    # with a loose gap the search may stop early; bound must still cover the max
+    monkeypatch.setattr(milp, "GAP_REL", 0.5)
+    rng = np.random.default_rng(10)
+    for _ in range(5):
+        net = random_net(rng, 2, [3, 3], 2)
+        for d in [[1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]:
+            res = solve_milp(encode_output_range(net, UNIT_BOX, d))
+            want = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, np.asarray(d))
+            assert res.bound >= res.value
+            assert res.bound >= want - 1e-6
 
 
 def test_sign_fixed_neurons_have_fixed_binaries():

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import helpers
 from conftest import CASE_K, CASE_Q, CASE_R
+from certnn import lp, milp
 from certnn.control import lqr
 from certnn.network import ReluNetwork, synth_satlqr
 from certnn.polytope import Polytope, bounding_box, contains_set
@@ -46,6 +49,20 @@ class TestVerifyInput:
         pts = helpers.sample_polytope(rng, case_Xin.F, case_Xin.g, 2000, lo, hi)
         U_vals = helpers.batch_eval(case_net, pts)
         assert np.all(U_vals @ case_U.F.T <= U_star.g + 1e-7)
+
+    def test_decided_on_proven_bound(self, monkeypatch, case_Xin, case_net):
+        # an incumbent stopped short of the maximum must not pass a U whose
+        # offset lies between the incumbent and the proven bound
+        solve = milp.output_range_results
+
+        def short_incumbents(net, X_in, directions):
+            return [replace(r, value=r.value - 0.2) for r in solve(net, X_in, directions)]
+
+        monkeypatch.setattr(milp, "output_range_results", short_incumbents)
+        U = Polytope.box([-0.9], [0.9])  # the saturated net reaches |u| = 1
+        ok, U_star = verify_input(case_net, case_Xin, U)
+        assert not ok
+        np.testing.assert_allclose(U_star.g, [1.0, 1.0], atol=1e-7)
 
 
 class TestVerifyInvariance:
@@ -141,6 +158,25 @@ class TestVerifyStability:
         assert contains_set(
             cert.stability.R_as, cert.stability.X_k_out, tol=1e-6
         )
+
+    def test_case_study_lp_budget(
+        self, monkeypatch, case_system, case_Xin, case_X, case_U, case_net
+    ):
+        # one closed-loop encoding per call: each step is tightened once
+        solve = lp.solve_lp
+        calls = 0
+
+        def counting(p):
+            nonlocal calls
+            calls += 1
+            return solve(p)
+
+        monkeypatch.setattr(lp, "solve_lp", counting)
+        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
+        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
+        assert cert.stability.k_star == 5
+        assert cert.milp_nodes == 354
+        assert calls <= 450
 
     def test_without_reference_gain(self, case_system, case_Xin, case_X, case_U, case_net):
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
