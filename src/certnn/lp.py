@@ -3,7 +3,8 @@
 Thin contract around scipy's HiGHS solver: problems are stated as
 maximize c.x subject to A x <= b and per-variable bounds (optionally plus
 equality rows used by the MILP relaxations).  All polytope operations and the
-branch-and-bound relaxations go through :func:`solve_lp`.
+branch-and-bound relaxations go through :func:`solve_lp`.  HiGHS runs with
+its default tolerances (primal and dual feasibility 1e-7).
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from certnn.errors import CertnnError
-
-FEASIBILITY_TOL = 1e-7
-OPTIMALITY_TOL = 1e-9
 
 
 class LpError(CertnnError):

@@ -41,6 +41,7 @@ from certnn.polytope import Polytope, Unbounded, bounding_box
 INTEGRALITY_TOL = 1e-6
 PRUNE_TOL = 1e-9
 GAP_REL = 1e-6
+MAX_NODES = 1_000_000
 
 
 class UnboundedInput(CertnnError):
@@ -334,8 +335,11 @@ def encode_reach(system, net: ReluNetwork, X_in: Polytope, k: int, direction) ->
     return ClosedLoopEncoding(system, net, X_in).model(k, direction)
 
 
-def solve_milp(m: MilpModel, max_nodes: int = 1_000_000) -> BnbResult:
-    """Best-first branch and bound; proves a global optimum or infeasibility."""
+def solve_milp(m: MilpModel) -> BnbResult:
+    """Best-first branch and bound; proves a global optimum or infeasibility.
+
+    Raises MilpError when the search would solve more than MAX_NODES LPs.
+    """
     nodes = 0
 
     def _solve(lb, ub):
@@ -372,8 +376,8 @@ def solve_milp(m: MilpModel, max_nodes: int = 1_000_000) -> BnbResult:
         branch = int(np.argmax(frac))
         var = binaries[branch]
         for fix in (0.0, 1.0):
-            if nodes >= max_nodes:
-                raise MilpError(f"node cap {max_nodes} exceeded")
+            if nodes >= MAX_NODES:
+                raise MilpError(f"node cap {MAX_NODES} exceeded")
             clb, cub = lb.copy(), ub.copy()
             clb[var] = fix
             cub[var] = fix

@@ -1,11 +1,12 @@
 """H-representation polytope algebra.
 
-A polytope is {x : F x <= g}.  The operations here (emptiness, support
-functions, redundancy removal, containment, intersection and the maximal
-positively invariant set under a stable linear map) are all reduced to linear
-programs.  Set equality is always decided by mutual containment, never by
-comparing rows, because equivalent H-representations can differ in row order
-and scaling.
+A polytope is {x : F x <= g}.  Emptiness, support functions, redundancy
+removal and containment are each one linear program per query or per row.
+Intersection only stacks rows; the one operation that prunes is the maximal
+positively invariant set of a stable linear map, which builds its fixpoint
+from the rows that cut and removes redundancy once at the end.  Set equality
+is always decided by mutual containment, never by comparing rows, because
+equivalent H-representations can differ in row order and scaling.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from certnn.errors import CertnnError, DimensionMismatch, NoConvergence
 
 CONTAINMENT_TOL = 1e-7
 REDUNDANCY_TOL = 1e-9
-FIXPOINT_TOL = 1e-7
+MAX_FIXPOINT_ITER = 500
 
 
 class EmptyInput(CertnnError):
@@ -144,50 +145,43 @@ def contains_set(outer: Polytope, inner: Polytope, tol: float = CONTAINMENT_TOL)
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
-    """Row-stack of both sets with redundant rows removed."""
+    """Row-stack of both sets.  Rows are not pruned and the result may be empty."""
     if P.dim != Q.dim:
         raise DimensionMismatch(f"dimensions {P.dim} and {Q.dim} differ")
-    stacked = Polytope(np.vstack([P.F, Q.F]), np.concatenate([P.g, Q.g]))
-    if is_empty(stacked):
-        return stacked
-    return remove_redundant(stacked)
+    return Polytope(np.vstack([P.F, Q.F]), np.concatenate([P.g, Q.g]))
 
 
-def max_positively_invariant(A_cl, P: Polytope, max_iter: int = 500) -> Polytope:
+def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     """Largest O inside P with A_cl O inside O, for a stable linear map.
 
-    Computed by the preimage fixpoint O_{k+1} = O_k /\\ {x : A_cl x in O_k};
-    each iteration appends the rows (F A_cl, g) and prunes redundancy.  The
-    fixpoint is reached when every appended row is already redundant, i.e.
-    mutual containment of consecutive iterates holds.
+    The maximal admissible set iteration of Gilbert & Tan (IEEE TAC 1991):
+    O_k = {x : F A_cl^i x <= g, i = 0..k}, growing only by the rows of
+    F A_cl^(k+1) whose support on O_k exceeds g (an unbounded support counts
+    as a cut).  When no row cuts, O_k is invariant and is returned with its
+    redundant rows removed.  When the rows squeeze every point out, the empty
+    stack is returned: it is the (trivially invariant) fixpoint.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     if A_cl.shape != (P.dim, P.dim):
         raise DimensionMismatch(f"map shape {A_cl.shape} vs dimension {P.dim}")
     if is_empty(P):
         raise EmptyInput("invariant set of an empty polytope")
-    omega = remove_redundant(P)
-    for _ in range(max_iter):
-        mapped_F = omega.F @ A_cl
-        mapped_g = omega.g
-        converged = True
-        for row, rhs in zip(mapped_F, mapped_g):
+    omega, F_k = P, P.F
+    for _ in range(MAX_FIXPOINT_ITER):
+        F_k = F_k @ A_cl
+        cuts = []
+        for i, row in enumerate(F_k):
             try:
-                val = support(omega, row)
+                if support(omega, row) > P.g[i] + REDUNDANCY_TOL:
+                    cuts.append(i)
             except Unbounded:
-                val = np.inf
-            if val > rhs + FIXPOINT_TOL:
-                converged = False
-                break
-        if converged:
-            return omega
-        stacked = Polytope(np.vstack([omega.F, mapped_F]), np.concatenate([omega.g, mapped_g]))
-        if is_empty(stacked):
-            # the constraints squeezed everything out; the empty set is the
-            # (trivially invariant) fixpoint
-            return stacked
-        omega = remove_redundant(stacked)
-    raise NoConvergence(f"no fixpoint after {max_iter} iterations")
+                cuts.append(i)
+            except EmptyInput:
+                return omega
+        if not cuts:
+            return remove_redundant(omega)
+        omega = Polytope(np.vstack([omega.F, F_k[cuts]]), np.concatenate([omega.g, P.g[cuts]]))
+    raise NoConvergence(f"no fixpoint after {MAX_FIXPOINT_ITER} iterations")
 
 
 def bounding_box(P: Polytope) -> tuple[np.ndarray, np.ndarray]:

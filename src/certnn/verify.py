@@ -22,7 +22,7 @@ from certnn import milp
 from certnn.control import LtiSystem, lqr_admissible_set, spectral_radius
 from certnn.errors import CertnnError
 from certnn.network import ReluNetwork
-from certnn.polytope import EmptyInput, Polytope, intersect, is_empty, max_positively_invariant
+from certnn.polytope import EmptyInput, Polytope, intersect, is_empty
 
 RESIDUAL_TOL = 1e-6
 CONTAIN_TOL = 1e-9
@@ -183,20 +183,21 @@ def stability_set(sys: LtiSystem, net: ReluNetwork, X: Polytope, U: Polytope) ->
     """Invariant set R_as inside R_eq intersected with the admissible region R_K.
 
     R_K is the maximal admissible invariant set of the equilibrium-region
-    feedback; the returned set is positively invariant under that feedback and
-    contains the origin.
+    feedback u = gain x inside X and U.  The maximal invariant subset of
+    R_eq /\\ R_K equals the maximal admissible invariant set inside
+    R_eq /\\ X, so R_as is one ``lqr_admissible_set`` fixpoint.  The result
+    is positively invariant under that feedback and contains the origin.
+    Raises EmptyStabilitySet when it is empty.
     """
     gain, _ = equilibrium_gain_bias(net)
-    K_net = -gain
     _, R_eq = net.equilibrium_region()
     try:
-        R_K = lqr_admissible_set(sys, K_net, X, U)
+        R_as = lqr_admissible_set(sys, -gain, intersect(R_eq, X), U)
     except EmptyInput as exc:
-        raise EmptyStabilitySet("admissible region of the equilibrium feedback is empty") from exc
-    base = intersect(R_eq, R_K)
-    if is_empty(base):
-        raise EmptyStabilitySet("R_eq and R_K do not intersect")
-    return max_positively_invariant(sys.A - sys.B @ K_net, base)
+        raise EmptyStabilitySet("R_eq meets no admissible state") from exc
+    if is_empty(R_as):
+        raise EmptyStabilitySet("no invariant set of the equilibrium feedback in R_eq")
+    return R_as
 
 
 def verify_stability(

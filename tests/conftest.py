@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from certnn import lp
 from certnn.control import LtiSystem
 from certnn.network import ReluNetwork
 from certnn.polytope import Polytope
@@ -73,6 +74,21 @@ def case_U():
 @pytest.fixture
 def case_Xin():
     return Polytope(CASE_C_IN, CASE_c_IN)
+
+
+@pytest.fixture
+def count_lps(monkeypatch):
+    """Counts certnn.lp.solve_lp calls from fixture set-up on; call it to read the count."""
+    solve = lp.solve_lp
+    calls = 0
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return solve(p)
+
+    monkeypatch.setattr(lp, "solve_lp", counting)
+    return lambda: calls
 
 
 @pytest.fixture

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's MILP machinery: output ranges are
 reproduced by brute-force enumeration of activation patterns (one LP per
-pattern, solved directly with scipy), and reachable sets by enumeration of
-pattern sequences through the plant.
+pattern, solved directly with scipy), reachable sets by enumeration of
+pattern sequences through the plant, and invariant sets by stacking a fixed
+number of preimages.
 """
 
 import itertools
@@ -138,6 +139,18 @@ def reach_oracle(A, B, net, F_in, g_in, k, direction):
     n_x = A.shape[0]
     descend(0, F_in, g_in, np.eye(n_x), np.zeros(n_x))
     return best
+
+
+def mpi_oracle(A, F, g, N):
+    """(F_N, g_N) with rows F A^i x <= g for i = 0..N, stacked with numpy only.
+
+    Once N reaches the determinedness index of (A, F, g) this is the maximal
+    positively invariant set inside {F x <= g}, unpruned.
+    """
+    blocks = [np.asarray(F, dtype=float)]
+    for _ in range(N):
+        blocks.append(blocks[-1] @ A)
+    return np.vstack(blocks), np.tile(np.asarray(g, dtype=float), N + 1)
 
 
 def sample_polytope(rng, F, g, n, lo, hi, max_tries=200000):

@@ -147,6 +147,12 @@ class TestAdmissibleSets:
             pts = pts @ A_cl.T
             assert np.all(pts @ region.F.T <= region.g + 1e-7)
 
+    def test_case_study_lp_budget(self, case_system, case_X, case_U, count_lps):
+        # one fixpoint that adds only the cutting rows and prunes once
+        sol = lqr(case_system, CASE_Q, CASE_R)
+        lqr_admissible_set(case_system, sol.K, case_X, case_U)
+        assert count_lps() <= 22
+
 
 class TestSimulate:
     def test_shapes_and_dynamics(self, case_system):

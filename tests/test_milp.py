@@ -201,6 +201,15 @@ def test_gap_stop_bound_covers_true_max(monkeypatch):
             assert res.bound >= want - 1e-6
 
 
+def test_node_cap_raises(monkeypatch):
+    net = random_net(np.random.default_rng(10), 2, [3, 3], 2)
+    model = encode_output_range(net, UNIT_BOX, [0.0, -1.0])
+    assert solve_milp(model).nodes > 1  # the root relaxation is fractional
+    monkeypatch.setattr(milp, "MAX_NODES", 1)
+    with pytest.raises(MilpError, match="node cap"):
+        solve_milp(model)
+
+
 def test_sign_fixed_neurons_have_fixed_binaries():
     # strongly biased neurons are active over the whole box, so their
     # binaries arrive with lb == ub == 0

@@ -151,6 +151,43 @@ class TestMaxPositivelyInvariant:
         expected = Polytope.box([-1.0, -0.5], [1.0, 0.5])
         assert contains_set(omega, expected) and contains_set(expected, omega)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_stacked_preimages_stable_map(self, seed):
+        rng = np.random.default_rng([seed, 11])
+        n = 2 + seed % 3
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.5, 0.8) / np.max(np.abs(np.linalg.eigvals(A)))
+        box = Polytope.box(-np.ones(n), np.ones(n))
+        P = Polytope(
+            np.vstack([box.F, rng.standard_normal((3, n))]),
+            np.concatenate([box.g, rng.uniform(0.5, 1.5, 3)]),
+        )
+        # for these maps no row of P A^i with i >= 7 can cut the unit box, so
+        # 60 stacked preimages are the invariant set
+        self._assert_same_set(max_positively_invariant(A, P), *helpers.mpi_oracle(A, P.F, P.g, 60))
+
+    def test_matches_stacked_preimages_shift_map(self):
+        A = 2.0 * np.diag(np.ones(2), 1)  # x3 -> x2 -> x1, doubled; A^3 = 0
+        P = Polytope.box(-np.ones(3), np.ones(3))
+        omega = max_positively_invariant(A, P)
+        self._assert_same_set(omega, *helpers.mpi_oracle(A, P.F, P.g, 3))
+
+    def test_squeezed_to_empty(self):
+        # x -> 2x pushes every point of [1, 2] out within two steps
+        omega = max_positively_invariant(np.array([[2.0]]), Polytope.box([1.0], [2.0]))
+        assert is_empty(omega)
+
+    @staticmethod
+    def _assert_same_set(omega, F, g):
+        # mutual support with the oracle's own LPs; omega lies in the unit
+        # box, so a row with |row|_1 <= rhs cannot cut it (HiGHS gives up on
+        # the ~1e-11 objectives of late preimage rows)
+        for row, rhs in zip(F, g):
+            if np.abs(row).sum() > rhs:
+                assert helpers._lp_max(row, omega.F, omega.g) <= rhs + 1e-7
+        for row, rhs in zip(omega.F, omega.g):
+            assert helpers._lp_max(row, F, g) <= rhs + 1e-7
+
     def test_invariance_by_sampling(self):
         rng = np.random.default_rng(12)
         A = np.array([[0.6, 0.4], [-0.3, 0.7]])

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from conftest import CASE_K, CASE_Q, CASE_R
-from certnn import lp, milp
+from certnn import milp
 from certnn.control import lqr
 from certnn.network import ReluNetwork, synth_satlqr
 from certnn.polytope import Polytope, bounding_box, contains_set
@@ -160,23 +160,15 @@ class TestVerifyStability:
         )
 
     def test_case_study_lp_budget(
-        self, monkeypatch, case_system, case_Xin, case_X, case_U, case_net
+        self, case_system, case_Xin, case_X, case_U, case_net, count_lps
     ):
-        # one closed-loop encoding per call: each step is tightened once
-        solve = lp.solve_lp
-        calls = 0
-
-        def counting(p):
-            nonlocal calls
-            calls += 1
-            return solve(p)
-
-        monkeypatch.setattr(lp, "solve_lp", counting)
+        # one closed-loop encoding per call, each step tightened once, and
+        # R_as from a single invariant-set fixpoint
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
         assert cert.stability.k_star == 5
         assert cert.milp_nodes == 354
-        assert calls <= 450
+        assert count_lps() <= 435
 
     def test_without_reference_gain(self, case_system, case_Xin, case_X, case_U, case_net):
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
