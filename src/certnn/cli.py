@@ -114,8 +114,7 @@ def cmd_verify(args) -> int:
     if aux["Q"] is not None and aux["R"] is not None:
         K_ref = control.lqr(sys_obj, aux["Q"], aux["R"]).K
     cert = verify.verify_stability(
-        sys_obj, net, xin, aux["X"], aux["U"],
-        k_max=args.kmax, K_ref=K_ref, tol=args.tol,
+        sys_obj, net, xin, aux["X"], aux["U"], k_max=args.kmax, K_ref=K_ref
     )
     out = _out_dir(args)
     _write_json(out / "certificate.json", cert.to_json())
@@ -199,8 +198,7 @@ def cmd_sets(args) -> int:
     out = _out_dir(args)
     r_lqr = control.lqr_admissible_set(sys_obj, K, aux["X"], aux["U"])
     cert = verify.verify_stability(
-        sys_obj, net, xin, aux["X"], aux["U"],
-        k_max=args.kmax, K_ref=K, tol=args.tol,
+        sys_obj, net, xin, aux["X"], aux["U"], k_max=args.kmax, K_ref=K
     )
     named = {"r_lqr": r_lqr, "x1_out": cert.X_1_out}
     if cert.stability is not None:
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def certification(sp):
         sp.add_argument("--kmax", type=int, default=25, help="largest reach horizon searched")
-        sp.add_argument("--tol", type=float, default=1e-6, help="stability residual tolerance")
 
     sp = sub.add_parser("verify", help="run the full certification pipeline")
     common(sp)

@@ -7,18 +7,19 @@ z = a):
     z >= a,   z <= a + M_neg * t,   z >= 0,   z <= M_pos * (1 - t),
 
 with per-neuron constants M_pos = max(hi, 0) and M_neg = max(-lo, 0) taken
-from interval bound propagation seeded by support LPs over the input
-polytope.  Neurons whose pre-activation interval is sign-determined get their
-binary fixed up front.
+from interval bound propagation out of a box on the network's input.
+Neurons whose pre-activation interval is sign-determined get their binary
+fixed up front.
 
-The k-step closed loop is held by a :class:`ClosedLoopEncoding`, which
-extends step k - 1 to step k by one more network evaluation chained through
-the plant x+ = A x + B u.  The state box of each new step is tightened once,
-with per-coordinate LPs on the relaxation built so far, and seeds the
-interval bounds of the next network copy.  A query at step k reuses the
-model of that step and replaces only its objective, so directions and
-horizons share one encoding; the open-loop output-range model is built once
-per input set in the same way.
+Every encoding of a network over an input set is a
+:class:`ClosedLoopEncoding`.  Its step 0 is x0 in X_in with one network
+copy u0 = N(x0): the open-loop output-range model.  Step k extends step
+k - 1 through the plant x+ = A x + B u and then adds the network copy at x_k
+when step k + 1 needs it.  Each state block, x0 included, is boxed once by
+per-coordinate LPs on the relaxation built so far (for x0 these are the
+support LPs of X_in), and that box seeds the interval bounds of the network
+copy at that state.  A query reuses the model of its step and replaces only
+the objective, so directions and horizons share one encoding.
 
 The solver is a best-first branch and bound on the LP relaxation, branching
 on the most fractional binary (ties to the lowest index).  It stops at a
@@ -36,7 +37,7 @@ import numpy as np
 from certnn import lp
 from certnn.errors import CertnnError
 from certnn.network import ReluNetwork
-from certnn.polytope import Polytope, Unbounded, bounding_box
+from certnn.polytope import EmptyInput, Polytope
 
 INTEGRALITY_TOL = 1e-6
 PRUNE_TOL = 1e-9
@@ -59,10 +60,8 @@ class BnbStatus:
 
 @dataclass
 class NeuronBounds:
-    """Pre-activation intervals per hidden layer, plus the input and output boxes."""
+    """Pre-activation intervals per hidden layer, plus the output box."""
 
-    input_lo: np.ndarray
-    input_hi: np.ndarray
     pre_lo: list[np.ndarray]
     pre_hi: list[np.ndarray]
     out_lo: np.ndarray
@@ -126,16 +125,7 @@ def bounds_from_box(net: ReluNetwork, lo, hi) -> NeuronBounds:
         cur_lo, cur_hi = np.maximum(a_lo, 0.0), np.maximum(a_hi, 0.0)
     W, b = net.layers[-1]
     out_lo, out_hi = _interval_affine(W, b, cur_lo, cur_hi)
-    return NeuronBounds(lo, hi, pre_lo, pre_hi, out_lo, out_hi)
-
-
-def propagate_bounds(net: ReluNetwork, X_in: Polytope) -> NeuronBounds:
-    """Per-neuron pre-activation intervals over an input polytope."""
-    try:
-        lo, hi = bounding_box(X_in)
-    except Unbounded as exc:
-        raise UnboundedInput("input polytope unbounded in some coordinate") from exc
-    return bounds_from_box(net, lo, hi)
+    return NeuronBounds(pre_lo, pre_hi, out_lo, out_hi)
 
 
 class _Builder:
@@ -174,22 +164,13 @@ class _Builder:
             b[i] = rhs
         return A, b
 
-    def build(self, objective_idx, objective_coef, x0_idx) -> MilpModel:
+    def build(self, x0_idx) -> MilpModel:
+        """The model so far with a zero objective; callers set c."""
         c = np.zeros(self.n_vars)
-        c[np.asarray(objective_idx)] = objective_coef
         A_ub, b_ub = self._assemble(self.rows_ub)
         A_eq, b_eq = self._assemble(self.rows_eq)
-        return MilpModel(
-            c,
-            A_ub,
-            b_ub,
-            A_eq,
-            b_eq,
-            np.array(self.lb),
-            np.array(self.ub),
-            np.array(self.binaries, dtype=int),
-            np.asarray(x0_idx),
-        )
+        lb, ub, binaries = np.array(self.lb), np.array(self.ub), np.array(self.binaries, dtype=int)
+        return MilpModel(c, A_ub, b_ub, A_eq, b_eq, lb, ub, binaries, np.asarray(x0_idx))
 
 
 def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, nb: NeuronBounds):
@@ -229,11 +210,6 @@ def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, nb: NeuronBounds
     return u_idx
 
 
-def _add_polytope_rows(builder: _Builder, x_idx, P: Polytope):
-    for row, rhs in zip(P.F, P.g):
-        builder.add_ub(x_idx, row, rhs)
-
-
 def _with_objective(m: MilpModel, idx, direction) -> MilpModel:
     """m with objective direction on the variables idx (and zero elsewhere)."""
     direction = np.asarray(direction, dtype=float).reshape(-1)
@@ -244,90 +220,93 @@ def _with_objective(m: MilpModel, idx, direction) -> MilpModel:
     return replace(m, c=c)
 
 
-def _output_range_model(net: ReluNetwork, X_in: Polytope) -> tuple[MilpModel, np.ndarray]:
-    """Network over X_in with a zero objective, plus the indices of its outputs."""
-    nb = propagate_bounds(net, X_in)
-    builder = _Builder()
-    x_idx = builder.new_vars(net.n_x, nb.input_lo, nb.input_hi)
-    _add_polytope_rows(builder, x_idx, X_in)
-    u_idx = _encode_network(builder, net, x_idx, nb)
-    return builder.build(u_idx, 0.0, x_idx), u_idx
-
-
-def encode_output_range(net: ReluNetwork, X_in: Polytope, direction) -> MilpModel:
-    """Model whose optimum is max direction.N(x) over x in X_in."""
-    return _with_objective(*_output_range_model(net, X_in), direction)
-
-
-def _tighten_with_lp(builder: _Builder, idx) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate min/max of the given variables over the relaxation so far."""
-    model = builder.build(idx, 0.0, idx)  # each LP below replaces the objective
-    lo = np.empty(len(idx))
-    hi = np.empty(len(idx))
-    for i, var in enumerate(idx):
-        c = np.zeros(builder.n_vars)
-        c[var] = 1.0
-        for sign, dest in ((1.0, hi), (-1.0, lo)):
-            out = lp.solve_lp(replace(model, c=sign * c).relax())
-            if out.status != lp.LpStatus.OPTIMAL:
-                raise MilpError(f"bound-tightening LP {out.status.value}")
-            dest[i] = sign * out.value
-    return lo, hi
-
-
 class ClosedLoopEncoding:
     """The closed loop x+ = A x + B N(x) from X_in, encoded step by step.
 
+    Step 0 is x0 in X_in with the network copy u0 = N(x0); ``output`` returns
+    its model of max direction.u0, the open-loop output range.
     ``model(k, direction)`` extends the encoding up to step k and returns the
-    model of max direction.x_k.  Steps are only ever added: each one is
-    tightened once, and the assembled model of the current step (only) is
-    kept, so further directions at that step only swap the objective.
+    model of max direction.x_k.  Steps are only ever added: asking for an
+    earlier step (``output`` included) raises MilpError.  Each state block is
+    boxed once, and the assembled model of the current step (only) is kept,
+    so further directions at that step only swap the objective.  ``system``
+    is read only when a step is added, so output-range callers may pass None.
     """
 
     def __init__(self, system, net: ReluNetwork, X_in: Polytope):
-        self._A = np.asarray(system.A, dtype=float)
-        self._B = np.asarray(system.B, dtype=float)
+        self._system = system
         self._net = net
-        self._nb = propagate_bounds(net, X_in)
         self._builder = _Builder()
-        self._x0_idx = self._builder.new_vars(
-            self._A.shape[0], self._nb.input_lo, self._nb.input_hi
-        )
-        _add_polytope_rows(self._builder, self._x0_idx, X_in)
-        self._x_idx = self._x0_idx
+        self._x0_idx = self._x_idx = self._builder.new_vars(net.n_x, -np.inf, np.inf)
+        for row, rhs in zip(X_in.F, X_in.g):
+            self._builder.add_ub(self._x0_idx, row, rhs)
         self._k = 0
         self._model: MilpModel | None = None
+        self._box_state()
+        self._u_idx = _encode_network(self._builder, net, self._x0_idx, self._nb)
+
+    def _box_state(self):
+        """Box the current state block, then seed the bounds of its network copy.
+
+        Per coordinate, one LP on the relaxation so far gives the max and one
+        the min; for x0 these are the support LPs of X_in.
+        """
+        builder, idx = self._builder, self._x_idx
+        model = builder.build(self._x0_idx)
+        for var in idx:
+            for sign, dest in ((1.0, builder.ub), (-1.0, builder.lb)):
+                c = np.zeros(builder.n_vars)
+                c[var] = sign
+                out = lp.solve_lp(replace(model, c=c).relax())
+                if out.status == lp.LpStatus.UNBOUNDED:
+                    raise UnboundedInput("input polytope unbounded in some coordinate")
+                if out.status == lp.LpStatus.INFEASIBLE:
+                    raise EmptyInput("input polytope is empty")
+                dest[var] = sign * out.value
+        self._nb = bounds_from_box(
+            self._net, [builder.lb[v] for v in idx], [builder.ub[v] for v in idx]
+        )
 
     def _extend(self):
-        builder, A, B = self._builder, self._A, self._B
-        u_idx = _encode_network(builder, self._net, self._x_idx, self._nb)
+        builder, A, B = self._builder, self._system.A, self._system.B
+        if self._u_idx is None:
+            self._u_idx = _encode_network(builder, self._net, self._x_idx, self._nb)
         next_idx = builder.new_vars(A.shape[0], -np.inf, np.inf)
         for i in range(A.shape[0]):
             builder.add_eq(
-                np.concatenate([self._x_idx, u_idx, [next_idx[i]]]),
+                np.concatenate([self._x_idx, self._u_idx, [next_idx[i]]]),
                 np.concatenate([A[i], B[i], [-1.0]]),
                 0.0,
             )
-        lo, hi = _tighten_with_lp(builder, next_idx)
-        for i, var in enumerate(next_idx):
-            builder.lb[var] = lo[i]
-            builder.ub[var] = hi[i]
-        self._x_idx = next_idx
-        self._nb = bounds_from_box(self._net, lo, hi)
+        self._x_idx, self._u_idx = next_idx, None
+        self._box_state()
         self._k += 1
         self._model = None
 
-    def model(self, k: int, direction) -> MilpModel:
-        """Model whose optimum is max direction.x_k over k closed-loop steps from X_in."""
-        if k < 1:
-            raise MilpError("need k >= 1")
+    def _at(self, k: int) -> MilpModel:
+        """The assembled model of step k, extending the encoding up to it."""
         if k < self._k:
             raise MilpError(f"encoding is at step {self._k}; it cannot return to step {k}")
         while self._k < k:
             self._extend()
         if self._model is None:
-            self._model = self._builder.build(self._x_idx, 0.0, self._x0_idx)
-        return _with_objective(self._model, self._x_idx, direction)
+            self._model = self._builder.build(self._x0_idx)
+        return self._model
+
+    def output(self, direction) -> MilpModel:
+        """Model whose optimum is max direction.N(x) over x in X_in."""
+        return _with_objective(self._at(0), self._u_idx, direction)
+
+    def model(self, k: int, direction) -> MilpModel:
+        """Model whose optimum is max direction.x_k over k closed-loop steps from X_in."""
+        if k < 1:
+            raise MilpError("need k >= 1")
+        return _with_objective(self._at(k), self._x_idx, direction)
+
+
+def encode_output_range(net: ReluNetwork, X_in: Polytope, direction) -> MilpModel:
+    """Model whose optimum is max direction.N(x) over x in X_in."""
+    return ClosedLoopEncoding(None, net, X_in).output(direction)
 
 
 def encode_reach(system, net: ReluNetwork, X_in: Polytope, k: int, direction) -> MilpModel:
@@ -405,9 +384,17 @@ def _solve_directions(make_model, directions) -> list[BnbResult]:
     return results
 
 
-def output_range_results(net: ReluNetwork, X_in: Polytope, directions) -> list[BnbResult]:
-    m, u_idx = _output_range_model(net, X_in)
-    return _solve_directions(lambda d: _with_objective(m, u_idx, d), directions)
+def output_range_results(
+    net: ReluNetwork, X_in: Polytope, directions, encoding=None
+) -> list[BnbResult]:
+    """One branch and bound per direction of the network output, all on one encoding.
+
+    Pass ``encoding`` (a ClosedLoopEncoding of the same net and X_in, still
+    at step 0) to share it with the closed-loop queries that follow.
+    """
+    if encoding is None:
+        encoding = ClosedLoopEncoding(None, net, X_in)
+    return _solve_directions(encoding.output, directions)
 
 
 def output_range(net: ReluNetwork, X_in: Polytope, directions) -> np.ndarray:

@@ -92,16 +92,22 @@ def is_empty(P: Polytope) -> bool:
 
 
 def support(P: Polytope, d) -> float:
-    """max d.x over P.  Raises Unbounded when P is unbounded along d."""
+    """max d.x over P.  Raises Unbounded when P is unbounded along d.
+
+    Solved along d / |d| and scaled back: HiGHS's tolerances are absolute, so
+    it fails or loses accuracy on objectives of norm 1e-6 and below.
+    """
     d = np.asarray(d, dtype=float).reshape(-1)
     if d.size != P.dim:
         raise DimensionMismatch(f"direction length {d.size} vs dimension {P.dim}")
-    out = lp.solve_lp(lp.maximize(d, P.F, P.g))
+    norm = np.linalg.norm(d)
+    scale = norm if norm > 0.0 else 1.0
+    out = lp.solve_lp(lp.maximize(d / scale, P.F, P.g))
     if out.status == lp.LpStatus.UNBOUNDED:
         raise Unbounded("polytope unbounded in the queried direction")
     if out.status == lp.LpStatus.INFEASIBLE:
         raise EmptyInput("support of an empty polytope")
-    return out.value
+    return scale * out.value
 
 
 def remove_redundant(P: Polytope) -> Polytope:

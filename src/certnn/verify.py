@@ -8,8 +8,9 @@ horizon k at which the k-step reachable set is certified inside R_as.  The
 reach queries in the final step use the facets of R_as itself as directions,
 so containment is a componentwise comparison rather than an
 over-approximation.  Every containment check is decided on the proven upper
-bound of the branch and bound, not on its incumbent, and the one-step check
-and the reach search share one closed-loop encoding.
+bound of the branch and bound, not on its incumbent.  The input check, the
+one-step check and the reach search share one closed-loop encoding, whose
+step 0 is the output-range model of the network over X_in.
 """
 
 from __future__ import annotations
@@ -98,9 +99,11 @@ class Certificate:
         return out
 
 
-def _input_check(net: ReluNetwork, X_in: Polytope, U: Polytope) -> tuple[bool, Polytope, int]:
-    """verify_input plus the number of branch-and-bound nodes it took."""
-    results = milp.output_range_results(net, X_in, U.F)
+def _input_check(
+    net: ReluNetwork, X_in: Polytope, U: Polytope, encoding=None
+) -> tuple[bool, Polytope, int]:
+    """verify_input plus its node count; ``encoding`` goes to milp.output_range_results."""
+    results = milp.output_range_results(net, X_in, U.F, encoding=encoding)
     c_star = np.array([r.bound for r in results])
     ok = bool(np.all(c_star <= U.g + CONTAIN_TOL))
     return ok, Polytope(U.F.copy(), c_star), sum(r.nodes for r in results)
@@ -146,8 +149,9 @@ def verify_invariance(
     fails, the MILP incumbent provides a concrete witness x0 in X_in whose
     one-step image violates that facet; all witnesses are returned.
     """
-    input_ok, _ = verify_input(net, X_in, U)
-    ok, X_1, witnesses, _ = _one_step_check(sys, net, X_in)
+    encoding = milp.ClosedLoopEncoding(sys, net, X_in)
+    input_ok, _, _ = _input_check(net, X_in, U, encoding)
+    ok, X_1, witnesses, _ = _one_step_check(sys, net, X_in, encoding)
     return input_ok and ok, X_1, witnesses
 
 
@@ -179,18 +183,19 @@ def check_stability_conditions(
     return bias_residual, rho, match
 
 
-def stability_set(sys: LtiSystem, net: ReluNetwork, X: Polytope, U: Polytope) -> Polytope:
+def stability_set(
+    sys: LtiSystem, gain: np.ndarray, R_eq: Polytope, X: Polytope, U: Polytope
+) -> Polytope:
     """Invariant set R_as inside R_eq intersected with the admissible region R_K.
 
-    R_K is the maximal admissible invariant set of the equilibrium-region
-    feedback u = gain x inside X and U.  The maximal invariant subset of
-    R_eq /\\ R_K equals the maximal admissible invariant set inside
+    ``gain`` (from ``equilibrium_gain_bias``) is the equilibrium-region
+    feedback u = gain x, and R_eq its region.  R_K is the maximal admissible
+    invariant set of that feedback inside X and U.  The maximal invariant
+    subset of R_eq /\\ R_K equals the maximal admissible invariant set inside
     R_eq /\\ X, so R_as is one ``lqr_admissible_set`` fixpoint.  The result
-    is positively invariant under that feedback and contains the origin.
+    is positively invariant under the feedback and contains the origin.
     Raises EmptyStabilitySet when it is empty.
     """
-    gain, _ = equilibrium_gain_bias(net)
-    _, R_eq = net.equilibrium_region()
     try:
         R_as = lqr_admissible_set(sys, -gain, intersect(R_eq, X), U)
     except EmptyInput as exc:
@@ -208,17 +213,17 @@ def verify_stability(
     U: Polytope,
     k_max: int = 25,
     K_ref=None,
-    tol: float = RESIDUAL_TOL,
 ) -> Certificate:
     """Full certificate: constraint satisfaction plus asymptotic stability.
 
     Pipeline: input check, one-step invariance of X_in, stability conditions
     at the equilibrium region, construction of R_as, then a linear search for
     the first k <= k_max with the k-step reachable set certified inside R_as
-    (directions = facets of R_as, so containment is componentwise).
+    (directions = facets of R_as, so containment is componentwise).  The
+    stability residuals are compared with RESIDUAL_TOL.
     """
-    input_ok, U_star, input_nodes = _input_check(net, X_in, U)
     encoding = milp.ClosedLoopEncoding(sys, net, X_in)
+    input_ok, U_star, input_nodes = _input_check(net, X_in, U, encoding)
     one_step_ok, X_1, witnesses, one_step_nodes = _one_step_check(sys, net, X_in, encoding)
     invariance_ok = input_ok and one_step_ok
 
@@ -250,14 +255,15 @@ def verify_stability(
     if not input_ok:
         cert.reason = "input constraint violation"
         return cert
-    if bias_residual > tol:
+    if bias_residual > RESIDUAL_TOL:
         return fallback("bias annihilation")
     if rho >= 1.0:
         return fallback("equilibrium-region closed loop not stable")
     try:
         _, R_eq = net.equilibrium_region()
         report.R_eq = R_eq
-        R_as = stability_set(sys, net, X, U)
+        gain, _ = equilibrium_gain_bias(net)
+        R_as = stability_set(sys, gain, R_eq, X, U)
         report.R_as = R_as
     except EmptyStabilitySet:
         return fallback("empty stability set")
@@ -275,7 +281,7 @@ def verify_stability(
 
     if not invariance_ok:
         return fallback("one-step invariance of X_in failed")
-    if match is not None and match <= tol:
+    if match is not None and match <= RESIDUAL_TOL:
         cert.verdict = Verdict.LQR_OPTIMAL_NEAR_EQ
     else:
         cert.verdict = Verdict.ASYMPTOTICALLY_STABLE

@@ -256,10 +256,12 @@ def test_non_finite_system_exit_code(case_files, tmp_path, capsys):
 
 def test_unknown_flag_exit_code(case_files, capsys):
     sys_path, net_path, xin_path, tmp = case_files
-    argv = _verify_argv(sys_path, net_path, xin_path, tmp / "flag_out") + ["--no-such-flag"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # --tol is gone: the stability residuals are compared with verify.RESIDUAL_TOL
+    for flag in (["--no-such-flag"], ["--tol", "1e-6"]):
+        argv = _verify_argv(sys_path, net_path, xin_path, tmp / "flag_out") + flag
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):

@@ -13,7 +13,6 @@ from certnn.milp import (
     encode_output_range,
     encode_reach,
     output_range,
-    propagate_bounds,
     reach_results,
     reach_set,
     solve_milp,
@@ -59,8 +58,8 @@ class TestBounds:
 
     def test_unbounded_input(self, identity_pair_net):
         with pytest.raises(UnboundedInput):
-            propagate_bounds(
-                identity_pair_net, Polytope(np.array([[1.0]]), np.array([1.0]))
+            output_range(
+                identity_pair_net, Polytope(np.array([[1.0]]), np.array([1.0])), [[1.0]]
             )
 
 
@@ -153,11 +152,17 @@ class TestReach:
         assert np.all(X @ FAN8.T <= vals + 1e-7)
 
     def test_shared_encoding_equals_fresh_encode_reach(self):
+        # step 0 of the shared encoding is the output-range model; the step-k
+        # models built on it equal fresh ones array for array
         rng = np.random.default_rng(8)
         sys = self._sys()
         for _ in range(3):
             net = random_net(rng, 2, [3, 2], 1, scale=0.5)
             enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+            got = enc.output([1.0])
+            want = encode_output_range(net, UNIT_BOX, [1.0])
+            for name in MODEL_ARRAYS:
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
             for k in range(1, 5):
                 d = rng.standard_normal(2)
                 got = enc.model(k, d)
@@ -168,6 +173,8 @@ class TestReach:
                     )
             with pytest.raises(MilpError):
                 enc.model(3, d)
+            with pytest.raises(MilpError):
+                enc.output([1.0])
 
     def test_shared_encoding_matches_oracle(self):
         rng = np.random.default_rng(9)

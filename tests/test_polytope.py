@@ -21,6 +21,20 @@ from certnn.polytope import (
 UNIT_BOX = Polytope.box([-1.0, -1.0], [1.0, 1.0])
 
 
+def _stable_map_case(seed):
+    """A stable map A on R^n, n = 2 + seed % 3, and the unit box cut by 3 random rows."""
+    rng = np.random.default_rng([seed, 11])
+    n = 2 + seed % 3
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.5, 0.8) / np.max(np.abs(np.linalg.eigvals(A)))
+    box = Polytope.box(-np.ones(n), np.ones(n))
+    P = Polytope(
+        np.vstack([box.F, rng.standard_normal((3, n))]),
+        np.concatenate([box.g, rng.uniform(0.5, 1.5, 3)]),
+    )
+    return A, P
+
+
 class TestEmptiness:
     def test_unit_box(self):
         assert not is_empty(UNIT_BOX)
@@ -43,6 +57,19 @@ class TestSupport:
     def test_case_study_input_set_row(self):
         P = Polytope(CASE_C_IN, CASE_c_IN)
         assert support(P, CASE_C_IN[0]) == pytest.approx(3.0297, abs=1e-6)
+
+    def test_tiny_directions(self):
+        # late preimage rows F A^i of a stable map have norms down to 1e-10;
+        # on such objectives HiGHS either stops with status 4 or, near 1e-6,
+        # returns a maximum that is off by 0.2%, unless the direction is
+        # scaled to unit length first
+        A, P = _stable_map_case(3)
+        omega = max_positively_invariant(A, P)
+        F, _ = helpers.mpi_oracle(A, P.F, P.g, 60)
+        for row in F:
+            norm = np.linalg.norm(row)
+            want = norm * helpers._lp_max(row / norm, omega.F, omega.g)
+            assert support(omega, row) == pytest.approx(want, rel=1e-6, abs=0.0)
 
 
 class TestRemoveRedundant:
@@ -153,15 +180,7 @@ class TestMaxPositivelyInvariant:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_stacked_preimages_stable_map(self, seed):
-        rng = np.random.default_rng([seed, 11])
-        n = 2 + seed % 3
-        A = rng.standard_normal((n, n))
-        A *= rng.uniform(0.5, 0.8) / np.max(np.abs(np.linalg.eigvals(A)))
-        box = Polytope.box(-np.ones(n), np.ones(n))
-        P = Polytope(
-            np.vstack([box.F, rng.standard_normal((3, n))]),
-            np.concatenate([box.g, rng.uniform(0.5, 1.5, 3)]),
-        )
+        A, P = _stable_map_case(seed)
         # for these maps no row of P A^i with i >= 7 can cut the unit box, so
         # 60 stacked preimages are the invariant set
         self._assert_same_set(max_positively_invariant(A, P), *helpers.mpi_oracle(A, P.F, P.g, 60))

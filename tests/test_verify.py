@@ -55,8 +55,9 @@ class TestVerifyInput:
         # offset lies between the incumbent and the proven bound
         solve = milp.output_range_results
 
-        def short_incumbents(net, X_in, directions):
-            return [replace(r, value=r.value - 0.2) for r in solve(net, X_in, directions)]
+        def short_incumbents(net, X_in, directions, encoding=None):
+            results = solve(net, X_in, directions, encoding=encoding)
+            return [replace(r, value=r.value - 0.2) for r in results]
 
         monkeypatch.setattr(milp, "output_range_results", short_incumbents)
         U = Polytope.box([-0.9], [0.9])  # the saturated net reaches |u| = 1
@@ -72,6 +73,14 @@ class TestVerifyInvariance:
         assert ok
         assert witnesses == []
         assert contains_set(X_in, X_1, tol=1e-7)
+
+    def test_case_study_lp_budget(self, case_system, case_Xin, case_U, case_net, count_lps):
+        # the input check and the one-step check share one encoding, so X_in
+        # is boxed once
+        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
+        ok, _, _ = verify_invariance(case_system, case_net, X_in, case_U)
+        assert ok
+        assert count_lps() <= 42
 
     def test_violated_produces_witness(self, case_system, case_U, case_net):
         # an expanding box cannot be invariant for this rotation-like plant
@@ -115,9 +124,15 @@ class TestStabilityConditions:
         assert bias > 1e-3
 
 
+def _stability_set(sys, net, X, U):
+    gain, _ = equilibrium_gain_bias(net)
+    _, R_eq = net.equilibrium_region()
+    return stability_set(sys, gain, R_eq, X, U)
+
+
 class TestStabilitySet:
     def test_case_study_properties(self, case_system, case_X, case_U, case_net):
-        R_as = stability_set(case_system, case_net, case_X, case_U)
+        R_as = _stability_set(case_system, case_net, case_X, case_U)
         assert R_as.contains_point([0.0, 0.0])
         gain, _ = equilibrium_gain_bias(case_net)
         A_cl = case_system.A + case_system.B @ gain
@@ -133,7 +148,7 @@ class TestStabilitySet:
     def test_contained_in_lqr_region(self, case_system, case_X, case_U, case_net):
         from certnn.control import lqr_admissible_set
 
-        R_as = stability_set(case_system, case_net, case_X, case_U)
+        R_as = _stability_set(case_system, case_net, case_X, case_U)
         R_lqr = lqr_admissible_set(case_system, CASE_K, case_X, case_U)
         assert contains_set(R_lqr, R_as, tol=1e-6)
 
@@ -142,7 +157,7 @@ class TestStabilitySet:
         # with no state it can run at forever
         off_U = Polytope.box([0.5], [1.0])
         with pytest.raises(EmptyStabilitySet):
-            stability_set(case_system, case_net, case_X, off_U)
+            _stability_set(case_system, case_net, case_X, off_U)
 
 
 class TestVerifyStability:
@@ -162,13 +177,14 @@ class TestVerifyStability:
     def test_case_study_lp_budget(
         self, case_system, case_Xin, case_X, case_U, case_net, count_lps
     ):
-        # one closed-loop encoding per call, each step tightened once, and
-        # R_as from a single invariant-set fixpoint
+        # one closed-loop encoding per call, whose step 0 is the input check,
+        # each state block boxed once, R_eq computed once, and R_as from a
+        # single invariant-set fixpoint
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
         assert cert.stability.k_star == 5
         assert cert.milp_nodes == 354
-        assert count_lps() <= 435
+        assert count_lps() <= 423
 
     def test_without_reference_gain(self, case_system, case_Xin, case_X, case_U, case_net):
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
