@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +145,3 @@ def system_from_json(data: dict) -> tuple[LtiSystem, dict]:
     if "R" in data:
         aux["R"] = np.asarray(data["R"], dtype=float)
     return sys, aux
-
-
-def load_system(path) -> tuple[LtiSystem, dict]:
-    with open(path) as f:
-        return system_from_json(json.load(f))

@@ -1,10 +1,21 @@
-"""Dense linear programming front end.
+"""Linear programs on HiGHS: loaded once, changed in place, re-solved warm.
 
-Thin contract around scipy's HiGHS solver: problems are stated as
-maximize c.x subject to A x <= b and per-variable bounds (optionally plus
-equality rows used by the MILP relaxations).  All polytope operations and the
-branch-and-bound relaxations go through :func:`solve_lp`.  HiGHS runs with
-its default tolerances (primal and dual feasibility 1e-7).
+Problems are stated as maximize c.x subject to A x <= b, A_eq x = b_eq and
+per-variable bounds.  An :class:`LpModel` loads one such problem into HiGHS
+once.  Its column bounds (the nodes of a branch and bound) and its cost (one
+LP per direction over the same rows) then change in place, and each solve
+starts HiGHS's dual simplex from the basis of the previous solve instead of
+presolving the problem from scratch.  :func:`solve_lp` is the one-shot use of
+the same object, for the polytope queries.
+
+The persistent solver is the HiGHS binding that scipy bundles as
+``scipy.optimize._highspy`` (scipy >= 1.15).  Where that import fails, the
+model keeps its data in numpy and solves every LP afresh with
+``scipy.optimize.linprog``, which runs the same HiGHS without a warm start.
+The path is chosen once, at import.  HiGHS runs with its default tolerances
+(primal and dual feasibility 1e-7).  When an LP has several optimal
+vertices, a warm start may return another one than a cold solve; the
+optimal value is the same.
 """
 
 from __future__ import annotations
@@ -13,9 +24,15 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from certnn.errors import CertnnError
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # scipy < 1.15 bundles no HiGHS binding: every LP goes through linprog
+    _highs = None
 
 
 class LpError(CertnnError):
@@ -68,24 +85,92 @@ def maximize(c, A=None, b=None, lb=None, ub=None) -> LinearProgram:
     return LinearProgram(c, A, b, lb, ub)
 
 
+class LpModel:
+    """maximize c.x  s.t.  A x <= b,  A_eq x = b_eq,  lb <= x <= ub, loaded once.
+
+    A and A_eq may be dense or scipy sparse.  ``set_bounds`` and
+    ``set_objective`` pass only the entries that changed to the solver;
+    ``solve`` re-solves warm from the previous basis.
+    """
+
+    def __init__(self, c, A, b, lb, ub, A_eq=None, b_eq=None):
+        self.c = np.array(c, dtype=float)
+        self.lb = np.array(lb, dtype=float)
+        self.ub = np.array(ub, dtype=float)
+        n = self.c.size
+        self._A = sparse.csr_array(A)
+        self._b = np.asarray(b, dtype=float)
+        self._A_eq = sparse.csr_array((0, n)) if A_eq is None else sparse.csr_array(A_eq)
+        self._b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+        self._highs = None if _highs is None else self._load()
+
+    def _load(self):
+        M = sparse.vstack([self._A, self._A_eq], format="csr")
+        model = _highs.HighsLp()
+        model.num_col_, model.num_row_ = M.shape[1], M.shape[0]
+        model.col_cost_ = -self.c  # HiGHS minimizes
+        model.col_lower_, model.col_upper_ = self.lb, self.ub
+        model.row_lower_ = np.concatenate([np.full(self._b.size, -np.inf), self._b_eq])
+        model.row_upper_ = np.concatenate([self._b, self._b_eq])
+        matrix = model.a_matrix_
+        matrix.format_ = _highs.MatrixFormat.kRowwise
+        matrix.num_col_, matrix.num_row_ = M.shape[1], M.shape[0]
+        matrix.start_, matrix.index_, matrix.value_ = M.indptr, M.indices, M.data
+        h = _highs._Highs()
+        h.setOptionValue("output_flag", False)
+        if h.passModel(model) == _highs.HighsStatus.kError:
+            raise LpError("HiGHS rejected the model")
+        return h
+
+    def set_bounds(self, lb, ub):
+        changed = np.flatnonzero((lb != self.lb) | (ub != self.ub))
+        self.lb[changed] = lb[changed]
+        self.ub[changed] = ub[changed]
+        if self._highs is not None and changed.size:
+            self._highs.changeColsBounds(changed.size, changed, self.lb[changed], self.ub[changed])
+
+    def set_objective(self, c):
+        changed = np.flatnonzero(c != self.c)
+        self.c[changed] = c[changed]
+        if self._highs is not None and changed.size:
+            self._highs.changeColsCost(changed.size, changed, -self.c[changed])
+
+    def solve(self) -> LpOutcome:
+        """Solve the current LP, classifying the outcome as optimal/infeasible/unbounded."""
+        if self._highs is None:
+            return self._solve_linprog()
+        h = self._highs
+        h.run()
+        status = h.getModelStatus()
+        if status == _highs.HighsModelStatus.kOptimal:
+            value = -h.getInfo().objective_function_value
+            return LpOutcome(LpStatus.OPTIMAL, value=value, point=np.array(h.getSolution().col_value))
+        if status == _highs.HighsModelStatus.kInfeasible:
+            return LpOutcome(LpStatus.INFEASIBLE)
+        if status == _highs.HighsModelStatus.kUnbounded:
+            return LpOutcome(LpStatus.UNBOUNDED)
+        raise LpError(f"solver failure: {h.modelStatusToString(status)}")
+
+    def _solve_linprog(self) -> LpOutcome:
+        has_ub, has_eq = self._A.shape[0] > 0, self._A_eq.shape[0] > 0
+        res = linprog(
+            -self.c,
+            A_ub=self._A if has_ub else None,
+            b_ub=self._b if has_ub else None,
+            A_eq=self._A_eq if has_eq else None,
+            b_eq=self._b_eq if has_eq else None,
+            bounds=np.column_stack([self.lb, self.ub]),
+            method="highs",
+        )
+        if res.status == 0:
+            return LpOutcome(LpStatus.OPTIMAL, value=float(-res.fun), point=np.asarray(res.x))
+        if res.status == 2:
+            return LpOutcome(LpStatus.INFEASIBLE)
+        if res.status == 3:
+            return LpOutcome(LpStatus.UNBOUNDED)
+        raise LpError(f"solver failure (status {res.status}): {res.message}")
+
+
 def solve_lp(p: LinearProgram) -> LpOutcome:
-    """Solve an LP, classifying the outcome as optimal/infeasible/unbounded."""
-    bounds = list(zip(p.lb, p.ub))
-    A_ub = p.A if p.A.size else None
-    b_ub = p.b if p.b.size else None
-    res = linprog(
-        -p.objective,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=p.A_eq,
-        b_eq=p.b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 0:
-        return LpOutcome(LpStatus.OPTIMAL, value=float(-res.fun), point=np.asarray(res.x))
-    if res.status == 2:
-        return LpOutcome(LpStatus.INFEASIBLE)
-    if res.status == 3:
-        return LpOutcome(LpStatus.UNBOUNDED)
-    raise LpError(f"solver failure (status {res.status}): {res.message}")
+    """Solve one LP, classifying the outcome as optimal/infeasible/unbounded."""
+    return LpModel(p.objective, p.A, p.b, p.lb, p.ub, p.A_eq, p.b_eq).solve()

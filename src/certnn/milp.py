@@ -24,7 +24,13 @@ the objective, so directions and horizons share one encoding.
 The solver is a best-first branch and bound on the LP relaxation, branching
 on the most fractional binary (ties to the lowest index).  It stops at a
 relative gap of 1e-6 and returns both the incumbent and a proven upper
-bound on the maximum.
+bound on the maximum.  Each search loads the relaxation into one
+:class:`certnn.lp.LpModel`.  A node passes only the binary bounds in which
+it differs from the node solved before it, and HiGHS re-solves warm from
+that node's basis.  The box LPs of a state block likewise share one LpModel
+and swap only the cost.  Where an LP has tied optimal vertices, a warm start
+can return another one than a cold solve, so the search may branch
+elsewhere and count other nodes; the proven values do not change.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import heapq
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from certnn import lp
 from certnn.errors import CertnnError
@@ -70,29 +77,24 @@ class NeuronBounds:
 
 @dataclass
 class MilpModel:
-    """maximize c.x over A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub, x[binaries] in {0,1}."""
+    """maximize c.x over A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub, x[binaries] in {0,1}.
+
+    A_ub and A_eq are scipy sparse (CSR) matrices.
+    """
 
     c: np.ndarray
-    A_ub: np.ndarray
+    A_ub: sparse.csr_array
     b_ub: np.ndarray
-    A_eq: np.ndarray
+    A_eq: sparse.csr_array
     b_eq: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     binaries: np.ndarray
     x0_idx: np.ndarray
 
-    def relax(self, lb=None, ub=None) -> lp.LinearProgram:
-        """LP relaxation (binaries relaxed to their box), optionally with node bounds."""
-        return lp.LinearProgram(
-            self.c,
-            self.A_ub,
-            self.b_ub,
-            self.lb if lb is None else lb,
-            self.ub if ub is None else ub,
-            A_eq=self.A_eq if self.A_eq.size else None,
-            b_eq=self.b_eq if self.A_eq.size else None,
-        )
+    def relaxation(self) -> lp.LpModel:
+        """The LP relaxation (binaries relaxed to their box), loaded into one solver model."""
+        return lp.LpModel(self.c, self.A_ub, self.b_ub, self.lb, self.ub, self.A_eq, self.b_eq)
 
 
 @dataclass
@@ -129,7 +131,7 @@ def bounds_from_box(net: ReluNetwork, lo, hi) -> NeuronBounds:
 
 
 class _Builder:
-    """Accumulates variables and rows; assembles dense arrays on demand."""
+    """Accumulates variables and rows; assembles sparse matrices on demand."""
 
     def __init__(self):
         self.lb: list[float] = []
@@ -157,12 +159,14 @@ class _Builder:
         self.rows_eq.append((np.asarray(idx), np.asarray(coef, dtype=float), float(rhs)))
 
     def _assemble(self, rows):
-        A = np.zeros((len(rows), self.n_vars))
-        b = np.zeros(len(rows))
-        for i, (idx, coef, rhs) in enumerate(rows):
-            A[i, idx] = coef
-            b[i] = rhs
-        return A, b
+        if not rows:
+            return sparse.csr_array((0, self.n_vars)), np.zeros(0)
+        idx, coef, rhs = zip(*rows)
+        indptr = np.cumsum([0, *map(len, idx)])
+        A = sparse.csr_array(
+            (np.concatenate(coef), np.concatenate(idx), indptr), shape=(len(rows), self.n_vars)
+        )
+        return A, np.array(rhs)
 
     def build(self, x0_idx) -> MilpModel:
         """The model so far with a zero objective; callers set c."""
@@ -252,12 +256,13 @@ class ClosedLoopEncoding:
         the min; for x0 these are the support LPs of X_in.
         """
         builder, idx = self._builder, self._x_idx
-        model = builder.build(self._x0_idx)
+        relaxation = builder.build(self._x0_idx).relaxation()
         for var in idx:
             for sign, dest in ((1.0, builder.ub), (-1.0, builder.lb)):
                 c = np.zeros(builder.n_vars)
                 c[var] = sign
-                out = lp.solve_lp(replace(model, c=c).relax())
+                relaxation.set_objective(c)
+                out = relaxation.solve()
                 if out.status == lp.LpStatus.UNBOUNDED:
                     raise UnboundedInput("input polytope unbounded in some coordinate")
                 if out.status == lp.LpStatus.INFEASIBLE:
@@ -320,11 +325,13 @@ def solve_milp(m: MilpModel) -> BnbResult:
     Raises MilpError when the search would solve more than MAX_NODES LPs.
     """
     nodes = 0
+    relaxation = m.relaxation()
 
     def _solve(lb, ub):
         nonlocal nodes
         nodes += 1
-        return lp.solve_lp(m.relax(lb, ub))
+        relaxation.set_bounds(lb, ub)
+        return relaxation.solve()
 
     root = _solve(m.lb, m.ub)
     if root.status == lp.LpStatus.INFEASIBLE:

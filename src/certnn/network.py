@@ -174,10 +174,6 @@ class ReluNetwork:
         region = self.region_of_pattern(gamma)
         return gamma, region
 
-    def max_patterns(self) -> int:
-        """Upper bound 2^(total hidden neurons) on distinct activation patterns."""
-        return 2 ** sum(self.hidden_widths)
-
     def to_json(self) -> dict:
         return {
             "layers": [{"W": W.tolist(), "b": b.tolist()} for W, b in self.layers]

@@ -71,12 +71,6 @@ class Polytope:
         x = np.asarray(x, dtype=float).reshape(-1)
         return bool(np.all(self.F @ x <= self.g + tol))
 
-    def normalized(self) -> "Polytope":
-        """Scale every row to unit Euclidean norm (zero rows left untouched)."""
-        norms = np.linalg.norm(self.F, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        return Polytope(self.F / safe[:, None], self.g / safe)
-
     def to_json(self) -> dict:
         return {"F": self.F.tolist(), "g": self.g.tolist()}
 

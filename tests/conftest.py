@@ -78,17 +78,29 @@ def case_Xin():
 
 @pytest.fixture
 def count_lps(monkeypatch):
-    """Counts certnn.lp.solve_lp calls from fixture set-up on; call it to read the count."""
-    solve = lp.solve_lp
+    """Counts LP solves from fixture set-up on; call it to read the count.
+
+    Every LP, one-shot (``solve_lp``) or re-solved on a persistent model
+    (branch-and-bound nodes, box LPs), goes through ``LpModel.solve``.
+    """
+    solve = lp.LpModel.solve
     calls = 0
 
-    def counting(p):
+    def counting(model):
         nonlocal calls
         calls += 1
-        return solve(p)
+        return solve(model)
 
-    monkeypatch.setattr(lp, "solve_lp", counting)
+    monkeypatch.setattr(lp.LpModel, "solve", counting)
     return lambda: calls
+
+
+@pytest.fixture(params=["import", "linprog"])
+def lp_path(request, monkeypatch):
+    """Runs a test on the LP path chosen at import, then on the linprog fallback."""
+    if request.param == "linprog":
+        monkeypatch.setattr(lp, "_highs", None)
+    return request.param
 
 
 @pytest.fixture

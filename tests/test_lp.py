@@ -97,3 +97,64 @@ def test_objective_scaling():
     support = np.abs(out.point) > 1e-7
     support_s = np.abs(out_s.point) > 1e-7
     assert np.array_equal(support, support_s)
+
+
+def _seeded_lps():
+    """The seeded problems above plus one infeasible and one unbounded LP."""
+    problems = [lp.maximize([1.0], A=[[1.0], [-1.0]], b=[-1.0, -1.0]), lp.maximize([1.0])]
+    for seed in (3, 4, 7, 11):
+        rng = np.random.default_rng(seed)
+        problems.extend(random_bounded_lp(rng) for _ in range(10))
+    return problems
+
+
+def test_paths_agree_on_seeded_lps(monkeypatch):
+    # the path chosen at import (persistent HiGHS where scipy bundles it) and
+    # the linprog fallback classify and solve the same LPs alike
+    problems = _seeded_lps()
+    got = [lp.solve_lp(p) for p in problems]
+    monkeypatch.setattr(lp, "_highs", None)
+    want = [lp.solve_lp(p) for p in problems]
+    assert [o.status for o in got[:2]] == [lp.LpStatus.INFEASIBLE, lp.LpStatus.UNBOUNDED]
+    for a, b in zip(got, want):
+        assert a.status == b.status
+        if a.status == lp.LpStatus.OPTIMAL:
+            assert a.value == pytest.approx(b.value, abs=1e-9)
+
+
+def test_model_resolves_match_fresh_solves(lp_path):
+    # one model re-solved under changed costs and bounds gives the optimum of
+    # the same LP solved from scratch, infeasible boxes included
+    rng = np.random.default_rng(12)
+    p = random_bounded_lp(rng, n=5, m=10)
+    model = lp.LpModel(p.objective, p.A, p.b, p.lb, p.ub)
+    statuses = set()
+    for _ in range(30):
+        c = rng.standard_normal(5)
+        lb = rng.uniform(-10.0, 2.0, 5)
+        ub = lb + rng.uniform(0.0, 10.0, 5)
+        model.set_objective(c)
+        model.set_bounds(lb, ub)
+        got = model.solve()
+        want = lp.solve_lp(lp.maximize(c, p.A, p.b, lb, ub))
+        statuses.add(got.status)
+        assert got.status == want.status
+        if got.status == lp.LpStatus.OPTIMAL:
+            assert got.value == pytest.approx(want.value, abs=1e-9)
+            assert np.all(p.A @ got.point <= p.b + 1e-7)
+    assert statuses == {lp.LpStatus.OPTIMAL, lp.LpStatus.INFEASIBLE}
+
+
+def test_model_changes_status_in_place(lp_path):
+    # max x0 + x1 s.t. x0 + x1 <= 1: a bound change makes it infeasible, then
+    # free bounds and a cost change make it unbounded
+    model = lp.LpModel([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [np.inf, np.inf])
+    out = model.solve()
+    assert out.status == lp.LpStatus.OPTIMAL
+    assert out.value == pytest.approx(1.0)
+    model.set_bounds(np.array([2.0, 0.0]), np.array([np.inf, np.inf]))
+    assert model.solve().status == lp.LpStatus.INFEASIBLE
+    model.set_bounds(np.full(2, -np.inf), np.full(2, np.inf))
+    assert model.solve().value == pytest.approx(1.0)
+    model.set_objective(np.array([1.0, 0.0]))
+    assert model.solve().status == lp.LpStatus.UNBOUNDED

@@ -13,6 +13,7 @@ from certnn.milp import (
     encode_output_range,
     encode_reach,
     output_range,
+    output_range_results,
     reach_results,
     reach_set,
     solve_milp,
@@ -111,6 +112,15 @@ class TestOutputRange:
 MODEL_ARRAYS = ("c", "A_ub", "b_ub", "A_eq", "b_eq", "lb", "ub", "binaries", "x0_idx")
 
 
+def _assert_models_equal(got, want):
+    """Array for array; the sparse constraint matrices are compared densely."""
+    for name in MODEL_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        if name in ("A_ub", "A_eq"):
+            a, b = a.toarray(), b.toarray()
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 class TestReach:
     def _sys(self):
         return LtiSystem(
@@ -161,16 +171,12 @@ class TestReach:
             enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
             got = enc.output([1.0])
             want = encode_output_range(net, UNIT_BOX, [1.0])
-            for name in MODEL_ARRAYS:
-                np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+            _assert_models_equal(got, want)
             for k in range(1, 5):
                 d = rng.standard_normal(2)
                 got = enc.model(k, d)
                 want = encode_reach(sys, net, UNIT_BOX, k, d)
-                for name in MODEL_ARRAYS:
-                    np.testing.assert_array_equal(
-                        getattr(got, name), getattr(want, name), err_msg=name
-                    )
+                _assert_models_equal(got, want)
             with pytest.raises(MilpError):
                 enc.model(3, d)
             with pytest.raises(MilpError):
@@ -227,3 +233,48 @@ def test_sign_fixed_neurons_have_fixed_binaries():
     assert np.all(model.lb[model.binaries] == model.ub[model.binaries])
     res = solve_milp(model)
     assert res.nodes == 1
+
+
+class TestLpPaths:
+    """Both LP paths, the one chosen at import and the linprog fallback, give
+    the oracles' maxima with witnesses that replay through the true closed loop."""
+
+    def _sys(self):
+        return LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
+
+    def test_output_range_matches_oracle(self, lp_path):
+        rng = np.random.default_rng(21)
+        dirs = np.array([[1.0], [-1.0]])
+        for _ in range(3):
+            net = random_net(rng, 2, [3, 2], 1)
+            for d, r in zip(dirs, output_range_results(net, UNIT_BOX, dirs)):
+                want = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, d)
+                assert r.value == pytest.approx(want, abs=1e-6)
+                assert r.bound >= want - 1e-6
+                x0 = r.point[: net.n_x]
+                assert UNIT_BOX.contains_point(x0, tol=1e-6)
+                assert float(d @ net.eval(x0)) == pytest.approx(r.value, abs=1e-6)
+
+    def test_reach_matches_oracle(self, lp_path):
+        rng = np.random.default_rng(22)
+        sys = self._sys()
+        dirs = np.array([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8]])
+        net = random_net(rng, 2, [3], 1, scale=0.5)
+        enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+        for k in range(1, 4):
+            for d, r in zip(dirs, reach_results(sys, net, UNIT_BOX, k, dirs, encoding=enc)):
+                want = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, d)
+                assert r.value == pytest.approx(want, abs=1e-6)
+                x = x0 = r.point[: sys.n_x]
+                for _ in range(k):
+                    x = sys.A @ x + sys.B @ net.eval(x)
+                assert UNIT_BOX.contains_point(x0, tol=1e-6)
+                assert float(d @ x) == pytest.approx(r.value, abs=1e-6)
+
+    def test_empty_and_unbounded_inputs(self, lp_path, identity_pair_net):
+        empty = Polytope(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
+        with pytest.raises(EmptyInput):
+            output_range(identity_pair_net, empty, [[1.0]])
+        half_line = Polytope(np.array([[1.0]]), np.array([1.0]))
+        with pytest.raises(UnboundedInput):
+            output_range(identity_pair_net, half_line, [[1.0]])

@@ -34,7 +34,6 @@ class TestConstruction:
         net = identity_pair_net
         assert net.n_x == 1 and net.n_u == 1
         assert net.hidden_widths == [2]
-        assert net.max_patterns() == 4
 
 
 class TestEval:

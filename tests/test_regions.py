@@ -32,7 +32,7 @@ def test_regions_cover_sampled_points():
     rng = np.random.default_rng(1)
     net = random_net(rng, 2, [5], 1)
     regions = enumerate_regions(net, UNIT_BOX)
-    assert len(regions) <= net.max_patterns()
+    assert len(regions) <= 2 ** sum(net.hidden_widths)
     pts = rng.uniform(-1.0, 1.0, size=(500, 2))
     for x in pts:
         gamma = net.activation_pattern(x)

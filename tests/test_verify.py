@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from conftest import CASE_K, CASE_Q, CASE_R
-from certnn import milp
+from certnn import lp, milp
 from certnn.control import lqr
 from certnn.network import ReluNetwork, synth_satlqr
 from certnn.polytope import Polytope, bounding_box, contains_set
@@ -76,11 +76,13 @@ class TestVerifyInvariance:
 
     def test_case_study_lp_budget(self, case_system, case_Xin, case_U, case_net, count_lps):
         # the input check and the one-step check share one encoding, so X_in
-        # is boxed once
+        # is boxed once.  Warm-started box LPs move the big-M constants by
+        # ulps, and one output query then meets a fractional tie vertex at its
+        # root and branches once (1 -> 3 nodes).
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         ok, _, _ = verify_invariance(case_system, case_net, X_in, case_U)
         assert ok
-        assert count_lps() <= 42
+        assert count_lps() <= (44 if lp._highs is not None else 42)
 
     def test_violated_produces_witness(self, case_system, case_U, case_net):
         # an expanding box cannot be invariant for this rotation-like plant
@@ -179,12 +181,14 @@ class TestVerifyStability:
     ):
         # one closed-loop encoding per call, whose step 0 is the input check,
         # each state block boxed once, R_eq computed once, and R_as from a
-        # single invariant-set fixpoint
+        # single invariant-set fixpoint: 69 LPs outside the branch and bound.
+        # On ties a warm start returns another optimal vertex than a cold
+        # solve, so the persistent HiGHS path branches elsewhere than linprog.
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
         assert cert.stability.k_star == 5
-        assert cert.milp_nodes == 354
-        assert count_lps() <= 423
+        assert cert.milp_nodes == (362 if lp._highs is not None else 354)
+        assert count_lps() == cert.milp_nodes + 69
 
     def test_without_reference_gain(self, case_system, case_Xin, case_X, case_U, case_net):
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
