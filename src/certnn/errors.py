@@ -11,3 +11,7 @@ class DimensionMismatch(CertnnError):
 
 class NoConvergence(CertnnError):
     """A numerical routine did not reach its answer (iteration cap or failed solve)."""
+
+
+class EmptyInput(CertnnError):
+    """The operation requires a nonempty set of constraints."""

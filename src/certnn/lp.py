@@ -2,16 +2,18 @@
 
 Problems are stated as maximize c.x subject to A x <= b, A_eq x = b_eq and
 per-variable bounds.  An :class:`LpModel` loads one such problem into HiGHS
-once.  Its column bounds (the nodes of a branch and bound) and its cost (one
-LP per direction over the same rows) then change in place, and each solve
-starts HiGHS's dual simplex from the basis of the previous solve instead of
-presolving the problem from scratch.  :func:`solve_lp` is the one-shot use of
-the same object, for the polytope queries.
+once.  Its column bounds (the nodes of a branch and bound) and its cost then
+change in place, and each solve starts HiGHS's simplex from the basis of the
+previous solve instead of presolving the problem from scratch.
+:meth:`LpModel.maxima` answers a whole matrix of objectives on one load: the
+support functions of a polytope and the per-coordinate box of a state block
+are each one call.  :func:`solve_lp` is the one-shot use of the same object.
 
 The persistent solver is the HiGHS binding that scipy bundles as
 ``scipy.optimize._highspy`` (scipy >= 1.15).  Where that import fails, the
 model keeps its data in numpy and solves every LP afresh with
-``scipy.optimize.linprog``, which runs the same HiGHS without a warm start.
+``scipy.optimize.linprog``, which runs the same HiGHS without a warm start;
+``maxima`` is then the same loop of cold solves.
 The path is chosen once, at import.  HiGHS runs with its default tolerances
 (primal and dual feasibility 1e-7).  When an LP has several optimal
 vertices, a warm start may return another one than a cold solve; the
@@ -27,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from certnn.errors import CertnnError
+from certnn.errors import CertnnError, EmptyInput
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -90,7 +92,8 @@ class LpModel:
 
     A and A_eq may be dense or scipy sparse.  ``set_bounds`` and
     ``set_objective`` pass only the entries that changed to the solver;
-    ``solve`` re-solves warm from the previous basis.
+    ``solve`` re-solves warm from the previous basis, and ``maxima`` solves
+    one LP per objective.
     """
 
     def __init__(self, c, A, b, lb, ub, A_eq=None, b_eq=None):
@@ -150,6 +153,21 @@ class LpModel:
         if status == _highs.HighsModelStatus.kUnbounded:
             return LpOutcome(LpStatus.UNBOUNDED)
         raise LpError(f"solver failure: {h.modelStatusToString(status)}")
+
+    def maxima(self, C) -> np.ndarray:
+        """max c.x for each row c of C, in order, changing only the cost between solves.
+
+        +inf where the LP is unbounded.  Raises EmptyInput when the rows are
+        infeasible.
+        """
+        values = []
+        for c in np.atleast_2d(np.asarray(C, dtype=float)):
+            self.set_objective(c)
+            out = self.solve()
+            if out.status == LpStatus.INFEASIBLE:
+                raise EmptyInput("the constraints admit no point")
+            values.append(np.inf if out.status == LpStatus.UNBOUNDED else out.value)
+        return np.array(values)
 
     def _solve_linprog(self) -> LpOutcome:
         has_ub, has_eq = self._A.shape[0] > 0, self._A_eq.shape[0] > 0

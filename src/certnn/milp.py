@@ -19,24 +19,27 @@ when step k + 1 needs it.  Each state block, x0 included, is boxed once by
 per-coordinate LPs on the relaxation built so far (for x0 these are the
 support LPs of X_in), and that box seeds the interval bounds of the network
 copy at that state.  A query reuses the model of its step and replaces only
-the objective, so directions and horizons share one encoding.
+the objective, so directions and horizons share one encoding, and at each
+step k >= 1 the box LPs and every direction share one loaded relaxation.
 
 The solver is a best-first branch and bound on the LP relaxation, branching
 on the most fractional binary (ties to the lowest index).  It stops at a
 relative gap of 1e-6 and returns both the incumbent and a proven upper
-bound on the maximum.  Each search loads the relaxation into one
-:class:`certnn.lp.LpModel`.  A node passes only the binary bounds in which
-it differs from the node solved before it, and HiGHS re-solves warm from
-that node's basis.  The box LPs of a state block likewise share one LpModel
-and swap only the cost.  Where an LP has tied optimal vertices, a warm start
-can return another one than a cold solve, so the search may branch
-elsewhere and count other nodes; the proven values do not change.
+bound on the maximum.  Every :class:`MilpModel` carries its relaxation
+loaded into one :class:`certnn.lp.LpModel`, shared by the copies that differ
+only in the objective.  A search sets its objective and root bounds on it; a
+node passes only the binary bounds in which it differs from the node solved
+before it, and HiGHS re-solves warm from the previous basis.  The box LPs of
+a state block are one ``LpModel.maxima`` call that swaps only the cost.
+Where an LP has tied optimal vertices, a warm start can return another one
+than a cold solve, so the search may branch elsewhere and count other nodes;
+the proven values do not change.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
@@ -44,7 +47,7 @@ from scipy import sparse
 from certnn import lp
 from certnn.errors import CertnnError
 from certnn.network import ReluNetwork
-from certnn.polytope import EmptyInput, Polytope
+from certnn.polytope import Polytope
 
 INTEGRALITY_TOL = 1e-6
 PRUNE_TOL = 1e-9
@@ -79,7 +82,9 @@ class NeuronBounds:
 class MilpModel:
     """maximize c.x over A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub, x[binaries] in {0,1}.
 
-    A_ub and A_eq are scipy sparse (CSR) matrices.
+    A_ub and A_eq are scipy sparse (CSR) matrices.  ``relaxation``, the LP
+    relaxation loaded into one solver model, is loaded on construction unless
+    given; ``replace`` copies share it, and ``solve_milp`` sets c and the bounds.
     """
 
     c: np.ndarray
@@ -91,10 +96,13 @@ class MilpModel:
     ub: np.ndarray
     binaries: np.ndarray
     x0_idx: np.ndarray
+    relaxation: lp.LpModel | None = field(default=None, repr=False, compare=False)
 
-    def relaxation(self) -> lp.LpModel:
-        """The LP relaxation (binaries relaxed to their box), loaded into one solver model."""
-        return lp.LpModel(self.c, self.A_ub, self.b_ub, self.lb, self.ub, self.A_eq, self.b_eq)
+    def __post_init__(self):
+        if self.relaxation is None:
+            self.relaxation = lp.LpModel(
+                self.c, self.A_ub, self.b_ub, self.lb, self.ub, self.A_eq, self.b_eq
+            )
 
 
 @dataclass
@@ -232,9 +240,11 @@ class ClosedLoopEncoding:
     ``model(k, direction)`` extends the encoding up to step k and returns the
     model of max direction.x_k.  Steps are only ever added: asking for an
     earlier step (``output`` included) raises MilpError.  Each state block is
-    boxed once, and the assembled model of the current step (only) is kept,
-    so further directions at that step only swap the objective.  ``system``
-    is read only when a step is added, so output-range callers may pass None.
+    boxed once.  At a step k >= 1 the box LPs of x_k run on the rows of the
+    step's model, so the box and every direction at that step share one
+    loaded relaxation; only the model of the current step is kept.
+    ``system`` is read only when a step is added, so output-range callers may
+    pass None.
     """
 
     def __init__(self, system, net: ReluNetwork, X_in: Polytope):
@@ -245,32 +255,31 @@ class ClosedLoopEncoding:
         for row, rhs in zip(X_in.F, X_in.g):
             self._builder.add_ub(self._x0_idx, row, rhs)
         self._k = 0
-        self._model: MilpModel | None = None
         self._box_state()
         self._u_idx = _encode_network(self._builder, net, self._x0_idx, self._nb)
+        self._model: MilpModel | None = None  # the boxed model lacks the network copy
 
     def _box_state(self):
         """Box the current state block, then seed the bounds of its network copy.
 
-        Per coordinate, one LP on the relaxation so far gives the max and one
-        the min; for x0 these are the support LPs of X_in.
+        One ``maxima`` call on the relaxation so far gives the max and the min
+        of each coordinate, in that order; for x0 these are the support LPs
+        of X_in.  Keeps the boxed model as the model of the current step.
+        Raises EmptyInput for an empty and UnboundedInput for an unbounded X_in.
         """
         builder, idx = self._builder, self._x_idx
-        relaxation = builder.build(self._x0_idx).relaxation()
-        for var in idx:
-            for sign, dest in ((1.0, builder.ub), (-1.0, builder.lb)):
-                c = np.zeros(builder.n_vars)
-                c[var] = sign
-                relaxation.set_objective(c)
-                out = relaxation.solve()
-                if out.status == lp.LpStatus.UNBOUNDED:
-                    raise UnboundedInput("input polytope unbounded in some coordinate")
-                if out.status == lp.LpStatus.INFEASIBLE:
-                    raise EmptyInput("input polytope is empty")
-                dest[var] = sign * out.value
-        self._nb = bounds_from_box(
-            self._net, [builder.lb[v] for v in idx], [builder.ub[v] for v in idx]
-        )
+        model = builder.build(self._x0_idx)
+        C = np.zeros((2 * idx.size, builder.n_vars))
+        rows = 2 * np.arange(idx.size)
+        C[rows, idx], C[rows + 1, idx] = 1.0, -1.0
+        m = model.relaxation.maxima(C)
+        if np.isinf(m).any():
+            raise UnboundedInput("input polytope unbounded in some coordinate")
+        model.lb[idx], model.ub[idx] = -m[1::2], m[0::2]
+        for v in idx:
+            builder.lb[v], builder.ub[v] = model.lb[v], model.ub[v]
+        self._nb = bounds_from_box(self._net, model.lb[idx], model.ub[idx])
+        self._model = model
 
     def _extend(self):
         builder, A, B = self._builder, self._system.A, self._system.B
@@ -286,7 +295,6 @@ class ClosedLoopEncoding:
         self._x_idx, self._u_idx = next_idx, None
         self._box_state()
         self._k += 1
-        self._model = None
 
     def _at(self, k: int) -> MilpModel:
         """The assembled model of step k, extending the encoding up to it."""
@@ -325,7 +333,8 @@ def solve_milp(m: MilpModel) -> BnbResult:
     Raises MilpError when the search would solve more than MAX_NODES LPs.
     """
     nodes = 0
-    relaxation = m.relaxation()
+    relaxation = m.relaxation
+    relaxation.set_objective(m.c)
 
     def _solve(lb, ub):
         nonlocal nodes

@@ -1,12 +1,16 @@
 """H-representation polytope algebra.
 
-A polytope is {x : F x <= g}.  Emptiness, support functions, redundancy
-removal and containment are each one linear program per query or per row.
-Intersection only stacks rows; the one operation that prunes is the maximal
-positively invariant set of a stable linear map, which builds its fixpoint
-from the rows that cut and removes redundancy once at the end.  Set equality
-is always decided by mutual containment, never by comparing rows, because
-equivalent H-representations can differ in row order and scaling.
+A polytope is {x : F x <= g}.  Emptiness is one linear program.  The
+support function loads the rows of a polytope once and answers a whole
+matrix of directions on that load, so containment, the bounding box and
+each step of the invariant-set fixpoint are one support call; an unbounded
+direction has support +inf.  Redundancy removal is one linear program per
+row.  Intersection only stacks rows; the one operation that prunes is the
+maximal positively invariant set of a stable linear map, which builds its
+fixpoint from the rows that cut and removes redundancy once at the end.
+Set equality is always decided by mutual containment, never by comparing
+rows, because equivalent H-representations can differ in row order and
+scaling.
 """
 
 from __future__ import annotations
@@ -16,19 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from certnn import lp
-from certnn.errors import CertnnError, DimensionMismatch, NoConvergence
+from certnn.errors import DimensionMismatch, EmptyInput, NoConvergence
 
 CONTAINMENT_TOL = 1e-7
 REDUNDANCY_TOL = 1e-9
 MAX_FIXPOINT_ITER = 500
-
-
-class EmptyInput(CertnnError):
-    """The operation requires a nonempty polytope."""
-
-
-class Unbounded(CertnnError):
-    """The polytope is unbounded in the queried direction."""
 
 
 @dataclass(frozen=True)
@@ -85,23 +81,23 @@ def is_empty(P: Polytope) -> bool:
     return out.status == lp.LpStatus.INFEASIBLE
 
 
-def support(P: Polytope, d) -> float:
-    """max d.x over P.  Raises Unbounded when P is unbounded along d.
+def support(P: Polytope, D):
+    """max d.x over P for one direction d (a float) or each row d of a matrix D (an array).
 
-    Solved along d / |d| and scaled back: HiGHS's tolerances are absolute, so
-    it fails or loses accuracy on objectives of norm 1e-6 and below.
+    P is loaded once for all directions.  The support is +inf where P is
+    unbounded along d; an empty P raises EmptyInput.  Each direction is
+    solved as d / |d| and scaled back: HiGHS's tolerances are absolute, so it
+    fails or loses accuracy on objectives of norm 1e-6 and below.
     """
-    d = np.asarray(d, dtype=float).reshape(-1)
-    if d.size != P.dim:
-        raise DimensionMismatch(f"direction length {d.size} vs dimension {P.dim}")
-    norm = np.linalg.norm(d)
-    scale = norm if norm > 0.0 else 1.0
-    out = lp.solve_lp(lp.maximize(d / scale, P.F, P.g))
-    if out.status == lp.LpStatus.UNBOUNDED:
-        raise Unbounded("polytope unbounded in the queried direction")
-    if out.status == lp.LpStatus.INFEASIBLE:
-        raise EmptyInput("support of an empty polytope")
-    return scale * out.value
+    D = np.asarray(D, dtype=float)
+    if D.shape[-1:] != (P.dim,) or D.ndim > 2:
+        raise DimensionMismatch(f"directions of shape {D.shape} vs dimension {P.dim}")
+    norms = np.linalg.norm(D, axis=-1, keepdims=True)
+    scale = np.where(norms > 0.0, norms, 1.0)
+    free = np.full(P.dim, np.inf)
+    model = lp.LpModel(np.zeros(P.dim), P.F, P.g, -free, free)
+    values = scale.reshape(-1) * model.maxima(D / scale)
+    return float(values[0]) if D.ndim == 1 else values
 
 
 def remove_redundant(P: Polytope) -> Polytope:
@@ -130,18 +126,10 @@ def remove_redundant(P: Polytope) -> Polytope:
 
 
 def contains_set(outer: Polytope, inner: Polytope, tol: float = CONTAINMENT_TOL) -> bool:
-    """True iff inner is a subset of outer (support check per outer row)."""
+    """True iff inner is a subset of outer, by inner's support along the rows of outer."""
     if outer.dim != inner.dim:
         raise DimensionMismatch(f"dimensions {outer.dim} and {inner.dim} differ")
-    if is_empty(inner):
-        raise EmptyInput("containment of an empty inner polytope")
-    for row, rhs in zip(outer.F, outer.g):
-        try:
-            if support(inner, row) > rhs + tol:
-                return False
-        except Unbounded:
-            return False
-    return True
+    return bool(np.all(support(inner, outer.F) <= outer.g + tol))
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
@@ -169,31 +157,21 @@ def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     omega, F_k = P, P.F
     for _ in range(MAX_FIXPOINT_ITER):
         F_k = F_k @ A_cl
-        cuts = []
-        for i, row in enumerate(F_k):
-            try:
-                if support(omega, row) > P.g[i] + REDUNDANCY_TOL:
-                    cuts.append(i)
-            except Unbounded:
-                cuts.append(i)
-            except EmptyInput:
-                return omega
-        if not cuts:
+        try:
+            cuts = np.flatnonzero(support(omega, F_k) > P.g + REDUNDANCY_TOL)
+        except EmptyInput:
+            return omega
+        if not cuts.size:
             return remove_redundant(omega)
         omega = Polytope(np.vstack([omega.F, F_k[cuts]]), np.concatenate([omega.g, P.g[cuts]]))
     raise NoConvergence(f"no fixpoint after {MAX_FIXPOINT_ITER} iterations")
 
 
 def bounding_box(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate [lo, hi] of P via support LPs.  Raises Unbounded."""
-    lo = np.empty(P.dim)
-    hi = np.empty(P.dim)
-    for i in range(P.dim):
-        e = np.zeros(P.dim)
-        e[i] = 1.0
-        hi[i] = support(P, e)
-        lo[i] = -support(P, -e)
-    return lo, hi
+    """Per-coordinate [lo, hi] of P, infinite on the sides where P is unbounded."""
+    eye = np.eye(P.dim)
+    s = support(P, np.vstack([eye, -eye]))
+    return -s[P.dim :], s[: P.dim]
 
 
 def vertices_2d(P: Polytope, tol: float = 1e-7) -> np.ndarray:

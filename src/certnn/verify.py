@@ -15,7 +15,7 @@ step 0 is the output-range model of the network over X_in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -71,42 +71,31 @@ class Certificate:
         return self.verdict in (Verdict.ASYMPTOTICALLY_STABLE, Verdict.LQR_OPTIMAL_NEAR_EQ)
 
     def to_json(self) -> dict:
-        def poly(p):
-            return p.to_json() if p is not None else None
+        """Fields in declaration order, nested sets as {"F", "g"}, arrays as lists."""
+        return asdict(self, dict_factory=lambda items: {k: _jsonable(v) for k, v in items})
 
-        out = {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "input_ok": self.input_ok,
-            "invariance_ok": self.invariance_ok,
-            "U_star": poly(self.U_star),
-            "X_1_out": poly(self.X_1_out),
-            "stability": None,
-            "witnesses": [w.tolist() for w in self.witnesses],
-            "milp_nodes": self.milp_nodes,
-        }
-        if self.stability is not None:
-            s = self.stability
-            out["stability"] = {
-                "bias_residual": s.bias_residual,
-                "spectral_radius": s.spectral_radius,
-                "lqr_match_residual": s.lqr_match_residual,
-                "R_eq": poly(s.R_eq),
-                "R_as": poly(s.R_as),
-                "k_star": s.k_star,
-                "X_k_out": poly(s.X_k_out),
-            }
-        return out
+
+def _jsonable(v):
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    return [_jsonable(x) for x in v] if isinstance(v, list) else v
+
+
+def _contained(results, P: Polytope) -> tuple[bool, Polytope, int]:
+    """Whether the proven bounds of results, one per facet of P, lie within P.
+
+    Returns (ok, the set of those bounds along P's facets, the nodes spent).
+    """
+    c = np.array([r.bound for r in results])
+    ok = bool(np.all(c <= P.g + CONTAIN_TOL))
+    return ok, Polytope(P.F.copy(), c), sum(r.nodes for r in results)
 
 
 def _input_check(
     net: ReluNetwork, X_in: Polytope, U: Polytope, encoding=None
 ) -> tuple[bool, Polytope, int]:
     """verify_input plus its node count; ``encoding`` goes to milp.output_range_results."""
-    results = milp.output_range_results(net, X_in, U.F, encoding=encoding)
-    c_star = np.array([r.bound for r in results])
-    ok = bool(np.all(c_star <= U.g + CONTAIN_TOL))
-    return ok, Polytope(U.F.copy(), c_star), sum(r.nodes for r in results)
+    return _contained(milp.output_range_results(net, X_in, U.F, encoding=encoding), U)
 
 
 def verify_input(net: ReluNetwork, X_in: Polytope, U: Polytope) -> tuple[bool, Polytope]:
@@ -131,12 +120,10 @@ def _one_step_check(
     incumbent's x0, a point of X_in whose one-step image violates the facet.
     """
     results = milp.reach_results(sys, net, X_in, 1, X_in.F, encoding=encoding)
-    c_star = np.array([r.bound for r in results])
+    ok, X_1, nodes = _contained(results, X_in)
     # x0 is always the first block of model variables (see ClosedLoopEncoding).
     witnesses = [r.point[: sys.n_x] for r, g in zip(results, X_in.g) if r.value > g + CONTAIN_TOL]
-    nodes = sum(r.nodes for r in results)
-    ok = bool(np.all(c_star <= X_in.g + CONTAIN_TOL))
-    return ok, Polytope(X_in.F.copy(), c_star), witnesses, nodes
+    return ok, X_1, witnesses, nodes
 
 
 def verify_invariance(
@@ -270,11 +257,10 @@ def verify_stability(
 
     for k in range(1, k_max + 1):
         results = milp.reach_results(sys, net, X_in, k, R_as.F, encoding=encoding)
-        cert.milp_nodes += sum(r.nodes for r in results)
-        c_k = np.array([r.bound for r in results])
-        if np.all(c_k <= R_as.g + CONTAIN_TOL):
-            report.k_star = k
-            report.X_k_out = Polytope(R_as.F.copy(), c_k)
+        ok, X_k, nodes = _contained(results, R_as)
+        cert.milp_nodes += nodes
+        if ok:
+            report.k_star, report.X_k_out = k, X_k
             break
     if report.k_star is None:
         return fallback(f"no k <= {k_max} with reachable set inside R_as")

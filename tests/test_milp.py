@@ -3,7 +3,7 @@ import pytest
 
 import helpers
 from conftest import random_net
-from certnn import milp
+from certnn import lp, milp
 from certnn.control import LtiSystem
 from certnn.milp import (
     ClosedLoopEncoding,
@@ -194,6 +194,28 @@ class TestReach:
                 helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, d) for d in dirs
             ]
             np.testing.assert_allclose(got, want, atol=1e-6)
+
+    def test_one_load_per_step(self, lp_path, monkeypatch):
+        # extending to step 2 boxes x2 and answers 4 directions on one loaded
+        # relaxation, with the values of fresh encodings
+        rng = np.random.default_rng(23)
+        sys = self._sys()
+        net = random_net(rng, 2, [3, 2], 1, scale=0.5)
+        dirs = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-0.6, 0.8]])
+        enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+        enc.model(1, dirs[0])
+        init, loads = lp.LpModel.__init__, []
+
+        def counting(model, *args, **kwargs):
+            loads.append(model)
+            init(model, *args, **kwargs)
+
+        monkeypatch.setattr(lp.LpModel, "__init__", counting)
+        got = [r.value for r in reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc)]
+        assert len(loads) == 1
+        monkeypatch.setattr(lp.LpModel, "__init__", init)
+        want = [solve_milp(encode_reach(sys, net, UNIT_BOX, 2, d)).value for d in dirs]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
     def test_k_validation(self, identity_pair_net):
         sys = LtiSystem(np.eye(1), np.eye(1))

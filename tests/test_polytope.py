@@ -4,6 +4,7 @@ import pytest
 import helpers
 from conftest import CASE_C_AS, CASE_c_AS, CASE_C_IN, CASE_c_IN, CASE_F_EQ, CASE_g_EQ, \
     CASE_F_LQR, CASE_g_LQR, random_net
+from certnn import lp
 from certnn.polytope import (
     DimensionMismatch,
     EmptyInput,
@@ -70,6 +71,48 @@ class TestSupport:
             norm = np.linalg.norm(row)
             want = norm * helpers._lp_max(row / norm, omega.F, omega.g)
             assert support(omega, row) == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
+class TestSupportMatrix:
+    """support along a matrix of directions, on both LP paths."""
+
+    HALF_PLANE = Polytope(np.array([[1.0, 0.0]]), np.array([1.0]))  # x1 <= 1
+    EMPTY = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
+
+    def test_matrix_equals_scalar_calls(self, lp_path):
+        # rows of norm 1e-10 included: the tiny-norm directions of a late fixpoint step
+        A, P = _stable_map_case(3)
+        omega = max_positively_invariant(A, P)
+        rng = np.random.default_rng(4)
+        D = rng.standard_normal((8, omega.dim))
+        D[6:] *= 1e-10
+        got = support(omega, D)
+        assert got.shape == (len(D),)
+        want = [support(omega, d) for d in D]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    def test_unbounded_direction_is_infinite(self, lp_path):
+        got = support(self.HALF_PLANE, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+        assert got[0] == pytest.approx(1.0) and got[1] == np.inf and got[2] == np.inf
+        assert support(self.HALF_PLANE, [1.0, 1.0]) == np.inf
+
+    def test_bounding_box_of_half_plane(self, lp_path):
+        lo, hi = bounding_box(self.HALF_PLANE)
+        assert hi[0] == pytest.approx(1.0)
+        assert hi[1] == np.inf and lo[0] == -np.inf and lo[1] == -np.inf
+
+    def test_unbounded_inner_set_is_not_contained(self, lp_path):
+        assert not contains_set(Polytope.box([-5.0, -5.0], [5.0, 5.0]), self.HALF_PLANE)
+
+    def test_empty_polytope_raises(self, lp_path):
+        with pytest.raises(EmptyInput):
+            support(self.EMPTY, [1.0, 0.0])
+        with pytest.raises(EmptyInput):
+            support(self.EMPTY, np.eye(2))
+        free = np.full(2, np.inf)
+        model = lp.LpModel(np.zeros(2), self.EMPTY.F, self.EMPTY.g, -free, free)
+        with pytest.raises(EmptyInput):
+            model.maxima(np.eye(2))
 
 
 class TestRemoveRedundant:
