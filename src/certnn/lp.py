@@ -2,9 +2,12 @@
 
 Problems are stated as maximize c.x subject to A x <= b, A_eq x = b_eq and
 per-variable bounds.  An :class:`LpModel` loads one such problem into HiGHS
-once.  Its column bounds (the nodes of a branch and bound) and its cost then
-change in place, and each solve starts HiGHS's simplex from the basis of the
-previous solve instead of presolving the problem from scratch.
+once.  Its column bounds (the nodes of a branch and bound), its cost and the
+right-hand sides of its inequality rows then change in place, inequality
+rows can be appended, and each solve starts HiGHS's simplex from the basis
+of the previous solve instead of presolving the problem from scratch.  A
+right-hand side of +inf drops its row, so one load serves every redundancy
+test of a polytope and every step of an invariant-set fixpoint.
 :meth:`LpModel.maxima` answers a whole matrix of objectives on one load: the
 support functions of a polytope and the per-coordinate box of a state block
 are each one call.  :func:`solve_lp` is the one-shot use of the same object.
@@ -13,7 +16,9 @@ The persistent solver is the HiGHS binding that scipy bundles as
 ``scipy.optimize._highspy`` (scipy >= 1.15).  Where that import fails, the
 model keeps its data in numpy and solves every LP afresh with
 ``scipy.optimize.linprog``, which runs the same HiGHS without a warm start;
-``maxima`` is then the same loop of cold solves.
+``maxima`` is then the same loop of cold solves, row edits change only the
+numpy data, and rows with a +inf right-hand side are left out of the LP
+(``linprog`` rejects an infinite ``b_ub``).
 The path is chosen once, at import.  HiGHS runs with its default tolerances
 (primal and dual feasibility 1e-7).  When an LP has several optimal
 vertices, a warm start may return another one than a cold solve; the
@@ -91,9 +96,11 @@ class LpModel:
     """maximize c.x  s.t.  A x <= b,  A_eq x = b_eq,  lb <= x <= ub, loaded once.
 
     A and A_eq may be dense or scipy sparse.  ``set_bounds`` and
-    ``set_objective`` pass only the entries that changed to the solver;
-    ``solve`` re-solves warm from the previous basis, and ``maxima`` solves
-    one LP per objective.
+    ``set_objective`` pass only the entries that changed to the solver,
+    ``set_rhs`` changes one inequality row (+inf drops it) and ``add_rows``
+    appends inequality rows; ``solve`` re-solves warm from the previous
+    basis, and ``maxima`` solves one LP per objective.  The model keeps its
+    own copy of b.
     """
 
     def __init__(self, c, A, b, lb, ub, A_eq=None, b_eq=None):
@@ -102,9 +109,10 @@ class LpModel:
         self.ub = np.array(ub, dtype=float)
         n = self.c.size
         self._A = sparse.csr_array(A)
-        self._b = np.asarray(b, dtype=float)
+        self._b = np.array(b, dtype=float)  # a copy: set_rhs must not write into the caller's array
         self._A_eq = sparse.csr_array((0, n)) if A_eq is None else sparse.csr_array(A_eq)
         self._b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+        self._loaded_rows = self._b.size
         self._highs = None if _highs is None else self._load()
 
     def _load(self):
@@ -125,6 +133,10 @@ class LpModel:
             raise LpError("HiGHS rejected the model")
         return h
 
+    def _highs_row(self, i: int) -> int:
+        # HiGHS holds the loaded inequality rows, the equality rows, then the appended rows
+        return i if i < self._loaded_rows else i + self._b_eq.size
+
     def set_bounds(self, lb, ub):
         changed = np.flatnonzero((lb != self.lb) | (ub != self.ub))
         self.lb[changed] = lb[changed]
@@ -137,6 +149,25 @@ class LpModel:
         self.c[changed] = c[changed]
         if self._highs is not None and changed.size:
             self._highs.changeColsCost(changed.size, changed, -self.c[changed])
+
+    def set_rhs(self, i: int, value: float):
+        """Change the right-hand side of inequality row i; +inf drops the row."""
+        self._b[i] = value
+        if self._highs is not None:
+            self._highs.changeRowBounds(self._highs_row(i), -np.inf, value)
+
+    def add_rows(self, A, b):
+        """Append the inequality rows A x <= b."""
+        A = sparse.csr_array(A)
+        b = np.array(b, dtype=float)
+        self._A = sparse.vstack([self._A, A], format="csr")
+        self._b = np.concatenate([self._b, b])
+        if self._highs is not None:
+            status = self._highs.addRows(
+                b.size, np.full(b.size, -np.inf), b, A.nnz, A.indptr[:-1], A.indices, A.data
+            )
+            if status == _highs.HighsStatus.kError:
+                raise LpError("HiGHS rejected the rows")
 
     def solve(self) -> LpOutcome:
         """Solve the current LP, classifying the outcome as optimal/infeasible/unbounded."""
@@ -170,11 +201,12 @@ class LpModel:
         return np.array(values)
 
     def _solve_linprog(self) -> LpOutcome:
-        has_ub, has_eq = self._A.shape[0] > 0, self._A_eq.shape[0] > 0
+        rows = np.flatnonzero(np.isfinite(self._b))
+        has_ub, has_eq = rows.size > 0, self._A_eq.shape[0] > 0
         res = linprog(
             -self.c,
-            A_ub=self._A if has_ub else None,
-            b_ub=self._b if has_ub else None,
+            A_ub=self._A[rows] if has_ub else None,
+            b_ub=self._b[rows] if has_ub else None,
             A_eq=self._A_eq if has_eq else None,
             b_eq=self._b_eq if has_eq else None,
             bounds=np.column_stack([self.lb, self.ub]),

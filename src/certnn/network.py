@@ -20,8 +20,8 @@ import json
 
 import numpy as np
 
-from certnn.errors import CertnnError, DimensionMismatch
-from certnn.polytope import Polytope, is_empty, remove_redundant
+from certnn.errors import CertnnError, DimensionMismatch, EmptyInput
+from certnn.polytope import Polytope, remove_redundant
 
 # An activation pattern is one 0/1 vector per hidden layer.
 Pattern = tuple[np.ndarray, ...]
@@ -163,10 +163,10 @@ class ReluNetwork:
                 else:
                     rows.append(V[j])
                     rhs.append(-c[j])
-        region = Polytope(np.array(rows), np.array(rhs))
-        if is_empty(region):
-            raise EmptyRegion("activation pattern is unrealizable")
-        return remove_redundant(region)
+        try:
+            return remove_redundant(Polytope(np.array(rows), np.array(rhs)))
+        except EmptyInput as exc:
+            raise EmptyRegion("activation pattern is unrealizable") from exc
 
     def equilibrium_region(self) -> tuple[Pattern, Polytope]:
         """Pattern at the origin and the polytopic region where it holds."""

@@ -2,12 +2,14 @@
 
 A polytope is {x : F x <= g}.  Emptiness is one linear program.  The
 support function loads the rows of a polytope once and answers a whole
-matrix of directions on that load, so containment, the bounding box and
-each step of the invariant-set fixpoint are one support call; an unbounded
-direction has support +inf.  Redundancy removal is one linear program per
-row.  Intersection only stacks rows; the one operation that prunes is the
-maximal positively invariant set of a stable linear map, which builds its
-fixpoint from the rows that cut and removes redundancy once at the end.
+matrix of directions on that load, so containment and the bounding box are
+one support call; an unbounded direction has support +inf.  Redundancy
+removal also loads the rows once: it tests one row at a time by relaxing
+that row's right-hand side in place, and drops a redundant row by setting
+its right-hand side to +inf.  Intersection only stacks rows; the one
+operation that prunes is the maximal positively invariant set of a stable
+linear map, which keeps one loaded LP for its whole fixpoint: it appends
+the rows that cut and removes redundancy once at the end, on the same load.
 Set equality is always decided by mutual containment, never by comparing
 rows, because equivalent H-representations can differ in row order and
 scaling.
@@ -81,22 +83,33 @@ def is_empty(P: Polytope) -> bool:
     return out.status == lp.LpStatus.INFEASIBLE
 
 
+def _load(P: Polytope) -> lp.LpModel:
+    """The rows of P as an LP with zero cost: its first solve is the emptiness check."""
+    free = np.full(P.dim, np.inf)
+    return lp.LpModel(np.zeros(P.dim), P.F, P.g, -free, free)
+
+
+def _unit_maxima(model: lp.LpModel, D) -> np.ndarray:
+    """max d.x on the loaded rows for each row d of D, each solved as d / |d| and scaled back.
+
+    HiGHS's tolerances are absolute, so it fails or loses accuracy on
+    objectives of norm 1e-6 and below.
+    """
+    norms = np.linalg.norm(D, axis=-1, keepdims=True)
+    scale = np.where(norms > 0.0, norms, 1.0)
+    return scale.reshape(-1) * model.maxima(D / scale)
+
+
 def support(P: Polytope, D):
     """max d.x over P for one direction d (a float) or each row d of a matrix D (an array).
 
     P is loaded once for all directions.  The support is +inf where P is
-    unbounded along d; an empty P raises EmptyInput.  Each direction is
-    solved as d / |d| and scaled back: HiGHS's tolerances are absolute, so it
-    fails or loses accuracy on objectives of norm 1e-6 and below.
+    unbounded along d; an empty P raises EmptyInput.
     """
     D = np.asarray(D, dtype=float)
     if D.shape[-1:] != (P.dim,) or D.ndim > 2:
         raise DimensionMismatch(f"directions of shape {D.shape} vs dimension {P.dim}")
-    norms = np.linalg.norm(D, axis=-1, keepdims=True)
-    scale = np.where(norms > 0.0, norms, 1.0)
-    free = np.full(P.dim, np.inf)
-    model = lp.LpModel(np.zeros(P.dim), P.F, P.g, -free, free)
-    values = scale.reshape(-1) * model.maxima(D / scale)
+    values = _unit_maxima(_load(P), D)
     return float(values[0]) if D.ndim == 1 else values
 
 
@@ -106,22 +119,26 @@ def remove_redundant(P: Polytope) -> Polytope:
     Row i is redundant iff maximizing F_i x over the remaining rows (with the
     bounding relaxation F_i x <= g_i + 1 to keep the LP bounded) stays below
     g_i.  Rows are scanned sequentially so that of two duplicates exactly one
-    survives.
+    survives.  P is loaded once; an empty P raises EmptyInput.
     """
-    if is_empty(P):
+    model = _load(P)
+    if model.solve().status == lp.LpStatus.INFEASIBLE:
         raise EmptyInput("cannot remove redundancy from an empty polytope")
-    keep = list(range(P.nrows))
-    i = 0
-    while i < len(keep):
-        idx = keep[i]
-        others = [j for j in keep if j != idx]
-        F = np.vstack([P.F[others], P.F[idx : idx + 1]])
-        g = np.concatenate([P.g[others], [P.g[idx] + 1.0]])
-        out = lp.solve_lp(lp.maximize(P.F[idx], F, g))
-        if out.status == lp.LpStatus.OPTIMAL and out.value <= P.g[idx] + REDUNDANCY_TOL:
-            keep.pop(i)
+    return _prune(model, P)
+
+
+def _prune(model: lp.LpModel, P: Polytope) -> Polytope:
+    """remove_redundant on a model whose inequality rows are those of P, in order."""
+    keep = []
+    for i in range(P.nrows):
+        model.set_rhs(i, P.g[i] + 1.0)
+        model.set_objective(P.F[i])
+        out = model.solve()
+        if out.status == lp.LpStatus.OPTIMAL and out.value <= P.g[i] + REDUNDANCY_TOL:
+            model.set_rhs(i, np.inf)
         else:
-            i += 1
+            model.set_rhs(i, P.g[i])
+            keep.append(i)
     return Polytope(P.F[keep], P.g[keep])
 
 
@@ -147,22 +164,26 @@ def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     F A_cl^(k+1) whose support on O_k exceeds g (an unbounded support counts
     as a cut).  When no row cuts, O_k is invariant and is returned with its
     redundant rows removed.  When the rows squeeze every point out, the empty
-    stack is returned: it is the (trivially invariant) fixpoint.
+    stack is returned: it is the (trivially invariant) fixpoint.  One LP is
+    loaded for the whole fixpoint: the cutting rows are appended to it and
+    the final pruning runs on it.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     if A_cl.shape != (P.dim, P.dim):
         raise DimensionMismatch(f"map shape {A_cl.shape} vs dimension {P.dim}")
-    if is_empty(P):
+    model = _load(P)
+    if model.solve().status == lp.LpStatus.INFEASIBLE:
         raise EmptyInput("invariant set of an empty polytope")
     omega, F_k = P, P.F
     for _ in range(MAX_FIXPOINT_ITER):
         F_k = F_k @ A_cl
         try:
-            cuts = np.flatnonzero(support(omega, F_k) > P.g + REDUNDANCY_TOL)
+            cuts = np.flatnonzero(_unit_maxima(model, F_k) > P.g + REDUNDANCY_TOL)
         except EmptyInput:
             return omega
         if not cuts.size:
-            return remove_redundant(omega)
+            return _prune(model, omega)
+        model.add_rows(F_k[cuts], P.g[cuts])
         omega = Polytope(np.vstack([omega.F, F_k[cuts]]), np.concatenate([omega.g, P.g[cuts]]))
     raise NoConvergence(f"no fixpoint after {MAX_FIXPOINT_ITER} iterations")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from certnn.errors import CertnnError
+from certnn.errors import CertnnError, EmptyInput
 from certnn.network import Pattern, ReluNetwork
 from certnn.polytope import Polytope, is_empty, remove_redundant
 
@@ -41,8 +41,10 @@ def enumerate_regions(net: ReluNetwork, X_in: Polytope, neuron_cap: int = NEURON
         if layer == len(widths):
             pattern = tuple(np.asarray(p, dtype=np.int8) for p in pattern_prefix)
             cell = Polytope(np.array(rows), np.array(rhs))
-            if not is_empty(cell):
+            try:
                 regions.append(Region(pattern, remove_redundant(cell)))
+            except EmptyInput:
+                pass  # an unrealizable pattern has no cell
             return
         # Pre-activations of this layer only depend on the completed layers.
         V, c = net.preactivation_affine(

@@ -95,6 +95,30 @@ def count_lps(monkeypatch):
     return lambda: calls
 
 
+@pytest.fixture
+def count_loads(monkeypatch):
+    """Counts LP loads (``LpModel`` constructions) from fixture set-up on.
+
+    Call it to read the count.
+    """
+    init = lp.LpModel.__init__
+    loads = 0
+
+    def counting(model, *args, **kwargs):
+        nonlocal loads
+        loads += 1
+        init(model, *args, **kwargs)
+
+    monkeypatch.setattr(lp.LpModel, "__init__", counting)
+    return lambda: loads
+
+
+@pytest.fixture
+def linprog_path(monkeypatch):
+    """Runs a test on the linprog fallback only."""
+    monkeypatch.setattr(lp, "_highs", None)
+
+
 @pytest.fixture(params=["import", "linprog"])
 def lp_path(request, monkeypatch):
     """Runs a test on the LP path chosen at import, then on the linprog fallback."""

@@ -3,8 +3,8 @@
 These deliberately avoid the package's MILP machinery: output ranges are
 reproduced by brute-force enumeration of activation patterns (one LP per
 pattern, solved directly with scipy), reachable sets by enumeration of
-pattern sequences through the plant, and invariant sets by stacking a fixed
-number of preimages.
+pattern sequences through the plant, invariant sets by stacking a fixed
+number of preimages, and redundancy removal by one fresh LP per row.
 """
 
 import itertools
@@ -151,6 +151,22 @@ def mpi_oracle(A, F, g, N):
     for _ in range(N):
         blocks.append(blocks[-1] @ A)
     return np.vstack(blocks), np.tile(np.asarray(g, dtype=float), N + 1)
+
+
+def redundancy_oracle(F, g, tol=1e-9):
+    """Indices of the rows of {F x <= g} that survive a sequential redundancy scan.
+
+    Row i is tested with one fresh linprog over the rows still kept, with
+    row i itself relaxed to g_i + 1; it is dropped when max F_i x stays
+    within tol of g_i.
+    """
+    keep = list(range(len(g)))
+    for i in range(len(g)):
+        rows = [j for j in keep if j != i]
+        val = _lp_max(F[i], np.vstack([F[rows], F[i]]), np.append(g[rows], g[i] + 1.0))
+        if val is not None and val <= g[i] + tol:
+            keep.remove(i)
+    return keep
 
 
 def sample_polytope(rng, F, g, n, lo, hi, max_tries=200000):

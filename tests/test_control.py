@@ -153,6 +153,19 @@ class TestAdmissibleSets:
         lqr_admissible_set(case_system, sol.K, case_X, case_U)
         assert count_lps() <= 22
 
+    def test_one_load_per_fixpoint(self, lp_path, count_loads):
+        # the emptiness check, every fixpoint step and the final pruning share one loaded LP
+        rng = np.random.default_rng(31)
+        A = rng.standard_normal((4, 4))
+        A /= np.max(np.abs(np.linalg.eigvals(A)))
+        sys = LtiSystem(A, rng.standard_normal((4, 1)))
+        K = lqr(sys, np.eye(4), np.eye(1)).K
+        X = Polytope.box(-5.0 * np.ones(4), 5.0 * np.ones(4))
+        R_K = lqr_admissible_set(sys, K, X, Polytope.box([-1.0], [1.0]))
+        assert count_loads() == 1
+        # X and U have 10 rows between them: the fixpoint appended cuts
+        assert R_K.nrows == 16 and R_K.contains_point(np.zeros(4))
+
 
 class TestSimulate:
     def test_shapes_and_dynamics(self, case_system):

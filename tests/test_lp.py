@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from certnn import lp
+from certnn.polytope import Polytope, remove_redundant
 
 
 def random_bounded_lp(rng, n=4, m=8):
@@ -158,3 +159,47 @@ def test_model_changes_status_in_place(lp_path):
     assert model.solve().value == pytest.approx(1.0)
     model.set_objective(np.array([1.0, 0.0]))
     assert model.solve().status == lp.LpStatus.UNBOUNDED
+
+
+def test_row_edits_match_fresh_model(lp_path):
+    # right-hand sides changed in place (+inf drops a row) and appended rows
+    # give the optima of a model loaded fresh on the resulting rows; the
+    # equality row sits between the loaded and the appended rows in HiGHS
+    rng = np.random.default_rng(21)
+    n, m = 4, 8
+    x0 = rng.standard_normal(n)
+    A, A_new, A_eq = (rng.standard_normal((k, n)) for k in (m, 3, 1))
+    b = A @ x0 + rng.uniform(0.1, 1.0, m)
+    b_new = A_new @ x0 + rng.uniform(0.1, 1.0, 3)
+    lb, ub = np.full(n, -10.0), np.full(n, 10.0)
+    model = lp.LpModel(np.zeros(n), A, b, lb, ub, A_eq, A_eq @ x0)
+    assert model.solve().status == lp.LpStatus.OPTIMAL
+    rhs = np.concatenate([b, b_new])
+    model.set_rhs(2, np.inf)
+    rhs[2] = np.inf
+    model.add_rows(A_new, b_new)
+    edits = [(5, b[5] + 0.5), (m, b_new[0] - 0.05), (m + 1, np.inf), (0, b[0] + 1.0), (0, b[0])]
+    for i, value in edits:
+        model.set_rhs(i, value)
+        rhs[i] = value
+    kept = np.isfinite(rhs)
+    fresh = lp.LpModel(np.zeros(n), np.vstack([A, A_new])[kept], rhs[kept], lb, ub, A_eq, A_eq @ x0)
+    C = rng.standard_normal((12, n))
+    np.testing.assert_allclose(model.maxima(C), fresh.maxima(C), rtol=0.0, atol=1e-9)
+    model.set_objective(C[0])
+    fresh.set_objective(C[0])
+    assert model.solve().value == pytest.approx(fresh.solve().value, abs=1e-9)
+
+
+def test_row_edits_leave_the_callers_arrays(lp_path):
+    # the model edits its own copy of b, and remove_redundant leaves P.g as it was
+    b = np.array([1.0, 1.0])
+    model = lp.LpModel([1.0, 1.0], np.eye(2), b, np.zeros(2), np.full(2, np.inf))
+    model.set_rhs(0, np.inf)
+    model.add_rows([[1.0, 1.0]], [1.5])
+    assert model.solve().value == pytest.approx(1.5)
+    assert np.array_equal(b, [1.0, 1.0])
+    P = Polytope(np.vstack([np.eye(2), -np.eye(2), np.eye(2)]), np.ones(6))
+    g = P.g.copy()
+    assert remove_redundant(P).nrows == 4
+    assert np.array_equal(P.g, g)

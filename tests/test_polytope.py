@@ -159,6 +159,38 @@ class TestRemoveRedundant:
         assert np.array_equal(member_p, member_r)
 
 
+@pytest.mark.usefixtures("linprog_path")
+class TestRemoveRedundantLinprog(TestRemoveRedundant):
+    """The checks above on the linprog fallback."""
+
+
+def _redundancy_cases():
+    """Seeded polytopes with duplicate, scaled-duplicate and dominated rows, some unbounded."""
+    cases = []
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 17])
+        n = 2 + seed % 3
+        F = rng.standard_normal((4 + 2 * n, n))
+        if seed % 4 == 3:
+            F[:, 0] = np.abs(F[:, 0])  # every row bounds x1 from above only: unbounded below
+        x0 = rng.standard_normal(n)
+        g = F @ x0 + rng.uniform(0.1, 1.0, len(F))
+        pick = rng.choice(len(F), 3, replace=False)
+        F = np.vstack([F, F[pick[0]], 2.0 * F[pick[1]], F[pick[2]]])
+        g = np.concatenate([g, [g[pick[0]], 2.0 * g[pick[1]], g[pick[2]] + 0.3]])
+        order = rng.permutation(len(F))
+        cases.append(Polytope(F[order], g[order]))
+    return cases
+
+
+def test_remove_redundant_matches_per_row_oracle(lp_path):
+    # the rows kept on one load are exactly those that one fresh LP per row keeps, in order
+    for P in _redundancy_cases():
+        keep = helpers.redundancy_oracle(P.F, P.g)
+        R = remove_redundant(P)
+        assert np.array_equal(R.F, P.F[keep]) and np.array_equal(R.g, P.g[keep])
+
+
 class TestContainment:
     def test_nested_boxes(self):
         big = Polytope.box([-2.0, -2.0], [2.0, 2.0])
@@ -259,6 +291,11 @@ class TestMaxPositivelyInvariant:
         pts = helpers.sample_polytope(rng, omega.F, omega.g, 1000, lo, hi)
         images = pts @ A.T
         assert np.all(images @ omega.F.T <= omega.g + 1e-7)
+
+
+@pytest.mark.usefixtures("linprog_path")
+class TestMaxPositivelyInvariantLinprog(TestMaxPositivelyInvariant):
+    """The checks above on the linprog fallback."""
 
 
 def test_vertices_2d_unit_box():

@@ -176,11 +176,12 @@ class TestVerifyStability:
         )
 
     def test_case_study_lp_budget(
-        self, case_system, case_Xin, case_X, case_U, case_net, count_lps
+        self, case_system, case_Xin, case_X, case_U, case_net, count_lps, count_loads
     ):
         # one closed-loop encoding per call, whose step 0 is the input check,
-        # each state block boxed once, R_eq computed once, and R_as from a
-        # single invariant-set fixpoint: 69 LPs outside the branch and bound.
+        # each state block boxed once, R_eq pruned on one load, and R_as from a
+        # single invariant-set fixpoint on one load: 67 LPs outside the branch
+        # and bound, and 10 loads in all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
         # from; here both LP paths count 354.
@@ -188,7 +189,8 @@ class TestVerifyStability:
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
         assert cert.stability.k_star == 5
         assert cert.milp_nodes == 354
-        assert count_lps() == cert.milp_nodes + 69
+        assert count_lps() == cert.milp_nodes + 67
+        assert count_loads() == 10
 
     def test_without_reference_gain(self, case_system, case_Xin, case_X, case_U, case_net):
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
