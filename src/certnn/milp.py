@@ -25,9 +25,15 @@ step k >= 1 the box LPs and every direction share one loaded relaxation.
 The solver is a best-first branch and bound on the LP relaxation, branching
 on the most fractional binary (ties to the lowest index).  It stops at a
 relative gap of 1e-6 and returns both the incumbent and a proven upper
-bound on the maximum.  Every :class:`MilpModel` carries its relaxation
-loaded into one :class:`certnn.lp.LpModel`, shared by the copies that differ
-only in the objective.  A search sets its objective and root bounds on it; a
+bound on the maximum.  Given a cutoff it decides instead of optimizing:
+it stops at the first node that settles whether the maximum exceeds it, so
+it never branches on a node whose bound is at most the cutoff.  A proof returns
+only a proven bound at most the cutoff; a refutation returns the maximum
+and its point, as a search without a cutoff would.
+
+Every :class:`MilpModel` carries its relaxation loaded into one
+:class:`certnn.lp.LpModel`, shared by the copies that differ only in the
+objective.  A search sets its objective and root bounds on it; a
 node passes only the binary bounds in which it differs from the node solved
 before it, and HiGHS re-solves warm from the previous basis.  The box LPs of
 a state block are one ``LpModel.maxima`` call that swaps only the cost.
@@ -66,6 +72,7 @@ class MilpError(CertnnError):
 class BnbStatus:
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
+    BELOW_CUTOFF = "below_cutoff"
 
 
 @dataclass
@@ -107,7 +114,10 @@ class MilpModel:
 
 @dataclass
 class BnbResult:
-    """value is the incumbent, attained at point; bound is a proven upper bound on the max."""
+    """value is the incumbent, attained at point; bound is a proven upper bound on the max.
+
+    A BELOW_CUTOFF result has no incumbent, only the proven bound.
+    """
 
     status: str
     value: float | None = None
@@ -327,8 +337,19 @@ def encode_reach(system, net: ReluNetwork, X_in: Polytope, k: int, direction) ->
     return ClosedLoopEncoding(system, net, X_in).model(k, direction)
 
 
-def solve_milp(m: MilpModel) -> BnbResult:
+def solve_milp(m: MilpModel, cutoff: float | None = None) -> BnbResult:
     """Best-first branch and bound; proves a global optimum or infeasibility.
+
+    With a ``cutoff`` it only decides whether the maximum exceeds it, and
+    stops at the first popped node that settles the question.  Best first
+    pops the largest open bound, so no node with a bound <= cutoff is ever
+    branched on:
+
+    - a popped bound <= cutoff proves the maximum is at most the cutoff: the
+      result is BELOW_CUTOFF with no incumbent, and that bound as ``bound``;
+    - an integral node above the cutoff refutes it: the result is OPTIMAL as
+      without a cutoff, since its bound is the largest one open, so its
+      value is the maximum.
 
     Raises MilpError when the search would solve more than MAX_NODES LPs.
     """
@@ -357,13 +378,17 @@ def solve_milp(m: MilpModel) -> BnbResult:
     while heap:
         neg_bound, _, lb, ub, x = heapq.heappop(heap)
         bound = -neg_bound
+        # best first: the popped bound is the largest of every node still open
+        if cutoff is not None and bound <= cutoff:
+            return BnbResult(BnbStatus.BELOW_CUTOFF, nodes=nodes, bound=bound)
         if inc_point is not None and bound - inc_val <= GAP_REL * (1.0 + abs(inc_val)):
-            # best first: the popped bound is the largest of every node still open
             proven = bound
             break
         tvals = x[binaries]
         frac = np.minimum(np.abs(tvals), np.abs(1.0 - tvals))
         if frac.size == 0 or frac.max() <= INTEGRALITY_TOL:
+            if cutoff is not None:
+                return BnbResult(BnbStatus.OPTIMAL, value=bound, point=x, nodes=nodes, bound=bound)
             if bound > inc_val:
                 inc_val = bound
                 inc_point = x
@@ -390,13 +415,18 @@ def solve_milp(m: MilpModel) -> BnbResult:
     )
 
 
-def _solve_directions(make_model, directions) -> list[BnbResult]:
+def _solve_directions(make_model, directions, cutoffs=None) -> list[BnbResult]:
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    if cutoffs is None:
+        cutoffs = [None] * len(directions)
     results = []
-    for d in np.atleast_2d(np.asarray(directions, dtype=float)):
-        res = solve_milp(make_model(d))
-        if res.status != BnbStatus.OPTIMAL:
+    for d, cutoff in zip(directions, cutoffs):
+        res = solve_milp(make_model(d), cutoff)
+        if res.status == BnbStatus.INFEASIBLE:
             raise MilpError("direction query infeasible; input set is empty")
         results.append(res)
+        if cutoff is not None and res.status == BnbStatus.OPTIMAL:
+            break
     return results
 
 
@@ -419,16 +449,19 @@ def output_range(net: ReluNetwork, X_in: Polytope, directions) -> np.ndarray:
 
 
 def reach_results(
-    system, net: ReluNetwork, X_in: Polytope, k: int, directions, encoding=None
+    system, net: ReluNetwork, X_in: Polytope, k: int, directions, encoding=None, cutoffs=None
 ) -> list[BnbResult]:
     """One branch and bound per direction at step k, all on one encoding.
 
     Pass ``encoding`` (a ClosedLoopEncoding of the same system, net and X_in)
-    to share it with queries at other horizons.
+    to share it with queries at other horizons.  With ``cutoffs``, one per
+    direction, each search only decides whether its maximum exceeds its
+    cutoff (see ``solve_milp``); the directions are solved in order and the
+    results end with the first refuted one.
     """
     if encoding is None:
         encoding = ClosedLoopEncoding(system, net, X_in)
-    return _solve_directions(lambda d: encoding.model(k, d), directions)
+    return _solve_directions(lambda d: encoding.model(k, d), directions, cutoffs)
 
 
 def reach_set(system, net: ReluNetwork, X_in: Polytope, k: int, directions) -> np.ndarray:

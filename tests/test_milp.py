@@ -6,6 +6,7 @@ from conftest import random_net
 from certnn import lp, milp
 from certnn.control import LtiSystem
 from certnn.milp import (
+    BnbStatus,
     ClosedLoopEncoding,
     MilpError,
     UnboundedInput,
@@ -300,3 +301,87 @@ class TestLpPaths:
         half_line = Polytope(np.array([[1.0]]), np.array([1.0]))
         with pytest.raises(UnboundedInput):
             output_range(identity_pair_net, half_line, [[1.0]])
+
+
+class TestCutoff:
+    """A search with a cutoff decides whether the maximum exceeds it, on both LP
+    paths: a refutation gives the oracle's maximum with a witness that replays,
+    a proof a bound between the maximum and the cutoff, and neither costs more
+    nodes than the search without a cutoff on the same model."""
+
+    OFFSETS = (-0.5, -1e-3, 1e-3, 0.5)
+
+    def _sys(self):
+        return LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
+
+    def _check(self, encode, want, replay):
+        # every search runs on a fresh encoding, so each starts from the same
+        # basis and the node counts compare the searches alone
+        exact = solve_milp(encode())
+        for offset in self.OFFSETS:
+            cutoff = want + offset
+            model = encode()
+            res = solve_milp(model, cutoff)
+            if want > cutoff:
+                assert res.status == BnbStatus.OPTIMAL
+                assert res.value == pytest.approx(want, abs=1e-9)
+                assert res.bound == res.value
+                x0 = res.point[model.x0_idx]
+                assert UNIT_BOX.contains_point(x0, tol=1e-6)
+                assert replay(x0) == pytest.approx(res.value, abs=1e-6)
+            else:
+                assert res.status == BnbStatus.BELOW_CUTOFF
+                assert res.point is None
+                assert want - 1e-9 <= res.bound <= cutoff
+            assert res.nodes <= exact.nodes
+
+    def test_output_range(self, lp_path):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            net = random_net(rng, 2, [3, 2], 1)
+            for d in np.array([[1.0], [-1.0]]):
+                want = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, d)
+                self._check(
+                    lambda: encode_output_range(net, UNIT_BOX, d),
+                    want,
+                    lambda x0: float(d @ net.eval(x0)),
+                )
+
+    def test_reach(self, lp_path):
+        rng = np.random.default_rng(32)
+        sys = self._sys()
+        dirs = np.array([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8]])
+        for _ in range(2):
+            net = random_net(rng, 2, [3], 1, scale=0.5)
+            for k in range(1, 4):
+                for d in dirs:
+                    want = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, d)
+
+                    def replay(x0):
+                        for _ in range(k):
+                            x0 = sys.A @ x0 + sys.B @ net.eval(x0)
+                        return float(d @ x0)
+
+                    self._check(lambda: encode_reach(sys, net, UNIT_BOX, k, d), want, replay)
+
+    def test_directions_stop_at_first_refutation(self):
+        # with cutoffs, reach_results solves the directions in order and ends
+        # with the first one whose maximum exceeds its cutoff
+        rng = np.random.default_rng(33)
+        sys = self._sys()
+        net = random_net(rng, 2, [3], 1, scale=0.5)
+        dirs = np.array([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8], [0.0, 1.0]])
+        enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+        exact = reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc)
+        maxima = np.array([r.value for r in exact])
+        cutoffs = maxima + np.array([0.1, 0.1, -0.1, 0.1])
+        got = reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc, cutoffs=cutoffs)
+        assert [r.status for r in got] == [
+            BnbStatus.BELOW_CUTOFF,
+            BnbStatus.BELOW_CUTOFF,
+            BnbStatus.OPTIMAL,
+        ]
+        assert got[2].value == pytest.approx(maxima[2], abs=1e-9)
+        got = reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc, cutoffs=maxima + 0.1)
+        assert len(got) == len(dirs)
+        assert all(r.status == BnbStatus.BELOW_CUTOFF for r in got)

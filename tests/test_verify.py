@@ -5,11 +5,13 @@ import pytest
 
 import helpers
 from conftest import CASE_K, CASE_Q, CASE_R
+import certnn.verify as verify_module
 from certnn import milp
 from certnn.control import lqr
 from certnn.network import ReluNetwork, synth_satlqr
 from certnn.polytope import Polytope, bounding_box, contains_set
 from certnn.verify import (
+    CONTAIN_TOL,
     Certificate,
     EmptyStabilitySet,
     StabilityReport,
@@ -179,18 +181,21 @@ class TestVerifyStability:
         self, case_system, case_Xin, case_X, case_U, case_net, count_lps, count_loads
     ):
         # one closed-loop encoding per call, whose step 0 is the input check,
-        # each state block boxed once, R_eq pruned on one load, and R_as from a
-        # single invariant-set fixpoint on one load: 67 LPs outside the branch
-        # and bound, and 10 loads in all.
+        # each state block boxed once, R_eq pruned on one load, R_as from a
+        # single invariant-set fixpoint on one load and checked non-empty
+        # without an LP: 66 LPs outside the branch and bound, and 9 loads in
+        # all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
-        # from; here both LP paths count 354.
+        # from; here both LP paths count 168, of which the reach search
+        # spends 3 / 7 / 11 / 19 / 94 at k = 1..5.
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
         assert cert.stability.k_star == 5
-        assert cert.milp_nodes == 354
-        assert count_lps() == cert.milp_nodes + 67
-        assert count_loads() == 10
+        assert cert.milp_nodes == 168
+        assert cert.stability.reach_nodes == [3, 7, 11, 19, 94]
+        assert count_lps() == cert.milp_nodes + 66
+        assert count_loads() == 9
 
     def test_without_reference_gain(self, case_system, case_Xin, case_X, case_U, case_net):
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
@@ -235,6 +240,137 @@ class TestVerifyStability:
         )
 
 
+def _exact_reach_search(sys, net, X_in, R_as, k_max):
+    """The reach search that solves every facet of R_as to optimality at every k.
+
+    Facets in R_as's order, containment decided on the proven bounds.
+    Returns (k*, the maxima at k*), or (None, None) when no k <= k_max passes.
+    """
+    encoding = milp.ClosedLoopEncoding(sys, net, X_in)
+    for k in range(1, k_max + 1):
+        results = milp.reach_results(sys, net, X_in, k, R_as.F, encoding=encoding)
+        if all(r.bound <= g + CONTAIN_TOL for r, g in zip(results, R_as.g)):
+            return k, np.array([r.value for r in results])
+    return None, None
+
+
+class TestDecisionSearch:
+    """The reach search decides each facet at its offset; its answers are the
+    exact search's."""
+
+    CASES = {
+        "case_study": (lambda F, g: Polytope(F, 0.999 * g), Verdict.LQR_OPTIMAL_NEAR_EQ),
+        "box_0.02": (lambda F, g: Polytope.box([-0.02, -0.02], [0.02, 0.02]), Verdict.INPUT_ONLY),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_same_answers_as_exact_search(
+        self, name, case_system, case_Xin, case_X, case_U, case_net
+    ):
+        make_X_in, verdict = self.CASES[name]
+        X_in = make_X_in(case_Xin.F, case_Xin.g)
+        cert = verify_stability(
+            case_system, case_net, X_in, case_X, case_U, k_max=10, K_ref=CASE_K
+        )
+        _, U_star = verify_input(case_net, X_in, case_U)
+        _, X_1, witnesses = verify_invariance(case_system, case_net, X_in, case_U)
+        R_as = cert.stability.R_as
+        k_star, maxima = _exact_reach_search(case_system, case_net, X_in, R_as, 10)
+        assert cert.verdict == verdict
+        assert cert.stability.k_star == k_star
+        assert len(cert.stability.reach_nodes) == k_star
+        np.testing.assert_array_equal(cert.U_star.g, U_star.g)
+        np.testing.assert_array_equal(cert.X_1_out.g, X_1.g)
+        assert len(cert.witnesses) == len(witnesses)
+        for got, want in zip(cert.witnesses, witnesses):
+            np.testing.assert_array_equal(got, want)
+        # X_k_out holds proven bounds: inside R_as, and above the maxima
+        np.testing.assert_array_equal(cert.stability.X_k_out.F, R_as.F)
+        assert np.all(cert.stability.X_k_out.g <= R_as.g + CONTAIN_TOL)
+        assert np.all(cert.stability.X_k_out.g >= maxima - 1e-9)
+
+    def test_unreplayed_refutation_falls_back_to_bound(
+        self, monkeypatch, case_system, case_Xin, case_X, case_U, case_net
+    ):
+        # a refutation whose x0 is the origin replays inside R_as, so it must
+        # not end its k: every facet is searched at every k, and each facet is
+        # decided on its proven bound
+        solve = milp.solve_milp
+        searched = []
+
+        def unreplayable(m, cutoff=None):
+            res = solve(m, cutoff)
+            if cutoff is not None:
+                searched.append(cutoff)
+                if res.status == milp.BnbStatus.OPTIMAL:
+                    res = replace(res, point=np.zeros_like(res.point))
+            return res
+
+        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
+        want = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
+        monkeypatch.setattr(milp, "solve_milp", unreplayable)
+        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
+        R_as = cert.stability.R_as
+        assert cert.verdict == want.verdict
+        assert cert.stability.k_star == want.stability.k_star == 5
+        assert len(searched) == 5 * R_as.g.size
+        assert all(
+            got >= fast for got, fast in zip(cert.stability.reach_nodes, want.stability.reach_nodes)
+        )
+        assert np.all(cert.stability.X_k_out.g <= R_as.g + CONTAIN_TOL)
+
+    def test_failed_facet_searched_first(
+        self, monkeypatch, case_system, case_Xin, case_X, case_U, case_net
+    ):
+        # each k starts with the facet refuted at k - 1, the last one searched
+        # there; with the rows of R_as reversed, the facet refuted at k = 4 is
+        # not the one refuted before it
+        make = verify_module.stability_set
+
+        def reversed_rows(*args):
+            R_as = make(*args)
+            return Polytope(R_as.F[::-1], R_as.g[::-1])
+
+        reach = milp.reach_results
+        searched = []
+
+        def recording(sys, net, X_in, k, directions, encoding=None, cutoffs=None):
+            results = reach(sys, net, X_in, k, directions, encoding=encoding, cutoffs=cutoffs)
+            if cutoffs is not None:
+                searched.append(np.asarray(directions)[: len(results)])
+            return results
+
+        monkeypatch.setattr(verify_module, "stability_set", reversed_rows)
+        monkeypatch.setattr(milp, "reach_results", recording)
+        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
+        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
+        assert cert.stability.k_star == len(searched) == 5
+        for before, now in zip(searched, searched[1:]):
+            np.testing.assert_array_equal(now[0], before[-1])
+        assert not np.array_equal(searched[4][0], searched[0][0])
+
+    def test_reach_nodes_add_up(
+        self, monkeypatch, case_system, case_Xin, case_X, case_U, case_net
+    ):
+        # the exact searches are the input and one-step checks, the searches
+        # with a cutoff the reach search
+        solve = milp.solve_milp
+        exact, decided = [], []
+
+        def recording(m, cutoff=None):
+            res = solve(m, cutoff)
+            (exact if cutoff is None else decided).append(res.nodes)
+            return res
+
+        monkeypatch.setattr(milp, "solve_milp", recording)
+        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
+        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
+        reach_nodes = cert.stability.reach_nodes
+        assert len(reach_nodes) == cert.stability.k_star
+        assert sum(reach_nodes) == sum(decided)
+        assert cert.milp_nodes == sum(exact) + sum(reach_nodes)
+
+
 def test_certificate_json_layout():
     # certificate.json is read by other tools: pin its keys, their order and
     # how sets and witnesses are written
@@ -247,7 +383,9 @@ def test_certificate_json_layout():
         input_ok=True,
         U_star=box,
         X_1_out=box,
-        stability=StabilityReport(bias_residual=0.0, spectral_radius=0.5, R_as=box, k_star=2),
+        stability=StabilityReport(
+            bias_residual=0.0, spectral_radius=0.5, R_as=box, k_star=2, reach_nodes=[3, 2]
+        ),
         witnesses=[np.array([0.5]), np.array([-0.25])],
         milp_nodes=7,
     )
@@ -256,7 +394,7 @@ def test_certificate_json_layout():
         '{"verdict": "InputOnly", "reason": "one-step invariance of X_in failed", '
         f'"input_ok": true, "invariance_ok": false, "U_star": {box_json}, "X_1_out": {box_json}, '
         '"stability": {"bias_residual": 0.0, "spectral_radius": 0.5, "lqr_match_residual": null, '
-        f'"R_eq": null, "R_as": {box_json}, "k_star": 2, "X_k_out": null}}, '
+        f'"R_eq": null, "R_as": {box_json}, "k_star": 2, "X_k_out": null, "reach_nodes": [3, 2]}}, '
         '"witnesses": [[0.5], [-0.25]], "milp_nodes": 7}'
     )
     assert json.dumps(Certificate(verdict=Verdict.FAILED).to_json()) == (
