@@ -29,7 +29,9 @@ bound on the maximum.  Given a cutoff it decides instead of optimizing:
 it stops at the first node that settles whether the maximum exceeds it, so
 it never branches on a node whose bound is at most the cutoff.  A proof returns
 only a proven bound at most the cutoff; a refutation returns the maximum
-and its point, as a search without a cutoff would.
+and its point, as a search without a cutoff would.  A decision has no gap
+stop, so for a cutoff within the gap of the maximum it can prove what the
+gap-stopped search leaves above the cutoff (see ``solve_milp``).
 
 Every :class:`MilpModel` carries its relaxation loaded into one
 :class:`certnn.lp.LpModel`, shared by the copies that differ only in the
@@ -350,6 +352,13 @@ def solve_milp(m: MilpModel, cutoff: float | None = None) -> BnbResult:
     - an integral node above the cutoff refutes it: the result is OPTIMAL as
       without a cutoff, since its bound is the largest one open, so its
       value is the maximum.
+
+    There is no GAP_REL stop with a cutoff.  A search without one can stop
+    with its incumbent at most the cutoff and its bound above it, so its
+    bound says the maximum may exceed the cutoff; with that cutoff the
+    search goes on until it decides, which can prove the maximum below the
+    cutoff and can solve more nodes than the gap-stopped search.  A cutoff
+    farther from the maximum than the gap gives the same answer either way.
 
     Raises MilpError when the search would solve more than MAX_NODES LPs.
     """

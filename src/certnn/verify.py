@@ -16,13 +16,12 @@ The input and one-step checks solve each facet to optimality, since U_star
 and X_1_out are outputs.  The reach search only needs a yes or a no per
 facet, so it is a decision search: each facet's branch and bound has the
 cutoff g_i + CONTAIN_TOL (the containment rule itself), and a failing k
-stops at its first refuted facet, which is tried first at k + 1.  A
-refutation is trusted only once its point replays: x0 rolled k steps
-through the network and the plant leaves the facet.  One that does not
-replay is decided on its proven bound, and the search of that k goes on.
-At k* the certificate's X_k_out holds the proven bounds (each within the
-facet's offset), not the maxima: re-optimizing the facets at k* would cost
-164 nodes instead of 98 on the case-study X_in.
+stops at its first refuted facet.  A refutation is an exact maximum above
+the cutoff, so it fails its k on the proven bound as the exact search
+would; no replay is needed to trust it, since failing is the conservative
+answer.  At k* the certificate's X_k_out holds the proven bounds (each
+within the facet's offset), not the maxima: re-optimizing the facets at k*
+would cost 164 nodes instead of 98 on the case-study X_in.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from certnn import milp
-from certnn.control import LtiSystem, lqr_admissible_set, simulate, spectral_radius
+from certnn.control import LtiSystem, lqr_admissible_set, spectral_radius
 from certnn.errors import CertnnError
 from certnn.network import ReluNetwork
 from certnn.polytope import EmptyInput, Polytope, intersect
@@ -137,33 +136,6 @@ def _one_step_check(
     # x0 is always the first block of model variables (see ClosedLoopEncoding).
     witnesses = [r.point[: sys.n_x] for r, g in zip(results, X_in.g) if r.value > g + CONTAIN_TOL]
     return ok, X_1, witnesses, nodes
-
-
-def _reach_bounds(
-    sys: LtiSystem, net: ReluNetwork, X_in: Polytope, R_as: Polytope, k: int, order, encoding
-) -> tuple[np.ndarray, int]:
-    """Proven bounds on max F_i x_k over X_in for the facets of R_as, and the nodes spent.
-
-    The facets are decided in ``order`` against g_i + CONTAIN_TOL, up to the
-    first refutation that replays (see the module docstring); the facets
-    after it keep the bound +inf.
-    """
-    bounds = np.full(R_as.g.size, np.inf)
-    nodes = 0
-    while order:
-        results = milp.reach_results(
-            sys, net, X_in, k, R_as.F[order], encoding=encoding, cutoffs=R_as.g[order] + CONTAIN_TOL
-        )
-        bounds[order[: len(results)]] = [r.bound for r in results]
-        nodes += sum(r.nodes for r in results)
-        i, last = order[len(results) - 1], results[-1]
-        order = order[len(results) :]
-        if last.status == milp.BnbStatus.OPTIMAL:
-            # x0 is always the first block of model variables (see ClosedLoopEncoding).
-            x_k = simulate(sys, net, last.point[: sys.n_x], k).states[-1]
-            if R_as.F[i] @ x_k > R_as.g[i] + CONTAIN_TOL:
-                break
-    return bounds, nodes
 
 
 def verify_invariance(
@@ -302,17 +274,18 @@ def verify_stability(
     except EmptyStabilitySet:
         return fallback("empty stability set")
 
-    order = list(range(R_as.g.size))
     for k in range(1, k_max + 1):
-        bounds, nodes = _reach_bounds(sys, net, X_in, R_as, k, order, encoding)
+        results = milp.reach_results(
+            sys, net, X_in, k, R_as.F, encoding=encoding, cutoffs=R_as.g + CONTAIN_TOL
+        )
+        nodes = sum(r.nodes for r in results)
         cert.milp_nodes += nodes
         report.reach_nodes.append(nodes)
-        over = bounds > R_as.g + CONTAIN_TOL
-        if not over.any():
-            report.k_star, report.X_k_out = k, Polytope(R_as.F.copy(), bounds)
+        # the results end at the first refuted facet, so all proved means all facets
+        if all(r.status == milp.BnbStatus.BELOW_CUTOFF for r in results):
+            X_k = Polytope(R_as.F.copy(), np.array([r.bound for r in results]))
+            report.k_star, report.X_k_out = k, X_k
             break
-        failed = next(i for i in order if over[i])
-        order = [failed] + [i for i in range(R_as.g.size) if i != failed]
     if report.k_star is None:
         return fallback(f"no k <= {k_max} with reachable set inside R_as")
 

@@ -306,8 +306,10 @@ class TestLpPaths:
 class TestCutoff:
     """A search with a cutoff decides whether the maximum exceeds it, on both LP
     paths: a refutation gives the oracle's maximum with a witness that replays,
-    a proof a bound between the maximum and the cutoff, and neither costs more
-    nodes than the search without a cutoff on the same model."""
+    a proof a bound between the maximum and the cutoff.  The cutoffs lie at
+    least 1e-3 from the maximum, outside the final gap of the search without
+    a cutoff, and on these models neither costs more nodes than that search
+    on the same model."""
 
     OFFSETS = (-0.5, -1e-3, 1e-3, 0.5)
 

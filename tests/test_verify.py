@@ -5,7 +5,6 @@ import pytest
 
 import helpers
 from conftest import CASE_K, CASE_Q, CASE_R
-import certnn.verify as verify_module
 from certnn import milp
 from certnn.control import lqr
 from certnn.network import ReluNetwork, synth_satlqr
@@ -288,66 +287,6 @@ class TestDecisionSearch:
         np.testing.assert_array_equal(cert.stability.X_k_out.F, R_as.F)
         assert np.all(cert.stability.X_k_out.g <= R_as.g + CONTAIN_TOL)
         assert np.all(cert.stability.X_k_out.g >= maxima - 1e-9)
-
-    def test_unreplayed_refutation_falls_back_to_bound(
-        self, monkeypatch, case_system, case_Xin, case_X, case_U, case_net
-    ):
-        # a refutation whose x0 is the origin replays inside R_as, so it must
-        # not end its k: every facet is searched at every k, and each facet is
-        # decided on its proven bound
-        solve = milp.solve_milp
-        searched = []
-
-        def unreplayable(m, cutoff=None):
-            res = solve(m, cutoff)
-            if cutoff is not None:
-                searched.append(cutoff)
-                if res.status == milp.BnbStatus.OPTIMAL:
-                    res = replace(res, point=np.zeros_like(res.point))
-            return res
-
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
-        want = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
-        monkeypatch.setattr(milp, "solve_milp", unreplayable)
-        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
-        R_as = cert.stability.R_as
-        assert cert.verdict == want.verdict
-        assert cert.stability.k_star == want.stability.k_star == 5
-        assert len(searched) == 5 * R_as.g.size
-        assert all(
-            got >= fast for got, fast in zip(cert.stability.reach_nodes, want.stability.reach_nodes)
-        )
-        assert np.all(cert.stability.X_k_out.g <= R_as.g + CONTAIN_TOL)
-
-    def test_failed_facet_searched_first(
-        self, monkeypatch, case_system, case_Xin, case_X, case_U, case_net
-    ):
-        # each k starts with the facet refuted at k - 1, the last one searched
-        # there; with the rows of R_as reversed, the facet refuted at k = 4 is
-        # not the one refuted before it
-        make = verify_module.stability_set
-
-        def reversed_rows(*args):
-            R_as = make(*args)
-            return Polytope(R_as.F[::-1], R_as.g[::-1])
-
-        reach = milp.reach_results
-        searched = []
-
-        def recording(sys, net, X_in, k, directions, encoding=None, cutoffs=None):
-            results = reach(sys, net, X_in, k, directions, encoding=encoding, cutoffs=cutoffs)
-            if cutoffs is not None:
-                searched.append(np.asarray(directions)[: len(results)])
-            return results
-
-        monkeypatch.setattr(verify_module, "stability_set", reversed_rows)
-        monkeypatch.setattr(milp, "reach_results", recording)
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
-        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
-        assert cert.stability.k_star == len(searched) == 5
-        for before, now in zip(searched, searched[1:]):
-            np.testing.assert_array_equal(now[0], before[-1])
-        assert not np.array_equal(searched[4][0], searched[0][0])
 
     def test_reach_nodes_add_up(
         self, monkeypatch, case_system, case_Xin, case_X, case_U, case_net
