@@ -54,11 +54,14 @@ def _setup_logging():
 def _load_json(path: str) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            data = json.load(f)
     except FileNotFoundError as exc:
         raise ConfigError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot parse {path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _load_inputs(args, need_network=True, need_xin=True):

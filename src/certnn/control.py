@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from certnn.errors import NoConvergence
+from certnn.errors import EmptyInput, NoConvergence
 from certnn.network import ReluNetwork
 from certnn.polytope import Polytope, intersect, max_positively_invariant
 
@@ -134,6 +134,8 @@ def system_from_json(data: dict) -> tuple[LtiSystem, dict]:
     if "U_box" in data:
         lb = np.asarray(data["U_box"]["lb"], dtype=float)
         ub = np.asarray(data["U_box"]["ub"], dtype=float)
+        if np.any(lb > ub):
+            raise EmptyInput("U_box is empty: lb > ub")
         aux["U_box"] = (lb, ub)
         aux["U"] = Polytope.box(lb, ub)
     elif "U" in data:

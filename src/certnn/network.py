@@ -181,8 +181,11 @@ class ReluNetwork:
 
     @staticmethod
     def from_json(data: dict) -> "ReluNetwork":
+        layers = data.get("layers") if isinstance(data, dict) else None
+        if not (isinstance(layers, list) and all(isinstance(l, dict) for l in layers)):
+            raise ValueError("a network is an object whose 'layers' is a list of {W, b} objects")
         return ReluNetwork(
-            [(np.asarray(l["W"], dtype=float), np.asarray(l["b"], dtype=float)) for l in data["layers"]]
+            [(np.asarray(l["W"], dtype=float), np.asarray(l["b"], dtype=float)) for l in layers]
         )
 
     def save(self, path):

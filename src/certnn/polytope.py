@@ -6,10 +6,14 @@ matrix of directions on that load, so containment and the bounding box are
 one support call; an unbounded direction has support +inf.  Redundancy
 removal also loads the rows once: it tests one row at a time by relaxing
 that row's right-hand side in place, and drops a redundant row by setting
-its right-hand side to +inf.  Intersection only stacks rows; the one
+its right-hand side to +inf.  When the origin is strictly inside, a ray from
+the origin along each row normal first proves some rows to be facets, and
+those rows need no LP (the ray-shooting step of Clarkson's output-sensitive
+redundancy removal, FOCS 1994).  Intersection only stacks rows; the one
 operation that prunes is the maximal positively invariant set of a stable
-linear map, which keeps one loaded LP for its whole fixpoint: it appends
-the rows that cut and removes redundancy once at the end, on the same load.
+linear map, which keeps one loaded LP for its whole fixpoint: each step
+tests only the images of the rows that cut at the step before, appends the
+rows that cut and removes redundancy once at the end, on the same load.
 Set equality is always decided by mutual containment, never by comparing
 rows, because equivalent H-representations can differ in row order and
 scaling.
@@ -128,9 +132,18 @@ def remove_redundant(P: Polytope) -> Polytope:
 
 
 def _prune(model: lp.LpModel, P: Polytope) -> Polytope:
-    """remove_redundant on a model whose inequality rows are those of P, in order."""
+    """remove_redundant on a model whose inequality rows are those of P, in order.
+
+    A row that a ray from the origin proves to be a facet is kept without an
+    LP (see _ray_facets); every other row is tested in order as described
+    in remove_redundant, so the rows kept are the same.
+    """
     keep = []
+    facets = _ray_facets(P)
     for i in range(P.nrows):
+        if facets[i]:
+            keep.append(i)
+            continue
         model.set_rhs(i, P.g[i] + 1.0)
         model.set_objective(P.F[i])
         out = model.solve()
@@ -140,6 +153,35 @@ def _prune(model: lp.LpModel, P: Polytope) -> Polytope:
             model.set_rhs(i, P.g[i])
             keep.append(i)
     return Polytope(P.F[keep], P.g[keep])
+
+
+def _ray_facets(P: Polytope) -> np.ndarray:
+    """Mask of the rows that a ray from the origin along a row normal proves to be facets.
+
+    Only when g > 0, so the origin is strictly inside P.  The ray t F_j,
+    t > 0, meets row i at t = g_i / (F_i . F_j) wherever F_i . F_j > 0.  If
+    it meets row f first and the next row later, the points between the two
+    hits violate row f alone, so F_f x rises above g_f by
+    (t2 - t1) F_f . F_j before any other row stops it; a ray that meets no
+    other row lets it rise without end.  Where that rise exceeds
+    10 * CONTAINMENT_TOL, ten times HiGHS's feasibility tolerance, the LP
+    scan would keep row f too.  Ties (duplicate or scaled duplicate rows)
+    and zero rows, which no ray meets, are left to the LP.
+    """
+    m = P.nrows
+    facets = np.zeros(m, dtype=bool)
+    if not m or np.any(P.g <= 0.0):
+        return facets
+    R = P.F @ P.F.T
+    t = np.full((m + 1, m), np.inf)  # t[i, j]: where ray j meets row i; row m is never met
+    np.divide(P.g[:, None], R, out=t[:m], where=R > 0.0)
+    first = np.argmin(t, axis=0)
+    t1, t2 = np.partition(t, 1, axis=0)[:2]
+    rise = np.full(m, np.inf)
+    two = np.isfinite(t2)  # then t1 is finite too: no inf - inf
+    rise[two] = (t2[two] - t1[two]) * R[first[two], np.flatnonzero(two)]
+    facets[first[np.isfinite(t1) & (rise > 10.0 * CONTAINMENT_TOL)]] = True
+    return facets
 
 
 def contains_set(outer: Polytope, inner: Polytope, tol: float = CONTAINMENT_TOL) -> bool:
@@ -162,11 +204,14 @@ def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     The maximal admissible set iteration of Gilbert & Tan (IEEE TAC 1991):
     O_k = {x : F A_cl^i x <= g, i = 0..k}, growing only by the rows of
     F A_cl^(k+1) whose support on O_k exceeds g (an unbounded support counts
-    as a cut).  When no row cuts, O_k is invariant and is returned with its
-    redundant rows removed.  When the rows squeeze every point out, the empty
-    stack is returned: it is the (trivially invariant) fixpoint.  One LP is
-    loaded for the whole fixpoint: the cutting rows are appended to it and
-    the final pruning runs on it.
+    as a cut).  Only the rows that cut at step k are tested at step k + 1:
+    x in O_(k+1) puts A_cl x in O_k, so the support of F_j A_cl^(k+2) on
+    O_(k+1) is at most that of F_j A_cl^(k+1) on O_k, and a row that did not
+    cut at step k never cuts again.  When no row cuts, O_k is invariant and
+    is returned with its redundant rows removed.  When the rows squeeze every
+    point out, the empty stack is returned: it is the (trivially invariant)
+    fixpoint.  One LP is loaded for the whole fixpoint: the cutting rows are
+    appended to it and the final pruning runs on it.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     if A_cl.shape != (P.dim, P.dim):
@@ -174,17 +219,18 @@ def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     model = _load(P)
     if model.solve().status == lp.LpStatus.INFEASIBLE:
         raise EmptyInput("invariant set of an empty polytope")
-    omega, F_k = P, P.F
+    omega, F_k, g_k = P, P.F, P.g
     for _ in range(MAX_FIXPOINT_ITER):
         F_k = F_k @ A_cl
         try:
-            cuts = np.flatnonzero(_unit_maxima(model, F_k) > P.g + REDUNDANCY_TOL)
+            cuts = np.flatnonzero(_unit_maxima(model, F_k) > g_k + REDUNDANCY_TOL)
         except EmptyInput:
             return omega
         if not cuts.size:
             return _prune(model, omega)
-        model.add_rows(F_k[cuts], P.g[cuts])
-        omega = Polytope(np.vstack([omega.F, F_k[cuts]]), np.concatenate([omega.g, P.g[cuts]]))
+        F_k, g_k = F_k[cuts], g_k[cuts]
+        model.add_rows(F_k, g_k)
+        omega = Polytope(np.vstack([omega.F, F_k]), np.concatenate([omega.g, g_k]))
     raise NoConvergence(f"no fixpoint after {MAX_FIXPOINT_ITER} iterations")
 
 

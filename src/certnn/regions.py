@@ -3,7 +3,9 @@
 Depth-first search over neurons in layer order: each neuron splits the
 current cell by its pre-activation hyperplane and infeasible branches are
 pruned with an LP, so only realizable patterns are visited (worst case still
-2^n, hence the neuron cap).
+2^n, hence the neuron cap).  One LP is loaded for the whole search: a branch
+appends its half-space row and leaving the branch drops that row again by
+setting its right-hand side to +inf.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from certnn import lp
 from certnn.errors import CertnnError, EmptyInput
 from certnn.network import Pattern, ReluNetwork
-from certnn.polytope import Polytope, is_empty, remove_redundant
+from certnn.polytope import Polytope, remove_redundant
 
 NEURON_CAP = 20
 
@@ -53,17 +56,22 @@ def enumerate_regions(net: ReluNetwork, X_in: Polytope, neuron_cap: int = NEURON
         )
 
         def split(j: int, gamma: list[int], rows, rhs):
+            nonlocal loaded
             if j == widths[layer]:
                 descend(layer + 1, pattern_prefix + [np.array(gamma)], rows, rhs)
                 return
             for bit, row, r in ((1, -V[j], c[j]), (0, V[j], -c[j])):
-                new_rows = rows + [row]
-                new_rhs = rhs + [r]
-                if is_empty(Polytope(np.array(new_rows), np.array(new_rhs))):
-                    continue
-                split(j + 1, gamma + [bit], new_rows, new_rhs)
+                model.add_rows(row[None, :], [r])
+                index, loaded = loaded, loaded + 1
+                if model.solve().status != lp.LpStatus.INFEASIBLE:
+                    split(j + 1, gamma + [bit], rows + [row], rhs + [r])
+                model.set_rhs(index, np.inf)
 
         split(0, [], rows, rhs)
 
+    # zero cost: each solve is the emptiness check of the current cell
+    free = np.full(X_in.dim, np.inf)
+    model = lp.LpModel(np.zeros(X_in.dim), X_in.F, X_in.g, -free, free)
+    loaded = X_in.nrows  # inequality rows in the model, dropped ones included
     descend(0, [], list(X_in.F), list(X_in.g))
     return regions

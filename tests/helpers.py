@@ -4,7 +4,9 @@ These deliberately avoid the package's MILP machinery: output ranges are
 reproduced by brute-force enumeration of activation patterns (one LP per
 pattern, solved directly with scipy), reachable sets by enumeration of
 pattern sequences through the plant, invariant sets by stacking a fixed
-number of preimages, and redundancy removal by one fresh LP per row.
+number of preimages or by the invariant-set iteration with one fresh LP per
+support, redundancy removal by one fresh LP per row, and activation regions
+by enumeration of every pattern.
 """
 
 import itertools
@@ -167,6 +169,53 @@ def redundancy_oracle(F, g, tol=1e-9):
         if val is not None and val <= g[i] + tol:
             keep.remove(i)
     return keep
+
+
+def mpi_reference(A, F, g, tol=1e-9, max_iter=500):
+    """(F, g) of the maximal positively invariant set of x -> A x inside {F x <= g}.
+
+    The Gilbert-Tan iteration without shortcuts: at step k every row of
+    F A^(k+1) is tested, each by one fresh linprog along its unit direction
+    over the rows stacked so far, and the rows whose support exceeds g by
+    more than tol are appended.  At the fixpoint the stack is pruned with
+    redundancy_oracle; a stack that becomes empty is returned unpruned.
+    """
+    F, g = np.asarray(F, dtype=float), np.asarray(g, dtype=float)
+    F_omega, g_omega, F_k = F, g, F
+    for _ in range(max_iter):
+        F_k = F_k @ A
+        sup = []
+        for row in F_k:
+            norm = np.linalg.norm(row)
+            scale = norm if norm > 0.0 else 1.0
+            value = _lp_max(row / scale, F_omega, g_omega)
+            if value is None:
+                return F_omega, g_omega
+            sup.append(scale * value)
+        cuts = np.flatnonzero(np.array(sup) > g + tol)
+        if not cuts.size:
+            keep = redundancy_oracle(F_omega, g_omega, tol)
+            return F_omega[keep], g_omega[keep]
+        F_omega = np.vstack([F_omega, F_k[cuts]])
+        g_omega = np.concatenate([g_omega, g[cuts]])
+    raise RuntimeError(f"no fixpoint after {max_iter} steps")
+
+
+def regions_oracle(net, F_in, g_in):
+    """(pattern, F, g) of every activation pattern realized in {F_in x <= g_in}.
+
+    Patterns come in the order of a depth-first search that tries the active
+    bit first; each cell is pruned with redundancy_oracle.
+    """
+    out = []
+    for gammas in _all_patterns(net.hidden_widths):
+        rows, rhs = _pattern_rows(net, gammas)
+        F = np.vstack([F_in, rows])
+        g = np.concatenate([g_in, rhs])
+        if _feasible(F, g):
+            keep = redundancy_oracle(F, g)
+            out.append((gammas, F[keep], g[keep]))
+    return out
 
 
 def sample_polytope(rng, F, g, n, lo, hi, max_tries=200000):

@@ -282,3 +282,37 @@ def test_every_certnn_exception_is_a_certnn_error():
         for obj in vars(module).values():
             if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__.startswith("certnn"):
                 assert issubclass(obj, CertnnError), obj
+
+
+@pytest.mark.parametrize("content", ["null", '"abc"'], ids=["null", "string"])
+def test_non_object_input_exit_code(case_files, tmp_path, capsys, content):
+    sys_path, net_path, _, tmp = case_files
+    xin_path = tmp_path / "scalar_xin.json"
+    xin_path.write_text(content)
+    assert main(_verify_argv(sys_path, net_path, xin_path, tmp / "scalar_out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("network", [[1, 2], {"layers": 3}, {"layers": [1, 2]}], ids=["list", "int", "ints"])
+def test_malformed_network_exit_code(case_files, tmp_path, capsys, network):
+    sys_path, _, xin_path, tmp = case_files
+    net_path = tmp_path / "bad_layers.json"
+    net_path.write_text(json.dumps(network))
+    assert main(_verify_argv(sys_path, str(net_path), xin_path, tmp / "layers_out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_empty_input_box_exit_code(case_files, tmp_path, capsys):
+    # lb > ub is an empty U: a bad input, rejected before any verification
+    sys_path, net_path, xin_path, tmp = case_files
+    with open(sys_path) as f:
+        system = json.load(f)
+    system["U_box"] = {"lb": [1.0], "ub": [-1.0]}
+    empty_path = tmp_path / "empty_u.json"
+    empty_path.write_text(json.dumps(system))
+    assert main(_verify_argv(str(empty_path), net_path, xin_path, tmp / "empty_u_out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "U_box" in err and err.count("\n") == 1
+    assert not (tmp / "empty_u_out").exists()

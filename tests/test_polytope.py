@@ -1,10 +1,13 @@
+import functools
+import warnings
+
 import numpy as np
 import pytest
 
 import helpers
 from conftest import CASE_C_AS, CASE_c_AS, CASE_C_IN, CASE_c_IN, CASE_F_EQ, CASE_g_EQ, \
     CASE_F_LQR, CASE_g_LQR, random_net
-from certnn import lp
+from certnn import control, lp
 from certnn.polytope import (
     DimensionMismatch,
     EmptyInput,
@@ -183,12 +186,55 @@ def _redundancy_cases():
     return cases
 
 
-def test_remove_redundant_matches_per_row_oracle(lp_path):
-    # the rows kept on one load are exactly those that one fresh LP per row keeps, in order
-    for P in _redundancy_cases():
+def _origin_interior_cases():
+    """Seeded polytopes with the origin strictly inside, so rays from the origin prune.
+
+    Each has a duplicate, a scaled duplicate and a dominated row and, where
+    the polytope is bounded along a random direction, a row that touches it
+    at a single point only; every fourth one is unbounded.  A box with a
+    zero row, a single half-plane and the plane (no rows) complete the set.
+    """
+    cases = []
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 23])
+        n = 2 + seed % 3
+        F = rng.standard_normal((4 + 2 * n, n))
+        if seed % 4 == 3:
+            F[:, 0] = np.abs(F[:, 0])  # every row bounds x1 from above only: unbounded below
+        g = rng.uniform(0.5, 1.5, len(F))
+        pick = rng.choice(len(F), 3, replace=False)
+        F = np.vstack([F, F[pick[0]], 2.0 * F[pick[1]], F[pick[2]]])
+        g = np.concatenate([g, [g[pick[0]], 2.0 * g[pick[1]], g[pick[2]] + 0.3]])
+        d = rng.standard_normal(n)
+        touch = helpers._lp_max(d, F, g)
+        if np.isfinite(touch):
+            F, g = np.vstack([F, d]), np.append(g, touch)
+        order = rng.permutation(len(F))
+        cases.append(Polytope(F[order], g[order]))
+    cases.append(Polytope(np.vstack([UNIT_BOX.F, np.zeros((1, 2))]), np.append(UNIT_BOX.g, 1.0)))
+    cases.append(Polytope(np.array([[1.0, -2.0]]), np.array([0.5])))
+    cases.append(Polytope(np.zeros((0, 2)), np.zeros(0)))
+    return cases
+
+
+def test_remove_redundant_matches_per_row_oracle(lp_path, count_lps):
+    # the rows kept on one load are exactly those that one fresh LP per row
+    # keeps, in order, also where rays from the origin spare some of the LPs
+    cases = _redundancy_cases() + _origin_interior_cases()
+    for P in cases:
         keep = helpers.redundancy_oracle(P.F, P.g)
-        R = remove_redundant(P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no inf - inf on a ray that meets nothing
+            R = remove_redundant(P)
         assert np.array_equal(R.F, P.F[keep]) and np.array_equal(R.g, P.g[keep])
+    assert count_lps() < sum(P.nrows + 1 for P in cases)
+
+
+def test_remove_redundant_of_box_solves_only_emptiness(count_lps):
+    box = Polytope.box([-1.0, -2.0, -0.5], [3.0, 0.25, 1.0])
+    R = remove_redundant(box)
+    assert np.array_equal(R.F, box.F) and np.array_equal(R.g, box.g)
+    assert count_lps() == 1
 
 
 class TestContainment:
@@ -296,6 +342,55 @@ class TestMaxPositivelyInvariant:
 @pytest.mark.usefixtures("linprog_path")
 class TestMaxPositivelyInvariantLinprog(TestMaxPositivelyInvariant):
     """The checks above on the linprog fallback."""
+
+
+def _set_algebra_plants():
+    """(A, B) of the 8 plants of perfbench's set_algebra workload: same seed, same recipe."""
+    rng = np.random.default_rng([0, 3])
+    plants = []
+    for _ in range(8):
+        n = int(rng.integers(4, 9))
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.9, 1.1) / np.max(np.abs(np.linalg.eigvals(A)))
+        plants.append((A, rng.standard_normal((n, 1))))
+    return plants
+
+
+@functools.cache
+def _lqr_fixpoint_case(i):
+    """Closed loop, constraints and reference invariant set of set-algebra plant i."""
+    A, B = _set_algebra_plants()[i]
+    n = A.shape[0]
+    system = control.LtiSystem(A, B)
+    K = control.lqr(system, np.eye(n), np.eye(1)).K
+    P = intersect(
+        Polytope.box(-5.0 * np.ones(n), 5.0 * np.ones(n)),
+        control.input_admissible_states(K, Polytope.box([-1.0], [1.0])),
+    )
+    A_cl = A - B @ K
+    return A_cl, P, helpers.mpi_reference(A_cl, P.F, P.g)
+
+
+@functools.cache
+def _stable_map_reference(seed):
+    A, P = _stable_map_case(seed)
+    return A, P, helpers.mpi_reference(A, P.F, P.g)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [functools.partial(_lqr_fixpoint_case, i) for i in range(8)]
+    + [functools.partial(_stable_map_reference, seed) for seed in range(6)],
+    ids=[f"plant{i}" for i in range(8)] + [f"stable_map{seed}" for seed in range(6)],
+)
+def test_max_positively_invariant_matches_every_row_reference(lp_path, case):
+    # testing only the images of the rows that cut at the step before appends
+    # the same rows in the same order as testing every row at every step
+    A, P, (F, g) = case()
+    omega = max_positively_invariant(A, P)
+    assert omega.F.shape == F.shape
+    np.testing.assert_allclose(omega.F, F, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(omega.g, g)
 
 
 def test_vertices_2d_unit_box():

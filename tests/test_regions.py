@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import helpers
-from conftest import random_net
+from conftest import CASE_C_IN, CASE_K, CASE_c_IN, random_net
+from certnn.network import synth_satlqr
 from certnn.polytope import Polytope
 from certnn.regions import TooManyNeurons, enumerate_regions
 
@@ -82,3 +83,28 @@ def test_two_hidden_layers():
         for x in pts:
             got = net.activation_pattern(x)
             assert all(np.array_equal(a, b) for a, b in zip(got, r.pattern))
+
+
+@pytest.mark.parametrize("seed, widths", [(4, [4]), (5, [6]), (6, [3, 3])])
+def test_regions_match_pattern_oracle(lp_path, seed, widths):
+    # the same patterns in the same order, and the same pruned cells, as one
+    # fresh feasibility LP per full pattern
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, 2, widths, 1)
+    regions = enumerate_regions(net, UNIT_BOX)
+    want = helpers.regions_oracle(net, UNIT_BOX.F, UNIT_BOX.g)
+    assert len(regions) == len(want)
+    for r, (pattern, F, g) in zip(regions, want):
+        assert all(np.array_equal(a, b) for a, b in zip(r.pattern, pattern))
+        assert r.polytope.F.shape == F.shape
+        np.testing.assert_allclose(r.polytope.F, F, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(r.polytope.g, g, rtol=0.0, atol=1e-12)
+
+
+def test_one_load_per_search(lp_path, count_loads):
+    # every split of the search is decided on one loaded LP; each region's
+    # redundancy removal loads its own cell
+    net = synth_satlqr(CASE_K, [-1.0], [1.0])
+    regions = enumerate_regions(net, Polytope(CASE_C_IN, CASE_c_IN))
+    assert len(regions) == 3
+    assert count_loads() == 1 + len(regions)

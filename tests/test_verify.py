@@ -181,9 +181,10 @@ class TestVerifyStability:
     ):
         # one closed-loop encoding per call, whose step 0 is the input check,
         # each state block boxed once, R_eq pruned on one load, R_as from a
-        # single invariant-set fixpoint on one load and checked non-empty
-        # without an LP: 66 LPs outside the branch and bound, and 9 loads in
-        # all.
+        # single invariant-set fixpoint on one load that re-tests only the
+        # rows that cut, rows that a ray from the origin proves to be facets
+        # kept without an LP, and R_as checked non-empty without an LP: 58
+        # LPs outside the branch and bound, and 9 loads in all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
         # from; here both LP paths count 168, of which the reach search
@@ -193,7 +194,7 @@ class TestVerifyStability:
         assert cert.stability.k_star == 5
         assert cert.milp_nodes == 168
         assert cert.stability.reach_nodes == [3, 7, 11, 19, 94]
-        assert count_lps() == cert.milp_nodes + 66
+        assert count_lps() == cert.milp_nodes + 58
         assert count_loads() == 9
 
     def test_without_reference_gain(self, case_system, case_Xin, case_X, case_U, case_net):
