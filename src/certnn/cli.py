@@ -40,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -230,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", default=".", help="output directory")
 
     def certification(sp):
-        sp.add_argument("--kmax", type=int, default=25, help="largest reach horizon searched")
+        sp.add_argument("--kmax", type=_positive_int, default=25, help="largest reach horizon searched")
 
     sp = sub.add_parser("verify", help="run the full certification pipeline")
     common(sp)
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="roll out the closed loop from x0")
     common(sp, xin=False)
     sp.add_argument("--x0", required=True, help="comma-separated initial state")
-    sp.add_argument("--steps", type=int, default=50)
+    sp.add_argument("--steps", type=_positive_int, default=50)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sets", help="compute and export the certification sets")

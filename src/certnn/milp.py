@@ -78,16 +78,6 @@ class BnbStatus:
 
 
 @dataclass
-class NeuronBounds:
-    """Pre-activation intervals per hidden layer, plus the output box."""
-
-    pre_lo: list[np.ndarray]
-    pre_hi: list[np.ndarray]
-    out_lo: np.ndarray
-    out_hi: np.ndarray
-
-
-@dataclass
 class MilpModel:
     """maximize c.x over A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub, x[binaries] in {0,1}.
 
@@ -132,22 +122,6 @@ def _interval_affine(W, b, lo, hi):
     Wp = np.maximum(W, 0.0)
     Wn = np.minimum(W, 0.0)
     return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
-
-
-def bounds_from_box(net: ReluNetwork, lo, hi) -> NeuronBounds:
-    """Interval arithmetic pass through the network from an input box."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    pre_lo, pre_hi = [], []
-    cur_lo, cur_hi = lo, hi
-    for W, b in net.layers[:-1]:
-        a_lo, a_hi = _interval_affine(W, b, cur_lo, cur_hi)
-        pre_lo.append(a_lo)
-        pre_hi.append(a_hi)
-        cur_lo, cur_hi = np.maximum(a_lo, 0.0), np.maximum(a_hi, 0.0)
-    W, b = net.layers[-1]
-    out_lo, out_hi = _interval_affine(W, b, cur_lo, cur_hi)
-    return NeuronBounds(pre_lo, pre_hi, out_lo, out_hi)
 
 
 class _Builder:
@@ -197,12 +171,16 @@ class _Builder:
         return MilpModel(c, A_ub, b_ub, A_eq, b_eq, lb, ub, binaries, np.asarray(x0_idx))
 
 
-def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, nb: NeuronBounds):
-    """Add one network evaluation; returns the indices of the output variables."""
+def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, lo, hi):
+    """Add one network evaluation at the input box [lo, hi]; returns the output indices.
+
+    Each layer's pre-activation interval comes from interval arithmetic on
+    the box of the layer before, as the layer is encoded.
+    """
     prev_idx = np.asarray(x_idx)
-    for layer, (W, b) in enumerate(net.layers[:-1]):
-        n_l, n_prev = W.shape
-        lo, hi = nb.pre_lo[layer], nb.pre_hi[layer]
+    for W, b in net.layers[:-1]:
+        n_l = W.shape[0]
+        lo, hi = _interval_affine(W, b, lo, hi)
         # big-M constants M_pos, M_neg of the module docstring
         big_pos = np.maximum(hi, 0.0)
         big_neg = np.maximum(-lo, 0.0)
@@ -225,8 +203,10 @@ def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, nb: NeuronBounds
             # z_j + M_pos t_j <= M_pos
             builder.add_ub([z_idx[j], t_idx[j]], [1.0, big_pos[j]], big_pos[j])
         prev_idx = z_idx
+        # the next layer's input box: z in [max(lo, 0), M_pos]
+        lo, hi = np.maximum(lo, 0.0), big_pos
     W, b = net.layers[-1]
-    u_idx = builder.new_vars(net.n_u, nb.out_lo, nb.out_hi)
+    u_idx = builder.new_vars(net.n_u, *_interval_affine(W, b, lo, hi))
     for j in range(net.n_u):
         builder.add_eq(
             np.append(prev_idx, u_idx[j]), np.append(W[j], -1.0), -b[j]
@@ -268,11 +248,11 @@ class ClosedLoopEncoding:
             self._builder.add_ub(self._x0_idx, row, rhs)
         self._k = 0
         self._box_state()
-        self._u_idx = _encode_network(self._builder, net, self._x0_idx, self._nb)
+        self._u_idx = _encode_network(self._builder, net, self._x0_idx, *self._box)
         self._model: MilpModel | None = None  # the boxed model lacks the network copy
 
     def _box_state(self):
-        """Box the current state block, then seed the bounds of its network copy.
+        """Box the current state block; the box seeds the bounds of its network copy.
 
         One ``maxima`` call on the relaxation so far gives the max and the min
         of each coordinate, in that order; for x0 these are the support LPs
@@ -290,13 +270,13 @@ class ClosedLoopEncoding:
         model.lb[idx], model.ub[idx] = -m[1::2], m[0::2]
         for v in idx:
             builder.lb[v], builder.ub[v] = model.lb[v], model.ub[v]
-        self._nb = bounds_from_box(self._net, model.lb[idx], model.ub[idx])
+        self._box = model.lb[idx], model.ub[idx]
         self._model = model
 
     def _extend(self):
         builder, A, B = self._builder, self._system.A, self._system.B
         if self._u_idx is None:
-            self._u_idx = _encode_network(builder, self._net, self._x_idx, self._nb)
+            self._u_idx = _encode_network(builder, self._net, self._x_idx, *self._box)
         next_idx = builder.new_vars(A.shape[0], -np.inf, np.inf)
         for i in range(A.shape[0]):
             builder.add_eq(

@@ -242,11 +242,8 @@ def retrofit_lqr(net: ReluNetwork, K) -> tuple[ReluNetwork, float]:
     # stacked rows of W_new).
     A_w = np.kron(np.eye(n_u), W_eq.T)
     b_w = (-K).reshape(-1)
-    rank_a = np.linalg.matrix_rank(A_w)
-    if np.linalg.matrix_rank(np.column_stack([A_w, b_w])) > rank_a:
+    if np.linalg.matrix_rank(np.column_stack([A_w, b_w])) > np.linalg.matrix_rank(A_w):
         raise RankDeficient("gain equation inconsistent: rank([Aeq | beq]) > rank(Aeq)")
-    if n_u * n_L < rank_a:
-        raise RankDeficient("too few output-layer weights: n_u * n_L < rank(Aeq)")
 
     # Full system over [vec(W_new rows); b_new]: gain rows plus bias rows.
     A_full = np.zeros((n_u * net.n_x + n_u, n_u * n_L + n_u))

@@ -30,6 +30,7 @@ from certnn.errors import DimensionMismatch, EmptyInput, NoConvergence
 
 CONTAINMENT_TOL = 1e-7
 REDUNDANCY_TOL = 1e-9
+VERTEX_TOL = 1e-7
 MAX_FIXPOINT_ITER = 500
 
 
@@ -241,7 +242,7 @@ def bounding_box(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
     return -s[P.dim :], s[: P.dim]
 
 
-def vertices_2d(P: Polytope, tol: float = 1e-7) -> np.ndarray:
+def vertices_2d(P: Polytope) -> np.ndarray:
     """Vertices of a bounded 2-D polytope, ordered counter-clockwise.
 
     Enumerates pairwise facet intersections and keeps the feasible ones;
@@ -257,7 +258,7 @@ def vertices_2d(P: Polytope, tol: float = 1e-7) -> np.ndarray:
             if abs(np.linalg.det(M)) < 1e-12:
                 continue
             v = np.linalg.solve(M, np.array([P.g[i], P.g[j]]))
-            if P.contains_point(v, tol):
+            if P.contains_point(v, VERTEX_TOL):
                 pts.append(v)
     if not pts:
         return np.zeros((0, 2))

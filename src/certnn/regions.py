@@ -17,7 +17,7 @@ import numpy as np
 from certnn import lp
 from certnn.errors import CertnnError, EmptyInput
 from certnn.network import Pattern, ReluNetwork
-from certnn.polytope import Polytope, remove_redundant
+from certnn.polytope import Polytope, _load, remove_redundant
 
 NEURON_CAP = 20
 
@@ -32,11 +32,11 @@ class Region:
     polytope: Polytope
 
 
-def enumerate_regions(net: ReluNetwork, X_in: Polytope, neuron_cap: int = NEURON_CAP) -> list[Region]:
+def enumerate_regions(net: ReluNetwork, X_in: Polytope) -> list[Region]:
     """All realizable activation regions of the network intersected with X_in."""
     total = sum(net.hidden_widths)
-    if total > neuron_cap:
-        raise TooManyNeurons(f"{total} hidden neurons exceed the cap {neuron_cap}")
+    if total > NEURON_CAP:
+        raise TooManyNeurons(f"{total} hidden neurons exceed the cap {NEURON_CAP}")
     regions: list[Region] = []
     widths = net.hidden_widths
 
@@ -70,8 +70,7 @@ def enumerate_regions(net: ReluNetwork, X_in: Polytope, neuron_cap: int = NEURON
         split(0, [], rows, rhs)
 
     # zero cost: each solve is the emptiness check of the current cell
-    free = np.full(X_in.dim, np.inf)
-    model = lp.LpModel(np.zeros(X_in.dim), X_in.F, X_in.g, -free, free)
+    model = _load(X_in)
     loaded = X_in.nrows  # inequality rows in the model, dropped ones included
     descend(0, [], list(X_in.F), list(X_in.g))
     return regions

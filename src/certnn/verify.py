@@ -1,16 +1,17 @@
 """Certification pipeline for a network-controlled LTI system.
 
-The full chain: input-constraint check (output range vs U), one-step
-control-invariance of the initial set, the two stability conditions at the
-equilibrium region (zero resulting bias, stable equilibrium-region closed
-loop), construction of the stability set R_as, and a search for the smallest
-horizon k at which the k-step reachable set is certified inside R_as.  The
-reach queries in the final step use the facets of R_as itself as directions,
-so containment is a componentwise comparison rather than an
-over-approximation.  Every containment check is decided on the proven upper
-bound of the branch and bound, not on its incumbent.  The input check, the
-one-step check and the reach search share one closed-loop encoding, whose
-step 0 is the output-range model of the network over X_in.
+``verify_stability`` is the pipeline.  Its chain: input-constraint check
+(output range vs U), one-step control-invariance of the initial set, the
+two stability conditions at the equilibrium region (zero resulting bias,
+stable equilibrium-region closed loop), construction of the stability set
+R_as, and a search for the smallest horizon k at which the k-step reachable
+set is certified inside R_as.  Each containment check bounds its set along
+the facets of the set it must lie in (U, X_in, R_as), so containment is a
+componentwise comparison rather than an over-approximation, and
+``_contained`` decides all three with one rule: each proven upper bound of
+the branch and bound, not its incumbent, is at most the facet's offset plus
+CONTAIN_TOL.  The three checks share one closed-loop encoding, whose step 0
+is the output-range model of the network over X_in.
 
 The input and one-step checks solve each facet to optimality, since U_star
 and X_1_out are outputs.  The reach search only needs a yes or a no per
@@ -94,64 +95,14 @@ def _jsonable(v):
 
 
 def _contained(results, P: Polytope) -> tuple[bool, Polytope, int]:
-    """Whether the proven bounds of results, one per facet of P, lie within P.
+    """Whether the proven bounds of results, one per facet of P in order, lie within P.
 
     Returns (ok, the set of those bounds along P's facets, the nodes spent).
+    Results that end early end at a refuted facet, a bound above g_i + CONTAIN_TOL.
     """
     c = np.array([r.bound for r in results])
-    ok = bool(np.all(c <= P.g + CONTAIN_TOL))
-    return ok, Polytope(P.F.copy(), c), sum(r.nodes for r in results)
-
-
-def _input_check(
-    net: ReluNetwork, X_in: Polytope, U: Polytope, encoding=None
-) -> tuple[bool, Polytope, int]:
-    """verify_input plus its node count; ``encoding`` goes to milp.output_range_results."""
-    return _contained(milp.output_range_results(net, X_in, U.F, encoding=encoding), U)
-
-
-def verify_input(net: ReluNetwork, X_in: Polytope, U: Polytope) -> tuple[bool, Polytope]:
-    """Exact output-range check of the controller against the input constraints.
-
-    Returns (ok, U_star) where U_star = {u : F_U u <= c*} collects the
-    proven per-facet upper bounds; ok iff c* <= g_U componentwise, i.e.
-    U_star is inside U.
-    """
-    ok, U_star, _ = _input_check(net, X_in, U)
-    return ok, U_star
-
-
-def _one_step_check(
-    sys: LtiSystem, net: ReluNetwork, X_in: Polytope, encoding=None
-) -> tuple[bool, Polytope, list[np.ndarray], int]:
-    """Facet-wise check that the one-step image of X_in stays inside X_in.
-
-    Returns (ok, X_1, witnesses, nodes); ``encoding`` is passed on to
-    ``milp.reach_results``.  ok iff every facet's proven bound is within
-    X_in.  Each facet whose MILP incumbent leaves X_in contributes that
-    incumbent's x0, a point of X_in whose one-step image violates the facet.
-    """
-    results = milp.reach_results(sys, net, X_in, 1, X_in.F, encoding=encoding)
-    ok, X_1, nodes = _contained(results, X_in)
-    # x0 is always the first block of model variables (see ClosedLoopEncoding).
-    witnesses = [r.point[: sys.n_x] for r, g in zip(results, X_in.g) if r.value > g + CONTAIN_TOL]
-    return ok, X_1, witnesses, nodes
-
-
-def verify_invariance(
-    sys: LtiSystem, net: ReluNetwork, X_in: Polytope, U: Polytope
-) -> tuple[bool, Polytope, list[np.ndarray]]:
-    """One-step admissible control-invariance of X_in.
-
-    True iff the input check passes and the one-step reachable set, bounded
-    along the facets of X_in itself, stays inside X_in.  When a facet check
-    fails, the MILP incumbent provides a concrete witness x0 in X_in whose
-    one-step image violates that facet; all witnesses are returned.
-    """
-    encoding = milp.ClosedLoopEncoding(sys, net, X_in)
-    input_ok, _, _ = _input_check(net, X_in, U, encoding)
-    ok, X_1, witnesses, _ = _one_step_check(sys, net, X_in, encoding)
-    return input_ok and ok, X_1, witnesses
+    ok = bool(np.all(c <= P.g[: c.size] + CONTAIN_TOL))
+    return ok, Polytope(P.F[: c.size].copy(), c), sum(r.nodes for r in results)
 
 
 def equilibrium_gain_bias(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -229,9 +180,14 @@ def verify_stability(
     ``X_k_out`` the proven bounds at k* (see the module docstring).
     """
     encoding = milp.ClosedLoopEncoding(sys, net, X_in)
-    input_ok, U_star, input_nodes = _input_check(net, X_in, U, encoding)
-    one_step_ok, X_1, witnesses, one_step_nodes = _one_step_check(sys, net, X_in, encoding)
+    results = milp.output_range_results(net, X_in, U.F, encoding=encoding)
+    input_ok, U_star, input_nodes = _contained(results, U)
+    results = milp.reach_results(sys, net, X_in, 1, X_in.F, encoding=encoding)
+    one_step_ok, X_1, one_step_nodes = _contained(results, X_in)
     invariance_ok = input_ok and one_step_ok
+    # Each facet whose incumbent leaves X_in gives a witness: a point x0 of
+    # X_in (the first block of model variables) whose image violates it.
+    witnesses = [r.point[: sys.n_x] for r, g in zip(results, X_in.g) if r.value > g + CONTAIN_TOL]
 
     bias_residual, rho, match = check_stability_conditions(sys, net, K_ref)
     report = StabilityReport(
@@ -278,12 +234,10 @@ def verify_stability(
         results = milp.reach_results(
             sys, net, X_in, k, R_as.F, encoding=encoding, cutoffs=R_as.g + CONTAIN_TOL
         )
-        nodes = sum(r.nodes for r in results)
+        ok, X_k, nodes = _contained(results, R_as)
         cert.milp_nodes += nodes
         report.reach_nodes.append(nodes)
-        # the results end at the first refuted facet, so all proved means all facets
-        if all(r.status == milp.BnbStatus.BELOW_CUTOFF for r in results):
-            X_k = Polytope(R_as.F.copy(), np.array([r.bound for r in results]))
+        if ok:
             report.k_star, report.X_k_out = k, X_k
             break
     if report.k_star is None:

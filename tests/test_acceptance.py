@@ -27,7 +27,7 @@ from certnn.control import LtiSystem, lqr, lqr_admissible_set
 from certnn.milp import output_range, reach_set
 from certnn.network import ReluNetwork, retrofit_lqr, saturate, synth_satlqr
 from certnn.polytope import Polytope, bounding_box, support
-from certnn.verify import verify_invariance
+from certnn.verify import verify_stability
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -263,6 +263,7 @@ def test_08_invariance_soundness():
     saw_true = saw_false = 0
     sound = True
     U = Polytope.box([-1.0], [1.0])
+    X = Polytope.box([-5.0, -5.0], [5.0, 5.0])
     while saw_true < 3 or saw_false < 3:
         # random stable plant with an LQR-clamped controller
         A = rng.standard_normal((2, 2))
@@ -276,8 +277,9 @@ def test_08_invariance_soundness():
         net = synth_satlqr(K, [-1.0], [1.0])
         side = float(rng.uniform(0.05, 2.0))
         X_in = Polytope.box([-side, -side], [side, side])
-        ok, _, witnesses = verify_invariance(sys, net, X_in, U)
-        if ok:
+        cert = verify_stability(sys, net, X_in, X, U, k_max=1)
+        witnesses = cert.witnesses
+        if cert.invariance_ok:
             saw_true += 1
             lo, hi = bounding_box(X_in)
             pts = helpers.sample_polytope(rng, X_in.F, X_in.g, 10_000, lo, hi)

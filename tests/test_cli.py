@@ -264,6 +264,33 @@ def test_unknown_flag_exit_code(case_files, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "sets"])
+@pytest.mark.parametrize("kmax", ["0", "-3"])
+def test_kmax_must_be_positive(case_files, capsys, command, kmax):
+    # a search over no horizon is a usage error, not a failed verification
+    sys_path, net_path, xin_path, tmp = case_files
+    argv = _verify_argv(sys_path, net_path, xin_path, tmp / "kmax_out")
+    argv[0], argv[-1] = command, kmax
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --kmax") and err.count("\n") == 1
+    assert not (tmp / "kmax_out").exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_steps_must_be_positive(case_files, capsys, steps):
+    sys_path, net_path, _, tmp = case_files
+    out = tmp / "steps_out"
+    argv = [
+        "simulate", "--system", sys_path, "--network", net_path,
+        "--out-dir", str(out), "--x0", "0.5,-0.5", "--steps", steps,
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --steps") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--help"])

@@ -10,7 +10,6 @@ from certnn.milp import (
     ClosedLoopEncoding,
     MilpError,
     UnboundedInput,
-    bounds_from_box,
     encode_output_range,
     encode_reach,
     output_range,
@@ -32,31 +31,56 @@ FAN8 = np.array(
 )
 
 
+def _columns(net, m):
+    """Per hidden layer the (z, t) column indices of a step-0 model, then the u columns.
+
+    The columns are x0, then z and t of each hidden layer, then u.
+    """
+    start, layers = net.n_x, []
+    for n_l in net.hidden_widths:
+        layers.append((np.arange(start, start + n_l), np.arange(start + n_l, start + 2 * n_l)))
+        start += 2 * n_l
+    return layers, np.arange(start, start + net.n_u)
+
+
 class TestBounds:
+    """The interval bounds the encoder puts on each neuron's columns."""
+
     def test_single_layer_intervals(self):
+        # pre-activations over the unit box: [-1.5, 2.5] and [-3, 1]
         net = ReluNetwork(
             [(np.array([[1.0, -1.0], [2.0, 0.0]]), np.array([0.5, -1.0])),
              (np.eye(2), np.zeros(2))]
         )
-        nb = bounds_from_box(net, [-1.0, -1.0], [1.0, 1.0])
-        np.testing.assert_allclose(nb.pre_lo[0], [-1.5, -3.0])
-        np.testing.assert_allclose(nb.pre_hi[0], [2.5, 1.0])
+        m = encode_output_range(net, UNIT_BOX, [1.0, 0.0])
+        [(z, t)], u = _columns(net, m)
+        np.testing.assert_allclose(m.ub[z], [2.5, 1.0])  # M_pos
+        np.testing.assert_array_equal(m.binaries, t)
+        np.testing.assert_array_equal(m.ub[t], [1.0, 1.0])  # both neurons unstable
+        # z_j - a_j - M_neg t_j <= b_j is the second row of neuron j
+        rows = UNIT_BOX.nrows + 3 * np.arange(2) + 1
+        np.testing.assert_allclose(m.A_ub.toarray()[rows, t], [-1.5, -3.0])  # -M_neg
+        np.testing.assert_allclose(m.lb[u], [0.0, 0.0])
+        np.testing.assert_allclose(m.ub[u], [2.5, 1.0])
 
     def test_bounds_are_sound(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             net = random_net(rng, 2, [4, 3], 1)
-            nb = bounds_from_box(net, [-1.0, -1.0], [1.0, 1.0])
+            m = encode_output_range(net, UNIT_BOX, [1.0])
+            layers, u = _columns(net, m)
             X = rng.uniform(-1.0, 1.0, size=(200, 2))
             Z = X
-            for l, (W, b) in enumerate(net.layers[:-1]):
+            for (W, b), (z, t) in zip(net.layers[:-1], layers):
                 pre = Z @ W.T + b
-                assert np.all(pre >= nb.pre_lo[l] - 1e-12)
-                assert np.all(pre <= nb.pre_hi[l] + 1e-12)
                 Z = np.maximum(pre, 0.0)
+                assert np.all(Z <= m.ub[z] + 1e-12)
+                # a binary fixed by the bounds matches every sampled sign
+                assert np.all(pre[:, m.lb[t] == 1.0] <= 1e-12)
+                assert np.all(pre[:, m.ub[t] == 0.0] >= -1e-12)
             out = Z @ net.layers[-1][0].T + net.layers[-1][1]
-            assert np.all(out >= nb.out_lo - 1e-12)
-            assert np.all(out <= nb.out_hi + 1e-12)
+            assert np.all(out >= m.lb[u] - 1e-12)
+            assert np.all(out <= m.ub[u] + 1e-12)
 
     def test_unbounded_input(self, identity_pair_net):
         with pytest.raises(UnboundedInput):

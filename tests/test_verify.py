@@ -18,8 +18,6 @@ from certnn.verify import (
     check_stability_conditions,
     equilibrium_gain_bias,
     stability_set,
-    verify_input,
-    verify_invariance,
     verify_stability,
 )
 
@@ -30,29 +28,31 @@ def case_net():
 
 
 class TestVerifyInput:
-    def test_satisfied(self, case_system, case_Xin, case_U, case_net):
-        ok, U_star = verify_input(case_net, case_Xin, case_U)
-        assert ok
-        assert contains_set(case_U, U_star)
+    """The input check of verify_stability: U_star and input_ok."""
 
-    def test_violated_with_tight_bounds(self, case_system, case_Xin):
+    def test_satisfied(self, case_system, case_Xin, case_X, case_U, case_net):
+        cert = verify_stability(case_system, case_net, case_Xin, case_X, case_U, k_max=1)
+        assert cert.input_ok
+        assert contains_set(case_U, cert.U_star)
+
+    def test_violated_with_tight_bounds(self, case_system, case_Xin, case_X):
         # same controller but checked against a tighter input set than the
         # saturation bounds: must fail
         net = synth_satlqr(CASE_K, [-1.0], [1.0])
         tight = Polytope.box([-0.5], [0.5])
-        ok, U_star = verify_input(net, case_Xin, tight)
-        assert not ok
-        assert np.max(U_star.g) > 0.5
+        cert = verify_stability(case_system, net, case_Xin, case_X, tight, k_max=1)
+        assert not cert.input_ok
+        assert np.max(cert.U_star.g) > 0.5
 
-    def test_u_star_matches_sampling(self, case_Xin, case_U, case_net):
-        _, U_star = verify_input(case_net, case_Xin, case_U)
+    def test_u_star_matches_sampling(self, case_system, case_Xin, case_X, case_U, case_net):
+        cert = verify_stability(case_system, case_net, case_Xin, case_X, case_U, k_max=1)
         rng = np.random.default_rng(0)
         lo, hi = bounding_box(case_Xin)
         pts = helpers.sample_polytope(rng, case_Xin.F, case_Xin.g, 2000, lo, hi)
         U_vals = helpers.batch_eval(case_net, pts)
-        assert np.all(U_vals @ case_U.F.T <= U_star.g + 1e-7)
+        assert np.all(U_vals @ case_U.F.T <= cert.U_star.g + 1e-7)
 
-    def test_decided_on_proven_bound(self, monkeypatch, case_Xin, case_net):
+    def test_decided_on_proven_bound(self, monkeypatch, case_system, case_Xin, case_X, case_net):
         # an incumbent stopped short of the maximum must not pass a U whose
         # offset lies between the incumbent and the proven bound
         solve = milp.output_range_results
@@ -63,34 +63,39 @@ class TestVerifyInput:
 
         monkeypatch.setattr(milp, "output_range_results", short_incumbents)
         U = Polytope.box([-0.9], [0.9])  # the saturated net reaches |u| = 1
-        ok, U_star = verify_input(case_net, case_Xin, U)
-        assert not ok
-        np.testing.assert_allclose(U_star.g, [1.0, 1.0], atol=1e-7)
+        cert = verify_stability(case_system, case_net, case_Xin, case_X, U, k_max=1)
+        assert not cert.input_ok
+        np.testing.assert_allclose(cert.U_star.g, [1.0, 1.0], atol=1e-7)
 
 
 class TestVerifyInvariance:
-    def test_case_study_invariant(self, case_system, case_Xin, case_U, case_net):
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
-        ok, X_1, witnesses = verify_invariance(case_system, case_net, X_in, case_U)
-        assert ok
-        assert witnesses == []
-        assert contains_set(X_in, X_1, tol=1e-7)
+    """The one-step check of verify_stability: invariance_ok, X_1_out and witnesses."""
 
-    def test_case_study_lp_budget(self, case_system, case_Xin, case_U, case_net, count_lps):
-        # the input check and the one-step check share one encoding, so X_in
-        # is boxed once
+    def test_case_study_invariant(self, case_system, case_Xin, case_X, case_U, case_net):
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
-        ok, _, _ = verify_invariance(case_system, case_net, X_in, case_U)
-        assert ok
-        assert count_lps() <= 42
+        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=1)
+        assert cert.invariance_ok
+        assert cert.witnesses == []
+        assert contains_set(X_in, cert.X_1_out, tol=1e-7)
 
-    def test_violated_produces_witness(self, case_system, case_U, case_net):
+    def test_case_study_lp_budget(
+        self, case_system, case_Xin, case_X, case_U, case_net, count_lps
+    ):
+        # the input check, the one-step check and the reach search at k = 1
+        # share one encoding, so X_in and x_1 are boxed once each (8 LPs);
+        # the other 34 LPs outside the branch and bound are R_eq and R_as
+        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
+        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=1)
+        assert cert.invariance_ok and cert.stability.k_star is None
+        assert count_lps() == cert.milp_nodes + 42
+
+    def test_violated_produces_witness(self, case_system, case_X, case_U, case_net):
         # an expanding box cannot be invariant for this rotation-like plant
         small = Polytope.box([-0.02, -0.02], [0.02, 0.02])
-        ok, X_1, witnesses = verify_invariance(case_system, case_net, small, case_U)
-        assert not ok
-        assert len(witnesses) >= 1
-        for w in witnesses:
+        cert = verify_stability(case_system, case_net, small, case_X, case_U, k_max=1)
+        assert cert.input_ok and not cert.invariance_ok
+        assert len(cert.witnesses) >= 1
+        for w in cert.witnesses:
             assert small.contains_point(w, tol=1e-6)
             x1 = case_system.A @ w + case_system.B @ case_net.eval(w)
             assert np.max(small.F @ x1 - small.g) > -1e-6
@@ -272,18 +277,11 @@ class TestDecisionSearch:
         cert = verify_stability(
             case_system, case_net, X_in, case_X, case_U, k_max=10, K_ref=CASE_K
         )
-        _, U_star = verify_input(case_net, X_in, case_U)
-        _, X_1, witnesses = verify_invariance(case_system, case_net, X_in, case_U)
         R_as = cert.stability.R_as
         k_star, maxima = _exact_reach_search(case_system, case_net, X_in, R_as, 10)
         assert cert.verdict == verdict
         assert cert.stability.k_star == k_star
         assert len(cert.stability.reach_nodes) == k_star
-        np.testing.assert_array_equal(cert.U_star.g, U_star.g)
-        np.testing.assert_array_equal(cert.X_1_out.g, X_1.g)
-        assert len(cert.witnesses) == len(witnesses)
-        for got, want in zip(cert.witnesses, witnesses):
-            np.testing.assert_array_equal(got, want)
         # X_k_out holds proven bounds: inside R_as, and above the maxima
         np.testing.assert_array_equal(cert.stability.X_k_out.F, R_as.F)
         assert np.all(cert.stability.X_k_out.g <= R_as.g + CONTAIN_TOL)
