@@ -128,6 +128,9 @@ def system_from_json(data: dict) -> tuple[LtiSystem, dict]:
     Expected keys: A, B, X (polytope), U (polytope) or U_box ({lb, ub}),
     optional Q, R.  The returned dict carries X, U, U_box, Q, R.
     """
+    for name in ("X", "U", "U_box"):
+        if name in data and not isinstance(data[name], dict):
+            raise ValueError(f"system field {name} must be a JSON object")
     sys = LtiSystem(np.asarray(data["A"], dtype=float), np.asarray(data["B"], dtype=float))
     aux: dict = {"Q": None, "R": None, "U_box": None}
     aux["X"] = Polytope.from_json(data["X"])

@@ -20,9 +20,11 @@ model keeps its data in numpy and solves every LP afresh with
 numpy data, and rows with a +inf right-hand side are left out of the LP
 (``linprog`` rejects an infinite ``b_ub``).
 The path is chosen once, at import.  HiGHS runs with its default tolerances
-(primal and dual feasibility 1e-7).  When an LP has several optimal
-vertices, a warm start may return another one than a cold solve; the
-optimal value is the same.
+(primal and dual feasibility 1e-7).  They are absolute, so ``maxima`` solves
+every objective at unit norm.  When an LP has several optimal vertices, a
+warm start may return another one than a cold solve; the optimal value is
+the same.  A warm solve that ends neither optimal, infeasible nor unbounded
+is solved once more from scratch before it counts as a failure.
 """
 
 from __future__ import annotations
@@ -174,31 +176,41 @@ class LpModel:
         if self._highs is None:
             return self._solve_linprog()
         h = self._highs
+        st = _highs.HighsModelStatus
         h.run()
+        if h.getModelStatus() not in (st.kOptimal, st.kInfeasible, st.kUnbounded):
+            # a warm start can stop short (status Unknown) where a cold solve settles the LP
+            h.clearSolver()
+            h.run()
         status = h.getModelStatus()
-        if status == _highs.HighsModelStatus.kOptimal:
+        if status == st.kOptimal:
             value = -h.getInfo().objective_function_value
             return LpOutcome(LpStatus.OPTIMAL, value=value, point=np.array(h.getSolution().col_value))
-        if status == _highs.HighsModelStatus.kInfeasible:
+        if status == st.kInfeasible:
             return LpOutcome(LpStatus.INFEASIBLE)
-        if status == _highs.HighsModelStatus.kUnbounded:
+        if status == st.kUnbounded:
             return LpOutcome(LpStatus.UNBOUNDED)
         raise LpError(f"solver failure: {h.modelStatusToString(status)}")
 
     def maxima(self, C) -> np.ndarray:
         """max c.x for each row c of C, in order, changing only the cost between solves.
 
-        +inf where the LP is unbounded.  Raises EmptyInput when the rows are
-        infeasible.
+        Each row is solved as c / |c| and its value scaled back: HiGHS's
+        tolerances are absolute, so it fails or loses accuracy on objectives
+        of norm 1e-6 and below.  +inf where the LP is unbounded.  Raises
+        EmptyInput when the rows are infeasible.
         """
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        norms = np.linalg.norm(C, axis=1)
+        scale = np.where(norms > 0.0, norms, 1.0)
         values = []
-        for c in np.atleast_2d(np.asarray(C, dtype=float)):
+        for c in C / scale[:, None]:
             self.set_objective(c)
             out = self.solve()
             if out.status == LpStatus.INFEASIBLE:
                 raise EmptyInput("the constraints admit no point")
             values.append(np.inf if out.status == LpStatus.UNBOUNDED else out.value)
-        return np.array(values)
+        return scale * np.array(values)
 
     def _solve_linprog(self) -> LpOutcome:
         rows = np.flatnonzero(np.isfinite(self._b))

@@ -22,6 +22,17 @@ copy at that state.  A query reuses the model of its step and replaces only
 the objective, so directions and horizons share one encoding, and at each
 step k >= 1 the box LPs and every direction share one loaded relaxation.
 
+The encoder adds rows in blocks, in encoding order, and never reorders
+them.  The inequality rows are those of X_in, then, per network copy, each
+hidden layer's three rows per neuron, neuron by neuron: z >= a,
+z <= a + M_neg t and z <= M_pos (1 - t) (z >= 0 is a column bound).  The
+equality rows are each copy's output rows u = W z + b, then the plant rows
+x+ = A x + B u of the step that follows.  The columns are x0 (always the
+first n_x), each layer's z then t, u, then x1, and so on; the binaries are
+the t columns in that order.  The row order is kept because HiGHS's pivots
+follow it: the same rows in another order can branch elsewhere, count other
+nodes and write other certificate bytes.
+
 The solver is a best-first branch and bound on the LP relaxation, branching
 on the most fractional binary (ties to the lowest index).  It stops at a
 relative gap of 1e-6 and returns both the incumbent and a proven upper
@@ -81,7 +92,8 @@ class BnbStatus:
 class MilpModel:
     """maximize c.x over A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub, x[binaries] in {0,1}.
 
-    A_ub and A_eq are scipy sparse (CSR) matrices.  ``relaxation``, the LP
+    A_ub and A_eq are scipy sparse (CSR) matrices, laid out as the module
+    docstring says; x0 is the first n_x columns.  ``relaxation``, the LP
     relaxation loaded into one solver model, is loaded on construction unless
     given; ``replace`` copies share it, and ``solve_milp`` sets c and the bounds.
     """
@@ -94,7 +106,6 @@ class MilpModel:
     lb: np.ndarray
     ub: np.ndarray
     binaries: np.ndarray
-    x0_idx: np.ndarray
     relaxation: lp.LpModel | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,50 +136,51 @@ def _interval_affine(W, b, lo, hi):
 
 
 class _Builder:
-    """Accumulates variables and rows; assembles sparse matrices on demand."""
+    """Accumulates variables and blocks of rows; assembles sparse matrices on demand.
+
+    A block (cols, M, rhs) holds the rows M x[cols] <= rhs (or = rhs), with M
+    dense; it keeps M's nonzeros, so each assembly only stacks them.
+    """
 
     def __init__(self):
-        self.lb: list[float] = []
-        self.ub: list[float] = []
-        self.rows_ub: list[tuple[np.ndarray, np.ndarray, float]] = []
-        self.rows_eq: list[tuple[np.ndarray, np.ndarray, float]] = []
-        self.binaries: list[int] = []
+        self.lb = np.zeros(0)
+        self.ub = np.zeros(0)
+        self.blocks_ub: list[tuple] = []
+        self.blocks_eq: list[tuple] = []
+        self.binaries = np.zeros(0, dtype=int)
 
     @property
     def n_vars(self) -> int:
-        return len(self.lb)
+        return self.lb.size
 
     def new_vars(self, n, lo, hi) -> np.ndarray:
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
         start = self.n_vars
-        self.lb.extend(lo.tolist())
-        self.ub.extend(hi.tolist())
+        self.lb = np.concatenate([self.lb, np.full(n, lo, dtype=float)])
+        self.ub = np.concatenate([self.ub, np.full(n, hi, dtype=float)])
         return np.arange(start, start + n)
 
-    def add_ub(self, idx, coef, rhs):
-        self.rows_ub.append((np.asarray(idx), np.asarray(coef, dtype=float), float(rhs)))
+    def add(self, cols, M, rhs, eq=False):
+        """Append the block M x[cols] <= rhs, or = rhs when eq."""
+        i, j = np.nonzero(M)
+        nonzeros = M[i, j], cols[j], np.count_nonzero(M, axis=1)
+        (self.blocks_eq if eq else self.blocks_ub).append((cols, M, rhs, nonzeros))
 
-    def add_eq(self, idx, coef, rhs):
-        self.rows_eq.append((np.asarray(idx), np.asarray(coef, dtype=float), float(rhs)))
-
-    def _assemble(self, rows):
-        if not rows:
+    def _assemble(self, blocks):
+        """The CSR matrix of the blocks' nonzeros, stacked in order, and the stacked rhs."""
+        if not blocks:
             return sparse.csr_array((0, self.n_vars)), np.zeros(0)
-        idx, coef, rhs = zip(*rows)
-        indptr = np.cumsum([0, *map(len, idx)])
-        A = sparse.csr_array(
-            (np.concatenate(coef), np.concatenate(idx), indptr), shape=(len(rows), self.n_vars)
-        )
-        return A, np.array(rhs)
+        *_, rhs, nonzeros = zip(*blocks)
+        data, indices, counts = (np.concatenate(part) for part in zip(*nonzeros))
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        A = sparse.csr_array((data, indices, indptr), shape=(counts.size, self.n_vars))
+        return A, np.concatenate(rhs)
 
-    def build(self, x0_idx) -> MilpModel:
+    def build(self) -> MilpModel:
         """The model so far with a zero objective; callers set c."""
-        c = np.zeros(self.n_vars)
-        A_ub, b_ub = self._assemble(self.rows_ub)
-        A_eq, b_eq = self._assemble(self.rows_eq)
-        lb, ub, binaries = np.array(self.lb), np.array(self.ub), np.array(self.binaries, dtype=int)
-        return MilpModel(c, A_ub, b_ub, A_eq, b_eq, lb, ub, binaries, np.asarray(x0_idx))
+        A_ub, b_ub = self._assemble(self.blocks_ub)
+        A_eq, b_eq = self._assemble(self.blocks_eq)
+        lb, ub = self.lb.copy(), self.ub.copy()
+        return MilpModel(np.zeros(self.n_vars), A_ub, b_ub, A_eq, b_eq, lb, ub, self.binaries)
 
 
 def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, lo, hi):
@@ -177,7 +189,7 @@ def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, lo, hi):
     Each layer's pre-activation interval comes from interval arithmetic on
     the box of the layer before, as the layer is encoded.
     """
-    prev_idx = np.asarray(x_idx)
+    prev_idx = x_idx
     for W, b in net.layers[:-1]:
         n_l = W.shape[0]
         lo, hi = _interval_affine(W, b, lo, hi)
@@ -186,31 +198,22 @@ def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, lo, hi):
         big_neg = np.maximum(-lo, 0.0)
         z_idx = builder.new_vars(n_l, 0.0, big_pos)
         # Sign-determined neurons get their indicator fixed.
-        t_lo = np.where(hi <= 0.0, 1.0, 0.0)
-        t_hi = np.where(lo >= 0.0, 0.0, 1.0)
-        t_idx = builder.new_vars(n_l, t_lo, t_hi)
-        builder.binaries.extend(t_idx.tolist())
-        for j in range(n_l):
-            row = W[j]
-            # a_j - z_j <= -b_j        (z >= W xi + b)
-            builder.add_ub(np.append(prev_idx, z_idx[j]), np.append(row, -1.0), -b[j])
-            # z_j - a_j - M_neg t_j <= b_j
-            builder.add_ub(
-                np.concatenate([prev_idx, [z_idx[j]], [t_idx[j]]]),
-                np.concatenate([-row, [1.0], [-big_neg[j]]]),
-                b[j],
-            )
-            # z_j + M_pos t_j <= M_pos
-            builder.add_ub([z_idx[j], t_idx[j]], [1.0, big_pos[j]], big_pos[j])
+        t_idx = builder.new_vars(n_l, np.where(hi <= 0.0, 1.0, 0.0), np.where(lo >= 0.0, 0.0, 1.0))
+        builder.binaries = np.concatenate([builder.binaries, t_idx])
+        # over the columns (prev, z, t), neuron by neuron, the three rows of neuron j:
+        # a_j - z_j <= -b_j,  z_j - a_j - M_neg t_j <= b_j,  z_j + M_pos t_j <= M_pos
+        I, O = np.eye(n_l), np.zeros((n_l, n_l))
+        rows = ([W, -I, O], [-W, I, -I * big_neg], [0 * W, I, I * big_pos])
+        M = np.stack([np.hstack(r) for r in rows], axis=1).reshape(3 * n_l, -1)
+        rhs = np.column_stack([-b, b, big_pos]).reshape(-1)
+        builder.add(np.concatenate([prev_idx, z_idx, t_idx]), M, rhs)
         prev_idx = z_idx
         # the next layer's input box: z in [max(lo, 0), M_pos]
         lo, hi = np.maximum(lo, 0.0), big_pos
     W, b = net.layers[-1]
     u_idx = builder.new_vars(net.n_u, *_interval_affine(W, b, lo, hi))
-    for j in range(net.n_u):
-        builder.add_eq(
-            np.append(prev_idx, u_idx[j]), np.append(W[j], -1.0), -b[j]
-        )
+    M = np.hstack([W, -np.eye(net.n_u)])  # W prev - u = -b
+    builder.add(np.concatenate([prev_idx, u_idx]), M, -b, eq=True)
     return u_idx
 
 
@@ -243,12 +246,11 @@ class ClosedLoopEncoding:
         self._system = system
         self._net = net
         self._builder = _Builder()
-        self._x0_idx = self._x_idx = self._builder.new_vars(net.n_x, -np.inf, np.inf)
-        for row, rhs in zip(X_in.F, X_in.g):
-            self._builder.add_ub(self._x0_idx, row, rhs)
+        self._x_idx = self._builder.new_vars(net.n_x, -np.inf, np.inf)
+        self._builder.add(self._x_idx, X_in.F, X_in.g)
         self._k = 0
         self._box_state()
-        self._u_idx = _encode_network(self._builder, net, self._x0_idx, *self._box)
+        self._u_idx = _encode_network(self._builder, net, self._x_idx, *self._box)
         self._model: MilpModel | None = None  # the boxed model lacks the network copy
 
     def _box_state(self):
@@ -260,17 +262,16 @@ class ClosedLoopEncoding:
         Raises EmptyInput for an empty and UnboundedInput for an unbounded X_in.
         """
         builder, idx = self._builder, self._x_idx
-        model = builder.build(self._x0_idx)
+        model = builder.build()
         C = np.zeros((2 * idx.size, builder.n_vars))
         rows = 2 * np.arange(idx.size)
         C[rows, idx], C[rows + 1, idx] = 1.0, -1.0
         m = model.relaxation.maxima(C)
         if np.isinf(m).any():
             raise UnboundedInput("input polytope unbounded in some coordinate")
-        model.lb[idx], model.ub[idx] = -m[1::2], m[0::2]
-        for v in idx:
-            builder.lb[v], builder.ub[v] = model.lb[v], model.ub[v]
-        self._box = model.lb[idx], model.ub[idx]
+        self._box = -m[1::2], m[0::2]
+        model.lb[idx], model.ub[idx] = self._box
+        builder.lb[idx], builder.ub[idx] = self._box
         self._model = model
 
     def _extend(self):
@@ -278,12 +279,9 @@ class ClosedLoopEncoding:
         if self._u_idx is None:
             self._u_idx = _encode_network(builder, self._net, self._x_idx, *self._box)
         next_idx = builder.new_vars(A.shape[0], -np.inf, np.inf)
-        for i in range(A.shape[0]):
-            builder.add_eq(
-                np.concatenate([self._x_idx, self._u_idx, [next_idx[i]]]),
-                np.concatenate([A[i], B[i], [-1.0]]),
-                0.0,
-            )
+        cols = np.concatenate([self._x_idx, self._u_idx, next_idx])
+        M = np.hstack([A, B, -np.eye(A.shape[0])])  # A x + B u - x+ = 0
+        builder.add(cols, M, np.zeros(A.shape[0]), eq=True)
         self._x_idx, self._u_idx = next_idx, None
         self._box_state()
         self._k += 1
@@ -295,7 +293,7 @@ class ClosedLoopEncoding:
         while self._k < k:
             self._extend()
         if self._model is None:
-            self._model = self._builder.build(self._x0_idx)
+            self._model = self._builder.build()
         return self._model
 
     def output(self, direction) -> MilpModel:

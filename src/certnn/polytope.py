@@ -79,6 +79,8 @@ class Polytope:
 
     @staticmethod
     def from_json(data: dict) -> "Polytope":
+        if not isinstance(data, dict):
+            raise ValueError("a polytope is an object with the fields F and g")
         return Polytope(np.asarray(data["F"], dtype=float), np.asarray(data["g"], dtype=float))
 
 
@@ -94,17 +96,6 @@ def _load(P: Polytope) -> lp.LpModel:
     return lp.LpModel(np.zeros(P.dim), P.F, P.g, -free, free)
 
 
-def _unit_maxima(model: lp.LpModel, D) -> np.ndarray:
-    """max d.x on the loaded rows for each row d of D, each solved as d / |d| and scaled back.
-
-    HiGHS's tolerances are absolute, so it fails or loses accuracy on
-    objectives of norm 1e-6 and below.
-    """
-    norms = np.linalg.norm(D, axis=-1, keepdims=True)
-    scale = np.where(norms > 0.0, norms, 1.0)
-    return scale.reshape(-1) * model.maxima(D / scale)
-
-
 def support(P: Polytope, D):
     """max d.x over P for one direction d (a float) or each row d of a matrix D (an array).
 
@@ -114,7 +105,7 @@ def support(P: Polytope, D):
     D = np.asarray(D, dtype=float)
     if D.shape[-1:] != (P.dim,) or D.ndim > 2:
         raise DimensionMismatch(f"directions of shape {D.shape} vs dimension {P.dim}")
-    values = _unit_maxima(_load(P), D)
+    values = _load(P).maxima(D)
     return float(values[0]) if D.ndim == 1 else values
 
 
@@ -224,7 +215,7 @@ def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     for _ in range(MAX_FIXPOINT_ITER):
         F_k = F_k @ A_cl
         try:
-            cuts = np.flatnonzero(_unit_maxima(model, F_k) > g_k + REDUNDANCY_TOL)
+            cuts = np.flatnonzero(model.maxima(F_k) > g_k + REDUNDANCY_TOL)
         except EmptyInput:
             return omega
         if not cuts.size:

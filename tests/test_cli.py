@@ -331,6 +331,25 @@ def test_malformed_network_exit_code(case_files, tmp_path, capsys, network):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("X", [1, 2]), ("X", 3), ("U_box", [-1, 1]), ("U", "abc")],
+    ids=["X-list", "X-int", "U_box-list", "U-string"],
+)
+def test_malformed_system_field_exit_code(case_files, tmp_path, capsys, field, value):
+    sys_path, net_path, xin_path, tmp = case_files
+    with open(sys_path) as f:
+        system = json.load(f)
+    if field == "U":
+        del system["U_box"]
+    system[field] = value
+    bad_path = tmp_path / "bad_field.json"
+    bad_path.write_text(json.dumps(system))
+    assert main(_verify_argv(str(bad_path), net_path, xin_path, tmp / "field_out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
 def test_empty_input_box_exit_code(case_files, tmp_path, capsys):
     # lb > ub is an empty U: a bad input, rejected before any verification
     sys_path, net_path, xin_path, tmp = case_files

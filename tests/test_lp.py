@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from certnn import lp
-from certnn.polytope import Polytope, remove_redundant
+from certnn.polytope import Polytope, remove_redundant, support
 
 
 def random_bounded_lp(rng, n=4, m=8):
@@ -203,3 +203,29 @@ def test_row_edits_leave_the_callers_arrays(lp_path):
     g = P.g.copy()
     assert remove_redundant(P).nrows == 4
     assert np.array_equal(P.g, g)
+
+
+def test_maxima_scale_with_the_objective(lp_path):
+    # HiGHS's tolerances are absolute, so maxima solves each objective at unit
+    # norm: objectives of norm 1e-10 give 1e-10 times the maxima of norm ~1
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        F = np.vstack([np.eye(n), -np.eye(n), rng.standard_normal((n, n))])
+        g = rng.uniform(0.5, 2.0, F.shape[0])
+        C = rng.standard_normal((3, n))
+        free = np.full(n, np.inf)
+        model = lp.LpModel(np.zeros(n), F, g, -free, free)
+        np.testing.assert_allclose(model.maxima(1e-10 * C), 1e-10 * model.maxima(C), rtol=1e-9)
+
+
+def test_a_stalled_warm_solve_is_solved_again_cold(lp_path):
+    # on the 67th of these polytopes HiGHS's warm re-solve of the third
+    # direction stops with status Unknown; each direction solved alone, cold
+    # or through linprog, is unbounded
+    rng = np.random.default_rng(0)
+    for _ in range(67):
+        n = rng.integers(2, 6)
+        m = rng.integers(n + 1, 3 * n + 2)
+        F, g, C = rng.standard_normal((m, n)), rng.uniform(0.5, 2.0, m), rng.standard_normal((4, n))
+    assert np.array_equal(support(Polytope(F, g), C), np.full(4, np.inf))

@@ -31,16 +31,17 @@ FAN8 = np.array(
 )
 
 
-def _columns(net, m):
-    """Per hidden layer the (z, t) column indices of a step-0 model, then the u columns.
+def _columns(net, k=0):
+    """The state columns of step k, per hidden layer the (z, t) columns of its network copy, and u.
 
-    The columns are x0, then z and t of each hidden layer, then u.
+    The columns are x0, then z and t of each hidden layer, then u, then x1, and so on.
     """
-    start, layers = net.n_x, []
+    start = k * (net.n_x + 2 * sum(net.hidden_widths) + net.n_u)
+    x, start, layers = np.arange(start, start + net.n_x), start + net.n_x, []
     for n_l in net.hidden_widths:
         layers.append((np.arange(start, start + n_l), np.arange(start + n_l, start + 2 * n_l)))
         start += 2 * n_l
-    return layers, np.arange(start, start + net.n_u)
+    return x, layers, np.arange(start, start + net.n_u)
 
 
 class TestBounds:
@@ -53,7 +54,7 @@ class TestBounds:
              (np.eye(2), np.zeros(2))]
         )
         m = encode_output_range(net, UNIT_BOX, [1.0, 0.0])
-        [(z, t)], u = _columns(net, m)
+        _, [(z, t)], u = _columns(net)
         np.testing.assert_allclose(m.ub[z], [2.5, 1.0])  # M_pos
         np.testing.assert_array_equal(m.binaries, t)
         np.testing.assert_array_equal(m.ub[t], [1.0, 1.0])  # both neurons unstable
@@ -64,23 +65,30 @@ class TestBounds:
         np.testing.assert_allclose(m.ub[u], [2.5, 1.0])
 
     def test_bounds_are_sound(self):
+        # rollouts from X_in stay inside the column bounds of each state block
+        # x_k and of each layer of the network copy at x_k, for k = 0, 1, 2; the
+        # bounds at x0 are exact, those at x1 and x2 rest on the box LPs
         rng = np.random.default_rng(0)
+        sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
         for _ in range(20):
             net = random_net(rng, 2, [4, 3], 1)
-            m = encode_output_range(net, UNIT_BOX, [1.0])
-            layers, u = _columns(net, m)
+            m = ClosedLoopEncoding(sys, net, UNIT_BOX).model(3, [1.0, 0.0])
             X = rng.uniform(-1.0, 1.0, size=(200, 2))
-            Z = X
-            for (W, b), (z, t) in zip(net.layers[:-1], layers):
-                pre = Z @ W.T + b
-                Z = np.maximum(pre, 0.0)
-                assert np.all(Z <= m.ub[z] + 1e-12)
-                # a binary fixed by the bounds matches every sampled sign
-                assert np.all(pre[:, m.lb[t] == 1.0] <= 1e-12)
-                assert np.all(pre[:, m.ub[t] == 0.0] >= -1e-12)
-            out = Z @ net.layers[-1][0].T + net.layers[-1][1]
-            assert np.all(out >= m.lb[u] - 1e-12)
-            assert np.all(out <= m.ub[u] + 1e-12)
+            for k, tol in enumerate((1e-12, 1e-9, 1e-9)):
+                x, layers, u = _columns(net, k)
+                assert np.isfinite(m.lb[x]).all() and np.isfinite(m.ub[x]).all()
+                assert np.all((X >= m.lb[x] - tol) & (X <= m.ub[x] + tol))
+                Z = X
+                for (W, b), (z, t) in zip(net.layers[:-1], layers):
+                    pre = Z @ W.T + b
+                    Z = np.maximum(pre, 0.0)
+                    assert np.all(Z <= m.ub[z] + tol)
+                    # a binary fixed by the bounds matches every sampled sign
+                    assert np.all(pre[:, m.lb[t] == 1.0] <= tol)
+                    assert np.all(pre[:, m.ub[t] == 0.0] >= -tol)
+                out = Z @ net.layers[-1][0].T + net.layers[-1][1]
+                assert np.all((out >= m.lb[u] - tol) & (out <= m.ub[u] + tol))
+                X = X @ sys.A.T + out @ sys.B.T
 
     def test_unbounded_input(self, identity_pair_net):
         with pytest.raises(UnboundedInput):
@@ -129,12 +137,12 @@ class TestOutputRange:
         net = random_net(rng, 2, [4], 1)
         model = encode_output_range(net, UNIT_BOX, [1.0])
         res = solve_milp(model)
-        x_star = res.point[model.x0_idx]
+        x_star = res.point[: net.n_x]
         assert UNIT_BOX.contains_point(x_star, tol=1e-6)
         assert float(net.eval(x_star)[0]) == pytest.approx(res.value, abs=1e-6)
 
 
-MODEL_ARRAYS = ("c", "A_ub", "b_ub", "A_eq", "b_eq", "lb", "ub", "binaries", "x0_idx")
+MODEL_ARRAYS = ("c", "A_ub", "b_ub", "A_eq", "b_eq", "lb", "ub", "binaries")
 
 
 def _assert_models_equal(got, want):
@@ -352,7 +360,7 @@ class TestCutoff:
                 assert res.status == BnbStatus.OPTIMAL
                 assert res.value == pytest.approx(want, abs=1e-9)
                 assert res.bound == res.value
-                x0 = res.point[model.x0_idx]
+                x0 = res.point[:2]
                 assert UNIT_BOX.contains_point(x0, tol=1e-6)
                 assert replay(x0) == pytest.approx(res.value, abs=1e-6)
             else:
