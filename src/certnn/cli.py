@@ -71,18 +71,27 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _parse(path: str, parse):
+    """parse applied to the JSON object in path; a missing key names the file and the field."""
+    data = _load_json(path)
+    try:
+        return parse(data)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing field '{exc.args[0]}'") from exc
+
+
 def _load_inputs(args, need_network=True, need_xin=True):
-    sys_obj, aux = control.system_from_json(_load_json(args.system))
+    sys_obj, aux = _parse(args.system, control.system_from_json)
     net = None
     if need_network:
-        net = ReluNetwork.from_json(_load_json(args.network))
+        net = _parse(args.network, ReluNetwork.from_json)
         if net.n_x != sys_obj.n_x or net.n_u != sys_obj.n_u:
             raise ConfigError(
                 f"network is {net.n_x}->{net.n_u} but plant expects {sys_obj.n_x}->{sys_obj.n_u}"
             )
     xin = None
     if need_xin:
-        xin = Polytope.from_json(_load_json(args.xin))
+        xin = _parse(args.xin, Polytope.from_json)
         if xin.dim != sys_obj.n_x:
             raise ConfigError(f"X_in dimension {xin.dim} does not match state size {sys_obj.n_x}")
     return sys_obj, aux, net, xin
@@ -114,8 +123,7 @@ def _reference_gain(args, sys_obj, aux):
         if aux["Q"] is None or aux["R"] is None:
             raise ConfigError("k-source 'lqr' needs Q and R in the system file")
         return control.lqr(sys_obj, aux["Q"], aux["R"]).K
-    data = _load_json(args.k_source)
-    return np.asarray(data["K"], dtype=float)
+    return _parse(args.k_source, lambda data: np.asarray(data["K"], dtype=float))
 
 
 def cmd_verify(args) -> int:
@@ -185,6 +193,8 @@ def cmd_simulate(args) -> int:
     x0 = np.array([float(v) for v in args.x0.split(",")])
     if x0.size != sys_obj.n_x:
         raise ConfigError(f"x0 has {x0.size} entries, expected {sys_obj.n_x}")
+    if not np.all(np.isfinite(x0)):
+        raise ConfigError(f"x0 must be finite, got {args.x0}")
     traj = control.simulate(sys_obj, net, x0, args.steps)
     out = _out_dir(args)
     with open(out / "trajectory.csv", "w", newline="") as f:

@@ -145,6 +145,10 @@ def system_from_json(data: dict) -> tuple[LtiSystem, dict]:
         aux["U"] = Polytope.from_json(data["U"])
     else:
         raise ValueError("system file needs either U or U_box")
+    u_field = "U_box" if "U_box" in data else "U"
+    for name, P, size, n in (("X", aux["X"], "n_x", sys.n_x), (u_field, aux["U"], "n_u", sys.n_u)):
+        if P.dim != n:
+            raise ValueError(f"system field {name} has dimension {P.dim}, expected {size} = {n}")
     if "Q" in data:
         aux["Q"] = np.asarray(data["Q"], dtype=float)
     if "R" in data:

@@ -3,11 +3,14 @@
 A network is a list of (W, b) layers: hidden layers with ReLU activation
 followed by one affine output layer.  Fixing which ReLUs are active (an
 activation pattern, one binary per hidden neuron) turns the network into a
-single affine map valid on a polytopic region of the input space; the
-functions below extract that affine map, the region, the pattern realized at
-a point, and build two derived controllers: an output-saturated network that
-respects box input constraints everywhere, and a retrofit whose output layer
-is minimally modified so the equilibrium-region feedback equals -K x.
+single affine map valid on a polytopic region of the input space.
+ReluNetwork.pattern_maps is that parametric description: the affine map of
+each hidden pre-activation and of the output under a pattern.  The region,
+the equilibrium gain and bias and the retrofit constraints are all read off
+it.  The module also finds the pattern realized at a point and builds two
+derived controllers: an output-saturated network that respects box input
+constraints everywhere, and a retrofit whose output layer is minimally
+modified so the equilibrium-region feedback equals -K x.
 
 Ties (pre-activation exactly zero) count as active; this matters only on
 measure-zero boundaries but fixes which closed region a boundary point
@@ -36,7 +39,7 @@ class InvalidBounds(CertnnError):
 
 
 class RankDeficient(CertnnError):
-    """The retrofit equality system violates one of its rank requirements."""
+    """The retrofit equality system has no solution: no output layer gives -K."""
 
 
 class ReluNetwork:
@@ -106,42 +109,21 @@ class ReluNetwork:
         ):
             raise DimensionMismatch("pattern does not match hidden layer widths")
 
-    def affine_map(self, pattern: Pattern, l: int) -> tuple[np.ndarray, np.ndarray]:
-        """(W, b) with network-through-layer-l == W x + b under the pattern.
+    def pattern_maps(self, pattern: Pattern) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The network's parametric description under an activation pattern.
 
-        For l <= L the mask of layer l is included; for l = L+1 the affine
-        output layer is applied on top of the fully masked hidden stack.
+        One forward walk returns (V, c) with V x + c equal to each hidden
+        layer's pre-activation, then to the output, for every x that realizes
+        the pattern.  Each layer's mask applies before the next layer does.
         """
         self._check_pattern(pattern)
-        L = self.n_hidden_layers
-        if not 1 <= l <= L + 1:
-            raise ValueError(f"layer index {l} out of range 1..{L + 1}")
-        W_acc = np.eye(self.n_x)
-        b_acc = np.zeros(self.n_x)
-        for i in range(min(l, L)):
-            W, b = self.layers[i]
-            W_acc = W @ W_acc
-            b_acc = W @ b_acc + b
-            mask = np.asarray(pattern[i], dtype=float)
-            W_acc = mask[:, None] * W_acc
-            b_acc = mask * b_acc
-        if l == L + 1:
-            W, b = self.layers[-1]
-            W_acc = W @ W_acc
-            b_acc = W @ b_acc + b
-        return W_acc, b_acc
-
-    def preactivation_affine(self, pattern: Pattern, l: int) -> tuple[np.ndarray, np.ndarray]:
-        """Affine map from input to layer l's pre-activation under the pattern."""
-        self._check_pattern(pattern)
-        L = self.n_hidden_layers
-        if not 1 <= l <= L:
-            raise ValueError(f"hidden layer index {l} out of range 1..{L}")
-        W, b = self.layers[l - 1]
-        if l == 1:
-            return W.copy(), b.copy()
-        W_prev, b_prev = self.affine_map(pattern, l - 1)
-        return W @ W_prev, W @ b_prev + b
+        W, b = self.layers[0]
+        maps = [(W.copy(), b.copy())]
+        for (W, b), gamma in zip(self.layers[1:], pattern):
+            V, c = maps[-1]
+            mask = np.asarray(gamma, dtype=float)
+            maps.append((W @ (mask[:, None] * V), W @ (mask * c) + b))
+        return maps
 
     def region_of_pattern(self, pattern: Pattern) -> Polytope:
         """Closed region where the pattern is realized, as an irredundant polytope.
@@ -150,21 +132,12 @@ class ReluNetwork:
         pre(x) <= 0, so the region equals the closure of {x : G(x) = pattern}.
         Raises EmptyRegion when the stacked system is infeasible.
         """
-        self._check_pattern(pattern)
-        rows = []
-        rhs = []
-        for l in range(1, self.n_hidden_layers + 1):
-            V, c = self.preactivation_affine(pattern, l)
-            gamma = np.asarray(pattern[l - 1])
-            for j in range(gamma.size):
-                if gamma[j]:
-                    rows.append(-V[j])
-                    rhs.append(c[j])
-                else:
-                    rows.append(V[j])
-                    rhs.append(-c[j])
+        maps = self.pattern_maps(pattern)[:-1]
+        sign = 1.0 - 2.0 * np.concatenate(pattern)  # -1 active, +1 inactive
+        V = np.vstack([V for V, _ in maps])
+        c = np.concatenate([c for _, c in maps])
         try:
-            return remove_redundant(Polytope(np.array(rows), np.array(rhs)))
+            return remove_redundant(Polytope(sign[:, None] * V, -sign * c))
         except EmptyInput as exc:
             raise EmptyRegion("activation pattern is unrealizable") from exc
 
@@ -227,43 +200,28 @@ def retrofit_lqr(net: ReluNetwork, K) -> tuple[ReluNetwork, float]:
     Solves the strictly convex QP
         min ||W_new - W_out||_F^2 + ||b_new - b_out||^2
         s.t. W_new @ W_eq = -K,  W_new @ b_eq + b_new = 0,
-    where (W_eq, b_eq) is the affine map of the hidden stack under the
-    activation pattern at the origin.  The hidden layers (and hence all
-    activation regions) are untouched.  Returns the new network and the
-    objective value at the optimum.
+    where (W_eq, b_eq) is the masked last hidden layer under the activation
+    pattern at the origin.  Row-wise the constraints read [W_new b_new] G =
+    [-K 0] with G = [[W_eq, b_eq], [0, 1]], so the optimum is the old layer
+    plus the min-norm correction ([-K 0] - [W_out b_out] G) pinv(G).  The
+    hidden layers (and hence all activation regions) are untouched.  Returns
+    the new network and the objective value at the optimum; raises
+    RankDeficient when the constraints have no solution.
     """
     K = np.asarray(K, dtype=float).reshape(net.n_u, net.n_x)
     gamma = net.activation_pattern(np.zeros(net.n_x))
-    W_eq, b_eq = net.affine_map(gamma, net.n_hidden_layers)
+    V, c = net.pattern_maps(gamma)[-2]
+    mask = np.asarray(gamma[-1], dtype=float)[:, None]
+    G = np.block([[mask * V, mask * c[:, None]], [np.zeros(net.n_x), 1.0]])
+    T = np.hstack([-K, np.zeros((net.n_u, 1))])
     W_out, b_out = net.layers[-1]
-    n_u, n_L = W_out.shape
-
-    # Solvability of W_new @ W_eq = -K alone (block-diagonal system in the
-    # stacked rows of W_new).
-    A_w = np.kron(np.eye(n_u), W_eq.T)
-    b_w = (-K).reshape(-1)
-    if np.linalg.matrix_rank(np.column_stack([A_w, b_w])) > np.linalg.matrix_rank(A_w):
-        raise RankDeficient("gain equation inconsistent: rank([Aeq | beq]) > rank(Aeq)")
-
-    # Full system over [vec(W_new rows); b_new]: gain rows plus bias rows.
-    A_full = np.zeros((n_u * net.n_x + n_u, n_u * n_L + n_u))
-    b_full = np.zeros(n_u * net.n_x + n_u)
-    A_full[: n_u * net.n_x, : n_u * n_L] = A_w
-    b_full[: n_u * net.n_x] = b_w
-    for i in range(n_u):
-        A_full[n_u * net.n_x + i, i * n_L : (i + 1) * n_L] = b_eq
-        A_full[n_u * net.n_x + i, n_u * n_L + i] = 1.0
-    target = np.concatenate([W_out.reshape(-1), b_out])
-    # The closest feasible point to target is target plus the min-norm
-    # solution of A_full d = b_full - A_full target.
-    sol = target + np.linalg.lstsq(A_full, b_full - A_full @ target, rcond=None)[0]
-    residual = np.max(np.abs(A_full @ sol - b_full))
-    if residual > 1e-8 * (1.0 + np.max(np.abs(b_full))):
-        raise RankDeficient(f"retrofit equality residual {residual:.3e} too large")
-    W_new = sol[: n_u * n_L].reshape(n_u, n_L)
-    b_new = sol[n_u * n_L :]
-    cost = float(np.sum((sol - target) ** 2))
-    return ReluNetwork(list(net.layers[:-1]) + [(W_new, b_new)]), cost
+    old = np.hstack([W_out, b_out[:, None]])
+    new = old + (T - old @ G) @ np.linalg.pinv(G)
+    residual = np.max(np.abs(new @ G - T))
+    if residual > 1e-8 * (1.0 + np.max(np.abs(T))):
+        raise RankDeficient(f"retrofit equality residual {residual:.3e}: no output layer gives -K")
+    cost = float(np.sum((new - old) ** 2))
+    return ReluNetwork(list(net.layers[:-1]) + [(new[:, :-1], new[:, -1])]), cost
 
 
 def synth_satlqr(K, lb, ub, radius: float = 10.0) -> ReluNetwork:
@@ -279,15 +237,9 @@ def synth_satlqr(K, lb, ub, radius: float = 10.0) -> ReluNetwork:
     if K.ndim == 1:
         K = K.reshape(1, -1)
     n_u, n_x = K.shape
-    W1 = np.zeros((2 * n_x, n_x))
-    for i in range(n_x):
-        W1[2 * i, i] = 1.0
-        W1[2 * i + 1, i] = -1.0
+    # integer, so every zero is +0.0 once ReluNetwork casts it to float
+    W1 = np.kron(np.eye(n_x, dtype=int), [[1], [-1]])
     b1 = np.full(2 * n_x, float(radius))
-    W2 = np.zeros((n_u, 2 * n_x))
-    for j in range(n_u):
-        for i in range(n_x):
-            W2[j, 2 * i] = -K[j, i] / 2.0
-            W2[j, 2 * i + 1] = K[j, i] / 2.0
+    W2 = np.kron(K, [[-0.5, 0.5]])
     b2 = np.zeros(n_u)
     return saturate(ReluNetwork([(W1, b1), (W2, b2)]), lb, ub)

@@ -50,10 +50,9 @@ def enumerate_regions(net: ReluNetwork, X_in: Polytope) -> list[Region]:
                 pass  # an unrealizable pattern has no cell
             return
         # Pre-activations of this layer only depend on the completed layers.
-        V, c = net.preactivation_affine(
-            tuple(pattern_prefix) + tuple(np.ones(w, dtype=np.int8) for w in widths[layer:]),
-            layer + 1,
-        )
+        V, c = net.pattern_maps(
+            tuple(pattern_prefix) + tuple(np.ones(w, dtype=np.int8) for w in widths[layer:])
+        )[layer]
 
         def split(j: int, gamma: list[int], rows, rhs):
             nonlocal loaded

@@ -106,11 +106,8 @@ def _contained(results, P: Polytope) -> tuple[bool, Polytope, int]:
 
 
 def equilibrium_gain_bias(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """(W_out @ W_eq, W_out @ b_eq + b_out): the affine feedback at the origin's region."""
-    gamma = net.activation_pattern(np.zeros(net.n_x))
-    W_eq, b_eq = net.affine_map(gamma, net.n_hidden_layers)
-    W_out, b_out = net.layers[-1]
-    return W_out @ W_eq, W_out @ b_eq + b_out
+    """The output map (gain, bias) under the activation pattern at the origin."""
+    return net.pattern_maps(net.activation_pattern(np.zeros(net.n_x)))[-1]
 
 
 def check_stability_conditions(

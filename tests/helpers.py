@@ -5,8 +5,9 @@ reproduced by brute-force enumeration of activation patterns (one LP per
 pattern, solved directly with scipy), reachable sets by enumeration of
 pattern sequences through the plant, invariant sets by stacking a fixed
 number of preimages or by the invariant-set iteration with one fresh LP per
-support, redundancy removal by one fresh LP per row, and activation regions
-by enumeration of every pattern.
+support, redundancy removal by one fresh LP per row, activation regions
+by enumeration of every pattern, and the LQR retrofit by least squares on
+the Kronecker-expanded gain equation.
 """
 
 import itertools
@@ -15,8 +16,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 
-def _affine_under_pattern(net, gammas):
-    """(W, b) of the full network when the hidden activity is fixed to gammas."""
+def _hidden_under_pattern(net, gammas):
+    """(W, b) of the last hidden layer's output when the hidden activity is fixed to gammas."""
     W_acc = np.eye(net.n_x)
     b_acc = np.zeros(net.n_x)
     for (W, b), gamma in zip(net.layers[:-1], gammas):
@@ -25,6 +26,12 @@ def _affine_under_pattern(net, gammas):
         mask = np.asarray(gamma, dtype=float)
         W_acc = mask[:, None] * W_acc
         b_acc = mask * b_acc
+    return W_acc, b_acc
+
+
+def _affine_under_pattern(net, gammas):
+    """(W, b) of the full network when the hidden activity is fixed to gammas."""
+    W_acc, b_acc = _hidden_under_pattern(net, gammas)
     W, b = net.layers[-1]
     return W @ W_acc, W @ b_acc + b
 
@@ -238,3 +245,33 @@ def batch_eval(net, X):
         Z = np.maximum(Z @ W.T + b, 0.0)
     W, b = net.layers[-1]
     return Z @ W.T + b
+
+
+def retrofit_reference(net, K):
+    """(W_new, b_new, cost) of the LQR retrofit, or None when no output layer gives -K.
+
+    The constraints W_new @ W_eq = -K and W_new @ b_eq + b_new = 0 are
+    expanded into one linear system over [vec(W_new rows); b_new] with a
+    Kronecker product; a rank test rejects an inconsistent gain equation and
+    the min-norm least-squares step from the old layer gives the optimum.
+    """
+    K = np.asarray(K, dtype=float).reshape(net.n_u, net.n_x)
+    W_eq, b_eq = _hidden_under_pattern(net, net.activation_pattern(np.zeros(net.n_x)))
+    W_out, b_out = net.layers[-1]
+    n_u, n_L = W_out.shape
+    A_w = np.kron(np.eye(n_u), W_eq.T)
+    b_w = (-K).reshape(-1)
+    if np.linalg.matrix_rank(np.column_stack([A_w, b_w])) > np.linalg.matrix_rank(A_w):
+        return None
+    A_full = np.zeros((n_u * net.n_x + n_u, n_u * n_L + n_u))
+    b_full = np.zeros(n_u * net.n_x + n_u)
+    A_full[: n_u * net.n_x, : n_u * n_L] = A_w
+    b_full[: n_u * net.n_x] = b_w
+    for i in range(n_u):
+        A_full[n_u * net.n_x + i, i * n_L : (i + 1) * n_L] = b_eq
+        A_full[n_u * net.n_x + i, n_u * n_L + i] = 1.0
+    target = np.concatenate([W_out.reshape(-1), b_out])
+    sol = target + np.linalg.lstsq(A_full, b_full - A_full @ target, rcond=None)[0]
+    if np.max(np.abs(A_full @ sol - b_full)) > 1e-8 * (1.0 + np.max(np.abs(b_full))):
+        return None
+    return sol[: n_u * n_L].reshape(n_u, n_L), sol[n_u * n_L :], float(np.sum((sol - target) ** 2))

@@ -160,7 +160,8 @@ def test_06_retrofit():
         net = random_net(rng, 2, [int(rng.integers(3, 7))], 1)
         K = rng.standard_normal((1, 2))
         gamma = net.activation_pattern(np.zeros(2))
-        W_eq, b_eq = net.affine_map(gamma, net.n_hidden_layers)
+        V, c = net.pattern_maps(gamma)[-2]
+        W_eq, b_eq = gamma[-1][:, None] * V, gamma[-1] * c
         if np.linalg.matrix_rank(W_eq) < 2:
             continue  # infeasible gain equation; skip to a feasible fixture
         tested += 1

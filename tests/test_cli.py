@@ -79,8 +79,8 @@ def test_missing_file_exit_code(case_files, tmp_path):
     assert code == 1
 
 
-def test_dimension_mismatch_exit_code(case_files, tmp_path):
-    sys_path, _, xin_path, tmp = case_files
+def test_dimension_mismatch_exit_code(case_files, tmp_path, capsys):
+    sys_path, net_path, xin_path, tmp = case_files
     bad_net = ReluNetwork(
         [(np.ones((2, 3)), np.zeros(2)), (np.ones((1, 2)), np.zeros(1))]
     )
@@ -93,6 +93,20 @@ def test_dimension_mismatch_exit_code(case_files, tmp_path):
         ]
     )
     assert code == 1
+    # sets of the wrong width are rejected when the system file is parsed,
+    # before any MILP runs, and the message names the field
+    system = json.loads(open(sys_path).read())
+    wide_u = {k: v for k, v in system.items() if k != "U_box"}
+    wide_u["U"] = Polytope.box([-1.0, -1.0], [1.0, 1.0]).to_json()
+    wide_x = dict(system, X=Polytope.box(-np.ones(3), np.ones(3)).to_json())
+    for field, bad in (("U", wide_u), ("X", wide_x)):
+        path = tmp_path / f"wide_{field}.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(_verify_argv(str(path), net_path, xin_path, tmp / "out4")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: system field {field} has dimension ")
+        assert err.count("\n") == 1
 
 
 def test_retrofit_outputs_network(case_files, capsys):
@@ -182,6 +196,14 @@ def test_simulate_bad_x0(case_files):
         ]
     )
     assert code == 1
+    # a non-finite state is rejected before any trajectory is written
+    for x0 in ("nan,1", "1,inf"):
+        argv = [
+            "simulate", "--system", sys_path, "--network", net_path,
+            "--out-dir", str(tmp / "simbad"), "--x0", x0, "--steps", "5",
+        ]
+        assert main(argv) == 1
+    assert not (tmp / "simbad" / "trajectory.csv").exists()
 
 
 def test_sets_outputs(case_files):
@@ -362,3 +384,44 @@ def test_empty_input_box_exit_code(case_files, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "U_box" in err and err.count("\n") == 1
     assert not (tmp / "empty_u_out").exists()
+
+
+@pytest.mark.parametrize(
+    "file, field",
+    [
+        ("system", "F"),  # X = {}
+        ("system", "ub"),  # U_box without ub
+        ("system", "A"),
+        ("network", "W"),
+        ("xin", "g"),
+        ("k_source", "K"),
+    ],
+    ids=["system-X", "system-U_box", "system-A", "network", "xin", "k_source"],
+)
+def test_missing_field_names_file_and_field(case_files, tmp_path, capsys, file, field):
+    sys_path, net_path, xin_path, tmp = case_files
+    paths = {"system": sys_path, "network": net_path, "xin": xin_path}
+    data = json.loads(open(paths[file]).read()) if file in paths else {}
+    if file == "system":
+        if field == "F":
+            data["X"] = {}
+        elif field == "ub":
+            del data["U_box"]["ub"]
+        else:
+            del data[field]
+    elif file == "network":
+        del data["layers"][0]["W"]
+    elif file == "xin":
+        del data["g"]
+    path = tmp_path / f"missing_{field}.json"
+    path.write_text(json.dumps(data))
+    paths[file] = str(path)
+    if file == "k_source":
+        argv = [
+            "retrofit", "--system", sys_path, "--network", net_path,
+            "--k-source", str(path), "--out-dir", str(tmp / "missing_out"),
+        ]
+    else:
+        argv = _verify_argv(paths["system"], paths["network"], paths["xin"], tmp / "missing_out")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: missing field '{field}'\n"

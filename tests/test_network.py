@@ -64,26 +64,47 @@ class TestActivationPattern:
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_affine_map_matches_eval(self, seed):
+    def test_pattern_maps_output_matches_eval(self, seed):
         rng = np.random.default_rng(seed)
         net = random_net(rng, 2, [4, 3], 2)
         x = rng.standard_normal(2)
         gamma = net.activation_pattern(x)
-        W, b = net.affine_map(gamma, net.n_hidden_layers + 1)
+        W, b = net.pattern_maps(gamma)[-1]
         np.testing.assert_allclose(W @ x + b, net.eval(x), atol=1e-10)
 
-    def test_affine_map_layer_by_layer(self):
+    def test_pattern_maps_layer_by_layer(self):
         rng = np.random.default_rng(3)
         net = random_net(rng, 2, [4, 3], 1)
         x = rng.standard_normal(2)
         gamma = net.activation_pattern(x)
+        (V1, c1), (V2, c2), _ = net.pattern_maps(gamma)
         # hidden activity computed directly, layer by layer
         z = np.maximum(net.layers[0][0] @ x + net.layers[0][1], 0.0)
-        W1, b1 = net.affine_map(gamma, 1)
-        np.testing.assert_allclose(W1 @ x + b1, z, atol=1e-12)
+        np.testing.assert_allclose(gamma[0] * (V1 @ x + c1), z, atol=1e-12)
         z2 = np.maximum(net.layers[1][0] @ z + net.layers[1][1], 0.0)
-        W2, b2 = net.affine_map(gamma, 2)
-        np.testing.assert_allclose(W2 @ x + b2, z2, atol=1e-12)
+        np.testing.assert_allclose(gamma[1] * (V2 @ x + c2), z2, atol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 4))
+    def test_pattern_maps_reproduce_every_layer(self, seed, depth):
+        # under the pattern realized at x, each map reproduces the
+        # pre-activation a direct forward pass computes, then the output
+        rng = np.random.default_rng(seed)
+        n_x = int(rng.integers(1, 4))
+        net = random_net(rng, n_x, list(rng.integers(1, 6, depth)), int(rng.integers(1, 3)))
+        x = rng.standard_normal(n_x)
+        maps = net.pattern_maps(net.activation_pattern(x))
+        assert len(maps) == depth + 1
+        z = x
+        for (W, b), (V, c) in zip(net.layers, maps):
+            pre = W @ z + b
+            np.testing.assert_allclose(V @ x + c, pre, atol=1e-9)
+            z = np.maximum(pre, 0.0)
+        np.testing.assert_allclose(maps[-1][0] @ x + maps[-1][1], net.eval(x), atol=1e-9)
+
+    def test_pattern_maps_reject_wrong_widths(self, identity_pair_net):
+        with pytest.raises(DimensionMismatch):
+            identity_pair_net.pattern_maps((np.array([1, 0, 1]),))
 
 
 class TestRegionOfPattern:
@@ -178,11 +199,9 @@ class TestRetrofit:
                 fixed, cost = retrofit_lqr(net, K)
             except RankDeficient:
                 continue
-            gamma = fixed.activation_pattern(np.zeros(2))
-            W_eq, b_eq = fixed.affine_map(gamma, fixed.n_hidden_layers)
-            W_new, b_new = fixed.layers[-1]
-            np.testing.assert_allclose(W_new @ W_eq, -K, atol=1e-8)
-            np.testing.assert_allclose(W_new @ b_eq + b_new, 0.0, atol=1e-8)
+            gain, bias = fixed.pattern_maps(fixed.activation_pattern(np.zeros(2)))[-1]
+            np.testing.assert_allclose(gain, -K, atol=1e-8)
+            np.testing.assert_allclose(bias, 0.0, atol=1e-8)
             assert cost >= -1e-12
             # hidden layers untouched
             for (Wa, ba), (Wb, bb) in zip(net.layers[:-1], fixed.layers[:-1]):
@@ -204,6 +223,32 @@ class TestRetrofit:
         )
         with pytest.raises(RankDeficient):
             retrofit_lqr(net, np.array([[1.0, 1.0]]))
+
+
+    def test_matches_kronecker_reference(self):
+        # the closed-form correction against the Kronecker system solved by
+        # least squares: the same nets raise, the others agree to 1e-9
+        rng = np.random.default_rng(12)
+        raised = 0
+        for _ in range(200):
+            n_x = int(rng.integers(1, 4))
+            widths = list(rng.integers(1, 6, int(rng.integers(1, 3))))
+            net = random_net(rng, n_x, widths, int(rng.integers(1, 3)))
+            K = rng.standard_normal((net.n_u, n_x))
+            reference = helpers.retrofit_reference(net, K)
+            if reference is None:
+                raised += 1
+                with pytest.raises(RankDeficient):
+                    retrofit_lqr(net, K)
+                continue
+            fixed, cost = retrofit_lqr(net, K)
+            W_ref, b_ref, cost_ref = reference
+            W_new, b_new = fixed.layers[-1]
+            scale = 1.0 + max(np.max(np.abs(W_ref)), np.max(np.abs(b_ref)))
+            assert np.max(np.abs(W_new - W_ref)) <= 1e-9 * scale
+            assert np.max(np.abs(b_new - b_ref)) <= 1e-9 * scale
+            assert abs(cost - cost_ref) <= 1e-9 * (1.0 + cost_ref)
+        assert 20 <= raised <= 180  # both outcomes are exercised
 
 
 class TestSynthSatLqr:

@@ -149,7 +149,7 @@ class TestRemoveRedundant:
         net = random_net(rng, 2, [5], 1)
         gamma = net.activation_pattern(rng.standard_normal(2))
         rows, rhs = [], []
-        V, c = net.preactivation_affine(gamma, 1)
+        V, c = net.pattern_maps(gamma)[0]
         for j, bit in enumerate(gamma[0]):
             rows.append(-V[j] if bit else V[j])
             rhs.append(c[j] if bit else -c[j])

@@ -53,7 +53,7 @@ def test_affine_on_each_region():
     rng = np.random.default_rng(2)
     net = random_net(rng, 2, [4], 1)
     for r in enumerate_regions(net, UNIT_BOX):
-        W, b = net.affine_map(r.pattern, net.n_hidden_layers + 1)
+        W, b = net.pattern_maps(r.pattern)[-1]
         # interior points of the cell follow the cell's affine map
         from certnn.polytope import bounding_box
 
