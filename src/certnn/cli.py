@@ -72,23 +72,23 @@ def _load_json(path: str) -> dict:
 
 
 def _parse(path: str, parse):
-    """parse applied to the JSON object in path; a missing key names the file and the field."""
+    """parse applied to the JSON object in path; a missing key or a bad value names the file."""
     data = _load_json(path)
     try:
         return parse(data)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing field '{exc.args[0]}'") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_inputs(args, need_network=True, need_xin=True):
+def _load_inputs(args, need_xin=True):
     sys_obj, aux = _parse(args.system, control.system_from_json)
-    net = None
-    if need_network:
-        net = _parse(args.network, ReluNetwork.from_json)
-        if net.n_x != sys_obj.n_x or net.n_u != sys_obj.n_u:
-            raise ConfigError(
-                f"network is {net.n_x}->{net.n_u} but plant expects {sys_obj.n_x}->{sys_obj.n_u}"
-            )
+    net = _parse(args.network, ReluNetwork.from_json)
+    if net.n_x != sys_obj.n_x or net.n_u != sys_obj.n_u:
+        raise ConfigError(
+            f"network is {net.n_x}->{net.n_u} but plant expects {sys_obj.n_x}->{sys_obj.n_u}"
+        )
     xin = None
     if need_xin:
         xin = _parse(args.xin, Polytope.from_json)
@@ -238,10 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="certnn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, network=True, xin=True):
+    def common(sp, xin=True):
         sp.add_argument("--system", required=True, help="system JSON file")
-        if network:
-            sp.add_argument("--network", required=True, help="network JSON file")
+        sp.add_argument("--network", required=True, help="network JSON file")
         if xin:
             sp.add_argument("--xin", required=True, help="initial-set polytope JSON file")
         sp.add_argument("--out-dir", default=".", help="output directory")

@@ -126,31 +126,46 @@ def system_from_json(data: dict) -> tuple[LtiSystem, dict]:
     """Parse the system file schema; returns the plant and the auxiliary sets.
 
     Expected keys: A, B, X (polytope), U (polytope) or U_box ({lb, ub}),
-    optional Q, R.  The returned dict carries X, U, U_box, Q, R.
+    optional Q (n_x by n_x) and R (n_u by n_u).  The returned dict carries
+    X, U, U_box, Q, R.  A ValueError names the field it comes from.
     """
-    for name in ("X", "U", "U_box"):
-        if name in data and not isinstance(data[name], dict):
-            raise ValueError(f"system field {name} must be a JSON object")
-    sys = LtiSystem(np.asarray(data["A"], dtype=float), np.asarray(data["B"], dtype=float))
-    aux: dict = {"Q": None, "R": None, "U_box": None}
-    aux["X"] = Polytope.from_json(data["X"])
-    if "U_box" in data:
-        lb = np.asarray(data["U_box"]["lb"], dtype=float)
-        ub = np.asarray(data["U_box"]["ub"], dtype=float)
+
+    def field(name, parse):
+        try:
+            if name in ("X", "U", "U_box") and not isinstance(data[name], dict):
+                raise ValueError("must be a JSON object")
+            return parse(data[name])
+        except ValueError as exc:
+            raise ValueError(f"system field {name}: {exc}") from exc
+
+    def matrix(value):
+        return np.asarray(value, dtype=float)
+
+    def box(value):
+        lb, ub = matrix(value["lb"]), matrix(value["ub"])
+        if lb.shape != ub.shape:
+            raise ValueError(f"lb has shape {lb.shape} but ub {ub.shape}")
         if np.any(lb > ub):
             raise EmptyInput("U_box is empty: lb > ub")
-        aux["U_box"] = (lb, ub)
-        aux["U"] = Polytope.box(lb, ub)
+        return (lb, ub), Polytope.box(lb, ub)
+
+    sys = LtiSystem(field("A", matrix), field("B", matrix))
+    aux: dict = {"Q": None, "R": None, "U_box": None}
+    aux["X"] = field("X", Polytope.from_json)
+    if "U_box" in data:
+        aux["U_box"], aux["U"] = field("U_box", box)
     elif "U" in data:
-        aux["U"] = Polytope.from_json(data["U"])
+        aux["U"] = field("U", Polytope.from_json)
     else:
         raise ValueError("system file needs either U or U_box")
     u_field = "U_box" if "U_box" in data else "U"
     for name, P, size, n in (("X", aux["X"], "n_x", sys.n_x), (u_field, aux["U"], "n_u", sys.n_u)):
         if P.dim != n:
             raise ValueError(f"system field {name} has dimension {P.dim}, expected {size} = {n}")
-    if "Q" in data:
-        aux["Q"] = np.asarray(data["Q"], dtype=float)
-    if "R" in data:
-        aux["R"] = np.asarray(data["R"], dtype=float)
+    for name, n in (("Q", sys.n_x), ("R", sys.n_u)):
+        if name in data:
+            aux[name] = field(name, matrix)
+            if aux[name].shape != (n, n):
+                shape = aux[name].shape
+                raise ValueError(f"system field {name} has shape {shape}, expected ({n}, {n})")
     return sys, aux

@@ -4,10 +4,11 @@ Problems are stated as maximize c.x subject to A x <= b, A_eq x = b_eq and
 per-variable bounds.  An :class:`LpModel` loads one such problem into HiGHS
 once.  Its column bounds (the nodes of a branch and bound), its cost and the
 right-hand sides of its inequality rows then change in place, inequality
-rows can be appended, and each solve starts HiGHS's simplex from the basis
-of the previous solve instead of presolving the problem from scratch.  A
-right-hand side of +inf drops its row, so one load serves every redundancy
-test of a polytope and every step of an invariant-set fixpoint.
+rows can be appended and deleted again, and each solve starts HiGHS's
+simplex from the basis of the previous solve instead of presolving the
+problem from scratch.  A right-hand side of +inf drops its row, so one load
+serves every redundancy test of a polytope and every step of an
+invariant-set fixpoint.
 :meth:`LpModel.maxima` answers a whole matrix of objectives on one load: the
 support functions of a polytope and the per-coordinate box of a state block
 are each one call.  :func:`solve_lp` is the one-shot use of the same object.
@@ -99,10 +100,10 @@ class LpModel:
 
     A and A_eq may be dense or scipy sparse.  ``set_bounds`` and
     ``set_objective`` pass only the entries that changed to the solver,
-    ``set_rhs`` changes one inequality row (+inf drops it) and ``add_rows``
-    appends inequality rows; ``solve`` re-solves warm from the previous
-    basis, and ``maxima`` solves one LP per objective.  The model keeps its
-    own copy of b.
+    ``set_rhs`` changes one inequality row (+inf drops it), ``add_rows``
+    appends inequality rows and ``delete_rows`` deletes the last ones;
+    ``solve`` re-solves warm from the previous basis, and ``maxima`` solves
+    one LP per objective.  The model keeps its own copy of b.
     """
 
     def __init__(self, c, A, b, lb, ub, A_eq=None, b_eq=None):
@@ -170,6 +171,15 @@ class LpModel:
             )
             if status == _highs.HighsStatus.kError:
                 raise LpError("HiGHS rejected the rows")
+
+    def delete_rows(self, start: int):
+        """Delete the inequality rows from row start on."""
+        rows = np.arange(start, self._b.size)
+        if self._highs is not None and rows.size:
+            held = np.where(rows < self._loaded_rows, rows, rows + self._b_eq.size)
+            self._highs.deleteRows(rows.size, held.astype(np.int32))
+        self._A, self._b = self._A[:start], self._b[:start]
+        self._loaded_rows = min(self._loaded_rows, start)
 
     def solve(self) -> LpOutcome:
         """Solve the current LP, classifying the outcome as optimal/infeasible/unbounded."""

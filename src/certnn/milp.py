@@ -34,15 +34,13 @@ follow it: the same rows in another order can branch elsewhere, count other
 nodes and write other certificate bytes.
 
 The solver is a best-first branch and bound on the LP relaxation, branching
-on the most fractional binary (ties to the lowest index).  It stops at a
-relative gap of 1e-6 and returns both the incumbent and a proven upper
-bound on the maximum.  Given a cutoff it decides instead of optimizing:
-it stops at the first node that settles whether the maximum exceeds it, so
-it never branches on a node whose bound is at most the cutoff.  A proof returns
-only a proven bound at most the cutoff; a refutation returns the maximum
-and its point, as a search without a cutoff would.  A decision has no gap
-stop, so for a cutoff within the gap of the maximum it can prove what the
-gap-stopped search leaves above the cutoff (see ``solve_milp``).
+on the most fractional binary (ties to the lowest index).  Best first pops
+the largest open bound, so the first integral node it pops is a maximum,
+and its LP value is both the value and a proven upper bound.  Given a
+cutoff it decides instead of optimizing: a popped bound at most the cutoff
+proves the maximum at most the cutoff and ends the search, so it never
+branches on such a node; otherwise it returns the maximum and its point,
+as a search without a cutoff would (see ``solve_milp``).
 
 Every :class:`MilpModel` carries its relaxation loaded into one
 :class:`certnn.lp.LpModel`, shared by the copies that differ only in the
@@ -69,8 +67,6 @@ from certnn.network import ReluNetwork
 from certnn.polytope import Polytope
 
 INTEGRALITY_TOL = 1e-6
-PRUNE_TOL = 1e-9
-GAP_REL = 1e-6
 MAX_NODES = 1_000_000
 
 
@@ -117,9 +113,9 @@ class MilpModel:
 
 @dataclass
 class BnbResult:
-    """value is the incumbent, attained at point; bound is a proven upper bound on the max.
+    """value is the maximum, attained at point; bound is a proven upper bound on it.
 
-    A BELOW_CUTOFF result has no incumbent, only the proven bound.
+    An OPTIMAL result has bound == value; a BELOW_CUTOFF one only the bound.
     """
 
     status: str
@@ -320,86 +316,54 @@ def encode_reach(system, net: ReluNetwork, X_in: Polytope, k: int, direction) ->
 def solve_milp(m: MilpModel, cutoff: float | None = None) -> BnbResult:
     """Best-first branch and bound; proves a global optimum or infeasibility.
 
-    With a ``cutoff`` it only decides whether the maximum exceeds it, and
-    stops at the first popped node that settles the question.  Best first
-    pops the largest open bound, so no node with a bound <= cutoff is ever
-    branched on:
+    Best first pops the largest open LP bound, so each popped bound is a
+    proven upper bound on the maximum.  The search ends at the first of:
 
-    - a popped bound <= cutoff proves the maximum is at most the cutoff: the
-      result is BELOW_CUTOFF with no incumbent, and that bound as ``bound``;
-    - an integral node above the cutoff refutes it: the result is OPTIMAL as
-      without a cutoff, since its bound is the largest one open, so its
-      value is the maximum.
+    - a popped bound <= cutoff, when a cutoff is given: the maximum is at
+      most the cutoff, and the result is BELOW_CUTOFF with that bound as
+      ``bound`` and no point;
+    - a popped integral node: its LP value is the maximum, and the result
+      is OPTIMAL with ``value == bound ==`` that value and its point;
+    - an empty heap: INFEASIBLE.
 
-    There is no GAP_REL stop with a cutoff.  A search without one can stop
-    with its incumbent at most the cutoff and its bound above it, so its
-    bound says the maximum may exceed the cutoff; with that cutoff the
-    search goes on until it decides, which can prove the maximum below the
-    cutoff and can solve more nodes than the gap-stopped search.  A cutoff
-    farther from the maximum than the gap gives the same answer either way.
+    Without a cutoff the search runs as it would with a cutoff of -inf, so a
+    decision never branches on a node that the optimization would not.
 
     Raises MilpError when the search would solve more than MAX_NODES LPs.
     """
-    nodes = 0
+    nodes, tie, heap = 0, 0, []
     relaxation = m.relaxation
     relaxation.set_objective(m.c)
 
-    def _solve(lb, ub):
-        nonlocal nodes
+    def _push(lb, ub):
+        nonlocal nodes, tie
+        if nodes >= MAX_NODES:
+            raise MilpError(f"node cap {MAX_NODES} exceeded")
         nodes += 1
         relaxation.set_bounds(lb, ub)
-        return relaxation.solve()
+        out = relaxation.solve()
+        if out.status == lp.LpStatus.UNBOUNDED:
+            raise MilpError("relaxation unbounded; encoder bounds missing")
+        if out.status == lp.LpStatus.OPTIMAL:
+            tie += 1
+            heapq.heappush(heap, (-out.value, tie, lb, ub, out.point))
 
-    root = _solve(m.lb, m.ub)
-    if root.status == lp.LpStatus.INFEASIBLE:
-        return BnbResult(BnbStatus.INFEASIBLE, nodes=nodes)
-    if root.status == lp.LpStatus.UNBOUNDED:
-        raise MilpError("relaxation unbounded; encoder bounds missing")
-
-    tie = 0
-    heap = [(-root.value, tie, m.lb.copy(), m.ub.copy(), root.point)]
-    inc_val = -np.inf
-    inc_point = None
-    proven = -np.inf  # raised by a gap stop; an emptied heap proves the incumbent itself
-    binaries = m.binaries
+    _push(m.lb.copy(), m.ub.copy())
     while heap:
         neg_bound, _, lb, ub, x = heapq.heappop(heap)
         bound = -neg_bound
-        # best first: the popped bound is the largest of every node still open
         if cutoff is not None and bound <= cutoff:
             return BnbResult(BnbStatus.BELOW_CUTOFF, nodes=nodes, bound=bound)
-        if inc_point is not None and bound - inc_val <= GAP_REL * (1.0 + abs(inc_val)):
-            proven = bound
-            break
-        tvals = x[binaries]
+        tvals = x[m.binaries]
         frac = np.minimum(np.abs(tvals), np.abs(1.0 - tvals))
         if frac.size == 0 or frac.max() <= INTEGRALITY_TOL:
-            if cutoff is not None:
-                return BnbResult(BnbStatus.OPTIMAL, value=bound, point=x, nodes=nodes, bound=bound)
-            if bound > inc_val:
-                inc_val = bound
-                inc_point = x
-            continue
-        branch = int(np.argmax(frac))
-        var = binaries[branch]
+            return BnbResult(BnbStatus.OPTIMAL, value=bound, point=x, nodes=nodes, bound=bound)
+        var = m.binaries[int(np.argmax(frac))]
         for fix in (0.0, 1.0):
-            if nodes >= MAX_NODES:
-                raise MilpError(f"node cap {MAX_NODES} exceeded")
             clb, cub = lb.copy(), ub.copy()
-            clb[var] = fix
-            cub[var] = fix
-            out = _solve(clb, cub)
-            if out.status != lp.LpStatus.OPTIMAL:
-                continue
-            if out.value <= inc_val + PRUNE_TOL:
-                continue
-            tie += 1
-            heapq.heappush(heap, (-out.value, tie, clb, cub, out.point))
-    if inc_point is None:
-        return BnbResult(BnbStatus.INFEASIBLE, nodes=nodes)
-    return BnbResult(
-        BnbStatus.OPTIMAL, value=inc_val, point=inc_point, nodes=nodes, bound=max(inc_val, proven)
-    )
+            clb[var] = cub[var] = fix
+            _push(clb, cub)
+    return BnbResult(BnbStatus.INFEASIBLE, nodes=nodes)
 
 
 def _solve_directions(make_model, directions, cutoffs=None) -> list[BnbResult]:

@@ -4,8 +4,7 @@ Depth-first search over neurons in layer order: each neuron splits the
 current cell by its pre-activation hyperplane and infeasible branches are
 pruned with an LP, so only realizable patterns are visited (worst case still
 2^n, hence the neuron cap).  One LP is loaded for the whole search: a branch
-appends its half-space row and leaving the branch drops that row again by
-setting its right-hand side to +inf.
+appends its half-space row and leaving the branch deletes that row again.
 """
 
 from __future__ import annotations
@@ -55,21 +54,19 @@ def enumerate_regions(net: ReluNetwork, X_in: Polytope) -> list[Region]:
         )[layer]
 
         def split(j: int, gamma: list[int], rows, rhs):
-            nonlocal loaded
             if j == widths[layer]:
                 descend(layer + 1, pattern_prefix + [np.array(gamma)], rows, rhs)
                 return
+            # the model holds exactly the rows of the current cell
             for bit, row, r in ((1, -V[j], c[j]), (0, V[j], -c[j])):
                 model.add_rows(row[None, :], [r])
-                index, loaded = loaded, loaded + 1
                 if model.solve().status != lp.LpStatus.INFEASIBLE:
                     split(j + 1, gamma + [bit], rows + [row], rhs + [r])
-                model.set_rhs(index, np.inf)
+                model.delete_rows(len(rows))
 
         split(0, [], rows, rhs)
 
     # zero cost: each solve is the emptiness check of the current cell
     model = _load(X_in)
-    loaded = X_in.nrows  # inequality rows in the model, dropped ones included
     descend(0, [], list(X_in.F), list(X_in.g))
     return regions

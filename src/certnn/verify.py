@@ -9,9 +9,9 @@ set is certified inside R_as.  Each containment check bounds its set along
 the facets of the set it must lie in (U, X_in, R_as), so containment is a
 componentwise comparison rather than an over-approximation, and
 ``_contained`` decides all three with one rule: each proven upper bound of
-the branch and bound, not its incumbent, is at most the facet's offset plus
-CONTAIN_TOL.  The three checks share one closed-loop encoding, whose step 0
-is the output-range model of the network over X_in.
+the branch and bound, not the value at its point, is at most the facet's
+offset plus CONTAIN_TOL.  The three checks share one closed-loop encoding,
+whose step 0 is the output-range model of the network over X_in.
 
 The input and one-step checks solve each facet to optimality, since U_star
 and X_1_out are outputs.  The reach search only needs a yes or a no per
@@ -182,7 +182,7 @@ def verify_stability(
     results = milp.reach_results(sys, net, X_in, 1, X_in.F, encoding=encoding)
     one_step_ok, X_1, one_step_nodes = _contained(results, X_in)
     invariance_ok = input_ok and one_step_ok
-    # Each facet whose incumbent leaves X_in gives a witness: a point x0 of
+    # Each facet whose maximizer leaves X_in gives a witness: a point x0 of
     # X_in (the first block of model variables) whose image violates it.
     witnesses = [r.point[: sys.n_x] for r, g in zip(results, X_in.g) if r.value > g + CONTAIN_TOL]
 

@@ -105,7 +105,7 @@ def test_dimension_mismatch_exit_code(case_files, tmp_path, capsys):
         capsys.readouterr()
         assert main(_verify_argv(str(path), net_path, xin_path, tmp / "out4")) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: system field {field} has dimension ")
+        assert err.startswith(f"error: {path}: system field {field} has dimension ")
         assert err.count("\n") == 1
 
 
@@ -370,6 +370,28 @@ def test_malformed_system_field_exit_code(case_files, tmp_path, capsys, field, v
     assert main(_verify_argv(str(bad_path), net_path, xin_path, tmp / "field_out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("U_box", {"lb": [-1.0], "ub": [1.0, 1.0]}),
+        ("X", {"F": Polytope.box([-5.0, -5.0], [5.0, 5.0]).F.tolist(), "g": [5.0, 5.0]}),
+        ("Q", [[1.0]]),
+        ("R", [[1.0, 0.0]]),
+    ],
+    ids=["U_box-lengths", "X-short-g", "Q-1x1", "R-1x2"],
+)
+def test_bad_shape_names_file_and_field(case_files, tmp_path, capsys, field, value):
+    # a shape error inside a system field names the file and the field
+    sys_path, net_path, xin_path, tmp = case_files
+    system = dict(json.loads(open(sys_path).read()), **{field: value})
+    path = tmp_path / f"bad_{field}.json"
+    path.write_text(json.dumps(system))
+    assert main(_verify_argv(str(path), net_path, xin_path, tmp / "shape_out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: system field {field}") and err.count("\n") == 1
+    assert not (tmp / "shape_out").exists()
 
 
 def test_empty_input_box_exit_code(case_files, tmp_path, capsys):

@@ -191,6 +191,32 @@ def test_row_edits_match_fresh_model(lp_path):
     assert model.solve().value == pytest.approx(fresh.solve().value, abs=1e-9)
 
 
+def test_deleted_rows_match_fresh_model(lp_path):
+    # deleting the last inequality rows, appended ones and then loaded ones,
+    # gives the optima of a model loaded fresh on the rows that remain; rows
+    # appended after that are edited by their new index
+    rng = np.random.default_rng(22)
+    n, m = 4, 8
+    x0 = rng.standard_normal(n)
+    A, A_eq = rng.standard_normal((m + 3, n)), rng.standard_normal((1, n))
+    b = A @ x0 + rng.uniform(0.1, 1.0, m + 3)
+    lb, ub = np.full(n, -10.0), np.full(n, 10.0)
+    model = lp.LpModel(np.zeros(n), A[:m], b[:m], lb, ub, A_eq, A_eq @ x0)
+    model.add_rows(A[m:], b[m:])
+    C = rng.standard_normal((12, n))
+
+    def assert_matches(rows, rhs):
+        fresh = lp.LpModel(np.zeros(n), rows, rhs, lb, ub, A_eq, A_eq @ x0)
+        np.testing.assert_allclose(model.maxima(C), fresh.maxima(C), rtol=0.0, atol=1e-9)
+
+    for start in (m + 1, m, 5):
+        model.delete_rows(start)
+        assert_matches(A[:start], b[:start])
+    model.add_rows(A[m:], b[m:])
+    model.set_rhs(6, np.inf)
+    assert_matches(np.vstack([A[:5], A[m], A[m + 2]]), np.concatenate([b[:5], b[[m, m + 2]]]))
+
+
 def test_row_edits_leave_the_callers_arrays(lp_path):
     # the model edits its own copy of b, and remove_redundant leaves P.g as it was
     b = np.array([1.0, 1.0])

@@ -256,16 +256,16 @@ class TestReach:
             encode_reach(sys, identity_pair_net, Polytope.box([-1.0], [1.0]), 0, [1.0])
 
 
-def test_gap_stop_bound_covers_true_max(monkeypatch):
-    # with a loose gap the search may stop early; bound must still cover the max
-    monkeypatch.setattr(milp, "GAP_REL", 0.5)
+def test_bound_covers_true_max():
+    # an optimal search proves its value: bound == value, and both cover the max
     rng = np.random.default_rng(10)
     for _ in range(5):
         net = random_net(rng, 2, [3, 3], 2)
         for d in [[1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]:
             res = solve_milp(encode_output_range(net, UNIT_BOX, d))
             want = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, np.asarray(d))
-            assert res.bound >= res.value
+            assert res.status == BnbStatus.OPTIMAL
+            assert res.bound == res.value
             assert res.bound >= want - 1e-6
 
 
@@ -339,9 +339,8 @@ class TestCutoff:
     """A search with a cutoff decides whether the maximum exceeds it, on both LP
     paths: a refutation gives the oracle's maximum with a witness that replays,
     a proof a bound between the maximum and the cutoff.  The cutoffs lie at
-    least 1e-3 from the maximum, outside the final gap of the search without
-    a cutoff, and on these models neither costs more nodes than that search
-    on the same model."""
+    least 1e-3 from the maximum, and neither costs more nodes than the search
+    without a cutoff on the same model."""
 
     OFFSETS = (-0.5, -1e-3, 1e-3, 0.5)
 

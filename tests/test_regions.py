@@ -3,6 +3,7 @@ import pytest
 
 import helpers
 from conftest import CASE_C_IN, CASE_K, CASE_c_IN, random_net
+from certnn import regions as regions_module
 from certnn.network import synth_satlqr
 from certnn.polytope import Polytope
 from certnn.regions import TooManyNeurons, enumerate_regions
@@ -108,3 +109,21 @@ def test_one_load_per_search(lp_path, count_loads):
     regions = enumerate_regions(net, Polytope(CASE_C_IN, CASE_c_IN))
     assert len(regions) == 3
     assert count_loads() == 1 + len(regions)
+
+
+def test_search_ends_with_the_input_rows(lp_path, monkeypatch):
+    # leaving a branch deletes its row, so the search's model ends with the
+    # rows of X_in alone, in HiGHS as in the model's own data
+    load, models = regions_module._load, []
+
+    def loading(P):
+        models.append(load(P))
+        return models[-1]
+
+    monkeypatch.setattr(regions_module, "_load", loading)
+    X_in = Polytope(CASE_C_IN, CASE_c_IN)
+    enumerate_regions(synth_satlqr(CASE_K, [-1.0], [1.0]), X_in)
+    (model,) = models
+    assert model._b.size == X_in.nrows
+    if model._highs is not None:
+        assert model._highs.getNumRow() == X_in.nrows
