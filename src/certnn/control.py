@@ -9,7 +9,7 @@ import scipy.linalg
 
 from certnn.errors import EmptyInput, NoConvergence
 from certnn.network import ReluNetwork
-from certnn.polytope import Polytope, intersect, max_positively_invariant
+from certnn.polytope import Polytope, intersect, json_array, max_positively_invariant
 
 
 def spectral_radius(A) -> float:
@@ -139,10 +139,10 @@ def system_from_json(data: dict) -> tuple[LtiSystem, dict]:
             raise ValueError(f"system field {name}: {exc}") from exc
 
     def matrix(value):
-        return np.asarray(value, dtype=float)
+        return json_array(value, "its value")
 
     def box(value):
-        lb, ub = matrix(value["lb"]), matrix(value["ub"])
+        lb, ub = json_array(value["lb"], "lb"), json_array(value["ub"], "ub")
         if lb.shape != ub.shape:
             raise ValueError(f"lb has shape {lb.shape} but ub {ub.shape}")
         if np.any(lb > ub):

@@ -194,7 +194,7 @@ class LpModel:
             h.run()
         status = h.getModelStatus()
         if status == st.kOptimal:
-            value = -h.getInfo().objective_function_value
+            value = -h.getObjectiveValue()
             return LpOutcome(LpStatus.OPTIMAL, value=value, point=np.array(h.getSolution().col_value))
         if status == st.kInfeasible:
             return LpOutcome(LpStatus.INFEASIBLE)

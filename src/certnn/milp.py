@@ -1,15 +1,16 @@
 """Big-M MILP encodings of ReLU networks and an embedded branch-and-bound.
 
 Each hidden neuron z = max(a, 0), with pre-activation a known to lie in
-[lo, hi], is linearized with one binary t (t = 1 forces z = 0, t = 0 forces
-z = a):
+[lo, hi], is written by the sign of its bounds, with one binary t per neuron
+(t = 1 means z = 0, t = 0 means z = a):
 
-    z >= a,   z <= a + M_neg * t,   z >= 0,   z <= M_pos * (1 - t),
+- inactive (hi <= 0): no row; z is fixed to 0 and t to 1;
+- active (lo >= 0): one equality row z = a; z lies in [lo, hi], t is fixed to 0;
+- unstable: the three big-M rows
 
-with per-neuron constants M_pos = max(hi, 0) and M_neg = max(-lo, 0) taken
-from interval bound propagation out of a box on the network's input.
-Neurons whose pre-activation interval is sign-determined get their binary
-fixed up front.
+    z >= a,   z <= a + M_neg * t,   z <= M_pos * (1 - t),
+
+  with z in [0, M_pos], t in [0, 1], M_pos = hi and M_neg = -lo.
 
 Every encoding of a network over an input set is a
 :class:`ClosedLoopEncoding`.  Its step 0 is x0 in X_in with one network
@@ -17,21 +18,25 @@ copy u0 = N(x0): the open-loop output-range model.  Step k extends step
 k - 1 through the plant x+ = A x + B u and then adds the network copy at x_k
 when step k + 1 needs it.  Each state block, x0 included, is boxed once by
 per-coordinate LPs on the relaxation built so far (for x0 these are the
-support LPs of X_in), and that box seeds the interval bounds of the network
-copy at that state.  A query reuses the model of its step and replaces only
-the objective, so directions and horizons share one encoding, and at each
-step k >= 1 the box LPs and every direction share one loaded relaxation.
+support LPs of X_in).  The bounds of the network copy at that state follow
+on the same relaxation: interval arithmetic from the box, intersected, for
+each layer l >= 2 whose earlier layers are all sign-stable, with the max and
+min of its exact affine pre-activation (Tjeng, Xiao and Tedrake, ICLR 2019).
+A query reuses the model of its step and replaces only the objective, so
+directions and horizons share one encoding, and at each step k >= 1 the box
+LPs, the bound LPs and every direction share one loaded relaxation.
 
 The encoder adds rows in blocks, in encoding order, and never reorders
 them.  The inequality rows are those of X_in, then, per network copy, each
-hidden layer's three rows per neuron, neuron by neuron: z >= a,
-z <= a + M_neg t and z <= M_pos (1 - t) (z >= 0 is a column bound).  The
-equality rows are each copy's output rows u = W z + b, then the plant rows
-x+ = A x + B u of the step that follows.  The columns are x0 (always the
-first n_x), each layer's z then t, u, then x1, and so on; the binaries are
-the t columns in that order.  The row order is kept because HiGHS's pivots
-follow it: the same rows in another order can branch elsewhere, count other
-nodes and write other certificate bytes.
+hidden layer's three rows per unstable neuron, neuron by neuron: z >= a,
+z <= a + M_neg t and z <= M_pos (1 - t).  The equality rows are, per copy,
+each hidden layer's rows z = a of its active neurons and the output rows
+u = W z + b, then the plant rows x+ = A x + B u of the step that follows.
+The columns are x0 (always the first n_x), each layer's z then t, u, then
+x1, and so on, whatever the neurons' signs; the binaries are the t columns
+in that order.  The row order is kept because HiGHS's pivots follow it: the
+same rows in another order can branch elsewhere, count other nodes and
+write other certificate bytes.
 
 The solver is a best-first branch and bound on the LP relaxation, branching
 on the most fractional binary (ties to the lowest index).  Best first pops
@@ -179,38 +184,77 @@ class _Builder:
         return MilpModel(np.zeros(self.n_vars), A_ub, b_ub, A_eq, b_eq, lb, ub, self.binaries)
 
 
-def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, lo, hi):
-    """Add one network evaluation at the input box [lo, hi]; returns the output indices.
+def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, bounds):
+    """Add one network evaluation; returns the output indices.
 
-    Each layer's pre-activation interval comes from interval arithmetic on
-    the box of the layer before, as the layer is encoded.
+    ``bounds`` holds each hidden layer's pre-activation bounds (lo, hi) (see
+    ``ClosedLoopEncoding._box_state``).  An inactive neuron (hi <= 0) adds no
+    row, an active one (lo >= 0) one equality row, an unstable one the three
+    big-M rows of the module docstring.
     """
     prev_idx = x_idx
-    for W, b in net.layers[:-1]:
+    for (W, b), (lo, hi) in zip(net.layers[:-1], bounds):
         n_l = W.shape[0]
-        lo, hi = _interval_affine(W, b, lo, hi)
+        off = hi <= 0.0
+        on = (lo >= 0.0) & ~off
         # big-M constants M_pos, M_neg of the module docstring
         big_pos = np.maximum(hi, 0.0)
         big_neg = np.maximum(-lo, 0.0)
-        z_idx = builder.new_vars(n_l, 0.0, big_pos)
-        # Sign-determined neurons get their indicator fixed.
-        t_idx = builder.new_vars(n_l, np.where(hi <= 0.0, 1.0, 0.0), np.where(lo >= 0.0, 0.0, 1.0))
+        z_idx = builder.new_vars(n_l, np.where(on, lo, 0.0), big_pos)
+        t_idx = builder.new_vars(n_l, np.where(off, 1.0, 0.0), np.where(on, 0.0, 1.0))
         builder.binaries = np.concatenate([builder.binaries, t_idx])
-        # over the columns (prev, z, t), neuron by neuron, the three rows of neuron j:
-        # a_j - z_j <= -b_j,  z_j - a_j - M_neg t_j <= b_j,  z_j + M_pos t_j <= M_pos
+        # over the columns (prev, z), the row of active neuron j: W_j prev - z_j = -b_j
         I, O = np.eye(n_l), np.zeros((n_l, n_l))
+        builder.add(np.concatenate([prev_idx, z_idx]), np.hstack([W, -I])[on], -b[on], eq=True)
+        # over the columns (prev, z, t), the three rows of unstable neuron j:
+        # a_j - z_j <= -b_j,  z_j - a_j - M_neg t_j <= b_j,  z_j + M_pos t_j <= M_pos
         rows = ([W, -I, O], [-W, I, -I * big_neg], [0 * W, I, I * big_pos])
-        M = np.stack([np.hstack(r) for r in rows], axis=1).reshape(3 * n_l, -1)
-        rhs = np.column_stack([-b, b, big_pos]).reshape(-1)
-        builder.add(np.concatenate([prev_idx, z_idx, t_idx]), M, rhs)
+        unstable = ~(on | off)
+        M = np.stack([np.hstack(r) for r in rows], axis=1)[unstable]
+        rhs = np.column_stack([-b, b, big_pos])[unstable]
+        cols = np.concatenate([prev_idx, z_idx, t_idx])
+        builder.add(cols, M.reshape(-1, cols.size), rhs.reshape(-1))
         prev_idx = z_idx
-        # the next layer's input box: z in [max(lo, 0), M_pos]
-        lo, hi = np.maximum(lo, 0.0), big_pos
+    # the output layer's input box: z in [max(lo, 0), M_pos] of the last hidden layer
     W, b = net.layers[-1]
-    u_idx = builder.new_vars(net.n_u, *_interval_affine(W, b, lo, hi))
+    u_idx = builder.new_vars(net.n_u, *_interval_affine(W, b, np.maximum(lo, 0.0), big_pos))
     M = np.hstack([W, -np.eye(net.n_u)])  # W prev - u = -b
     builder.add(np.concatenate([prev_idx, u_idx]), M, -b, eq=True)
     return u_idx
+
+
+def _preactivation_bounds(net: ReluNetwork, relaxation: lp.LpModel, x_idx, lo, hi):
+    """Each hidden layer's pre-activation bounds (lo, hi) for the network copy at x.
+
+    Interval arithmetic from the box [lo, hi] of x gives every layer's bounds.
+    While every layer before a layer l >= 2 is sign-stable, its pre-activation
+    is V x + c, composed as ``ReluNetwork.pattern_maps`` composes it, and one
+    ``maxima`` call on ``relaxation`` (over the columns x_idx) gives max and
+    min V_j x of each neuron that the interval leaves unstable; the bounds are
+    the intersection.  Layer 1 gets no LP: over the box its interval is exact.
+    """
+    V, c = np.eye(x_idx.size), np.zeros(x_idx.size)  # the layer input, while the prefix is stable
+    bounds = []
+    for l, (W, b) in enumerate(net.layers[:-1]):
+        lo, hi = _interval_affine(W, b, lo, hi)
+        if V is not None:
+            V, c = W @ V, W @ c + b
+            unstable = (lo < 0.0) & (hi > 0.0)
+            if l > 0 and unstable.any():
+                C = np.zeros((2 * np.count_nonzero(unstable), relaxation.c.size))
+                C[:, x_idx] = np.stack([V[unstable], -V[unstable]], axis=1).reshape(-1, x_idx.size)
+                m = relaxation.maxima(C)
+                lo[unstable] = np.maximum(lo[unstable], c[unstable] - m[1::2])
+                hi[unstable] = np.minimum(hi[unstable], c[unstable] + m[0::2])
+                hi = np.maximum(hi, lo)  # LP tolerances must not leave an empty interval
+            if np.any((lo < 0.0) & (hi > 0.0)):
+                V = None  # an unstable neuron ends the stable prefix
+            else:
+                on = hi > 0.0  # the active neurons of this sign-stable layer
+                V, c = on[:, None] * V, on * c
+        bounds.append((lo, hi))
+        lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+    return bounds
 
 
 def _with_objective(m: MilpModel, idx, direction) -> MilpModel:
@@ -231,9 +275,10 @@ class ClosedLoopEncoding:
     ``model(k, direction)`` extends the encoding up to step k and returns the
     model of max direction.x_k.  Steps are only ever added: asking for an
     earlier step (``output`` included) raises MilpError.  Each state block is
-    boxed once.  At a step k >= 1 the box LPs of x_k run on the rows of the
-    step's model, so the box and every direction at that step share one
-    loaded relaxation; only the model of the current step is kept.
+    boxed once.  At a step k >= 1 the box LPs of x_k and the bound LPs of its
+    network copy run on the rows of the step's model, so they and every
+    direction at that step share one loaded relaxation; only the model of
+    the current step is kept.
     ``system`` is read only when a step is added, so output-range callers may
     pass None.
     """
@@ -246,15 +291,17 @@ class ClosedLoopEncoding:
         self._builder.add(self._x_idx, X_in.F, X_in.g)
         self._k = 0
         self._box_state()
-        self._u_idx = _encode_network(self._builder, net, self._x_idx, *self._box)
+        self._u_idx = _encode_network(self._builder, net, self._x_idx, self._bounds)
         self._model: MilpModel | None = None  # the boxed model lacks the network copy
 
     def _box_state(self):
-        """Box the current state block; the box seeds the bounds of its network copy.
+        """Box the current state block and bound the layers of its network copy.
 
         One ``maxima`` call on the relaxation so far gives the max and the min
         of each coordinate, in that order; for x0 these are the support LPs
-        of X_in.  Keeps the boxed model as the model of the current step.
+        of X_in.  ``_preactivation_bounds`` then runs on the same relaxation,
+        before any search sets bounds on it.  Keeps the boxed model as the
+        model of the current step.
         Raises EmptyInput for an empty and UnboundedInput for an unbounded X_in.
         """
         builder, idx = self._builder, self._x_idx
@@ -265,15 +312,16 @@ class ClosedLoopEncoding:
         m = model.relaxation.maxima(C)
         if np.isinf(m).any():
             raise UnboundedInput("input polytope unbounded in some coordinate")
-        self._box = -m[1::2], m[0::2]
-        model.lb[idx], model.ub[idx] = self._box
-        builder.lb[idx], builder.ub[idx] = self._box
+        lo, hi = -m[1::2], m[0::2]
+        model.lb[idx], model.ub[idx] = lo, hi
+        builder.lb[idx], builder.ub[idx] = lo, hi
+        self._bounds = _preactivation_bounds(self._net, model.relaxation, idx, lo, hi)
         self._model = model
 
     def _extend(self):
         builder, A, B = self._builder, self._system.A, self._system.B
         if self._u_idx is None:
-            self._u_idx = _encode_network(builder, self._net, self._x_idx, *self._box)
+            self._u_idx = _encode_network(builder, self._net, self._x_idx, self._bounds)
         next_idx = builder.new_vars(A.shape[0], -np.inf, np.inf)
         cols = np.concatenate([self._x_idx, self._u_idx, next_idx])
         M = np.hstack([A, B, -np.eye(A.shape[0])])  # A x + B u - x+ = 0

@@ -24,7 +24,7 @@ import json
 import numpy as np
 
 from certnn.errors import CertnnError, DimensionMismatch, EmptyInput
-from certnn.polytope import Polytope, remove_redundant
+from certnn.polytope import Polytope, json_array, remove_redundant
 
 # An activation pattern is one 0/1 vector per hidden layer.
 Pattern = tuple[np.ndarray, ...]
@@ -158,7 +158,8 @@ class ReluNetwork:
         if not (isinstance(layers, list) and all(isinstance(l, dict) for l in layers)):
             raise ValueError("a network is an object whose 'layers' is a list of {W, b} objects")
         return ReluNetwork(
-            [(np.asarray(l["W"], dtype=float), np.asarray(l["b"], dtype=float)) for l in layers]
+            [(json_array(l["W"], f"layer {i} W"), json_array(l["b"], f"layer {i} b"))
+             for i, l in enumerate(layers)]
         )
 
     def save(self, path):

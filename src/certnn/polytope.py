@@ -81,7 +81,15 @@ class Polytope:
     def from_json(data: dict) -> "Polytope":
         if not isinstance(data, dict):
             raise ValueError("a polytope is an object with the fields F and g")
-        return Polytope(np.asarray(data["F"], dtype=float), np.asarray(data["g"], dtype=float))
+        return Polytope(json_array(data["F"], "F"), json_array(data["g"], "g"))
+
+
+def json_array(value, name: str) -> np.ndarray:
+    """A JSON number or (nested) list of numbers as a float array; ValueError otherwise."""
+    try:
+        return np.asarray(value, dtype=float)
+    except TypeError as exc:  # numpy's error for a JSON object among the numbers
+        raise ValueError(f"{name} must be a number or a list of numbers") from exc
 
 
 def is_empty(P: Polytope) -> bool:

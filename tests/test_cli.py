@@ -394,6 +394,30 @@ def test_bad_shape_names_file_and_field(case_files, tmp_path, capsys, field, val
     assert not (tmp / "shape_out").exists()
 
 
+@pytest.mark.parametrize(
+    "file, edit",
+    [
+        ("system", lambda d: d.update(A={})),
+        ("system", lambda d: d.update(Q={"a": 1})),
+        ("system", lambda d: d["U_box"].update(lb={})),
+        ("xin", lambda d: d.update(F={})),
+        ("network", lambda d: d["layers"][0].update(W={})),
+    ],
+    ids=["system-A", "system-Q", "system-U_box-lb", "xin-F", "network-W"],
+)
+def test_object_for_array_names_file(case_files, tmp_path, capsys, file, edit):
+    # a JSON object where numbers belong is a bad input, not a traceback
+    paths = dict(zip(("system", "network", "xin"), case_files[:3]))
+    data = json.loads(open(paths[file]).read())
+    edit(data)
+    paths[file] = str(tmp_path / f"object_{file}.json")
+    open(paths[file], "w").write(json.dumps(data))
+    out = case_files[3] / "object_out"
+    assert main(_verify_argv(paths["system"], paths["network"], paths["xin"], out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[file]}: ") and err.count("\n") == 1
+
+
 def test_empty_input_box_exit_code(case_files, tmp_path, capsys):
     # lb > ub is an empty U: a bad input, rejected before any verification
     sys_path, net_path, xin_path, tmp = case_files

@@ -64,31 +64,86 @@ class TestBounds:
         np.testing.assert_allclose(m.lb[u], [0.0, 0.0])
         np.testing.assert_allclose(m.ub[u], [2.5, 1.0])
 
+    def test_stable_neurons_are_linear_rows(self):
+        # pre-activations over the unit box: [4, 6] (active), [-6, -4]
+        # (inactive) and [-2, 2] (unstable)
+        net = ReluNetwork(
+            [(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), np.array([5.0, -5.0, 0.0])),
+             (np.ones((1, 3)), np.zeros(1))]
+        )
+        m = encode_output_range(net, UNIT_BOX, [1.0])
+        x, [(z, t)], u = _columns(net)
+        # the active neuron adds one equality row, W_0 x - z_0 = -b_0, before the output row
+        assert m.A_eq.shape[0] == 2
+        np.testing.assert_array_equal(m.A_eq.toarray()[0, np.concatenate([x, z])], [1, 0, -1, 0, 0])
+        assert m.b_eq[0] == -5.0
+        # only the unstable neuron adds inequality rows: its three big-M rows
+        assert m.A_ub.shape[0] == UNIT_BOX.nrows + 3
+        np.testing.assert_array_equal(m.A_ub.toarray()[UNIT_BOX.nrows:, t[:2]], 0.0)
+        assert m.A_ub.toarray()[UNIT_BOX.nrows + 1, t[2]] == -2.0  # -M_neg
+        # active: z in [lo, hi], t = 0; inactive: z = 0, t = 1; unstable: z in [0, M_pos]
+        np.testing.assert_array_equal(m.lb[z], [4.0, 0.0, 0.0])
+        np.testing.assert_array_equal(m.ub[z], [6.0, 0.0, 2.0])
+        np.testing.assert_array_equal(m.lb[t], [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(m.ub[t], [0.0, 1.0, 1.0])
+        assert solve_milp(m).value == pytest.approx(8.0, abs=1e-7)
+
+    @staticmethod
+    def _bounded_cases(rng):
+        """(plant, net) pairs: random two-layer nets on one plant, then
+        saturated-LQR nets on random plants, whose saturation layers get LP
+        bounds; every other one has an extra layer-1 neuron, inactive on the
+        states reached, feeding layer 2."""
+        sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
+        for _ in range(10):
+            yield sys, random_net(rng, 2, [4, 3], 1)
+        for i in range(10):
+            A = rng.standard_normal((2, 2))
+            A /= np.max(np.abs(np.linalg.eigvals(A)))
+            K = rng.uniform(-1.5, 1.5, size=(1, 2))
+            net = synth_satlqr(K, [-1.0], [1.0])
+            if i % 2:
+                (W1, b1), (W2, b2), *rest = net.layers
+                net = ReluNetwork(
+                    [(np.vstack([W1, [1.0, 1.0]]), np.append(b1, -30.0)),
+                     (np.hstack([W2, np.ones((1, 1))]), b2), *rest]
+                )
+            yield LtiSystem(A, rng.standard_normal((2, 1))), net
+
     def test_bounds_are_sound(self):
         # rollouts from X_in stay inside the column bounds of each state block
-        # x_k and of each layer of the network copy at x_k, for k = 0, 1, 2; the
-        # bounds at x0 are exact, those at x1 and x2 rest on the box LPs
+        # x_k and of each layer of the network copy at x_k, for k = 0..3, and
+        # no layer's bounds are looser than interval arithmetic from the
+        # bounds of the layer before; the bounds at x0 are exact, the others
+        # rest on the box LPs and the pre-activation LPs
         rng = np.random.default_rng(0)
-        sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
-        for _ in range(20):
-            net = random_net(rng, 2, [4, 3], 1)
-            m = ClosedLoopEncoding(sys, net, UNIT_BOX).model(3, [1.0, 0.0])
+        tightened = 0
+        for sys, net in self._bounded_cases(rng):
+            m = ClosedLoopEncoding(sys, net, UNIT_BOX).model(4, [1.0, 0.0])
             X = rng.uniform(-1.0, 1.0, size=(200, 2))
-            for k, tol in enumerate((1e-12, 1e-9, 1e-9)):
+            for k, tol in enumerate((1e-12, 1e-9, 1e-9, 1e-9)):
                 x, layers, u = _columns(net, k)
                 assert np.isfinite(m.lb[x]).all() and np.isfinite(m.ub[x]).all()
                 assert np.all((X >= m.lb[x] - tol) & (X <= m.ub[x] + tol))
-                Z = X
+                Z, lo, hi = X, m.lb[x], m.ub[x]
                 for (W, b), (z, t) in zip(net.layers[:-1], layers):
                     pre = Z @ W.T + b
                     Z = np.maximum(pre, 0.0)
-                    assert np.all(Z <= m.ub[z] + tol)
+                    assert np.all((Z >= m.lb[z] - tol) & (Z <= m.ub[z] + tol))
                     # a binary fixed by the bounds matches every sampled sign
                     assert np.all(pre[:, m.lb[t] == 1.0] <= tol)
                     assert np.all(pre[:, m.ub[t] == 0.0] >= -tol)
+                    # the interval from the layer before bounds this layer's columns
+                    lo, hi = milp._interval_affine(W, b, lo, hi)
+                    assert np.all(m.ub[z] <= np.maximum(hi, 0.0) + 1e-9)
+                    assert np.all(m.lb[z] >= np.maximum(lo, 0.0) - 1e-9)
+                    assert np.all(m.lb[t][hi <= 0.0] == 1.0) and np.all(m.ub[t][lo >= 0.0] == 0.0)
+                    tightened += np.count_nonzero(m.ub[z] < np.maximum(hi, 0.0) - 1e-6)
+                    lo, hi = m.lb[z], m.ub[z]
                 out = Z @ net.layers[-1][0].T + net.layers[-1][1]
                 assert np.all((out >= m.lb[u] - tol) & (out <= m.ub[u] + tol))
                 X = X @ sys.A.T + out @ sys.B.T
+        assert tightened > 0  # the LP bounds ran and cut
 
     def test_unbounded_input(self, identity_pair_net):
         with pytest.raises(UnboundedInput):
@@ -215,6 +270,22 @@ class TestReach:
             with pytest.raises(MilpError):
                 enc.output([1.0])
 
+    def test_search_leaves_next_step_unchanged(self):
+        # the LP bounds of the step-k+1 network copy run on a fresh load, so a
+        # search at step k (which sets node bounds on its relaxation) leaves
+        # the step-k+1 model equal to one encoded straight to step k + 1
+        rng = np.random.default_rng(11)
+        sys = self._sys()
+        net = synth_satlqr(np.array([[0.3, 0.4]]), [-0.5], [0.5])
+        X_in = Polytope.box([-2.0, -2.0], [2.0, 2.0])
+        enc, nodes = ClosedLoopEncoding(sys, net, X_in), 0
+        for k in range(1, 4):
+            nodes += solve_milp(enc.model(k, rng.standard_normal(2))).nodes
+            d = rng.standard_normal(2)
+            fresh = ClosedLoopEncoding(sys, net, X_in).model(k + 1, d)
+            _assert_models_equal(enc.model(k + 1, d), fresh)
+        assert nodes > 3  # the searches branched, so they set node bounds
+
     def test_shared_encoding_matches_oracle(self):
         rng = np.random.default_rng(9)
         sys = self._sys()
@@ -290,6 +361,36 @@ def test_sign_fixed_neurons_have_fixed_binaries():
     assert res.nodes == 1
 
 
+@pytest.fixture(scope="module")
+def satlqr_loops():
+    """Saturated-LQR closed loops on 5 seeded random plants from a box X_in,
+    each with the oracle's maxima at k = 1 and 2 along two directions."""
+    rng = np.random.default_rng(24)
+    X_in = Polytope.box([-2.0, -2.0], [2.0, 2.0])
+    dirs = np.array([[1.0, 0.0], [-0.6, 0.8]])
+    loops = []
+    for _ in range(5):
+        A = rng.standard_normal((2, 2))
+        A /= np.max(np.abs(np.linalg.eigvals(A)))
+        sys = LtiSystem(A, rng.standard_normal((2, 1)))
+        net = synth_satlqr(rng.uniform(-1.0, 1.0, size=(1, 2)), [-1.0], [1.0])
+        want = [
+            [helpers.reach_oracle(sys.A, sys.B, net, X_in.F, X_in.g, k, d) for d in dirs]
+            for k in (1, 2)
+        ]
+        loops.append((sys, net, X_in, dirs, want))
+    return loops
+
+
+def test_identically_zero_neuron_is_inactive():
+    # a pre-activation that is 0 on the whole box (lo == hi == 0) is inactive:
+    # its binary is fixed to 1, not given the empty range [1, 0]
+    net = ReluNetwork(
+        [(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2)), (np.ones((1, 2)), np.zeros(1))]
+    )
+    np.testing.assert_allclose(output_range(net, UNIT_BOX, [[1.0]]), [1.0], atol=1e-7)
+
+
 class TestLpPaths:
     """Both LP paths, the one chosen at import and the linprog fallback, give
     the oracles' maxima with witnesses that replay through the true closed loop."""
@@ -325,6 +426,20 @@ class TestLpPaths:
                     x = sys.A @ x + sys.B @ net.eval(x)
                 assert UNIT_BOX.contains_point(x0, tol=1e-6)
                 assert float(d @ x) == pytest.approx(r.value, abs=1e-6)
+
+    def test_satlqr_reach_matches_oracle(self, lp_path, satlqr_loops):
+        # saturated-LQR closed loops take the LP pre-activation bounds at
+        # every step; the maxima still equal the oracle's and replay
+        for sys, net, X_in, dirs, want in satlqr_loops:
+            enc = ClosedLoopEncoding(sys, net, X_in)
+            for k, want_k in zip((1, 2), want):
+                results = reach_results(sys, net, X_in, k, dirs, encoding=enc)
+                for d, r, w in zip(dirs, results, want_k):
+                    assert r.value == pytest.approx(w, abs=1e-6)
+                    x = r.point[: sys.n_x]
+                    for _ in range(k):
+                        x = sys.A @ x + sys.B @ net.eval(x)
+                    assert float(d @ x) == pytest.approx(r.value, abs=1e-6)
 
     def test_empty_and_unbounded_inputs(self, lp_path, identity_pair_net):
         empty = Polytope(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))

@@ -82,12 +82,13 @@ class TestVerifyInvariance:
         self, case_system, case_Xin, case_X, case_U, case_net, count_lps
     ):
         # the input check, the one-step check and the reach search at k = 1
-        # share one encoding, so X_in and x_1 are boxed once each (8 LPs);
-        # the other 34 LPs outside the branch and bound are R_eq and R_as
+        # share one encoding, so X_in and x_1 are boxed once each (8 LPs) and
+        # the saturation neuron of layer 2 is bounded by 2 LPs at each; the
+        # other 34 LPs outside the branch and bound are R_eq and R_as
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=1)
         assert cert.invariance_ok and cert.stability.k_star is None
-        assert count_lps() == cert.milp_nodes + 42
+        assert count_lps() == cert.milp_nodes + 46
 
     def test_violated_produces_witness(self, case_system, case_X, case_U, case_net):
         # an expanding box cannot be invariant for this rotation-like plant
@@ -188,18 +189,19 @@ class TestVerifyStability:
         # each state block boxed once, R_eq pruned on one load, R_as from a
         # single invariant-set fixpoint on one load that re-tests only the
         # rows that cut, rows that a ray from the origin proves to be facets
-        # kept without an LP, and R_as checked non-empty without an LP: 58
-        # LPs outside the branch and bound, and 9 loads in all.
+        # kept without an LP, R_as checked non-empty without an LP, and the
+        # layer-2 saturation neuron of each network copy bounded by 2 LPs
+        # (x_0 .. x_5): 70 LPs outside the branch and bound, and 9 loads in all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
-        # from; here both LP paths count 168, of which the reach search
-        # spends 3 / 7 / 11 / 19 / 94 at k = 1..5.
+        # from; here both LP paths count 120, of which the reach search
+        # spends 3 / 5 / 9 / 17 / 54 at k = 1..5.
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
         assert cert.stability.k_star == 5
-        assert cert.milp_nodes == 168
-        assert cert.stability.reach_nodes == [3, 7, 11, 19, 94]
-        assert count_lps() == cert.milp_nodes + 58
+        assert cert.milp_nodes == 120
+        assert cert.stability.reach_nodes == [3, 5, 9, 17, 54]
+        assert count_lps() == cert.milp_nodes + 70
         assert count_loads() == 9
 
     def test_without_reference_gain(self, case_system, case_Xin, case_X, case_U, case_net):
