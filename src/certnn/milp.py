@@ -228,30 +228,28 @@ def _preactivation_bounds(net: ReluNetwork, relaxation: lp.LpModel, x_idx, lo, h
 
     Interval arithmetic from the box [lo, hi] of x gives every layer's bounds.
     While every layer before a layer l >= 2 is sign-stable, its pre-activation
-    is V x + c, composed as ``ReluNetwork.pattern_maps`` composes it, and one
-    ``maxima`` call on ``relaxation`` (over the columns x_idx) gives max and
-    min V_j x of each neuron that the interval leaves unstable; the bounds are
-    the intersection.  Layer 1 gets no LP: over the box its interval is exact.
+    is the map V x + c that ``ReluNetwork.pattern_maps`` gives for the
+    prefix's activation pattern, and one ``maxima`` call on ``relaxation``
+    (over the columns x_idx) gives max and min V_j x of each neuron that the
+    interval leaves unstable; the bounds are the intersection.  Layer 1 gets no LP: over the box its interval is exact.
     """
-    V, c = np.eye(x_idx.size), np.zeros(x_idx.size)  # the layer input, while the prefix is stable
+    masks = []  # the activation pattern of the sign-stable prefix
     bounds = []
     for l, (W, b) in enumerate(net.layers[:-1]):
         lo, hi = _interval_affine(W, b, lo, hi)
-        if V is not None:
-            V, c = W @ V, W @ c + b
-            unstable = (lo < 0.0) & (hi > 0.0)
-            if l > 0 and unstable.any():
-                C = np.zeros((2 * np.count_nonzero(unstable), relaxation.c.size))
-                C[:, x_idx] = np.stack([V[unstable], -V[unstable]], axis=1).reshape(-1, x_idx.size)
-                m = relaxation.maxima(C)
-                lo[unstable] = np.maximum(lo[unstable], c[unstable] - m[1::2])
-                hi[unstable] = np.minimum(hi[unstable], c[unstable] + m[0::2])
-                hi = np.maximum(hi, lo)  # LP tolerances must not leave an empty interval
-            if np.any((lo < 0.0) & (hi > 0.0)):
-                V = None  # an unstable neuron ends the stable prefix
-            else:
-                on = hi > 0.0  # the active neurons of this sign-stable layer
-                V, c = on[:, None] * V, on * c
+        stable_prefix = len(masks) == l
+        unstable = (lo < 0.0) & (hi > 0.0)
+        if l > 0 and stable_prefix and unstable.any():
+            ones = tuple(np.ones(w) for w in net.hidden_widths[l:])
+            V, c = net.pattern_maps(tuple(masks) + ones)[l]
+            C = np.zeros((2 * np.count_nonzero(unstable), relaxation.c.size))
+            C[:, x_idx] = np.stack([V[unstable], -V[unstable]], axis=1).reshape(-1, x_idx.size)
+            m = relaxation.maxima(C)
+            lo[unstable] = np.maximum(lo[unstable], c[unstable] - m[1::2])
+            hi[unstable] = np.minimum(hi[unstable], c[unstable] + m[0::2])
+            hi = np.maximum(hi, lo)  # LP tolerances must not leave an empty interval
+        if stable_prefix and not np.any((lo < 0.0) & (hi > 0.0)):  # else the prefix ends
+            masks.append(hi > 0.0)
         bounds.append((lo, hi))
         lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
     return bounds

@@ -95,7 +95,7 @@ class TestBounds:
         bounds; every other one has an extra layer-1 neuron, inactive on the
         states reached, feeding layer 2."""
         sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
-        for _ in range(10):
+        for _ in range(20):
             yield sys, random_net(rng, 2, [4, 3], 1)
         for i in range(10):
             A = rng.standard_normal((2, 2))
