@@ -5,7 +5,7 @@ Inputs are JSON files (system, network, initial-set polytope); outputs are
 JSON and CSV files in --out-dir.  Exit codes: 0 when the certificate verdict
 is a stability certificate, 2 when verification fails, 1 on bad arguments,
 I/O or validation errors and on any certnn error (one "error:" line on
-stderr).  Set CERTNN_LOG to error/info/debug to control logging.
+stderr).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -25,8 +23,6 @@ from certnn.errors import CertnnError
 from certnn.network import ReluNetwork, retrofit_lqr, saturate
 from certnn.polytope import Polytope, vertices_2d
 from certnn.regions import enumerate_regions
-
-log = logging.getLogger("certnn")
 
 
 class ConfigError(CertnnError):
@@ -49,13 +45,6 @@ def _positive_int(text: str) -> int:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _setup_logging():
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("CERTNN_LOG", "error").lower(), logging.ERROR
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _load_json(path: str) -> dict:
@@ -280,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

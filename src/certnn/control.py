@@ -139,7 +139,10 @@ def system_from_json(data: dict) -> tuple[LtiSystem, dict]:
             raise ValueError(f"system field {name}: {exc}") from exc
 
     def matrix(value):
-        return json_array(value, "its value")
+        M = json_array(value, "its value")
+        if not np.all(np.isfinite(M)):
+            raise ValueError("entries must be finite")
+        return M
 
     def box(value):
         lb, ub = json_array(value["lb"], "lb"), json_array(value["ub"], "ub")

@@ -14,15 +14,10 @@ support functions of a polytope and the per-coordinate box of a state block
 are each one call.  :func:`solve_lp` is the one-shot use of the same object.
 
 The persistent solver is the HiGHS binding that scipy bundles as
-``scipy.optimize._highspy`` (scipy >= 1.15).  Where that import fails, the
-model keeps its data in numpy and solves every LP afresh with
-``scipy.optimize.linprog``, which runs the same HiGHS without a warm start;
-``maxima`` is then the same loop of cold solves, row edits change only the
-numpy data, and rows with a +inf right-hand side are left out of the LP
-(``linprog`` rejects an infinite ``b_ub``).
-The path is chosen once, at import.  HiGHS runs with its default tolerances
-(primal and dual feasibility 1e-7).  They are absolute, so ``maxima`` solves
-every objective at unit norm.  When an LP has several optimal vertices, a
+``scipy.optimize._highspy`` (scipy >= 1.15); importing this module without
+it raises ImportError.  HiGHS runs with its default tolerances (primal and
+dual feasibility 1e-7).  They are absolute, so ``maxima`` solves every
+objective at unit norm.  When an LP has several optimal vertices, a
 warm start may return another one than a cold solve; the optimal value is
 the same.  A warm solve that ends neither optimal, infeasible nor unbounded
 is solved once more from scratch before it counts as a failure.
@@ -35,14 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from certnn.errors import CertnnError, EmptyInput
 
 try:
     from scipy.optimize._highspy import _core as _highs
-except ImportError:  # scipy < 1.15 bundles no HiGHS binding: every LP goes through linprog
-    _highs = None
+except ImportError:
+    raise ImportError(
+        "certnn needs scipy >= 1.15, which bundles the HiGHS binding scipy.optimize._highspy"
+    ) from None
 
 
 class LpError(CertnnError):
@@ -99,33 +95,33 @@ class LpModel:
     """maximize c.x  s.t.  A x <= b,  A_eq x = b_eq,  lb <= x <= ub, loaded once.
 
     A and A_eq may be dense or scipy sparse.  ``set_bounds`` and
-    ``set_objective`` pass only the entries that changed to the solver,
+    ``set_objective`` pass only the entries that changed to HiGHS,
     ``set_rhs`` changes one inequality row (+inf drops it), ``add_rows``
     appends inequality rows and ``delete_rows`` deletes the last ones;
     ``solve`` re-solves warm from the previous basis, and ``maxima`` solves
-    one LP per objective.  The model keeps its own copy of b.
+    one LP per objective.  The rows live in HiGHS only; the caller's arrays
+    are never written.
     """
 
     def __init__(self, c, A, b, lb, ub, A_eq=None, b_eq=None):
         self.c = np.array(c, dtype=float)
         self.lb = np.array(lb, dtype=float)
         self.ub = np.array(ub, dtype=float)
-        n = self.c.size
-        self._A = sparse.csr_array(A)
-        self._b = np.array(b, dtype=float)  # a copy: set_rhs must not write into the caller's array
-        self._A_eq = sparse.csr_array((0, n)) if A_eq is None else sparse.csr_array(A_eq)
-        self._b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-        self._loaded_rows = self._b.size
-        self._highs = None if _highs is None else self._load()
+        A = sparse.csr_array(A)
+        b = np.asarray(b, dtype=float)
+        A_eq = sparse.csr_array((0, self.c.size)) if A_eq is None else sparse.csr_array(A_eq)
+        b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+        self._rows = self._loaded_rows = b.size  # inequality rows: all, and those loaded first
+        self._eq_rows = b_eq.size
+        self._highs = self._load(sparse.vstack([A, A_eq], format="csr"), b, b_eq)
 
-    def _load(self):
-        M = sparse.vstack([self._A, self._A_eq], format="csr")
+    def _load(self, M, b, b_eq):
         model = _highs.HighsLp()
         model.num_col_, model.num_row_ = M.shape[1], M.shape[0]
         model.col_cost_ = -self.c  # HiGHS minimizes
         model.col_lower_, model.col_upper_ = self.lb, self.ub
-        model.row_lower_ = np.concatenate([np.full(self._b.size, -np.inf), self._b_eq])
-        model.row_upper_ = np.concatenate([self._b, self._b_eq])
+        model.row_lower_ = np.concatenate([np.full(b.size, -np.inf), b_eq])
+        model.row_upper_ = np.concatenate([b, b_eq])
         matrix = model.a_matrix_
         matrix.format_ = _highs.MatrixFormat.kRowwise
         matrix.num_col_, matrix.num_row_ = M.shape[1], M.shape[0]
@@ -136,55 +132,50 @@ class LpModel:
             raise LpError("HiGHS rejected the model")
         return h
 
-    def _highs_row(self, i: int) -> int:
+    def _highs_row(self, i):
         # HiGHS holds the loaded inequality rows, the equality rows, then the appended rows
-        return i if i < self._loaded_rows else i + self._b_eq.size
+        return i + self._eq_rows * (i >= self._loaded_rows)
 
     def set_bounds(self, lb, ub):
         changed = np.flatnonzero((lb != self.lb) | (ub != self.ub))
         self.lb[changed] = lb[changed]
         self.ub[changed] = ub[changed]
-        if self._highs is not None and changed.size:
+        if changed.size:
             self._highs.changeColsBounds(changed.size, changed, self.lb[changed], self.ub[changed])
 
     def set_objective(self, c):
         changed = np.flatnonzero(c != self.c)
         self.c[changed] = c[changed]
-        if self._highs is not None and changed.size:
+        if changed.size:
             self._highs.changeColsCost(changed.size, changed, -self.c[changed])
 
     def set_rhs(self, i: int, value: float):
         """Change the right-hand side of inequality row i; +inf drops the row."""
-        self._b[i] = value
-        if self._highs is not None:
-            self._highs.changeRowBounds(self._highs_row(i), -np.inf, value)
+        status = self._highs.changeRowBounds(self._highs_row(i), -np.inf, value)
+        if status == _highs.HighsStatus.kError:
+            raise LpError(f"no inequality row {i}")
 
     def add_rows(self, A, b):
         """Append the inequality rows A x <= b."""
         A = sparse.csr_array(A)
-        b = np.array(b, dtype=float)
-        self._A = sparse.vstack([self._A, A], format="csr")
-        self._b = np.concatenate([self._b, b])
-        if self._highs is not None:
-            status = self._highs.addRows(
-                b.size, np.full(b.size, -np.inf), b, A.nnz, A.indptr[:-1], A.indices, A.data
-            )
-            if status == _highs.HighsStatus.kError:
-                raise LpError("HiGHS rejected the rows")
+        b = np.asarray(b, dtype=float)
+        status = self._highs.addRows(
+            b.size, np.full(b.size, -np.inf), b, A.nnz, A.indptr[:-1], A.indices, A.data
+        )
+        if status == _highs.HighsStatus.kError:
+            raise LpError("HiGHS rejected the rows")
+        self._rows += b.size
 
     def delete_rows(self, start: int):
         """Delete the inequality rows from row start on."""
-        rows = np.arange(start, self._b.size)
-        if self._highs is not None and rows.size:
-            held = np.where(rows < self._loaded_rows, rows, rows + self._b_eq.size)
-            self._highs.deleteRows(rows.size, held.astype(np.int32))
-        self._A, self._b = self._A[:start], self._b[:start]
+        rows = np.arange(start, self._rows)
+        if rows.size:
+            self._highs.deleteRows(rows.size, self._highs_row(rows).astype(np.int32))
+        self._rows = min(self._rows, start)
         self._loaded_rows = min(self._loaded_rows, start)
 
     def solve(self) -> LpOutcome:
         """Solve the current LP, classifying the outcome as optimal/infeasible/unbounded."""
-        if self._highs is None:
-            return self._solve_linprog()
         h = self._highs
         st = _highs.HighsModelStatus
         h.run()
@@ -221,26 +212,6 @@ class LpModel:
                 raise EmptyInput("the constraints admit no point")
             values.append(np.inf if out.status == LpStatus.UNBOUNDED else out.value)
         return scale * np.array(values)
-
-    def _solve_linprog(self) -> LpOutcome:
-        rows = np.flatnonzero(np.isfinite(self._b))
-        has_ub, has_eq = rows.size > 0, self._A_eq.shape[0] > 0
-        res = linprog(
-            -self.c,
-            A_ub=self._A[rows] if has_ub else None,
-            b_ub=self._b[rows] if has_ub else None,
-            A_eq=self._A_eq if has_eq else None,
-            b_eq=self._b_eq if has_eq else None,
-            bounds=np.column_stack([self.lb, self.ub]),
-            method="highs",
-        )
-        if res.status == 0:
-            return LpOutcome(LpStatus.OPTIMAL, value=float(-res.fun), point=np.asarray(res.x))
-        if res.status == 2:
-            return LpOutcome(LpStatus.INFEASIBLE)
-        if res.status == 3:
-            return LpOutcome(LpStatus.UNBOUNDED)
-        raise LpError(f"solver failure (status {res.status}): {res.message}")
 
 
 def solve_lp(p: LinearProgram) -> LpOutcome:

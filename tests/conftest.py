@@ -114,20 +114,6 @@ def count_loads(monkeypatch):
 
 
 @pytest.fixture
-def linprog_path(monkeypatch):
-    """Runs a test on the linprog fallback only."""
-    monkeypatch.setattr(lp, "_highs", None)
-
-
-@pytest.fixture(params=["import", "linprog"])
-def lp_path(request, monkeypatch):
-    """Runs a test on the LP path chosen at import, then on the linprog fallback."""
-    if request.param == "linprog":
-        monkeypatch.setattr(lp, "_highs", None)
-    return request.param
-
-
-@pytest.fixture
 def identity_pair_net():
     """1-D net computing max(x,0) - max(-x,0) = x."""
     return ReluNetwork(

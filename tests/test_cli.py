@@ -379,8 +379,10 @@ def test_malformed_system_field_exit_code(case_files, tmp_path, capsys, field, v
         ("X", {"F": Polytope.box([-5.0, -5.0], [5.0, 5.0]).F.tolist(), "g": [5.0, 5.0]}),
         ("Q", [[1.0]]),
         ("R", [[1.0, 0.0]]),
+        ("Q", [[float("nan"), 0.0], [0.0, 2.0]]),
+        ("A", [[float("inf"), 0.0], [0.0, 1.0]]),
     ],
-    ids=["U_box-lengths", "X-short-g", "Q-1x1", "R-1x2"],
+    ids=["U_box-lengths", "X-short-g", "Q-1x1", "R-1x2", "Q-nan", "A-inf"],
 )
 def test_bad_shape_names_file_and_field(case_files, tmp_path, capsys, field, value):
     # a shape error inside a system field names the file and the field

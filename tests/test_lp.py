@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from certnn import lp
 from certnn.polytope import Polytope, remove_redundant, support
@@ -109,21 +115,28 @@ def _seeded_lps():
     return problems
 
 
-def test_paths_agree_on_seeded_lps(monkeypatch):
-    # the path chosen at import (persistent HiGHS where scipy bundles it) and
-    # the linprog fallback classify and solve the same LPs alike
+def test_paths_agree_on_seeded_lps():
+    # solve_lp and a direct scipy.optimize.linprog call, as a reference,
+    # classify and solve the same LPs alike
+    linprog_status = {0: lp.LpStatus.OPTIMAL, 2: lp.LpStatus.INFEASIBLE, 3: lp.LpStatus.UNBOUNDED}
     problems = _seeded_lps()
     got = [lp.solve_lp(p) for p in problems]
-    monkeypatch.setattr(lp, "_highs", None)
-    want = [lp.solve_lp(p) for p in problems]
     assert [o.status for o in got[:2]] == [lp.LpStatus.INFEASIBLE, lp.LpStatus.UNBOUNDED]
-    for a, b in zip(got, want):
-        assert a.status == b.status
+    for p, a in zip(problems, got):
+        has_ub = p.b.size > 0
+        ref = linprog(
+            -p.objective,
+            A_ub=p.A if has_ub else None,
+            b_ub=p.b if has_ub else None,
+            bounds=np.column_stack([p.lb, p.ub]),
+            method="highs",
+        )
+        assert a.status == linprog_status[ref.status]
         if a.status == lp.LpStatus.OPTIMAL:
-            assert a.value == pytest.approx(b.value, abs=1e-9)
+            assert a.value == pytest.approx(-ref.fun, abs=1e-9)
 
 
-def test_model_resolves_match_fresh_solves(lp_path):
+def test_model_resolves_match_fresh_solves():
     # one model re-solved under changed costs and bounds gives the optimum of
     # the same LP solved from scratch, infeasible boxes included
     rng = np.random.default_rng(12)
@@ -146,7 +159,7 @@ def test_model_resolves_match_fresh_solves(lp_path):
     assert statuses == {lp.LpStatus.OPTIMAL, lp.LpStatus.INFEASIBLE}
 
 
-def test_model_changes_status_in_place(lp_path):
+def test_model_changes_status_in_place():
     # max x0 + x1 s.t. x0 + x1 <= 1: a bound change makes it infeasible, then
     # free bounds and a cost change make it unbounded
     model = lp.LpModel([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [np.inf, np.inf])
@@ -161,7 +174,7 @@ def test_model_changes_status_in_place(lp_path):
     assert model.solve().status == lp.LpStatus.UNBOUNDED
 
 
-def test_row_edits_match_fresh_model(lp_path):
+def test_row_edits_match_fresh_model():
     # right-hand sides changed in place (+inf drops a row) and appended rows
     # give the optima of a model loaded fresh on the resulting rows; the
     # equality row sits between the loaded and the appended rows in HiGHS
@@ -189,9 +202,11 @@ def test_row_edits_match_fresh_model(lp_path):
     model.set_objective(C[0])
     fresh.set_objective(C[0])
     assert model.solve().value == pytest.approx(fresh.solve().value, abs=1e-9)
+    with pytest.raises(lp.LpError, match="no inequality row"):
+        model.set_rhs(m + 3, 1.0)  # one past the appended rows, though HiGHS holds m + 4 rows
 
 
-def test_deleted_rows_match_fresh_model(lp_path):
+def test_deleted_rows_match_fresh_model():
     # deleting the last inequality rows, appended ones and then loaded ones,
     # gives the optima of a model loaded fresh on the rows that remain; rows
     # appended after that are edited by their new index
@@ -217,7 +232,7 @@ def test_deleted_rows_match_fresh_model(lp_path):
     assert_matches(np.vstack([A[:5], A[m], A[m + 2]]), np.concatenate([b[:5], b[[m, m + 2]]]))
 
 
-def test_row_edits_leave_the_callers_arrays(lp_path):
+def test_row_edits_leave_the_callers_arrays():
     # the model edits its own copy of b, and remove_redundant leaves P.g as it was
     b = np.array([1.0, 1.0])
     model = lp.LpModel([1.0, 1.0], np.eye(2), b, np.zeros(2), np.full(2, np.inf))
@@ -231,7 +246,7 @@ def test_row_edits_leave_the_callers_arrays(lp_path):
     assert np.array_equal(P.g, g)
 
 
-def test_maxima_scale_with_the_objective(lp_path):
+def test_maxima_scale_with_the_objective():
     # HiGHS's tolerances are absolute, so maxima solves each objective at unit
     # norm: objectives of norm 1e-10 give 1e-10 times the maxima of norm ~1
     rng = np.random.default_rng(0)
@@ -245,13 +260,25 @@ def test_maxima_scale_with_the_objective(lp_path):
         np.testing.assert_allclose(model.maxima(1e-10 * C), 1e-10 * model.maxima(C), rtol=1e-9)
 
 
-def test_a_stalled_warm_solve_is_solved_again_cold(lp_path):
+def test_a_stalled_warm_solve_is_solved_again_cold():
     # on the 67th of these polytopes HiGHS's warm re-solve of the third
-    # direction stops with status Unknown; each direction solved alone, cold
-    # or through linprog, is unbounded
+    # direction stops with status Unknown; each direction solved alone and
+    # cold is unbounded
     rng = np.random.default_rng(0)
     for _ in range(67):
         n = rng.integers(2, 6)
         m = rng.integers(n + 1, 3 * n + 2)
         F, g, C = rng.standard_normal((m, n)), rng.uniform(0.5, 2.0, m), rng.standard_normal((4, n))
     assert np.array_equal(support(Polytope(F, g), C), np.full(4, np.inf))
+
+
+def test_missing_highs_binding_names_the_scipy_version():
+    # scipy < 1.15 bundles no scipy.optimize._highspy: importing certnn.lp
+    # then fails with one ImportError, not a chain, that names the scipy it needs
+    code = "import sys; sys.modules['scipy.optimize._highspy'] = None; import certnn.lp"
+    src = str(Path(lp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stderr.count("Traceback") == 1
+    assert out.stderr.splitlines()[-1].startswith("ImportError: certnn needs scipy >= 1.15")

@@ -194,7 +194,7 @@ class TestVerifyStability:
         # (x_0 .. x_5): 70 LPs outside the branch and bound, and 9 loads in all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
-        # from; here both LP paths count 120, of which the reach search
+        # from; the warm-started models count 120, of which the reach search
         # spends 3 / 5 / 9 / 17 / 54 at k = 1..5.
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
