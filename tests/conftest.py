@@ -5,6 +5,7 @@ from certnn import lp
 from certnn.control import LtiSystem
 from certnn.network import ReluNetwork
 from certnn.polytope import Polytope
+from helpers import cold_linprog
 
 
 # Double-integrator case study: plant, constraints and reference sets.
@@ -111,6 +112,36 @@ def count_loads(monkeypatch):
 
     monkeypatch.setattr(lp.LpModel, "__init__", counting)
     return lambda: loads
+
+
+@pytest.fixture
+def linprog_path(monkeypatch):
+    """Checks every LP solve against a cold scipy.optimize.linprog solve.
+
+    Each ``LpModel.solve`` still answers warm; the LP that its HiGHS object
+    then holds is solved once more from scratch, and the two must agree on
+    the status and, when optimal, on the value.
+    """
+    solve = lp.LpModel.solve
+    status = {lp.LpStatus.OPTIMAL: 0, lp.LpStatus.INFEASIBLE: 2, lp.LpStatus.UNBOUNDED: 3}
+
+    def checked(model):
+        out = solve(model)
+        ref_status, ref_value = cold_linprog(model._highs)
+        assert status[out.status] == ref_status
+        if out.status == lp.LpStatus.OPTIMAL:
+            assert -out.value == pytest.approx(ref_value, rel=1e-6, abs=1e-6)
+        return out
+
+    monkeypatch.setattr(lp.LpModel, "solve", checked)
+
+
+@pytest.fixture(params=["import", "linprog"])
+def lp_path(request):
+    """Runs a test on the warm-started models, then with ``linprog_path``'s cold check of every solve."""
+    if request.param == "linprog":
+        request.getfixturevalue("linprog_path")
+    return request.param
 
 
 @pytest.fixture

@@ -7,13 +7,16 @@ pattern sequences through the plant, invariant sets by stacking a fixed
 number of preimages or by the invariant-set iteration with one fresh LP per
 support, redundancy removal by one fresh LP per row, activation regions
 by enumeration of every pattern, and the LQR retrofit by least squares on
-the Kronecker-expanded gain equation.
+the Kronecker-expanded gain equation.  ``cold_linprog`` solves the LP that a
+warm-started HiGHS model holds once more from scratch.
 """
 
 import itertools
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 
 def _hidden_under_pattern(net, gammas):
@@ -75,6 +78,37 @@ def _lp_max(c, F, g):
     if res.status == 3:
         return np.inf
     return -res.fun
+
+
+def cold_linprog(h):
+    """The LP that the HiGHS object h holds, solved cold by scipy.optimize.linprog.
+
+    Returns (status, value): linprog's status code (0 optimal, 2 infeasible,
+    3 unbounded) and, when optimal, the minimum of the LP's cost plus offset.
+    Rows with equal finite bounds are equalities; rows with both bounds
+    infinite (dropped by a right-hand side of +inf) are left out.
+    """
+    p = h.getLp()
+    m = p.a_matrix_
+    shape = (p.num_row_, p.num_col_)
+    form = sparse.csc_array if m.format_ == highs.MatrixFormat.kColwise else sparse.csr_array
+    A = sparse.csr_array(form((m.value_, m.index_, m.start_), shape=shape))
+    lo, up = np.asarray(p.row_lower_), np.asarray(p.row_upper_)
+    eq = lo == up
+    upper, lower = np.flatnonzero(~eq & np.isfinite(up)), np.flatnonzero(~eq & np.isfinite(lo))
+    A_ub = sparse.vstack([A[upper], -A[lower]])
+    b_ub = np.concatenate([up[upper], -lo[lower]])
+    res = linprog(
+        p.col_cost_,
+        A_ub=A_ub if b_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=A[np.flatnonzero(eq)] if eq.any() else None,
+        b_eq=lo[eq] if eq.any() else None,
+        bounds=np.column_stack([p.col_lower_, p.col_upper_]),
+        method="highs",
+    )
+    sign = 1.0 if p.sense_ == highs.ObjSense.kMinimize else -1.0
+    return res.status, (sign * res.fun + p.offset_ if res.status == 0 else None)
 
 
 def _feasible(F, g):

@@ -155,7 +155,7 @@ class TestAdmissibleSets:
         lqr_admissible_set(case_system, sol.K, case_X, case_U)
         assert count_lps() <= 13
 
-    def test_one_load_per_fixpoint(self, count_loads):
+    def test_one_load_per_fixpoint(self, lp_path, count_loads):
         # the emptiness check, every fixpoint step and the final pruning share one loaded LP
         rng = np.random.default_rng(31)
         A = rng.standard_normal((4, 4))

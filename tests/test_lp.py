@@ -136,7 +136,7 @@ def test_paths_agree_on_seeded_lps():
             assert a.value == pytest.approx(-ref.fun, abs=1e-9)
 
 
-def test_model_resolves_match_fresh_solves():
+def test_model_resolves_match_fresh_solves(lp_path):
     # one model re-solved under changed costs and bounds gives the optimum of
     # the same LP solved from scratch, infeasible boxes included
     rng = np.random.default_rng(12)
@@ -159,7 +159,7 @@ def test_model_resolves_match_fresh_solves():
     assert statuses == {lp.LpStatus.OPTIMAL, lp.LpStatus.INFEASIBLE}
 
 
-def test_model_changes_status_in_place():
+def test_model_changes_status_in_place(lp_path):
     # max x0 + x1 s.t. x0 + x1 <= 1: a bound change makes it infeasible, then
     # free bounds and a cost change make it unbounded
     model = lp.LpModel([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [np.inf, np.inf])
@@ -174,7 +174,7 @@ def test_model_changes_status_in_place():
     assert model.solve().status == lp.LpStatus.UNBOUNDED
 
 
-def test_row_edits_match_fresh_model():
+def test_row_edits_match_fresh_model(lp_path):
     # right-hand sides changed in place (+inf drops a row) and appended rows
     # give the optima of a model loaded fresh on the resulting rows; the
     # equality row sits between the loaded and the appended rows in HiGHS
@@ -206,7 +206,7 @@ def test_row_edits_match_fresh_model():
         model.set_rhs(m + 3, 1.0)  # one past the appended rows, though HiGHS holds m + 4 rows
 
 
-def test_deleted_rows_match_fresh_model():
+def test_deleted_rows_match_fresh_model(lp_path):
     # deleting the last inequality rows, appended ones and then loaded ones,
     # gives the optima of a model loaded fresh on the rows that remain; rows
     # appended after that are edited by their new index
@@ -232,7 +232,7 @@ def test_deleted_rows_match_fresh_model():
     assert_matches(np.vstack([A[:5], A[m], A[m + 2]]), np.concatenate([b[:5], b[[m, m + 2]]]))
 
 
-def test_row_edits_leave_the_callers_arrays():
+def test_row_edits_leave_the_callers_arrays(lp_path):
     # the model edits its own copy of b, and remove_redundant leaves P.g as it was
     b = np.array([1.0, 1.0])
     model = lp.LpModel([1.0, 1.0], np.eye(2), b, np.zeros(2), np.full(2, np.inf))
@@ -246,7 +246,7 @@ def test_row_edits_leave_the_callers_arrays():
     assert np.array_equal(P.g, g)
 
 
-def test_maxima_scale_with_the_objective():
+def test_maxima_scale_with_the_objective(lp_path):
     # HiGHS's tolerances are absolute, so maxima solves each objective at unit
     # norm: objectives of norm 1e-10 give 1e-10 times the maxima of norm ~1
     rng = np.random.default_rng(0)
@@ -260,7 +260,7 @@ def test_maxima_scale_with_the_objective():
         np.testing.assert_allclose(model.maxima(1e-10 * C), 1e-10 * model.maxima(C), rtol=1e-9)
 
 
-def test_a_stalled_warm_solve_is_solved_again_cold():
+def test_a_stalled_warm_solve_is_solved_again_cold(lp_path):
     # on the 67th of these polytopes HiGHS's warm re-solve of the third
     # direction stops with status Unknown; each direction solved alone and
     # cold is unbounded

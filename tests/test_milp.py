@@ -299,7 +299,7 @@ class TestReach:
             ]
             np.testing.assert_allclose(got, want, atol=1e-6)
 
-    def test_one_load_per_step(self, monkeypatch):
+    def test_one_load_per_step(self, lp_path, monkeypatch):
         # extending to step 2 boxes x2 and answers 4 directions on one loaded
         # relaxation, with the values of fresh encodings
         rng = np.random.default_rng(23)
@@ -393,12 +393,13 @@ def test_identically_zero_neuron_is_inactive():
 
 class TestLpPaths:
     """The warm-started HiGHS models give the oracles' maxima with witnesses
-    that replay through the true closed loop."""
+    that replay through the true closed loop, also with every LP checked
+    against a cold linprog solve."""
 
     def _sys(self):
         return LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
 
-    def test_output_range_matches_oracle(self):
+    def test_output_range_matches_oracle(self, lp_path):
         rng = np.random.default_rng(21)
         dirs = np.array([[1.0], [-1.0]])
         for _ in range(3):
@@ -411,7 +412,7 @@ class TestLpPaths:
                 assert UNIT_BOX.contains_point(x0, tol=1e-6)
                 assert float(d @ net.eval(x0)) == pytest.approx(r.value, abs=1e-6)
 
-    def test_reach_matches_oracle(self):
+    def test_reach_matches_oracle(self, lp_path):
         rng = np.random.default_rng(22)
         sys = self._sys()
         dirs = np.array([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8]])
@@ -427,7 +428,7 @@ class TestLpPaths:
                 assert UNIT_BOX.contains_point(x0, tol=1e-6)
                 assert float(d @ x) == pytest.approx(r.value, abs=1e-6)
 
-    def test_satlqr_reach_matches_oracle(self, satlqr_loops):
+    def test_satlqr_reach_matches_oracle(self, lp_path, satlqr_loops):
         # saturated-LQR closed loops take the LP pre-activation bounds at
         # every step; the maxima still equal the oracle's and replay
         for sys, net, X_in, dirs, want in satlqr_loops:
@@ -441,7 +442,7 @@ class TestLpPaths:
                         x = sys.A @ x + sys.B @ net.eval(x)
                     assert float(d @ x) == pytest.approx(r.value, abs=1e-6)
 
-    def test_empty_and_unbounded_inputs(self, identity_pair_net):
+    def test_empty_and_unbounded_inputs(self, lp_path, identity_pair_net):
         empty = Polytope(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
         with pytest.raises(EmptyInput):
             output_range(identity_pair_net, empty, [[1.0]])
@@ -483,7 +484,7 @@ class TestCutoff:
                 assert want - 1e-9 <= res.bound <= cutoff
             assert res.nodes <= exact.nodes
 
-    def test_output_range(self):
+    def test_output_range(self, lp_path):
         rng = np.random.default_rng(31)
         for _ in range(3):
             net = random_net(rng, 2, [3, 2], 1)
@@ -495,7 +496,7 @@ class TestCutoff:
                     lambda x0: float(d @ net.eval(x0)),
                 )
 
-    def test_reach(self):
+    def test_reach(self, lp_path):
         rng = np.random.default_rng(32)
         sys = self._sys()
         dirs = np.array([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8]])

@@ -82,7 +82,7 @@ class TestSupportMatrix:
     HALF_PLANE = Polytope(np.array([[1.0, 0.0]]), np.array([1.0]))  # x1 <= 1
     EMPTY = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
 
-    def test_matrix_equals_scalar_calls(self):
+    def test_matrix_equals_scalar_calls(self, lp_path):
         # rows of norm 1e-10 included: the tiny-norm directions of a late fixpoint step
         A, P = _stable_map_case(3)
         omega = max_positively_invariant(A, P)
@@ -94,20 +94,20 @@ class TestSupportMatrix:
         want = [support(omega, d) for d in D]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
-    def test_unbounded_direction_is_infinite(self):
+    def test_unbounded_direction_is_infinite(self, lp_path):
         got = support(self.HALF_PLANE, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
         assert got[0] == pytest.approx(1.0) and got[1] == np.inf and got[2] == np.inf
         assert support(self.HALF_PLANE, [1.0, 1.0]) == np.inf
 
-    def test_bounding_box_of_half_plane(self):
+    def test_bounding_box_of_half_plane(self, lp_path):
         lo, hi = bounding_box(self.HALF_PLANE)
         assert hi[0] == pytest.approx(1.0)
         assert hi[1] == np.inf and lo[0] == -np.inf and lo[1] == -np.inf
 
-    def test_unbounded_inner_set_is_not_contained(self):
+    def test_unbounded_inner_set_is_not_contained(self, lp_path):
         assert not contains_set(Polytope.box([-5.0, -5.0], [5.0, 5.0]), self.HALF_PLANE)
 
-    def test_empty_polytope_raises(self):
+    def test_empty_polytope_raises(self, lp_path):
         with pytest.raises(EmptyInput):
             support(self.EMPTY, [1.0, 0.0])
         with pytest.raises(EmptyInput):
@@ -162,6 +162,11 @@ class TestRemoveRedundant:
         assert np.array_equal(member_p, member_r)
 
 
+@pytest.mark.usefixtures("linprog_path")
+class TestRemoveRedundantLinprog(TestRemoveRedundant):
+    """The checks above with every LP also solved cold by scipy.optimize.linprog."""
+
+
 def _redundancy_cases():
     """Seeded polytopes with duplicate, scaled-duplicate and dominated rows, some unbounded."""
     cases = []
@@ -212,7 +217,7 @@ def _origin_interior_cases():
     return cases
 
 
-def test_remove_redundant_matches_per_row_oracle(count_lps):
+def test_remove_redundant_matches_per_row_oracle(lp_path, count_lps):
     # the rows kept on one load are exactly those that one fresh LP per row
     # keeps, in order, also where rays from the origin spare some of the LPs
     cases = _redundancy_cases() + _origin_interior_cases()
@@ -334,6 +339,11 @@ class TestMaxPositivelyInvariant:
         assert np.all(images @ omega.F.T <= omega.g + 1e-7)
 
 
+@pytest.mark.usefixtures("linprog_path")
+class TestMaxPositivelyInvariantLinprog(TestMaxPositivelyInvariant):
+    """The checks above with every LP also solved cold by scipy.optimize.linprog."""
+
+
 def _set_algebra_plants():
     """(A, B) of the 8 plants of perfbench's set_algebra workload: same seed, same recipe."""
     rng = np.random.default_rng([0, 3])
@@ -373,7 +383,7 @@ def _stable_map_reference(seed):
     + [functools.partial(_stable_map_reference, seed) for seed in range(6)],
     ids=[f"plant{i}" for i in range(8)] + [f"stable_map{seed}" for seed in range(6)],
 )
-def test_max_positively_invariant_matches_every_row_reference(case):
+def test_max_positively_invariant_matches_every_row_reference(lp_path, case):
     # testing only the images of the rows that cut at the step before appends
     # the same rows in the same order as testing every row at every step
     A, P, (F, g) = case()

@@ -87,7 +87,7 @@ def test_two_hidden_layers():
 
 
 @pytest.mark.parametrize("seed, widths", [(4, [4]), (5, [6]), (6, [3, 3])])
-def test_regions_match_pattern_oracle(seed, widths):
+def test_regions_match_pattern_oracle(lp_path, seed, widths):
     # the same patterns in the same order, and the same pruned cells, as one
     # fresh feasibility LP per full pattern
     rng = np.random.default_rng(seed)
@@ -102,7 +102,7 @@ def test_regions_match_pattern_oracle(seed, widths):
         np.testing.assert_allclose(r.polytope.g, g, rtol=0.0, atol=1e-12)
 
 
-def test_one_load_per_search(count_loads):
+def test_one_load_per_search(lp_path, count_loads):
     # every split of the search is decided on one loaded LP; each region's
     # redundancy removal loads its own cell
     net = synth_satlqr(CASE_K, [-1.0], [1.0])
@@ -111,7 +111,7 @@ def test_one_load_per_search(count_loads):
     assert count_loads() == 1 + len(regions)
 
 
-def test_search_ends_with_the_input_rows(monkeypatch):
+def test_search_ends_with_the_input_rows(lp_path, monkeypatch):
     # leaving a branch deletes its row, so the search's model ends with the
     # rows of X_in alone
     load, models = regions_module._load, []
