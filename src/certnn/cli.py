@@ -21,7 +21,7 @@ import numpy as np
 from certnn import control, verify
 from certnn.errors import CertnnError
 from certnn.network import ReluNetwork, retrofit_lqr, saturate
-from certnn.polytope import Polytope, vertices_2d
+from certnn.polytope import Polytope, json_array, vertices_2d
 from certnn.regions import enumerate_regions
 
 
@@ -112,7 +112,16 @@ def _reference_gain(args, sys_obj, aux):
         if aux["Q"] is None or aux["R"] is None:
             raise ConfigError("k-source 'lqr' needs Q and R in the system file")
         return control.lqr(sys_obj, aux["Q"], aux["R"]).K
-    return _parse(args.k_source, lambda data: np.asarray(data["K"], dtype=float))
+
+    def gain(data):
+        K = json_array(data["K"], "K")
+        if np.atleast_2d(K).shape != (sys_obj.n_u, sys_obj.n_x):
+            raise ValueError(f"K has shape {K.shape}, expected ({sys_obj.n_u}, {sys_obj.n_x})")
+        if not np.all(np.isfinite(K)):
+            raise ValueError("K entries must be finite")
+        return K
+
+    return _parse(args.k_source, gain)
 
 
 def cmd_verify(args) -> int:

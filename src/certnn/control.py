@@ -10,6 +10,7 @@ import scipy.linalg
 from certnn.errors import EmptyInput, NoConvergence
 from certnn.network import ReluNetwork
 from certnn.polytope import Polytope, intersect, json_array, max_positively_invariant
+from certnn.tolerances import PSD_TOL
 
 
 def spectral_radius(A) -> float:
@@ -71,7 +72,7 @@ def lqr(sys: LtiSystem, Q, R) -> LqrSolution:
     R = np.asarray(R, dtype=float)
     Q = 0.5 * (Q + Q.T)
     R = 0.5 * (R + R.T)
-    if np.min(np.linalg.eigvalsh(Q)) < -1e-10:
+    if np.min(np.linalg.eigvalsh(Q)) < -PSD_TOL:
         raise ValueError("Q must be positive semidefinite")
     if np.min(np.linalg.eigvalsh(R)) <= 0.0:
         raise ValueError("R must be positive definite")

@@ -16,11 +16,11 @@ are each one call.  :func:`solve_lp` is the one-shot use of the same object.
 The persistent solver is the HiGHS binding that scipy bundles as
 ``scipy.optimize._highspy`` (scipy >= 1.15); importing this module without
 it raises ImportError.  HiGHS runs with its default tolerances (primal and
-dual feasibility 1e-7).  They are absolute, so ``maxima`` solves every
-objective at unit norm.  When an LP has several optimal vertices, a
-warm start may return another one than a cold solve; the optimal value is
-the same.  A warm solve that ends neither optimal, infeasible nor unbounded
-is solved once more from scratch before it counts as a failure.
+dual feasibility ``tolerances.LP_FEAS_TOL``).  They are absolute, so
+``maxima`` solves every objective at unit norm.  When an LP has several
+optimal vertices, a warm start may return another one than a cold solve,
+with the same value.  A warm solve that ends neither optimal, infeasible nor
+unbounded is solved once more from scratch before it counts as a failure.
 """
 
 from __future__ import annotations

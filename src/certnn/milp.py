@@ -70,8 +70,8 @@ from certnn import lp
 from certnn.errors import CertnnError
 from certnn.network import ReluNetwork
 from certnn.polytope import Polytope
+from certnn.tolerances import INTEGRALITY_TOL
 
-INTEGRALITY_TOL = 1e-6
 MAX_NODES = 1_000_000
 
 
@@ -139,8 +139,8 @@ def _interval_affine(W, b, lo, hi):
 class _Builder:
     """Accumulates variables and blocks of rows; assembles sparse matrices on demand.
 
-    A block (cols, M, rhs) holds the rows M x[cols] <= rhs (or = rhs), with M
-    dense; it keeps M's nonzeros, so each assembly only stacks them.
+    A block of rows M x[cols] <= rhs (or = rhs), M dense, is kept as rhs and
+    M's nonzeros, so each assembly only stacks them.
     """
 
     def __init__(self):
@@ -164,13 +164,13 @@ class _Builder:
         """Append the block M x[cols] <= rhs, or = rhs when eq."""
         i, j = np.nonzero(M)
         nonzeros = M[i, j], cols[j], np.count_nonzero(M, axis=1)
-        (self.blocks_eq if eq else self.blocks_ub).append((cols, M, rhs, nonzeros))
+        (self.blocks_eq if eq else self.blocks_ub).append((rhs, nonzeros))
 
     def _assemble(self, blocks):
         """The CSR matrix of the blocks' nonzeros, stacked in order, and the stacked rhs."""
         if not blocks:
             return sparse.csr_array((0, self.n_vars)), np.zeros(0)
-        *_, rhs, nonzeros = zip(*blocks)
+        rhs, nonzeros = zip(*blocks)
         data, indices, counts = (np.concatenate(part) for part in zip(*nonzeros))
         indptr = np.concatenate([[0], np.cumsum(counts)])
         A = sparse.csr_array((data, indices, indptr), shape=(counts.size, self.n_vars))

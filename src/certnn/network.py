@@ -25,6 +25,7 @@ import numpy as np
 
 from certnn.errors import CertnnError, DimensionMismatch, EmptyInput
 from certnn.polytope import Polytope, json_array, remove_redundant
+from certnn.tolerances import RETROFIT_TOL
 
 # An activation pattern is one 0/1 vector per hidden layer.
 Pattern = tuple[np.ndarray, ...]
@@ -219,7 +220,7 @@ def retrofit_lqr(net: ReluNetwork, K) -> tuple[ReluNetwork, float]:
     old = np.hstack([W_out, b_out[:, None]])
     new = old + (T - old @ G) @ np.linalg.pinv(G)
     residual = np.max(np.abs(new @ G - T))
-    if residual > 1e-8 * (1.0 + np.max(np.abs(T))):
+    if residual > RETROFIT_TOL * (1.0 + np.max(np.abs(T))):
         raise RankDeficient(f"retrofit equality residual {residual:.3e}: no output layer gives -K")
     cost = float(np.sum((new - old) ** 2))
     return ReluNetwork(list(net.layers[:-1]) + [(new[:, :-1], new[:, -1])]), cost

@@ -27,10 +27,10 @@ import numpy as np
 
 from certnn import lp
 from certnn.errors import DimensionMismatch, EmptyInput, NoConvergence
+from certnn.tolerances import (
+    DUPLICATE_VERTEX_TOL, LP_FEAS_TOL, PARALLEL_TOL, POINT_TOL, REDUNDANCY_TOL, VERTEX_TOL
+)
 
-CONTAINMENT_TOL = 1e-7
-REDUNDANCY_TOL = 1e-9
-VERTEX_TOL = 1e-7
 MAX_FIXPOINT_ITER = 500
 
 
@@ -70,7 +70,7 @@ class Polytope:
         eye = np.eye(n)
         return Polytope(np.vstack([eye, -eye]), np.concatenate([ub, -lb]))
 
-    def contains_point(self, x, tol: float = 1e-9) -> bool:
+    def contains_point(self, x, tol: float = POINT_TOL) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
         return bool(np.all(self.F @ x <= self.g + tol))
 
@@ -164,7 +164,7 @@ def _ray_facets(P: Polytope) -> np.ndarray:
     hits violate row f alone, so F_f x rises above g_f by
     (t2 - t1) F_f . F_j before any other row stops it; a ray that meets no
     other row lets it rise without end.  Where that rise exceeds
-    10 * CONTAINMENT_TOL, ten times HiGHS's feasibility tolerance, the LP
+    10 * LP_FEAS_TOL, ten times HiGHS's feasibility tolerance, the LP
     scan would keep row f too.  Ties (duplicate or scaled duplicate rows)
     and zero rows, which no ray meets, are left to the LP.
     """
@@ -180,11 +180,11 @@ def _ray_facets(P: Polytope) -> np.ndarray:
     rise = np.full(m, np.inf)
     two = np.isfinite(t2)  # then t1 is finite too: no inf - inf
     rise[two] = (t2[two] - t1[two]) * R[first[two], np.flatnonzero(two)]
-    facets[first[np.isfinite(t1) & (rise > 10.0 * CONTAINMENT_TOL)]] = True
+    facets[first[np.isfinite(t1) & (rise > 10.0 * LP_FEAS_TOL)]] = True
     return facets
 
 
-def contains_set(outer: Polytope, inner: Polytope, tol: float = CONTAINMENT_TOL) -> bool:
+def contains_set(outer: Polytope, inner: Polytope, tol: float = LP_FEAS_TOL) -> bool:
     """True iff inner is a subset of outer, by inner's support along the rows of outer."""
     if outer.dim != inner.dim:
         raise DimensionMismatch(f"dimensions {outer.dim} and {inner.dim} differ")
@@ -254,7 +254,7 @@ def vertices_2d(P: Polytope) -> np.ndarray:
     for i in range(m):
         for j in range(i + 1, m):
             M = np.vstack([P.F[i], P.F[j]])
-            if abs(np.linalg.det(M)) < 1e-12:
+            if abs(np.linalg.det(M)) < PARALLEL_TOL:
                 continue
             v = np.linalg.solve(M, np.array([P.g[i], P.g[j]]))
             if P.contains_point(v, VERTEX_TOL):
@@ -265,7 +265,7 @@ def vertices_2d(P: Polytope) -> np.ndarray:
     # deduplicate
     uniq: list[np.ndarray] = []
     for v in pts:
-        if not any(np.linalg.norm(v - u) < 1e-8 for u in uniq):
+        if not any(np.linalg.norm(v - u) < DUPLICATE_VERTEX_TOL for u in uniq):
             uniq.append(v)
     pts = np.array(uniq)
     center = pts.mean(axis=0)

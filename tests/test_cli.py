@@ -473,3 +473,43 @@ def test_missing_field_names_file_and_field(case_files, tmp_path, capsys, file, 
         argv = _verify_argv(paths["system"], paths["network"], paths["xin"], tmp / "missing_out")
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {path}: missing field '{field}'\n"
+
+
+def _retrofit_argv(sys_path, net_path, k_source, out):
+    return [
+        "retrofit", "--system", sys_path, "--network", net_path,
+        "--k-source", str(k_source), "--out-dir", str(out),
+    ]
+
+
+@pytest.mark.parametrize(
+    "K",
+    [{"a": 1}, [[0.25, 0.83, 0.1]], [0.25, 0.83, 0.1], [[float("nan"), 0.83]]],
+    ids=["object", "1x3", "flat-3", "nan"],
+)
+def test_bad_gain_file_names_file_and_K(case_files, tmp_path, capsys, K):
+    # a --k-source K that is not a finite n_u x n_x array is a bad input
+    sys_path, net_path, _, tmp = case_files
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps({"K": K}))
+    assert main(_retrofit_argv(sys_path, net_path, path, tmp / "gain_out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: K ") and err.count("\n") == 1
+    assert not (tmp / "gain_out").exists()
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["1x2", "flat"])
+def test_gain_file_sets_equilibrium_gain(case_files, tmp_path, flat):
+    # the LQR gain from a file retrofits as --k-source lqr does; with one
+    # input a flat K reads as its one row
+    from certnn.control import LtiSystem, lqr
+    from certnn.verify import equilibrium_gain_bias
+
+    sys_path, net_path, _, tmp = case_files
+    K = lqr(LtiSystem(CASE_A, CASE_B), CASE_Q, CASE_R).K
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps({"K": (K.ravel() if flat else K).tolist()}))
+    assert main(_retrofit_argv(sys_path, net_path, path, tmp / "gain_out")) == 0
+    gain, bias = equilibrium_gain_bias(ReluNetwork.load(tmp / "gain_out" / "network_retrofit.json"))
+    np.testing.assert_allclose(gain, -K, atol=1e-8)
+    np.testing.assert_allclose(bias, 0.0, atol=1e-8)
