@@ -47,64 +47,55 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot parse {path}: line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: the top level must be a JSON object")
-    return data
-
-
 def _parse(path: str, parse):
     """parse applied to the JSON object in path; a missing key or a bad value names the file."""
-    data = _load_json(path)
     try:
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+        if not isinstance(data, dict):
+            raise ValueError("the top level must be a JSON object")
         return parse(data)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing field '{exc.args[0]}'") from exc
-    except ValueError as exc:
+    except (ValueError, CertnnError) as exc:  # ValueError covers JSON and UTF-8 decoding
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _load_inputs(args, need_xin=True):
     sys_obj, aux = _parse(args.system, control.system_from_json)
-    net = _parse(args.network, ReluNetwork.from_json)
-    if net.n_x != sys_obj.n_x or net.n_u != sys_obj.n_u:
-        raise ConfigError(
-            f"network is {net.n_x}->{net.n_u} but plant expects {sys_obj.n_x}->{sys_obj.n_u}"
-        )
-    xin = None
-    if need_xin:
-        xin = _parse(args.xin, Polytope.from_json)
-        if xin.dim != sys_obj.n_x:
-            raise ConfigError(f"X_in dimension {xin.dim} does not match state size {sys_obj.n_x}")
+    n_x, n_u = sys_obj.n_x, sys_obj.n_u
+
+    def network(data):
+        net = ReluNetwork.from_json(data)
+        if (net.n_x, net.n_u) != (n_x, n_u):
+            raise ValueError(f"network is {net.n_x}->{net.n_u} but plant expects {n_x}->{n_u}")
+        return net
+
+    def initial_set(data):
+        xin = Polytope.from_json(data)
+        if xin.dim != n_x:
+            raise ValueError(f"X_in dimension {xin.dim} does not match state size {n_x}")
+        return xin
+
+    net = _parse(args.network, network)
+    xin = _parse(args.xin, initial_set) if need_xin else None
     return sys_obj, aux, net, xin
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, data):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         json.dump(data, f, indent=1)
         f.write("\n")
 
 
-def _write_vertices_csv(path: Path, P: Polytope):
-    verts = vertices_2d(P) if P.dim == 2 else np.zeros((0, P.dim))
+def _write_csv(path: Path, header, rows):
+    """One header line, then one line per row; floats are written with _fmt."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow([f"x{i + 1}" for i in range(P.dim)])
-        for v in verts:
-            w.writerow([_fmt(c) for c in v])
+        w.writerow(header)
+        w.writerows([_fmt(c) if isinstance(c, float) else c for c in row] for row in rows)
 
 
 def _reference_gain(args, sys_obj, aux):
@@ -117,8 +108,6 @@ def _reference_gain(args, sys_obj, aux):
         K = json_array(data["K"], "K")
         if np.atleast_2d(K).shape != (sys_obj.n_u, sys_obj.n_x):
             raise ValueError(f"K has shape {K.shape}, expected ({sys_obj.n_u}, {sys_obj.n_x})")
-        if not np.all(np.isfinite(K)):
-            raise ValueError("K entries must be finite")
         return K
 
     return _parse(args.k_source, gain)
@@ -132,7 +121,7 @@ def cmd_verify(args) -> int:
     cert = verify.verify_stability(
         sys_obj, net, xin, aux["X"], aux["U"], k_max=args.kmax, K_ref=K_ref
     )
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     _write_json(out / "certificate.json", cert.to_json())
     print(f"verdict: {cert.verdict}" + (f" ({cert.reason})" if cert.reason else ""))
     if cert.stability and cert.stability.k_star is not None:
@@ -145,8 +134,8 @@ def cmd_retrofit(args) -> int:
     sys_obj, aux, net, _ = _load_inputs(args, need_xin=False)
     K = _reference_gain(args, sys_obj, aux)
     new_net, cost = retrofit_lqr(net, K)
-    out = _out_dir(args)
-    new_net.save(out / "network_retrofit.json")
+    out = Path(args.out_dir)
+    _write_json(out / "network_retrofit.json", new_net.to_json())
     print(f"retrofit cost: {_fmt(cost)}")
     return 0
 
@@ -156,15 +145,15 @@ def cmd_saturate(args) -> int:
     if aux["U_box"] is None:
         raise ConfigError("saturate needs box input constraints (U_box) in the system file")
     lb, ub = aux["U_box"]
-    out = _out_dir(args)
-    saturate(net, lb, ub).save(out / "network_saturated.json")
+    out = Path(args.out_dir)
+    _write_json(out / "network_saturated.json", saturate(net, lb, ub).to_json())
     return 0
 
 
 def cmd_regions(args) -> int:
     sys_obj, aux, net, xin = _load_inputs(args)
     regions = enumerate_regions(net, xin)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     _write_json(
         out / "regions.json",
         [
@@ -175,36 +164,26 @@ def cmd_regions(args) -> int:
             for r in regions
         ],
     )
-    with open(out / "regions.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["region", "x1", "x2"])
-        if net.n_x == 2:
-            for i, r in enumerate(regions):
-                for v in vertices_2d(r.polytope):
-                    w.writerow([i, _fmt(v[0]), _fmt(v[1])])
+    corners = [] if net.n_x != 2 else [
+        [i, *v] for i, r in enumerate(regions) for v in vertices_2d(r.polytope)
+    ]
+    _write_csv(out / "regions.csv", ["region", "x1", "x2"], corners)
     print(f"regions: {len(regions)}")
     return 0
 
 
 def cmd_simulate(args) -> int:
     sys_obj, aux, net, _ = _load_inputs(args, need_xin=False)
-    x0 = np.array([float(v) for v in args.x0.split(",")])
+    x0 = json_array(args.x0.split(","), "--x0")
     if x0.size != sys_obj.n_x:
-        raise ConfigError(f"x0 has {x0.size} entries, expected {sys_obj.n_x}")
-    if not np.all(np.isfinite(x0)):
-        raise ConfigError(f"x0 must be finite, got {args.x0}")
+        raise ConfigError(f"--x0 has {x0.size} entries, expected {sys_obj.n_x}")
     traj = control.simulate(sys_obj, net, x0, args.steps)
-    out = _out_dir(args)
-    with open(out / "trajectory.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["step"]
-            + [f"x{i + 1}" for i in range(sys_obj.n_x)]
-            + [f"u{i + 1}" for i in range(sys_obj.n_u)]
-        )
-        for k, x in enumerate(traj.states):
-            u = traj.inputs[k] if k < len(traj.inputs) else [""] * sys_obj.n_u
-            w.writerow([k] + [_fmt(c) for c in x] + [_fmt(c) if c != "" else "" for c in u])
+    out = Path(args.out_dir)
+    n_x, n_u = sys_obj.n_x, sys_obj.n_u
+    header = ["step", *(f"x{i + 1}" for i in range(n_x)), *(f"u{i + 1}" for i in range(n_u))]
+    inputs = [*traj.inputs, [""] * n_u]  # the last state has no input
+    rows = [[k, *x, *u] for k, (x, u) in enumerate(zip(traj.states, inputs))]
+    _write_csv(out / "trajectory.csv", header, rows)
     return 0
 
 
@@ -213,7 +192,7 @@ def cmd_sets(args) -> int:
     if aux["Q"] is None or aux["R"] is None:
         raise ConfigError("sets needs Q and R in the system file")
     K = control.lqr(sys_obj, aux["Q"], aux["R"]).K
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     r_lqr = control.lqr_admissible_set(sys_obj, K, aux["X"], aux["U"])
     cert = verify.verify_stability(
         sys_obj, net, xin, aux["X"], aux["U"], k_max=args.kmax, K_ref=K
@@ -227,7 +206,8 @@ def cmd_sets(args) -> int:
         if poly is None:
             continue
         _write_json(out / f"{name}.json", poly.to_json())
-        _write_vertices_csv(out / f"{name}.csv", poly)
+        verts = vertices_2d(poly) if poly.dim == 2 else []
+        _write_csv(out / f"{name}.csv", [f"x{i + 1}" for i in range(poly.dim)], verts)
     print(f"verdict: {cert.verdict}")
     return 0 if cert.certified else 2
 
@@ -281,9 +261,12 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except OSError as exc:  # a file or directory that cannot be read or written
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
     except (CertnnError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

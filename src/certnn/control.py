@@ -131,19 +131,16 @@ def system_from_json(data: dict) -> tuple[LtiSystem, dict]:
     X, U, U_box, Q, R.  A ValueError names the field it comes from.
     """
 
+    def matrix(name):
+        return json_array(data[name], f"system field {name}")
+
     def field(name, parse):
         try:
-            if name in ("X", "U", "U_box") and not isinstance(data[name], dict):
+            if not isinstance(data[name], dict):
                 raise ValueError("must be a JSON object")
             return parse(data[name])
         except ValueError as exc:
             raise ValueError(f"system field {name}: {exc}") from exc
-
-    def matrix(value):
-        M = json_array(value, "its value")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("entries must be finite")
-        return M
 
     def box(value):
         lb, ub = json_array(value["lb"], "lb"), json_array(value["ub"], "ub")
@@ -153,7 +150,7 @@ def system_from_json(data: dict) -> tuple[LtiSystem, dict]:
             raise EmptyInput("U_box is empty: lb > ub")
         return (lb, ub), Polytope.box(lb, ub)
 
-    sys = LtiSystem(field("A", matrix), field("B", matrix))
+    sys = LtiSystem(matrix("A"), matrix("B"))
     aux: dict = {"Q": None, "R": None, "U_box": None}
     aux["X"] = field("X", Polytope.from_json)
     if "U_box" in data:
@@ -168,8 +165,7 @@ def system_from_json(data: dict) -> tuple[LtiSystem, dict]:
             raise ValueError(f"system field {name} has dimension {P.dim}, expected {size} = {n}")
     for name, n in (("Q", sys.n_x), ("R", sys.n_u)):
         if name in data:
-            aux[name] = field(name, matrix)
-            if aux[name].shape != (n, n):
-                shape = aux[name].shape
-                raise ValueError(f"system field {name} has shape {shape}, expected ({n}, {n})")
+            M = aux[name] = matrix(name)
+            if M.shape != (n, n):
+                raise ValueError(f"system field {name} has shape {M.shape}, expected ({n}, {n})")
     return sys, aux

@@ -85,11 +85,14 @@ class Polytope:
 
 
 def json_array(value, name: str) -> np.ndarray:
-    """A JSON number or (nested) list of numbers as a float array; ValueError otherwise."""
+    """A JSON number or (nested) list of numbers as a finite float array; ValueError otherwise."""
     try:
-        return np.asarray(value, dtype=float)
-    except TypeError as exc:  # numpy's error for a JSON object among the numbers
-        raise ValueError(f"{name} must be a number or a list of numbers") from exc
+        M = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # an object, a string or a ragged list
+        raise ValueError(f"{name} must be a number or a rectangular list of numbers") from exc
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} entries must be finite")
+    return M
 
 
 def is_empty(P: Polytope) -> bool:

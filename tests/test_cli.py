@@ -323,10 +323,13 @@ def test_help_exits_zero(capsys):
 def test_every_certnn_exception_is_a_certnn_error():
     import importlib
     import inspect
+    import pkgutil
 
+    import certnn
     from certnn.errors import CertnnError
 
-    names = ("cli", "control", "errors", "lp", "milp", "network", "polytope", "regions", "verify")
+    names = [info.name for info in pkgutil.iter_modules(certnn.__path__)]
+    assert "tolerances" in names
     for module in (importlib.import_module(f"certnn.{name}") for name in names):
         for obj in vars(module).values():
             if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__.startswith("certnn"):
@@ -513,3 +516,69 @@ def test_gain_file_sets_equilibrium_gain(case_files, tmp_path, flat):
     gain, bias = equilibrium_gain_bias(ReluNetwork.load(tmp / "gain_out" / "network_retrofit.json"))
     np.testing.assert_allclose(gain, -K, atol=1e-8)
     np.testing.assert_allclose(bias, 0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "role, content, line",
+    [
+        ("system", None, "{bad}: No such file or directory"),
+        ("network", "directory", "{bad}: Is a directory"),
+        ("system", b'{"A": "\xff"}', "{bad}: 'utf-8' codec can't decode byte 0xff"),
+        ("out", b"", "{bad}: File exists"),
+        ("out", "blocked", "{bad}/certificate.json: Is a directory"),
+        ("xin", {"F": [[1.0, 0.0], [0.0]], "g": [1.0, 1.0]}, "{bad}: F must be"),
+        ("xin", {"F": [[1.0, 0.0], [0.0, 1.0]], "g": ["a", 1.0]}, "{bad}: g must be"),
+        ("network", {"layers": [{"W": [[1.0, 0.0], [0.0]], "b": [0.0, 0.0]}]}, "{bad}: layer 0 W must be"),
+        ("k_source", {"K": [[1.0], [1.0, 2.0]]}, "{bad}: K must be"),
+        ("x0", "a,b", "--x0 must be"),
+        (
+            "network",
+            ReluNetwork([(np.ones((2, 3)), np.zeros(2)), (np.ones((1, 2)), np.zeros(1))]).to_json(),
+            "{bad}: network is 3->1 but plant expects 2->1",
+        ),
+        ("xin", Polytope.box(-np.ones(3), np.ones(3)).to_json(), "{bad}: X_in dimension 3"),
+        (
+            "system",
+            {
+                "A": CASE_A.tolist(),
+                "B": CASE_B.tolist(),
+                "X": Polytope.box([-5.0, -5.0], [5.0, 5.0]).to_json(),
+                "U_box": {"lb": [1.0], "ub": [-1.0]},
+            },
+            "{bad}: U_box is empty",
+        ),
+    ],
+    ids=[
+        "missing", "directory", "not-utf8", "out-dir-file", "out-file-directory",
+        "xin-F-ragged", "xin-g-string", "network-W-ragged", "K-ragged", "x0-text",
+        "network-width", "xin-dimension", "U_box-empty",
+    ],
+)
+def test_bad_file_or_flag_is_one_error_line(case_files, tmp_path, capsys, role, content, line):
+    # an unreadable or bad input file, an unusable --out-dir or a bad --x0 exits 1 with
+    # one error line that names the file (or the flag) and, for an array, its field
+    sys_path, net_path, xin_path, tmp = case_files
+    bad = tmp_path / "bad"
+    if content == "directory":
+        bad.mkdir()
+    elif content == "blocked":  # the out-dir is fine, but certificate.json cannot be written
+        (bad / "certificate.json").mkdir(parents=True)
+    elif isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif isinstance(content, dict):
+        bad.write_text(json.dumps(content))
+    out = tmp / "bad_out"
+    if role == "k_source":
+        argv = _retrofit_argv(sys_path, net_path, bad, out)
+    elif role == "x0":
+        argv = [
+            "simulate", "--system", sys_path, "--network", net_path,
+            "--out-dir", str(out), "--x0", content,
+        ]
+    else:
+        paths = {"system": sys_path, "network": net_path, "xin": xin_path, "out": out}
+        paths[role] = str(bad)
+        argv = _verify_argv(paths["system"], paths["network"], paths["xin"], paths["out"])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + line.format(bad=bad)) and err.count("\n") == 1
