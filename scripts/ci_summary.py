@@ -10,13 +10,15 @@ Prints, one per line:
 - its region count, and the sha256 of certificate.json, r_eq.json and of the
   CSV files regions.csv, trajectory.csv and r_as.csv;
 - the LpModel.solve calls of one untraced set_algebra pass (LQR and
-  admissible invariant set of 8 plants) and of one untraced case_study pass
-  (4 CLI verifies);
+  admissible invariant set of 8 plants), split into the fixpoint's cut tests,
+  the redundancy prune's row tests and the emptiness checks, and of one
+  untraced case_study pass (4 CLI verifies);
 - the branch-and-bound nodes of one untraced range_bnb pass (20
   output-range queries: 5 nets, 4 directions each);
 - one "name = value" line per entry of certnn/tolerances.py.
 """
 
+import collections
 import hashlib
 import json
 import sys
@@ -44,24 +46,39 @@ def case_study_lines(out: Path):
         yield f"{name} sha256: {sha256(out / name)}"
 
 
+# The set-algebra LPs by the function that solves them: LpModel.maxima runs the
+# fixpoint's cut tests, polytope._prune the row tests of the redundancy prune,
+# and remove_redundant and max_positively_invariant their emptiness checks.
+SET_CALLERS = {
+    "maxima": "fixpoint cut tests",
+    "_prune": "prune tests",
+    "remove_redundant": "emptiness",
+    "max_positively_invariant": "emptiness",
+}
+
+
 def lp_count_lines():
-    solve, calls = lp.LpModel.solve, 0
+    solve, calls = lp.LpModel.solve, collections.Counter()
 
     def counting(model):
-        nonlocal calls
-        calls += 1
+        calls[sys._getframe(1).f_code.co_name] += 1
         return solve(model)
 
     lp.LpModel.solve = counting
     try:
         for op in workloads.set_ops():
             op.run()
-        yield f"set_algebra pass: LpModel.solve calls {calls}"
-        calls = 0
+        split = collections.Counter()
+        for caller, n in calls.items():
+            split[SET_CALLERS.get(caller, caller)] += n
+        names = dict.fromkeys([*SET_CALLERS.values(), *split])  # any other caller by its name
+        parts = ", ".join(f"{split[name]} {name}" for name in names)
+        yield f"set_algebra pass: LpModel.solve calls {calls.total()} ({parts})"
+        calls.clear()
         with tempfile.TemporaryDirectory() as work:
             for op in workloads.case_ops(Path(work)):
                 op.run()
-        yield f"case_study pass: LpModel.solve calls {calls}"
+        yield f"case_study pass: LpModel.solve calls {calls.total()}"
     finally:
         lp.LpModel.solve = solve
 

@@ -174,7 +174,10 @@ def cmd_regions(args) -> int:
 
 def cmd_simulate(args) -> int:
     sys_obj, aux, net, _ = _load_inputs(args, need_xin=False)
-    x0 = json_array(args.x0.split(","), "--x0")
+    try:
+        x0 = json_array([float(v) for v in args.x0.split(",")], "--x0")
+    except ValueError:
+        raise ConfigError(f"--x0 must be comma-separated finite numbers: {args.x0!r}") from None
     if x0.size != sys_obj.n_x:
         raise ConfigError(f"--x0 has {x0.size} entries, expected {sys_obj.n_x}")
     traj = control.simulate(sys_obj, net, x0, args.steps)

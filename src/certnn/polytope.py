@@ -6,17 +6,20 @@ matrix of directions on that load, so containment and the bounding box are
 one support call; an unbounded direction has support +inf.  Redundancy
 removal also loads the rows once: it tests one row at a time by relaxing
 that row's right-hand side in place, and drops a redundant row by setting
-its right-hand side to +inf.  When the origin is strictly inside, a ray from
-the origin along each row normal first proves some rows to be facets, and
-those rows need no LP (the ray-shooting step of Clarkson's output-sensitive
-redundancy removal, FOCS 1994).  Intersection only stacks rows; the one
-operation that prunes is the maximal positively invariant set of a stable
-linear map, which keeps one loaded LP for its whole fixpoint: each step
-tests only the images of the rows that cut at the step before, appends the
-rows that cut and removes redundancy once at the end, on the same load.
-Set equality is always decided by mutual containment, never by comparing
-rows, because equivalent H-representations can differ in row order and
-scaling.
+its right-hand side to +inf.  When the origin is strictly inside, two rays
+from the origin per row, along its normal and at the support point of an
+ellipsoid inside the set, first prove some rows to be facets, and those rows
+need no LP (the ray-shooting step of Clarkson's output-sensitive redundancy
+removal, FOCS 1994).  Intersection only stacks rows; the one operation that
+prunes is the maximal positively invariant set of a stable linear map, which
+keeps one loaded LP for its whole fixpoint: each step tests only the images
+of the rows that cut at the step before, appends the rows that cut and
+removes redundancy once at the end, on the same load.  The same two rays per
+new row leave the current set at points of it, and a row that such a point
+violates cuts without an LP.  A set whose right-hand sides are all >= 0
+holds the origin and needs no emptiness LP.  Set equality is always decided
+by mutual containment, never by comparing rows, because equivalent
+H-representations can differ in row order and scaling.
 """
 
 from __future__ import annotations
@@ -86,13 +89,16 @@ class Polytope:
 
 def json_array(value, name: str) -> np.ndarray:
     """A JSON number or (nested) list of numbers as a finite float array; ValueError otherwise."""
+    message = f"{name} must be a number or a rectangular list of numbers"
     try:
-        M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:  # an object, a string or a ragged list
-        raise ValueError(f"{name} must be a number or a rectangular list of numbers") from exc
+        M = np.asarray(value)
+    except ValueError as exc:  # a ragged list
+        raise ValueError(message) from exc
+    if M.dtype.kind not in "iuf":  # a string, an object, a boolean or null
+        raise ValueError(message)
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} entries must be finite")
-    return M
+    return M.astype(float)
 
 
 def is_empty(P: Polytope) -> bool:
@@ -126,10 +132,11 @@ def remove_redundant(P: Polytope) -> Polytope:
     Row i is redundant iff maximizing F_i x over the remaining rows (with the
     bounding relaxation F_i x <= g_i + 1 to keep the LP bounded) stays below
     g_i.  Rows are scanned sequentially so that of two duplicates exactly one
-    survives.  P is loaded once; an empty P raises EmptyInput.
+    survives.  P is loaded once; an empty P raises EmptyInput.  When g >= 0
+    the origin is in P, and no LP checks that P is non-empty.
     """
     model = _load(P)
-    if model.solve().status == lp.LpStatus.INFEASIBLE:
+    if np.any(P.g < 0.0) and model.solve().status == lp.LpStatus.INFEASIBLE:
         raise EmptyInput("cannot remove redundancy from an empty polytope")
     return _prune(model, P)
 
@@ -158,33 +165,81 @@ def _prune(model: lp.LpModel, P: Polytope) -> Polytope:
     return Polytope(P.F[keep], P.g[keep])
 
 
-def _ray_facets(P: Polytope) -> np.ndarray:
-    """Mask of the rows that a ray from the origin along a row normal proves to be facets.
+def _rays(P: Polytope, C) -> np.ndarray:
+    """The directions of the rays aimed along each row c of C: c, then M^-1 c.
 
-    Only when g > 0, so the origin is strictly inside P.  The ray t F_j,
-    t > 0, meets row i at t = g_i / (F_i . F_j) wherever F_i . F_j > 0.  If
-    it meets row f first and the next row later, the points between the two
-    hits violate row f alone, so F_f x rises above g_f by
-    (t2 - t1) F_f . F_j before any other row stops it; a ray that meets no
-    other row lets it rise without end.  Where that rise exceeds
-    10 * LP_FEAS_TOL, ten times HiGHS's feasibility tolerance, the LP
-    scan would keep row f too.  Ties (duplicate or scaled duplicate rows)
-    and zero rows, which no ray meets, are left to the LP.
+    Only when g > 0, so the origin is strictly inside P.  With
+    M = F^T diag(g)^-2 F the ellipsoid {x : sum_j (F_j x / g_j)^2 <= 1} lies
+    in P, and M^-1 c points at its support point along c; for the
+    near-ellipsoidal sets of a stable loop that ray often leaves P through
+    the face that maximizes c.  M is singular when P holds a line, and then
+    only the rows of C are returned.
     """
-    m = P.nrows
-    facets = np.zeros(m, dtype=bool)
-    if not m or np.any(P.g <= 0.0):
-        return facets
-    R = P.F @ P.F.T
-    t = np.full((m + 1, m), np.inf)  # t[i, j]: where ray j meets row i; row m is never met
-    np.divide(P.g[:, None], R, out=t[:m], where=R > 0.0)
+    G = P.F / P.g[:, None]
+    try:
+        return np.vstack([C, np.linalg.solve(G.T @ G, C.T).T])
+    except np.linalg.LinAlgError:
+        return C
+
+
+def _first_hits(P: Polytope, D):
+    """(first, hit, rise) of the ray t d, t > 0, from the origin along each row d of D.
+
+    Only when P has rows and g > 0.  The ray meets row i at
+    t = g_i / (F_i . d) wherever F_i . d > 0.  first is the row it meets
+    first, at t1, and hit = t1 d is a point of P on that row.  If the ray
+    meets the next row at t2 > t1, the points between the two hits violate
+    row first alone, so F_first x rises above g_first by
+    rise = (t2 - t1) F_first . d before any other row stops it; a ray that
+    meets one row only lets it rise without end (rise = inf).  Ties give
+    rise 0, and so does a ray that meets no row, whose hit is nan.
+    """
+    R = P.F @ D.T
+    # t[i, j]: where ray j meets row i; the extra last row is never met
+    t = np.full((P.nrows + 1, len(D)), np.inf)
+    np.divide(P.g[:, None], R, out=t[:-1], where=R > 0.0)
     first = np.argmin(t, axis=0)
     t1, t2 = np.partition(t, 1, axis=0)[:2]
-    rise = np.full(m, np.inf)
-    two = np.isfinite(t2)  # then t1 is finite too: no inf - inf
-    rise[two] = (t2[two] - t1[two]) * R[first[two], np.flatnonzero(two)]
-    facets[first[np.isfinite(t1) & (rise > 10.0 * LP_FEAS_TOL)]] = True
+    met = np.isfinite(t1)  # then t2 - t1 is no inf - inf
+    hit = np.full(D.shape, np.nan)
+    np.multiply(t1[:, None], D, out=hit, where=met[:, None])
+    rise = np.zeros(len(D))
+    rise[met] = (t2[met] - t1[met]) * R[first[met], np.flatnonzero(met)]
+    return first, hit, rise
+
+
+def _ray_facets(P: Polytope) -> np.ndarray:
+    """Mask of the rows that a ray from the origin proves to be facets.
+
+    Only when g > 0.  Two rays per row (see _rays): along its normal and at
+    the support point of P's inner ellipsoid.  Where the row f that a ray
+    meets first rises above g_f by more than 10 * LP_FEAS_TOL, ten times
+    HiGHS's feasibility tolerance, before another row stops the ray (see
+    _first_hits), the LP scan would keep row f too.  Ties (duplicate or
+    scaled duplicate rows) and zero rows, which no ray meets, are left to
+    the LP.
+    """
+    facets = np.zeros(P.nrows, dtype=bool)
+    if P.nrows and np.all(P.g > 0.0):
+        first, _, rise = _first_hits(P, _rays(P, P.F))
+        facets[first[rise > 10.0 * LP_FEAS_TOL]] = True
     return facets
+
+
+def _point_cuts(omega: Polytope, F, g) -> np.ndarray:
+    """Mask of the rows of F x <= g that a point of omega proves to cut omega.
+
+    Only when omega has g > 0.  Two rays per row r (see _rays) end at points
+    x of omega (see _first_hits); r . x > g_r + REDUNDANCY_TOL shows that
+    the support of r on omega exceeds g_r as the LP test of
+    max_positively_invariant requires.  The other rows are left to the LP.
+    """
+    cuts = np.zeros(len(g), dtype=bool)
+    if omega.nrows and np.all(omega.g > 0.0):
+        _, hit, _ = _first_hits(omega, _rays(omega, F))
+        reach = np.sum(hit.reshape(-1, *F.shape) * F, axis=2)  # one row of r . x per ray family
+        cuts = np.any(reach > g + REDUNDANCY_TOL, axis=0)
+    return cuts
 
 
 def contains_set(outer: Polytope, inner: Polytope, tol: float = LP_FEAS_TOL) -> bool:
@@ -210,25 +265,32 @@ def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     as a cut).  Only the rows that cut at step k are tested at step k + 1:
     x in O_(k+1) puts A_cl x in O_k, so the support of F_j A_cl^(k+2) on
     O_(k+1) is at most that of F_j A_cl^(k+1) on O_k, and a row that did not
-    cut at step k never cuts again.  When no row cuts, O_k is invariant and
-    is returned with its redundant rows removed.  When the rows squeeze every
-    point out, the empty stack is returned: it is the (trivially invariant)
-    fixpoint.  One LP is loaded for the whole fixpoint: the cutting rows are
-    appended to it and the final pruning runs on it.
+    cut at step k never cuts again.  A row that a point of O_k proves to cut
+    (see _point_cuts) needs no LP; only the other rows are solved.  When no
+    row cuts, O_k is invariant and is returned with its redundant rows
+    removed.  When the rows squeeze every point out, the empty stack is
+    returned: it is the (trivially invariant) fixpoint.  One LP is loaded for
+    the whole fixpoint: the cutting rows are appended to it and the final
+    pruning runs on it.  When g >= 0 the origin is in P, and no LP checks
+    that P is non-empty.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     if A_cl.shape != (P.dim, P.dim):
         raise DimensionMismatch(f"map shape {A_cl.shape} vs dimension {P.dim}")
     model = _load(P)
-    if model.solve().status == lp.LpStatus.INFEASIBLE:
+    if np.any(P.g < 0.0) and model.solve().status == lp.LpStatus.INFEASIBLE:
         raise EmptyInput("invariant set of an empty polytope")
     omega, F_k, g_k = P, P.F, P.g
     for _ in range(MAX_FIXPOINT_ITER):
         F_k = F_k @ A_cl
-        try:
-            cuts = np.flatnonzero(model.maxima(F_k) > g_k + REDUNDANCY_TOL)
-        except EmptyInput:
-            return omega
+        cut = _point_cuts(omega, F_k, g_k)
+        open_rows = np.flatnonzero(~cut)
+        if open_rows.size:
+            try:
+                cut[open_rows] = model.maxima(F_k[open_rows]) > g_k[open_rows] + REDUNDANCY_TOL
+            except EmptyInput:
+                return omega
+        cuts = np.flatnonzero(cut)
         if not cuts.size:
             return _prune(model, omega)
         F_k, g_k = F_k[cuts], g_k[cuts]

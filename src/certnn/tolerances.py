@@ -9,7 +9,9 @@ module imports nothing from certnn.
 
 # HiGHS's primal and dual feasibility tolerance, which every LP runs with: the
 # default slack of polytope.contains_set, and ten times it is the least rise
-# above a row that lets polytope._ray_facets keep the row without an LP.
+# above a row that lets the ray facet proof of polytope._ray_facets (rays along
+# the row normals and at the inner ellipsoid's support points) keep the row
+# without an LP.
 LP_FEAS_TOL = 1e-7
 
 # A proven upper bound at most g_i + CONTAIN_TOL lies within facet i of U, X_in
@@ -31,7 +33,9 @@ INTEGRALITY_TOL = 1e-6
 
 # A row whose maximum over the other rows is at most its offset plus
 # REDUNDANCY_TOL is redundant: remove_redundant drops it, and
-# max_positively_invariant takes it as no cut.
+# max_positively_invariant takes it as no cut.  In the point cut test of
+# polytope._point_cuts, a point of the set that exceeds a row's offset by more
+# than REDUNDANCY_TOL proves the row to cut without an LP.
 REDUNDANCY_TOL = 1e-9
 
 # control.lqr rejects Q as not positive semidefinite when its least eigenvalue

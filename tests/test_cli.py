@@ -528,6 +528,7 @@ def test_gain_file_sets_equilibrium_gain(case_files, tmp_path, flat):
         ("out", "blocked", "{bad}/certificate.json: Is a directory"),
         ("xin", {"F": [[1.0, 0.0], [0.0]], "g": [1.0, 1.0]}, "{bad}: F must be"),
         ("xin", {"F": [[1.0, 0.0], [0.0, 1.0]], "g": ["a", 1.0]}, "{bad}: g must be"),
+        ("xin", {"F": [[1.0, 0.0], [0.0, 1.0]], "g": ["0.5", "0.5"]}, "{bad}: g must be"),
         ("network", {"layers": [{"W": [[1.0, 0.0], [0.0]], "b": [0.0, 0.0]}]}, "{bad}: layer 0 W must be"),
         ("k_source", {"K": [[1.0], [1.0, 2.0]]}, "{bad}: K must be"),
         ("x0", "a,b", "--x0 must be"),
@@ -550,8 +551,8 @@ def test_gain_file_sets_equilibrium_gain(case_files, tmp_path, flat):
     ],
     ids=[
         "missing", "directory", "not-utf8", "out-dir-file", "out-file-directory",
-        "xin-F-ragged", "xin-g-string", "network-W-ragged", "K-ragged", "x0-text",
-        "network-width", "xin-dimension", "U_box-empty",
+        "xin-F-ragged", "xin-g-string", "xin-g-number-string", "network-W-ragged", "K-ragged",
+        "x0-text", "network-width", "xin-dimension", "U_box-empty",
     ],
 )
 def test_bad_file_or_flag_is_one_error_line(case_files, tmp_path, capsys, role, content, line):

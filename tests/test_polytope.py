@@ -7,7 +7,7 @@ import pytest
 import helpers
 from conftest import CASE_C_AS, CASE_c_AS, CASE_C_IN, CASE_c_IN, CASE_F_EQ, CASE_g_EQ, \
     CASE_F_LQR, CASE_g_LQR, random_net
-from certnn import control, lp
+from certnn import control, lp, polytope
 from certnn.polytope import (
     DimensionMismatch,
     EmptyInput,
@@ -23,6 +23,8 @@ from certnn.polytope import (
 )
 
 UNIT_BOX = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+STRIP = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.ones(2))  # |x1| <= 1 holds the x2 axis
+CORNER_BOX = Polytope.box([0.0, -1.0, -1.0], [1.0, 1.0, 1.0])  # the origin on a facet: a zero g
 
 
 def _stable_map_case(seed):
@@ -230,11 +232,51 @@ def test_remove_redundant_matches_per_row_oracle(lp_path, count_lps):
     assert count_lps() < sum(P.nrows + 1 for P in cases)
 
 
-def test_remove_redundant_of_box_solves_only_emptiness(count_lps):
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no inf - inf, inf * 0 or division by 0
+def test_ray_facets_are_kept_by_the_oracle():
+    # a row that a ray from the origin proves to be a facet survives the
+    # per-row LP scan; on a set that holds a line (singular M) only the rays
+    # along the normals run, and a zero g runs no ray
+    cases = _redundancy_cases() + _origin_interior_cases() + [STRIP, CORNER_BOX]
+    cases += [_stable_map_case(seed)[1] for seed in range(6)]
+    proven = kept = 0
+    for P in cases:
+        facets = np.flatnonzero(polytope._ray_facets(P))
+        keep = helpers.redundancy_oracle(P.F, P.g)
+        assert set(facets) <= set(keep)
+        proven += facets.size
+        kept += len(keep) * bool(np.all(P.g > 0.0))
+    assert proven > kept // 2  # of the facets of the sets with g > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_point_cuts_are_lp_cuts():
+    # a row that a boundary point of the set proves to cut has a support above
+    # g + 1e-9 by a fresh LP, also for rows with g = 0 and on unbounded sets;
+    # the set's own rows, which the boundary points touch, never cut
+    rng = np.random.default_rng(29)
+    cases = _origin_interior_cases() + [STRIP, CORNER_BOX]
+    cases += [_stable_map_case(seed)[1] for seed in range(6)]
+    proven = 0
+    for P in cases:
+        F = np.vstack([P.F, rng.standard_normal((10, P.dim))])
+        g = np.concatenate([P.g, [0.0], rng.uniform(0.0, 2.0, 9)])
+        cuts = polytope._point_cuts(P, F, g)
+        assert not cuts[: P.nrows].any()
+        for row, rhs in zip(F[cuts], g[cuts]):
+            norm = np.linalg.norm(row)
+            assert norm * helpers._lp_max(row / norm, P.F, P.g) > rhs + 1e-9
+        proven += cuts.sum()
+    assert proven > 0
+
+
+def test_remove_redundant_of_box_needs_no_lp(count_lps):
+    # the origin is inside, so no LP checks emptiness, and the ray along each
+    # row normal proves that row to be a facet
     box = Polytope.box([-1.0, -2.0, -0.5], [3.0, 0.25, 1.0])
     R = remove_redundant(box)
     assert np.array_equal(R.F, box.F) and np.array_equal(R.g, box.g)
-    assert count_lps() == 1
+    assert count_lps() == 0
 
 
 class TestContainment:
@@ -377,20 +419,47 @@ def _stable_map_reference(seed):
     return A, P, helpers.mpi_reference(A, P.F, P.g)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [functools.partial(_lqr_fixpoint_case, i) for i in range(8)]
-    + [functools.partial(_stable_map_reference, seed) for seed in range(6)],
-    ids=[f"plant{i}" for i in range(8)] + [f"stable_map{seed}" for seed in range(6)],
-)
+@functools.cache
+def _reference(name):
+    """A map, a set and the reference invariant set, for a set holding a line or with a zero g."""
+    A, P = {
+        "strip_cut": (np.array([[0.6, 0.3], [0.0, 0.5]]), STRIP),  # cuts bound x2 after one step
+        "strip_kept": (np.diag([0.5, 0.9]), STRIP),  # nothing cuts: the fixpoint holds a line
+        "corner_box": (_stable_map_case(1)[0], CORNER_BOX),
+    }[name]
+    return A, P, helpers.mpi_reference(A, P.F, P.g)
+
+
+FIXPOINT_CASES = {
+    **{f"plant{i}": functools.partial(_lqr_fixpoint_case, i) for i in range(8)},
+    **{f"stable_map{seed}": functools.partial(_stable_map_reference, seed) for seed in range(6)},
+    **{
+        name: functools.partial(_reference, name)
+        for name in ("strip_cut", "strip_kept", "corner_box")
+    },
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", FIXPOINT_CASES.values(), ids=FIXPOINT_CASES.keys())
 def test_max_positively_invariant_matches_every_row_reference(lp_path, case):
-    # testing only the images of the rows that cut at the step before appends
-    # the same rows in the same order as testing every row at every step
+    # testing only the images of the rows that cut at the step before, and
+    # deciding rows by points where a point can, appends the same rows in the
+    # same order as testing every row by an LP at every step
     A, P, (F, g) = case()
     omega = max_positively_invariant(A, P)
     assert omega.F.shape == F.shape
     np.testing.assert_allclose(omega.F, F, rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(omega.g, g)
+
+
+def test_six_state_fixpoint_lp_count(count_lps):
+    # set-algebra plant 0 (6 states): 26 LPs, where rays along the row
+    # normals alone, with an LP for every cut test and for emptiness, take 37
+    A, P, (F, _) = _lqr_fixpoint_case(0)
+    before = count_lps()
+    assert max_positively_invariant(A, P).nrows == len(F) == 24
+    assert count_lps() - before == 26
 
 
 def test_vertices_2d_unit_box():
