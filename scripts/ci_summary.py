@@ -12,7 +12,8 @@ Prints, one per line:
 - the LpModel.solve calls of one untraced set_algebra pass (LQR and
   admissible invariant set of 8 plants), split into the fixpoint's cut tests,
   the redundancy prune's row tests and the emptiness checks, and of one
-  untraced case_study pass (4 CLI verifies);
+  untraced case_study pass (4 CLI verifies), each followed by the HiGHS
+  simplex iterations of those solves, split the same way;
 - the branch-and-bound nodes of one untraced range_bnb pass (20
   output-range queries: 5 nets, 4 directions each);
 - one "name = value" line per entry of certnn/tolerances.py.
@@ -58,27 +59,36 @@ SET_CALLERS = {
 
 
 def lp_count_lines():
-    solve, calls = lp.LpModel.solve, collections.Counter()
+    solve = lp.LpModel.solve
+    calls, iterations = collections.Counter(), collections.Counter()
 
     def counting(model):
-        calls[sys._getframe(1).f_code.co_name] += 1
-        return solve(model)
+        caller = sys._getframe(1).f_code.co_name
+        out = solve(model)
+        calls[caller] += 1
+        iterations[caller] += model._highs.getInfo().simplex_iteration_count
+        return out
+
+    def by_caller(counts):
+        split = collections.Counter()
+        for caller, n in counts.items():
+            split[SET_CALLERS.get(caller, caller)] += n
+        names = dict.fromkeys([*SET_CALLERS.values(), *split])  # any other caller by its name
+        return f"{counts.total()} (" + ", ".join(f"{split[name]} {name}" for name in names) + ")"
 
     lp.LpModel.solve = counting
     try:
         for op in workloads.set_ops():
             op.run()
-        split = collections.Counter()
-        for caller, n in calls.items():
-            split[SET_CALLERS.get(caller, caller)] += n
-        names = dict.fromkeys([*SET_CALLERS.values(), *split])  # any other caller by its name
-        parts = ", ".join(f"{split[name]} {name}" for name in names)
-        yield f"set_algebra pass: LpModel.solve calls {calls.total()} ({parts})"
+        yield f"set_algebra pass: LpModel.solve calls {by_caller(calls)}"
+        yield f"set_algebra pass: simplex iterations {by_caller(iterations)}"
         calls.clear()
+        iterations.clear()
         with tempfile.TemporaryDirectory() as work:
             for op in workloads.case_ops(Path(work)):
                 op.run()
         yield f"case_study pass: LpModel.solve calls {calls.total()}"
+        yield f"case_study pass: simplex iterations {iterations.total()}"
     finally:
         lp.LpModel.solve = solve
 

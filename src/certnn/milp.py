@@ -111,8 +111,9 @@ class MilpModel:
 
     def __post_init__(self):
         if self.relaxation is None:
+            # the dual simplex: a node changes only column bounds (see certnn.lp)
             self.relaxation = lp.LpModel(
-                self.c, self.A_ub, self.b_ub, self.lb, self.ub, self.A_eq, self.b_eq
+                self.c, self.A_ub, self.b_ub, self.lb, self.ub, self.A_eq, self.b_eq, primal=False
             )
 
 

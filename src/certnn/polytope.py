@@ -19,7 +19,9 @@ new row leave the current set at points of it, and a row that such a point
 violates cuts without an LP.  A set whose right-hand sides are all >= 0
 holds the origin and needs no emptiness LP.  Set equality is always decided
 by mutual containment, never by comparing rows, because equivalent
-H-representations can differ in row order and scaling.
+H-representations can differ in row order and scaling.  Every loaded set is
+re-solved by HiGHS's primal simplex, which goes on from the last basis
+after a change of cost (see certnn.lp).
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def is_empty(P: Polytope) -> bool:
 def _load(P: Polytope) -> lp.LpModel:
     """The rows of P as an LP with zero cost: its first solve is the emptiness check."""
     free = np.full(P.dim, np.inf)
-    return lp.LpModel(np.zeros(P.dim), P.F, P.g, -free, free)
+    return lp.LpModel(np.zeros(P.dim), P.F, P.g, -free, free, primal=True)
 
 
 def support(P: Polytope, D):

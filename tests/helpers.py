@@ -80,6 +80,13 @@ def _lp_max(c, F, g):
     return -res.fun
 
 
+def held_matrix(p):
+    """The constraint matrix of p, the LP that a HiGHS object's getLp() returns, as a CSR array."""
+    m = p.a_matrix_
+    form = sparse.csc_array if m.format_ == highs.MatrixFormat.kColwise else sparse.csr_array
+    return sparse.csr_array(form((m.value_, m.index_, m.start_), shape=(p.num_row_, p.num_col_)))
+
+
 def cold_linprog(h):
     """The LP that the HiGHS object h holds, solved cold by scipy.optimize.linprog.
 
@@ -89,10 +96,7 @@ def cold_linprog(h):
     infinite (dropped by a right-hand side of +inf) are left out.
     """
     p = h.getLp()
-    m = p.a_matrix_
-    shape = (p.num_row_, p.num_col_)
-    form = sparse.csc_array if m.format_ == highs.MatrixFormat.kColwise else sparse.csr_array
-    A = sparse.csr_array(form((m.value_, m.index_, m.start_), shape=shape))
+    A = held_matrix(p)
     lo, up = np.asarray(p.row_lower_), np.asarray(p.row_upper_)
     eq = lo == up
     upper, lower = np.flatnonzero(~eq & np.isfinite(up)), np.flatnonzero(~eq & np.isfinite(lo))

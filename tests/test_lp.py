@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
-from certnn import lp
+from certnn import lp, polytope
+from certnn.milp import encode_output_range
 from certnn.polytope import Polytope, remove_redundant, support
+from helpers import held_matrix
 
 
 def random_bounded_lp(rng, n=4, m=8):
@@ -270,6 +273,62 @@ def test_a_stalled_warm_solve_is_solved_again_cold(lp_path):
         m = rng.integers(n + 1, 3 * n + 2)
         F, g, C = rng.standard_normal((m, n)), rng.uniform(0.5, 2.0, m), rng.standard_normal((4, n))
     assert np.array_equal(support(Polytope(F, g), C), np.full(4, np.inf))
+
+
+# explicit zeros and an all-zero row
+ROWS = np.array([[1.0, 0.0, -2.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0], [-1.0, -1.0, 0.0]])
+DIRECTIONS = np.random.default_rng(5).standard_normal((6, 3))
+
+
+def held_lp(model):
+    """The LP that model's HiGHS object holds: its matrix column-wise, its column and row bounds."""
+    p = model._highs.getLp()
+    A = held_matrix(p).tocsc()
+    parts = (A.indptr, A.indices, A.data, p.col_lower_, p.col_upper_, p.row_lower_, p.row_upper_)
+    return [np.asarray(part) for part in parts]
+
+
+def assert_same_lp(model, other, rows):
+    # the same LP in HiGHS, holding the nonzeros of rows only, and the same maxima
+    for got, want in zip(held_lp(model), held_lp(other)):
+        np.testing.assert_array_equal(got, want)
+    want = sparse.csc_array(rows)
+    for got, part in zip(held_lp(model), (want.indptr, want.indices, want.data)):
+        np.testing.assert_array_equal(got, part)
+    np.testing.assert_array_equal(model.maxima(DIRECTIONS), other.maxima(DIRECTIONS))
+
+
+@pytest.mark.parametrize("eq", [False, True], ids=["ub", "ub+eq"])
+@pytest.mark.parametrize("rows", [ROWS, ROWS[:0]], ids=["rows", "no rows"])
+def test_dense_and_csr_matrices_load_the_same_lp(rows, eq):
+    # a dense matrix, zeros and all, and its CSR array load the same rows
+    b = np.arange(1.0, rows.shape[0] + 1.0)
+    A_eq, b_eq = (ROWS[:1], [0.5]) if eq else (None, None)
+    lb, ub = np.full(3, -5.0), np.full(3, 5.0)
+    dense = lp.LpModel(np.zeros(3), rows, b, lb, ub, A_eq, b_eq)
+    csr_eq = None if A_eq is None else sparse.csr_array(A_eq)
+    csr = lp.LpModel(np.zeros(3), sparse.csr_array(rows), b, lb, ub, csr_eq, b_eq)
+    assert_same_lp(dense, csr, rows if A_eq is None else np.vstack([rows, A_eq]))
+
+
+def test_dense_rows_appended_match_rows_loaded():
+    # a dense block with zeros appended by add_rows holds the rows loaded at once
+    b = np.arange(1.0, ROWS.shape[0] + 1.0)
+    lb, ub = np.full(3, -5.0), np.full(3, 5.0)
+    appended = lp.LpModel(np.zeros(3), ROWS[:1], b[:1], lb, ub)
+    appended.add_rows(ROWS[1:], b[1:])
+    assert_same_lp(appended, lp.LpModel(np.zeros(3), ROWS, b, lb, ub), ROWS)
+
+
+def test_simplex_by_model_kind(identity_pair_net):
+    # set-algebra models re-solve on the primal simplex; MILP relaxations keep
+    # HiGHS's default, the dual simplex (simplex_strategy 1)
+    def strategy(model):
+        return model._highs.getOptionValue("simplex_strategy")[1]
+
+    box = Polytope.box([-1.0], [1.0])
+    assert strategy(polytope._load(box)) == lp.PRIMAL_SIMPLEX
+    assert strategy(encode_output_range(identity_pair_net, box, [1.0]).relaxation) == 1
 
 
 def test_missing_highs_binding_names_the_scipy_version():
