@@ -12,8 +12,11 @@ Prints, one per line:
 - the LpModel.solve calls of one untraced set_algebra pass (LQR and
   admissible invariant set of 8 plants), split into the fixpoint's cut tests,
   the redundancy prune's row tests and the emptiness checks, and of one
-  untraced case_study pass (4 CLI verifies), each followed by the HiGHS
-  simplex iterations of those solves, split the same way;
+  untraced case_study pass (4 CLI verifies), split into the box LPs of the
+  state blocks, the pre-activation bound LPs, the branch-and-bound nodes and
+  the set LPs (R_eq and R_as); each is followed by the HiGHS simplex
+  iterations of those solves, split the same way, and by the LpModel loads
+  of the pass;
 - the branch-and-bound nodes of one untraced range_bnb pass (20
   output-range queries: 5 nets, 4 directions each);
 - one "name = value" line per entry of certnn/tolerances.py.
@@ -58,39 +61,68 @@ SET_CALLERS = {
 }
 
 
+# The case-study LPs by the function that solves them, or that calls
+# LpModel.maxima to: milp.ClosedLoopEncoding._box_state boxes a state block,
+# milp._preactivation_bounds bounds a network copy, and solve_milp's _push
+# solves a branch-and-bound node; every other LP is a set LP (R_eq, R_as).
+CASE_CALLERS = {
+    "_box_state": "box LPs",
+    "_preactivation_bounds": "bound LPs",
+    "_push": "BnB nodes",
+}
+
+
+def _set_caller(callers):
+    return SET_CALLERS.get(callers[0], callers[0])
+
+
+def _case_caller(callers):
+    return next((CASE_CALLERS[c] for c in callers if c in CASE_CALLERS), "set LPs")
+
+
 def lp_count_lines():
-    solve = lp.LpModel.solve
+    solve, init = lp.LpModel.solve, lp.LpModel.__init__
     calls, iterations = collections.Counter(), collections.Counter()
+    loads = 0
 
     def counting(model):
-        caller = sys._getframe(1).f_code.co_name
+        callers = sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name
         out = solve(model)
-        calls[caller] += 1
-        iterations[caller] += model._highs.getInfo().simplex_iteration_count
+        calls[callers] += 1
+        iterations[callers] += model._highs.getInfo().simplex_iteration_count
         return out
 
-    def by_caller(counts):
+    def loading(model, *args, **kwargs):
+        nonlocal loads
+        loads += 1
+        init(model, *args, **kwargs)
+
+    def by_caller(counts, name, names):
         split = collections.Counter()
-        for caller, n in counts.items():
-            split[SET_CALLERS.get(caller, caller)] += n
-        names = dict.fromkeys([*SET_CALLERS.values(), *split])  # any other caller by its name
+        for callers, n in counts.items():
+            split[name(callers)] += n
+        names = dict.fromkeys([*names, *split])  # any other caller by its name
         return f"{counts.total()} (" + ", ".join(f"{split[name]} {name}" for name in names) + ")"
 
-    lp.LpModel.solve = counting
+    def lines(workload, name, names):
+        yield f"{workload} pass: LpModel.solve calls {by_caller(calls, name, names)}"
+        yield f"{workload} pass: simplex iterations {by_caller(iterations, name, names)}"
+        yield f"{workload} pass: LpModel loads {loads}"
+
+    lp.LpModel.solve, lp.LpModel.__init__ = counting, loading
     try:
         for op in workloads.set_ops():
             op.run()
-        yield f"set_algebra pass: LpModel.solve calls {by_caller(calls)}"
-        yield f"set_algebra pass: simplex iterations {by_caller(iterations)}"
+        yield from lines("set_algebra", _set_caller, SET_CALLERS.values())
         calls.clear()
         iterations.clear()
+        loads = 0
         with tempfile.TemporaryDirectory() as work:
             for op in workloads.case_ops(Path(work)):
                 op.run()
-        yield f"case_study pass: LpModel.solve calls {calls.total()}"
-        yield f"case_study pass: simplex iterations {iterations.total()}"
+        yield from lines("case_study", _case_caller, [*CASE_CALLERS.values(), "set LPs"])
     finally:
-        lp.LpModel.solve = solve
+        lp.LpModel.solve, lp.LpModel.__init__ = solve, init
 
 
 def main() -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -215,6 +216,7 @@ def cmd_sets(args) -> int:
     return 0 if cert.certified else 2
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="certnn", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -3,12 +3,13 @@
 Problems are stated as maximize c.x subject to A x <= b, A_eq x = b_eq and
 per-variable bounds.  An :class:`LpModel` loads one such problem into HiGHS
 once.  Its column bounds (the nodes of a branch and bound), its cost and the
-right-hand sides of its inequality rows then change in place, inequality
-rows can be appended and deleted again, and each solve starts HiGHS's
-simplex from the basis of the previous solve instead of presolving the
-problem from scratch.  A right-hand side of +inf drops its row, so one load
-serves every redundancy test of a polytope and every step of an
-invariant-set fixpoint.
+right-hand sides of its inequality rows then change in place, columns and
+rows (inequalities and equalities, in any order) can be appended, the last
+inequality rows deleted again, and each solve starts HiGHS's simplex from
+the basis of the previous solve instead of presolving the problem from
+scratch.  A right-hand side of +inf drops its row, so one load serves every
+redundancy test of a polytope, every step of an invariant-set fixpoint and
+every step of a closed-loop encoding.
 :meth:`LpModel.maxima` answers a whole matrix of objectives on one load: the
 support functions of a polytope and the per-coordinate box of a state block
 are each one call.  :func:`solve_lp` is the one-shot use of the same object.
@@ -26,9 +27,9 @@ cost, relax or drop a row, or append a cut.  A new cost leaves the last
 basis primal feasible, so they run HiGHS's primal simplex (``primal=True``),
 where the default dual simplex would first repair dual feasibility.  The
 MILP relaxations keep the dual simplex: a node changes only column bounds,
-which leaves the basis dual feasible, and primal box and bound LPs left
-bases that sent the four case-study bench verifies to 164/127/60/103 nodes
-instead of 120/93/50/75 (208/173/70/129 with every MILP LP primal).
+which leaves the basis dual feasible, and with every MILP LP on the primal
+simplex the four case-study bench verifies count 134/130/50/78 nodes
+instead of 88/78/40/60.
 
 When an LP has several optimal vertices, a warm start may return another
 one than a cold solve, with the same value.  A warm solve that ends neither
@@ -127,11 +128,15 @@ class LpModel:
     loaded.  ``primal`` picks HiGHS's primal simplex over its default, the
     dual (see the module docstring).  ``set_bounds`` and
     ``set_objective`` pass only the entries that changed to HiGHS,
-    ``set_rhs`` changes one inequality row (+inf drops it), ``add_rows``
-    appends inequality rows and ``delete_rows`` deletes the last ones;
-    ``solve`` re-solves warm from the previous basis, and ``maxima`` solves
-    one LP per objective.  The rows live in HiGHS only; the caller's arrays
-    are never written.
+    ``set_rhs`` changes one inequality row (+inf drops it), ``add_cols``
+    appends columns, ``add_rows`` appends rows, each an inequality or an
+    equality, and ``delete_rows`` deletes the last inequality rows.  Row i
+    of ``set_rhs`` and ``delete_rows`` counts the inequality rows only, in
+    the order they were loaded and appended, wherever the equality rows sit
+    among them in HiGHS.  ``solve`` re-solves warm from the previous basis,
+    ``clear_basis`` makes the next solve cold, and ``maxima`` solves one LP
+    per objective.  The rows live in HiGHS only; the caller's arrays are
+    never written.
     """
 
     def __init__(self, c, A, b, lb, ub, A_eq=None, b_eq=None, *, primal: bool = False):
@@ -141,8 +146,7 @@ class LpModel:
         n = self.c.size
         b = np.asarray(b, dtype=float).reshape(-1)
         b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
-        self._rows = self._loaded_rows = b.size  # inequality rows: all, and those loaded first
-        self._eq_rows = b_eq.size
+        self._ineq = np.arange(b.size)  # the HiGHS row of each inequality row, in order
         start, index, value = _rowwise(A, b.size, n)
         if b_eq.size:
             start_eq, index_eq, value_eq = _rowwise(A_eq, b_eq.size, n)
@@ -165,10 +169,6 @@ class LpModel:
         if h.passModel(model) == _highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the model")
 
-    def _highs_row(self, i):
-        # HiGHS holds the loaded inequality rows, the equality rows, then the appended rows
-        return i + self._eq_rows * (i >= self._loaded_rows)
-
     def set_bounds(self, lb, ub):
         changed = np.flatnonzero((lb != self.lb) | (ub != self.ub))
         self.lb[changed] = lb[changed]
@@ -184,28 +184,47 @@ class LpModel:
 
     def set_rhs(self, i: int, value: float):
         """Change the right-hand side of inequality row i; +inf drops the row."""
-        status = self._highs.changeRowBounds(self._highs_row(i), -np.inf, value)
-        if status == _highs.HighsStatus.kError:
+        if not 0 <= i < self._ineq.size:
             raise LpError(f"no inequality row {i}")
+        self._highs.changeRowBounds(int(self._ineq[i]), -np.inf, value)
 
-    def add_rows(self, A, b):
-        """Append the inequality rows A x <= b."""
+    def add_cols(self, lb, ub):
+        """Append columns with the bounds lb <= x <= ub, zero cost and no row entries."""
+        lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+        n = lb.size
+        empty = np.zeros(0, dtype=np.int32)
+        status = self._highs.addCols(
+            n, np.zeros(n), lb, ub, 0, np.zeros(n, dtype=np.int32), empty, np.zeros(0)
+        )
+        if status == _highs.HighsStatus.kError:
+            raise LpError("HiGHS rejected the columns")
+        self.c = np.concatenate([self.c, np.zeros(n)])
+        self.lb = np.concatenate([self.lb, lb])
+        self.ub = np.concatenate([self.ub, ub])
+
+    def add_rows(self, A, b, eq=None):
+        """Append the rows A x <= b, in order; the rows where the mask eq is set are A x = b."""
         b = np.asarray(b, dtype=float).reshape(-1)
+        eq = np.zeros(b.size, dtype=bool) if eq is None else np.asarray(eq, dtype=bool)
         start, index, value = _rowwise(A, b.size, self.c.size)
+        first = self._highs.getNumRow()
         status = self._highs.addRows(
-            b.size, np.full(b.size, -np.inf), b, value.size, start[:-1], index, value
+            b.size, np.where(eq, b, -np.inf), b, value.size, start[:-1], index, value
         )
         if status == _highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the rows")
-        self._rows += b.size
+        self._ineq = np.concatenate([self._ineq, first + np.flatnonzero(~eq)])
 
     def delete_rows(self, start: int):
-        """Delete the inequality rows from row start on."""
-        rows = np.arange(start, self._rows)
+        """Delete the inequality rows from inequality row start on."""
+        rows = self._ineq[start:]
         if rows.size:
-            self._highs.deleteRows(rows.size, self._highs_row(rows).astype(np.int32))
-        self._rows = min(self._rows, start)
-        self._loaded_rows = min(self._loaded_rows, start)
+            self._highs.deleteRows(rows.size, rows.astype(np.int32))
+        self._ineq = self._ineq[:start]
+
+    def clear_basis(self):
+        """Forget the last basis, so the next solve starts cold, as on a fresh load."""
+        self._highs.clearSolver()
 
     def solve(self) -> LpOutcome:
         """Solve the current LP, classifying the outcome as optimal/infeasible/unbounded."""

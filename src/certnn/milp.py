@@ -15,26 +15,30 @@ Each hidden neuron z = max(a, 0), with pre-activation a known to lie in
 Every encoding of a network over an input set is a
 :class:`ClosedLoopEncoding`.  Its step 0 is x0 in X_in with one network
 copy u0 = N(x0): the open-loop output-range model.  Step k extends step
-k - 1 through the plant x+ = A x + B u and then adds the network copy at x_k
-when step k + 1 needs it.  Each state block, x0 included, is boxed once by
-per-coordinate LPs on the relaxation built so far (for x0 these are the
-support LPs of X_in).  The bounds of the network copy at that state follow
-on the same relaxation: interval arithmetic from the box, intersected, for
-each layer l >= 2 whose earlier layers are all sign-stable, with the max and
-min of its exact affine pre-activation (Tjeng, Xiao and Tedrake, ICLR 2019).
-A query reuses the model of its step and replaces only the objective, so
-directions and horizons share one encoding, and at each step k >= 1 the box
-LPs, the bound LPs and every direction share one loaded relaxation.
+k - 1 with the network copy at x_{k-1} (step 0 has its copy already) and the
+plant x_k = A x_{k-1} + B u_{k-1}, so the state of the step searched has no
+copy yet.  A state block, x0 included, is boxed when its network copy is
+encoded, by per-coordinate LPs on the relaxation built so far (for x0 these
+are the support LPs of X_in); the state of the last step searched is never
+boxed.  The bounds of the copy at that state follow on the same relaxation:
+interval arithmetic from the box, intersected, for each layer l >= 2 whose
+earlier layers are all sign-stable, with the max and min of its exact affine
+pre-activation (Tjeng, Xiao and Tedrake, ICLR 2019).  A query reuses the
+model of its step and replaces only the objective, so directions and
+horizons share one encoding.
 
-The encoder adds rows in blocks, in encoding order, and never reorders
-them.  The inequality rows are those of X_in, then, per network copy, each
-hidden layer's three rows per unstable neuron, neuron by neuron: z >= a,
-z <= a + M_neg t and z <= M_pos (1 - t).  The equality rows are, per copy,
-each hidden layer's rows z = a of its active neurons and the output rows
-u = W z + b, then the plant rows x+ = A x + B u of the step that follows.
-The columns are x0 (always the first n_x), each layer's z then t, u, then
-x1, and so on, whatever the neurons' signs; the binaries are the t columns
-in that order.  The row order is kept because HiGHS's pivots follow it: the
+One relaxation grows with the encoding: the encoder adds columns and rows
+in blocks, in encoding order, never reorders them, and each step appends
+its own to the same :class:`certnn.lp.LpModel`, so HiGHS holds them in that
+order.  The rows are those of X_in, then, per network copy and per hidden
+layer, the equality rows z = a of its active neurons followed by the three
+rows of each unstable neuron, neuron by neuron: z >= a, z <= a + M_neg t and
+z <= M_pos (1 - t); then the copy's output rows u = W z + b, then the plant
+rows x+ = A x + B u of the step that follows.  The views ``A_ub`` and
+``A_eq`` of a :class:`MilpModel` keep each kind's rows in that order.  The
+columns are x0 (always the first n_x), each layer's z then t, u, then x1,
+and so on, whatever the neurons' signs; the binaries are the t columns in
+that order.  The row order is kept because HiGHS's pivots follow it: the
 same rows in another order can branch elsewhere, count other nodes and
 write other certificate bytes.
 
@@ -47,21 +51,23 @@ proves the maximum at most the cutoff and ends the search, so it never
 branches on such a node; otherwise it returns the maximum and its point,
 as a search without a cutoff would (see ``solve_milp``).
 
-Every :class:`MilpModel` carries its relaxation loaded into one
-:class:`certnn.lp.LpModel`, shared by the copies that differ only in the
-objective.  A search sets its objective and root bounds on it; a
-node passes only the binary bounds in which it differs from the node solved
-before it, and HiGHS re-solves warm from the previous basis.  The box LPs of
-a state block are one ``LpModel.maxima`` call that swaps only the cost.
-Where an LP has tied optimal vertices, a warm start can return another one
-than a cold solve, so the search may branch elsewhere and count other nodes;
-the proven values do not change.
+Every :class:`MilpModel` of an encoding carries that one relaxation.  A
+search sets its objective and root bounds on it; a node passes only the
+binary bounds in which it differs from the node solved before it, and HiGHS
+re-solves warm from the previous basis.  The box LPs of a state block are
+one ``LpModel.maxima`` call that swaps only the cost; they first restore the
+root bounds and clear the basis, so the box and the bounds of each copy,
+and with them each step's model, are those of a fresh encoding to that
+step.  Where an LP has tied optimal vertices, a warm start can return
+another one than a cold solve, so the search may branch elsewhere and count
+other nodes; the proven values do not change.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -93,28 +99,31 @@ class BnbStatus:
 class MilpModel:
     """maximize c.x over A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub, x[binaries] in {0,1}.
 
-    A_ub and A_eq are scipy sparse (CSR) matrices, laid out as the module
-    docstring says; x0 is the first n_x columns.  ``relaxation``, the LP
-    relaxation loaded into one solver model, is loaded on construction unless
-    given; ``replace`` copies share it, and ``solve_milp`` sets c and the bounds.
+    ``relaxation`` is the LP relaxation, the one solver model that the
+    encoding appends its columns and rows to; ``replace`` copies share it,
+    and ``solve_milp`` sets c and the bounds on it.  ``rows`` are the
+    encoding's row blocks up to this model's step.  A_ub, b_ub, A_eq and
+    b_eq are CSR views of them, laid out as the module docstring says and
+    assembled on first read; no solve reads them.  x0 is the first n_x
+    columns.
     """
 
     c: np.ndarray
-    A_ub: sparse.csr_array
-    b_ub: np.ndarray
-    A_eq: sparse.csr_array
-    b_eq: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     binaries: np.ndarray
-    relaxation: lp.LpModel | None = field(default=None, repr=False, compare=False)
+    rows: tuple = field(repr=False, compare=False)
+    relaxation: lp.LpModel = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.relaxation is None:
-            # the dual simplex: a node changes only column bounds (see certnn.lp)
-            self.relaxation = lp.LpModel(
-                self.c, self.A_ub, self.b_ub, self.lb, self.ub, self.A_eq, self.b_eq, primal=False
-            )
+    @cached_property
+    def _views(self):
+        A, rhs, eq = _assemble(self.rows, self.c.size)
+        return A[~eq], rhs[~eq], A[eq], rhs[eq]
+
+    A_ub = property(lambda self: self._views[0])
+    b_ub = property(lambda self: self._views[1])
+    A_eq = property(lambda self: self._views[2])
+    b_eq = property(lambda self: self._views[3])
 
 
 @dataclass
@@ -137,19 +146,35 @@ def _interval_affine(W, b, lo, hi):
     return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
 
 
-class _Builder:
-    """Accumulates variables and blocks of rows; assembles sparse matrices on demand.
+def _assemble(blocks, n_vars):
+    """(A, rhs, eq): the blocks' rows stacked in order, A in CSR, eq marking the equalities."""
+    if not blocks:
+        return sparse.csr_array((0, n_vars)), np.zeros(0), np.zeros(0, dtype=bool)
+    rhs, data, indices, counts, eq = zip(*blocks)
+    counts = np.concatenate(counts)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    data, indices = np.concatenate(data), np.concatenate(indices)
+    A = sparse.csr_array((data, indices, indptr), shape=(counts.size, n_vars))
+    return A, np.concatenate(rhs), np.repeat(eq, [r.size for r in rhs])
 
-    A block of rows M x[cols] <= rhs (or = rhs), M dense, is kept as rhs and
-    M's nonzeros, so each assembly only stacks them.
+
+class _Builder:
+    """Columns and blocks of rows in encoding order, appended to one LP relaxation.
+
+    A block of rows M x[cols] <= rhs (or = rhs), M dense, is kept as its
+    rhs, M's nonzeros and whether it is an equality block.  ``flush`` passes
+    the columns and blocks added since the last flush to ``relaxation``,
+    the columns in one ``LpModel.add_cols`` and the rows in one
+    ``LpModel.add_rows``; the first flush loads it.
     """
 
     def __init__(self):
         self.lb = np.zeros(0)
         self.ub = np.zeros(0)
-        self.blocks_ub: list[tuple] = []
-        self.blocks_eq: list[tuple] = []
+        self.blocks: list[tuple] = []
         self.binaries = np.zeros(0, dtype=int)
+        self.relaxation: lp.LpModel | None = None
+        self._flushed = (0, 0)  # the columns and blocks the relaxation holds
 
     @property
     def n_vars(self) -> int:
@@ -164,32 +189,32 @@ class _Builder:
     def add(self, cols, M, rhs, eq=False):
         """Append the block M x[cols] <= rhs, or = rhs when eq."""
         i, j = np.nonzero(M)
-        nonzeros = M[i, j], cols[j], np.count_nonzero(M, axis=1)
-        (self.blocks_eq if eq else self.blocks_ub).append((rhs, nonzeros))
+        self.blocks.append((rhs, M[i, j], cols[j], np.count_nonzero(M, axis=1), eq))
 
-    def _assemble(self, blocks):
-        """The CSR matrix of the blocks' nonzeros, stacked in order, and the stacked rhs."""
-        if not blocks:
-            return sparse.csr_array((0, self.n_vars)), np.zeros(0)
-        rhs, nonzeros = zip(*blocks)
-        data, indices, counts = (np.concatenate(part) for part in zip(*nonzeros))
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        A = sparse.csr_array((data, indices, indptr), shape=(counts.size, self.n_vars))
-        return A, np.concatenate(rhs)
+    def flush(self):
+        n, done = self._flushed
+        A, rhs, eq = _assemble(self.blocks[done:], self.n_vars)
+        if self.relaxation is None:
+            # the first flush holds X_in's rows, all inequalities; the dual
+            # simplex, as a node changes only column bounds (see certnn.lp)
+            self.relaxation = lp.LpModel(np.zeros(self.n_vars), A, rhs, self.lb, self.ub)
+        else:
+            self.relaxation.add_cols(self.lb[n:], self.ub[n:])
+            self.relaxation.add_rows(A, rhs, eq)
+        self._flushed = (self.n_vars, len(self.blocks))
 
-    def build(self) -> MilpModel:
+    def model(self) -> MilpModel:
         """The model so far with a zero objective; callers set c."""
-        A_ub, b_ub = self._assemble(self.blocks_ub)
-        A_eq, b_eq = self._assemble(self.blocks_eq)
         lb, ub = self.lb.copy(), self.ub.copy()
-        return MilpModel(np.zeros(self.n_vars), A_ub, b_ub, A_eq, b_eq, lb, ub, self.binaries)
+        rows = tuple(self.blocks)
+        return MilpModel(np.zeros(self.n_vars), lb, ub, self.binaries, rows, self.relaxation)
 
 
 def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, bounds):
     """Add one network evaluation; returns the output indices.
 
     ``bounds`` holds each hidden layer's pre-activation bounds (lo, hi) (see
-    ``ClosedLoopEncoding._box_state``).  An inactive neuron (hi <= 0) adds no
+    ``_preactivation_bounds``).  An inactive neuron (hi <= 0) adds no
     row, an active one (lo >= 0) one equality row, an unstable one the three
     big-M rows of the module docstring.
     """
@@ -273,11 +298,9 @@ class ClosedLoopEncoding:
     its model of max direction.u0, the open-loop output range.
     ``model(k, direction)`` extends the encoding up to step k and returns the
     model of max direction.x_k.  Steps are only ever added: asking for an
-    earlier step (``output`` included) raises MilpError.  Each state block is
-    boxed once.  At a step k >= 1 the box LPs of x_k and the bound LPs of its
-    network copy run on the rows of the step's model, so they and every
-    direction at that step share one loaded relaxation; only the model of
-    the current step is kept.
+    earlier step (``output`` included) raises MilpError.  All steps grow one
+    relaxation, so the box LPs, the bound LPs and every direction of every
+    step share one loaded LP; only the model of the current step is kept.
     ``system`` is read only when a step is added, so output-range callers may
     pass None.
     """
@@ -288,55 +311,67 @@ class ClosedLoopEncoding:
         self._builder = _Builder()
         self._x_idx = self._builder.new_vars(net.n_x, -np.inf, np.inf)
         self._builder.add(self._x_idx, X_in.F, X_in.g)
+        self._builder.flush()
         self._k = 0
-        self._box_state()
-        self._u_idx = _encode_network(self._builder, net, self._x_idx, self._bounds)
-        self._model: MilpModel | None = None  # the boxed model lacks the network copy
+        self._encode_copy()
+        self._builder.flush()
+        self._model: MilpModel | None = None
 
     def _box_state(self):
-        """Box the current state block and bound the layers of its network copy.
+        """(lo, hi): the box of the current state block, by LPs on the relaxation so far.
 
-        One ``maxima`` call on the relaxation so far gives the max and the min
-        of each coordinate, in that order; for x0 these are the support LPs
-        of X_in.  ``_preactivation_bounds`` then runs on the same relaxation,
-        before any search sets bounds on it.  Keeps the boxed model as the
-        model of the current step.
+        The relaxation is first reset to its root bounds (a search leaves a
+        node's bounds on it) and to a cold basis, so the box and the bound
+        LPs after it give what they give on a fresh encoding.  One ``maxima``
+        call gives the max and the min of each coordinate, in that order;
+        for x0 these are the support LPs of X_in.
         Raises EmptyInput for an empty and UnboundedInput for an unbounded X_in.
         """
         builder, idx = self._builder, self._x_idx
-        model = builder.build()
+        relaxation = builder.relaxation
+        relaxation.set_bounds(builder.lb, builder.ub)
+        relaxation.clear_basis()
         C = np.zeros((2 * idx.size, builder.n_vars))
         rows = 2 * np.arange(idx.size)
         C[rows, idx], C[rows + 1, idx] = 1.0, -1.0
-        m = model.relaxation.maxima(C)
+        m = relaxation.maxima(C)
         if np.isinf(m).any():
             raise UnboundedInput("input polytope unbounded in some coordinate")
-        lo, hi = -m[1::2], m[0::2]
-        model.lb[idx], model.ub[idx] = lo, hi
+        return -m[1::2], m[0::2]
+
+    def _encode_copy(self):
+        """Box the current state block, bound the layers of its network copy, and encode the copy.
+
+        ``_preactivation_bounds`` runs on the relaxation that ``_box_state``
+        ran on, which holds the box only once the copy is encoded.
+        """
+        builder, idx = self._builder, self._x_idx
+        lo, hi = self._box_state()
+        bounds = _preactivation_bounds(self._net, builder.relaxation, idx, lo, hi)
         builder.lb[idx], builder.ub[idx] = lo, hi
-        self._bounds = _preactivation_bounds(self._net, model.relaxation, idx, lo, hi)
-        self._model = model
+        self._u_idx = _encode_network(builder, self._net, idx, bounds)
 
     def _extend(self):
         builder, A, B = self._builder, self._system.A, self._system.B
         if self._u_idx is None:
-            self._u_idx = _encode_network(builder, self._net, self._x_idx, self._bounds)
+            self._encode_copy()
         next_idx = builder.new_vars(A.shape[0], -np.inf, np.inf)
         cols = np.concatenate([self._x_idx, self._u_idx, next_idx])
         M = np.hstack([A, B, -np.eye(A.shape[0])])  # A x + B u - x+ = 0
         builder.add(cols, M, np.zeros(A.shape[0]), eq=True)
+        builder.flush()
         self._x_idx, self._u_idx = next_idx, None
-        self._box_state()
+        self._model = None
         self._k += 1
 
     def _at(self, k: int) -> MilpModel:
-        """The assembled model of step k, extending the encoding up to it."""
+        """The model of step k, extending the encoding up to it."""
         if k < self._k:
             raise MilpError(f"encoding is at step {self._k}; it cannot return to step {k}")
         while self._k < k:
             self._extend()
         if self._model is None:
-            self._model = self._builder.build()
+            self._model = self._builder.model()
         return self._model
 
     def output(self, direction) -> MilpModel:
@@ -376,10 +411,14 @@ def solve_milp(m: MilpModel, cutoff: float | None = None) -> BnbResult:
     Without a cutoff the search runs as it would with a cutoff of -inf, so a
     decision never branches on a node that the optimization would not.
 
-    Raises MilpError when the search would solve more than MAX_NODES LPs.
+    Raises MilpError when the search would solve more than MAX_NODES LPs,
+    and when m is the model of an earlier step of an encoding that has grown
+    since: its relaxation then holds the later steps' columns and rows.
     """
     nodes, tie, heap = 0, 0, []
     relaxation = m.relaxation
+    if relaxation.c.size != m.c.size:
+        raise MilpError("the model is of an earlier step; its encoding has grown since")
     relaxation.set_objective(m.c)
 
     def _push(lb, ub):

@@ -26,6 +26,16 @@ by 0.999, the decision search at k* = 5 spends 54 nodes (pinned by
 TestVerifyStability.test_case_study_lp_budget); re-optimizing the facets of
 R_as at k = 5 on a fresh encoding spends 158 (a one-off measurement, pinned
 by no test).
+
+Before the search at each k, the closed loop is rolled out k steps from
+seeds in X_in: the x0 of every maximizer of the input and one-step checks,
+and of every search that refuted an earlier k.  A rolled-out state that
+exceeds a facet of R_as by more than CONTAIN_TOL, ``_contained``'s rule
+applied to a real trajectory, fails k with no search: the search would
+refute it as well.  The report's ``rollouts`` records each such k, the
+facet, the seed x0 and the state's value along the facet, and its
+``reach_nodes`` holds 0 at that k.  On the case-study X_in the rollouts
+refute k = 1..4, so the reach search runs at k = 5 only.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from certnn import milp
-from certnn.control import LtiSystem, lqr_admissible_set, spectral_radius
+from certnn.control import LtiSystem, lqr_admissible_set, simulate, spectral_radius
 from certnn.errors import CertnnError
 from certnn.network import ReluNetwork
 from certnn.polytope import EmptyInput, Polytope, intersect
@@ -55,6 +65,19 @@ class Verdict:
 
 
 @dataclass
+class Rollout:
+    """A trajectory from x0 in X_in whose state x_k exceeds facet ``facet`` of R_as.
+
+    ``value`` is F_facet . x_k, above g_facet + CONTAIN_TOL.
+    """
+
+    k: int
+    facet: int
+    x0: np.ndarray
+    value: float
+
+
+@dataclass
 class StabilityReport:
     bias_residual: float
     spectral_radius: float
@@ -64,6 +87,7 @@ class StabilityReport:
     k_star: int | None = None
     X_k_out: Polytope | None = None
     reach_nodes: list[int] = field(default_factory=list)
+    rollouts: list[Rollout] = field(default_factory=list)
 
 
 @dataclass
@@ -104,6 +128,20 @@ def _contained(results, P: Polytope) -> tuple[bool, Polytope, int]:
     c = np.array([r.bound for r in results])
     ok = bool(np.all(c <= P.g[: c.size] + CONTAIN_TOL))
     return ok, Polytope(P.F[: c.size].copy(), c), sum(r.nodes for r in results)
+
+
+def _rollout_refutation(k: int, x0: list, x_k: list, R_as: Polytope) -> Rollout | None:
+    """The rollout, x0[i] to x_k[i], that exceeds a facet of R_as the most.
+
+    None unless it exceeds it by more than CONTAIN_TOL, ``_contained``'s rule.
+    """
+    if not x0:
+        return None
+    excess = np.array(x_k) @ R_as.F.T - R_as.g
+    i, j = np.unravel_index(np.argmax(excess), excess.shape)
+    if excess[i, j] <= CONTAIN_TOL:
+        return None
+    return Rollout(int(k), int(j), x0[i], float(excess[i, j] + R_as.g[j]))
 
 
 def equilibrium_gain_bias(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -172,20 +210,24 @@ def verify_stability(
     Pipeline: input check, one-step invariance of X_in, stability conditions
     at the equilibrium region, construction of R_as, then a linear search for
     the first k <= k_max with the k-step reachable set certified inside R_as
-    (directions = facets of R_as, so containment is componentwise).  The
-    stability residuals are compared with RESIDUAL_TOL.  The report's
-    ``reach_nodes`` holds the nodes spent at each k searched, and its
-    ``X_k_out`` the proven bounds at k* (see the module docstring).
+    (directions = facets of R_as, so containment is componentwise); a
+    rollout that leaves R_as fails a k before its search.  The stability
+    residuals are compared with RESIDUAL_TOL.  The report's ``reach_nodes``
+    holds the nodes spent at each k (0 where a rollout failed it), its
+    ``rollouts`` those rollouts, and its ``X_k_out`` the proven bounds at k*
+    (see the module docstring).
     """
     encoding = milp.ClosedLoopEncoding(sys, net, X_in)
-    results = milp.output_range_results(net, X_in, U.F, encoding=encoding)
-    input_ok, U_star, input_nodes = _contained(results, U)
+    input_results = milp.output_range_results(net, X_in, U.F, encoding=encoding)
+    input_ok, U_star, input_nodes = _contained(input_results, U)
     results = milp.reach_results(sys, net, X_in, 1, X_in.F, encoding=encoding)
     one_step_ok, X_1, one_step_nodes = _contained(results, X_in)
     invariance_ok = input_ok and one_step_ok
     # Each facet whose maximizer leaves X_in gives a witness: a point x0 of
     # X_in (the first block of model variables) whose image violates it.
     witnesses = [r.point[: sys.n_x] for r, g in zip(results, X_in.g) if r.value > g + CONTAIN_TOL]
+    # the x0 of each maximizer so far seeds the rollouts of the reach search
+    seeds = [r.point[: sys.n_x] for r in input_results + results]
 
     bias_residual, rho, match = check_stability_conditions(sys, net, K_ref)
     report = StabilityReport(
@@ -227,7 +269,16 @@ def verify_stability(
     except EmptyStabilitySet:
         return fallback("empty stability set")
 
+    x0 = [x for x in seeds if X_in.contains_point(x)]
+    x_k = x0
     for k in range(1, k_max + 1):
+        # the arithmetic of control.simulate, so each rollout replays exactly
+        x_k = [sys.A @ x + sys.B @ net.eval(x) for x in x_k]
+        rollout = _rollout_refutation(k, x0, x_k, R_as)
+        if rollout is not None:
+            report.rollouts.append(rollout)
+            report.reach_nodes.append(0)
+            continue
         results = milp.reach_results(
             sys, net, X_in, k, R_as.F, encoding=encoding, cutoffs=R_as.g + CONTAIN_TOL
         )
@@ -237,6 +288,10 @@ def verify_stability(
         if ok:
             report.k_star, report.X_k_out = k, X_k
             break
+        # the refuted facet's maximizer seeds the rollouts of the later k
+        seed = results[-1].point[: sys.n_x]
+        if X_in.contains_point(seed):
+            x0, x_k = x0 + [seed], x_k + [simulate(sys, net, seed, k).states[-1]]
     if report.k_star is None:
         return fallback(f"no k <= {k_max} with reachable set inside R_as")
 

@@ -187,6 +187,28 @@ def test_simulate_outputs_trajectory(case_files):
     assert float(rows[1][1]) == pytest.approx(0.5)
 
 
+def test_calls_in_one_process_keep_their_own_arguments(case_files, capsys):
+    # the parser is built once per process; each call still exits with its
+    # own code and writes only its own outputs
+    sys_path, net_path, xin_path, tmp = case_files
+    verify_out, sim_out = tmp / "one_verify", tmp / "one_sim"
+    assert main(_verify_argv(sys_path, net_path, xin_path, verify_out)) == 2  # --kmax 2 < k* = 5
+    simulate = [
+        "simulate", "--system", sys_path, "--network", net_path,
+        "--out-dir", str(sim_out), "--x0", "0.5,-0.5", "--steps", "3",
+    ]
+    assert main(simulate) == 0
+    assert main(["verify", "--system", sys_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the following arguments are required") and err.count("\n") == 1
+    assert sorted(p.name for p in verify_out.iterdir()) == ["certificate.json"]
+    assert sorted(p.name for p in sim_out.iterdir()) == ["trajectory.csv"]
+    assert json.loads((verify_out / "certificate.json").read_text())["stability"]["k_star"] is None
+    with open(sim_out / "trajectory.csv") as f:
+        assert len(list(csv.reader(f))) == 5  # header + 4 states
+    assert main(_verify_argv(sys_path, net_path, xin_path, tmp / "two_verify")[:-2]) == 0
+
+
 def test_simulate_bad_x0(case_files):
     sys_path, net_path, _, tmp = case_files
     code = main(

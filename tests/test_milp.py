@@ -300,8 +300,9 @@ class TestReach:
             np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_one_load_per_step(self, lp_path, monkeypatch):
-        # extending to step 2 boxes x2 and answers 4 directions on one loaded
-        # relaxation, with the values of fresh encodings
+        # extending to step 2 boxes x1, encodes its network copy and answers 4
+        # directions on the relaxation loaded at step 0, with no load of its
+        # own, and with the values of fresh encodings
         rng = np.random.default_rng(23)
         sys = self._sys()
         net = random_net(rng, 2, [3, 2], 1, scale=0.5)
@@ -316,7 +317,7 @@ class TestReach:
 
         monkeypatch.setattr(lp.LpModel, "__init__", counting)
         got = [r.value for r in reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc)]
-        assert len(loads) == 1
+        assert len(loads) == 0
         monkeypatch.setattr(lp.LpModel, "__init__", init)
         want = [solve_milp(encode_reach(sys, net, UNIT_BOX, 2, d)).value for d in dirs]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
@@ -338,6 +339,23 @@ def test_bound_covers_true_max():
             assert res.status == BnbStatus.OPTIMAL
             assert res.bound == res.value
             assert res.bound >= want - 1e-6
+
+
+def test_model_of_an_earlier_step_is_refused():
+    # the steps of an encoding grow one relaxation, so once it has grown a
+    # model of an earlier step no longer matches it and is refused, not
+    # solved; its constraint views keep that step's rows
+    sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
+    net = random_net(np.random.default_rng(12), 2, [3], 1, scale=0.5)
+    enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+    output, step1 = enc.output([1.0]), enc.model(1, [1.0, 0.0])
+    assert solve_milp(step1).status == BnbStatus.OPTIMAL
+    step2 = enc.model(2, [1.0, 0.0])
+    for stale in (output, step1):
+        with pytest.raises(MilpError, match="earlier step"):
+            solve_milp(stale)
+    _assert_models_equal(step1, encode_reach(sys, net, UNIT_BOX, 1, [1.0, 0.0]))
+    assert solve_milp(step2).status == BnbStatus.OPTIMAL
 
 
 def test_node_cap_raises(monkeypatch):

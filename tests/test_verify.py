@@ -6,13 +6,14 @@ import pytest
 import helpers
 from conftest import CASE_K, CASE_Q, CASE_R
 from certnn import milp
-from certnn.control import lqr
-from certnn.network import ReluNetwork, synth_satlqr
+from certnn.control import LtiSystem, lqr, simulate
+from certnn.network import ReluNetwork, retrofit_lqr, saturate, synth_satlqr
 from certnn.polytope import Polytope, bounding_box, contains_set
 from certnn.verify import (
     CONTAIN_TOL,
     Certificate,
     EmptyStabilitySet,
+    Rollout,
     StabilityReport,
     Verdict,
     check_stability_conditions,
@@ -81,14 +82,16 @@ class TestVerifyInvariance:
     def test_case_study_lp_budget(
         self, case_system, case_Xin, case_X, case_U, case_net, count_lps
     ):
-        # the input check, the one-step check and the reach search at k = 1
-        # share one encoding, so X_in and x_1 are boxed once each (8 LPs) and
-        # the saturation neuron of layer 2 is bounded by 2 LPs at each; the
-        # other 26 LPs outside the branch and bound are R_eq and R_as
+        # the input check and the one-step check share one encoding; only x0
+        # has a network copy encoded, so only X_in is boxed (4 LPs) and the
+        # saturation neuron of layer 2 bounded (2 LPs); a rollout refutes
+        # k = 1 with no search, and the other 26 LPs outside the branch and
+        # bound are R_eq and R_as
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=1)
         assert cert.invariance_ok and cert.stability.k_star is None
-        assert count_lps() == cert.milp_nodes + 38
+        assert cert.stability.reach_nodes == [0]
+        assert count_lps() == cert.milp_nodes + 32
 
     def test_violated_produces_witness(self, case_system, case_X, case_U, case_net):
         # an expanding box cannot be invariant for this rotation-like plant
@@ -185,26 +188,29 @@ class TestVerifyStability:
     def test_case_study_lp_budget(
         self, case_system, case_Xin, case_X, case_U, case_net, count_lps, count_loads
     ):
-        # one closed-loop encoding per call, whose step 0 is the input check,
-        # each state block boxed once, R_eq pruned on one load, R_as from a
+        # one closed-loop encoding per call on one growing load, whose step 0
+        # is the input check, each state block boxed once when its network
+        # copy is encoded, R_eq pruned on one load, R_as from a
         # single invariant-set fixpoint on one load that re-tests only the
         # rows that cut, rows that rays from the origin prove to be facets
         # kept and rows that a point of the set proves to cut appended without
         # an LP, no emptiness LP for R_eq or R_eq /\ X, which hold the origin,
         # R_as checked non-empty without an LP, and the layer-2 saturation
-        # neuron of each network copy bounded by 2 LPs (x_0 .. x_5): 62 LPs
-        # outside the branch and bound, and 9 loads in all.
+        # neuron of each encoded network copy bounded by 2 LPs (x_0 .. x_4):
+        # 56 LPs outside the branch and bound, and 3 loads in all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
-        # from; the warm-started models count 120, of which the reach search
-        # spends 3 / 5 / 9 / 17 / 54 at k = 1..5.
+        # from; the warm-started models count 88. Rollouts from the input and
+        # one-step maximizers refute k = 1..4 with no search, and the reach
+        # search spends 54 at k = 5.
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
         assert cert.stability.k_star == 5
-        assert cert.milp_nodes == 120
-        assert cert.stability.reach_nodes == [3, 5, 9, 17, 54]
-        assert count_lps() == cert.milp_nodes + 62
-        assert count_loads() == 9
+        assert cert.milp_nodes == 88
+        assert cert.stability.reach_nodes == [0, 0, 0, 0, 54]
+        assert [r.k for r in cert.stability.rollouts] == [1, 2, 3, 4]
+        assert count_lps() == cert.milp_nodes + 56
+        assert count_loads() == 3
 
     def test_without_reference_gain(self, case_system, case_Xin, case_X, case_U, case_net):
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
@@ -313,6 +319,61 @@ class TestDecisionSearch:
         assert cert.milp_nodes == sum(exact) + sum(reach_nodes)
 
 
+def _small_loop(rng):
+    """A random 2-state plant under a random net of 4 or 5 neurons, from a box X_in.
+
+    The net's first layer is random and active at the origin, its output
+    layer retrofitted to the plant's LQR gain and then saturated to U.
+    """
+    A = rng.standard_normal((2, 2))
+    A *= rng.uniform(0.9, 1.2) / np.max(np.abs(np.linalg.eigvals(A)))
+    sys = LtiSystem(A, rng.standard_normal((2, 1)))
+    w = int(rng.integers(2, 4))
+    layers = [
+        (rng.standard_normal((w, 2)), rng.uniform(0.2, 1.0, w)),
+        (rng.standard_normal((1, w)), rng.standard_normal(1)),
+    ]
+    net, _ = retrofit_lqr(ReluNetwork(layers), lqr(sys, np.eye(2), np.eye(1)).K)
+    s = rng.uniform(0.2, 1.5)
+    return sys, saturate(net, [-1.0], [1.0]), Polytope.box([-s, -s], [s, s])
+
+
+def test_rollouts_refute_only_what_the_search_refutes(case_X, case_U):
+    # differential: verify's k* is the first k at which the decision search
+    # on a fresh encoding proves every facet of R_as, so each k a rollout
+    # refutes is one the search refutes too; each rollout replays
+    rng = np.random.default_rng(2)
+    k_max, searched, by_rollout, seeded = 4, 0, 0, 0
+    for _ in range(30):
+        sys, net, X_in = _small_loop(rng)
+        cert = verify_stability(sys, net, X_in, case_X, case_U, k_max=k_max)
+        report = cert.stability
+        if report is None or report.R_as is None:
+            continue
+        R_as, encoding, k_first = report.R_as, milp.ClosedLoopEncoding(sys, net, X_in), None
+        for k in range(1, k_max + 1):
+            results = milp.reach_results(
+                sys, net, X_in, k, R_as.F, encoding=encoding, cutoffs=R_as.g + CONTAIN_TOL
+            )
+            if len(results) == R_as.nrows and all(
+                r.bound <= g + CONTAIN_TOL for r, g in zip(results, R_as.g)
+            ):
+                k_first = k
+                break
+        assert report.k_star == k_first
+        searched += 1
+        for r in report.rollouts:
+            assert X_in.contains_point(r.x0) and report.reach_nodes[r.k - 1] == 0
+            x = simulate(sys, net, r.x0, r.k).states[-1]
+            assert float(R_as.F[r.facet] @ x) == pytest.approx(r.value, abs=1e-12)
+            assert r.value > R_as.g[r.facet] + CONTAIN_TOL
+            by_rollout += 1
+            seeded += any(report.reach_nodes[: r.k - 1])  # after a search refuted an earlier k
+    # the loops reach the reach search, and rollouts refute horizons, also
+    # after a search has refuted an earlier one
+    assert searched >= 20 and by_rollout >= 20 and seeded >= 1
+
+
 def test_certificate_json_layout():
     # certificate.json is read by other tools: pin its keys, their order and
     # how sets and witnesses are written
@@ -326,7 +387,12 @@ def test_certificate_json_layout():
         U_star=box,
         X_1_out=box,
         stability=StabilityReport(
-            bias_residual=0.0, spectral_radius=0.5, R_as=box, k_star=2, reach_nodes=[3, 2]
+            bias_residual=0.0,
+            spectral_radius=0.5,
+            R_as=box,
+            k_star=2,
+            reach_nodes=[0, 2],
+            rollouts=[Rollout(k=1, facet=0, x0=np.array([1.5]), value=2.5)],
         ),
         witnesses=[np.array([0.5]), np.array([-0.25])],
         milp_nodes=7,
@@ -336,7 +402,8 @@ def test_certificate_json_layout():
         '{"verdict": "InputOnly", "reason": "one-step invariance of X_in failed", '
         f'"input_ok": true, "invariance_ok": false, "U_star": {box_json}, "X_1_out": {box_json}, '
         '"stability": {"bias_residual": 0.0, "spectral_radius": 0.5, "lqr_match_residual": null, '
-        f'"R_eq": null, "R_as": {box_json}, "k_star": 2, "X_k_out": null, "reach_nodes": [3, 2]}}, '
+        f'"R_eq": null, "R_as": {box_json}, "k_star": 2, "X_k_out": null, "reach_nodes": [0, 2], '
+        '"rollouts": [{"k": 1, "facet": 0, "x0": [1.5], "value": 2.5}]}, '
         '"witnesses": [[0.5], [-0.25]], "milp_nodes": 7}'
     )
     assert json.dumps(Certificate(verdict=Verdict.FAILED).to_json()) == (
