@@ -7,6 +7,8 @@ Usage, from the repository root, after scripts/run_case_study.py:
 
 Prints, one per line:
 - the case study's k*, MILP node count and nodes per reach step;
+- the size of its closed-loop relaxation at k*: columns, rows, binaries and
+  equality rows, so that a change to the encoding shows;
 - its region count, and the sha256 of certificate.json, r_eq.json and of the
   CSV files regions.csv, trajectory.csv and r_as.csv;
 - the LpModel.solve calls of one untraced set_algebra pass (LQR and
@@ -31,9 +33,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 from certnn import lp, tolerances  # noqa: E402
+from certnn.control import system_from_json  # noqa: E402
+from certnn.milp import ClosedLoopEncoding  # noqa: E402
+from certnn.network import ReluNetwork  # noqa: E402
+from certnn.polytope import Polytope  # noqa: E402
 
 
 def sha256(path: Path) -> str:
@@ -44,6 +51,16 @@ def case_study_lines(out: Path):
     cert = json.loads((out / "certificate.json").read_text())
     s = cert["stability"]
     yield f"case study: k_star {s['k_star']} milp_nodes {cert['milp_nodes']} reach_nodes {s['reach_nodes']}"
+    if s["k_star"] is not None:
+        system, _ = system_from_json(json.loads((out / "system.json").read_text()))
+        net = ReluNetwork.load(out / "network.json")
+        X_in = Polytope.from_json(json.loads((out / "xin.json").read_text()))
+        m = ClosedLoopEncoding(system, net, X_in).model(s["k_star"], np.ones(system.n_x))
+        rows, eq = m.A_ub.shape[0] + m.A_eq.shape[0], m.A_eq.shape[0]
+        yield (
+            f"case study: relaxation at k_star: columns {m.c.size} rows {rows}"
+            f" binaries {m.binaries.size} equality rows {eq}"
+        )
     yield f"certificate.json sha256: {sha256(out / 'certificate.json')}"
     yield f"case study: regions {len(json.loads((out / 'regions.json').read_text()))}"
     for name in ("r_eq.json", "regions.csv", "trajectory.csv", "r_as.csv"):
@@ -62,12 +79,12 @@ SET_CALLERS = {
 
 
 # The case-study LPs by the function that solves them, or that calls
-# LpModel.maxima to: milp.ClosedLoopEncoding._box_state boxes a state block,
-# milp._preactivation_bounds bounds a network copy, and solve_milp's _push
+# LpModel.maxima to: milp.ClosedLoopEncoding._box_state boxes a state,
+# milp._encode_network bounds a network copy, and solve_milp's _push
 # solves a branch-and-bound node; every other LP is a set LP (R_eq, R_as).
 CASE_CALLERS = {
     "_box_state": "box LPs",
-    "_preactivation_bounds": "bound LPs",
+    "_encode_network": "bound LPs",
     "_push": "BnB nodes",
 }
 

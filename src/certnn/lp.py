@@ -4,15 +4,16 @@ Problems are stated as maximize c.x subject to A x <= b, A_eq x = b_eq and
 per-variable bounds.  An :class:`LpModel` loads one such problem into HiGHS
 once.  Its column bounds (the nodes of a branch and bound), its cost and the
 right-hand sides of its inequality rows then change in place, columns and
-rows (inequalities and equalities, in any order) can be appended, the last
-inequality rows deleted again, and each solve starts HiGHS's simplex from
-the basis of the previous solve instead of presolving the problem from
-scratch.  A right-hand side of +inf drops its row, so one load serves every
-redundancy test of a polytope, every step of an invariant-set fixpoint and
-every step of a closed-loop encoding.
+inequality rows can be appended, the last inequality rows deleted again,
+and each solve starts HiGHS's simplex from the basis of the previous solve
+instead of presolving the problem from scratch.  A right-hand side of +inf
+drops its row, so one load serves every redundancy test of a polytope,
+every step of an invariant-set fixpoint and every step of a closed-loop
+encoding.
 :meth:`LpModel.maxima` answers a whole matrix of objectives on one load: the
-support functions of a polytope and the per-coordinate box of a state block
-are each one call.  :func:`solve_lp` is the one-shot use of the same object.
+support functions of a polytope and the per-coordinate box of a closed-loop
+state are each one call.  :func:`solve_lp` is the one-shot use of the same
+object.
 
 The persistent solver is the HiGHS binding that scipy bundles as
 ``scipy.optimize._highspy`` (scipy >= 1.15); importing this module without
@@ -28,8 +29,8 @@ basis primal feasible, so they run HiGHS's primal simplex (``primal=True``),
 where the default dual simplex would first repair dual feasibility.  The
 MILP relaxations keep the dual simplex: a node changes only column bounds,
 which leaves the basis dual feasible, and with every MILP LP on the primal
-simplex the four case-study bench verifies count 134/130/50/78 nodes
-instead of 88/78/40/60.
+simplex the four case-study bench verifies count 142/134/52/84 nodes
+instead of 86/76/40/58.
 
 When an LP has several optimal vertices, a warm start may return another
 one than a cold solve, with the same value.  A warm solve that ends neither
@@ -129,13 +130,13 @@ class LpModel:
     dual (see the module docstring).  ``set_bounds`` and
     ``set_objective`` pass only the entries that changed to HiGHS,
     ``set_rhs`` changes one inequality row (+inf drops it), ``add_cols``
-    appends columns, ``add_rows`` appends rows, each an inequality or an
-    equality, and ``delete_rows`` deletes the last inequality rows.  Row i
-    of ``set_rhs`` and ``delete_rows`` counts the inequality rows only, in
-    the order they were loaded and appended, wherever the equality rows sit
-    among them in HiGHS.  ``solve`` re-solves warm from the previous basis,
-    ``clear_basis`` makes the next solve cold, and ``maxima`` solves one LP
-    per objective.  The rows live in HiGHS only; the caller's arrays are
+    appends columns, ``add_rows`` appends inequality rows, and
+    ``delete_rows`` deletes the last inequality rows.  Row i of ``set_rhs``
+    and ``delete_rows`` counts the inequality rows only, in the order they
+    were loaded and appended; HiGHS holds the equality rows, all loaded at
+    construction, between the loaded and the appended ones.  ``solve``
+    re-solves warm from the previous basis, ``clear_basis`` makes the next
+    solve cold, and ``maxima`` solves one LP per objective.  The rows live in HiGHS only; the caller's arrays are
     never written.
     """
 
@@ -202,18 +203,17 @@ class LpModel:
         self.lb = np.concatenate([self.lb, lb])
         self.ub = np.concatenate([self.ub, ub])
 
-    def add_rows(self, A, b, eq=None):
-        """Append the rows A x <= b, in order; the rows where the mask eq is set are A x = b."""
+    def add_rows(self, A, b):
+        """Append the inequality rows A x <= b, in order."""
         b = np.asarray(b, dtype=float).reshape(-1)
-        eq = np.zeros(b.size, dtype=bool) if eq is None else np.asarray(eq, dtype=bool)
         start, index, value = _rowwise(A, b.size, self.c.size)
         first = self._highs.getNumRow()
         status = self._highs.addRows(
-            b.size, np.where(eq, b, -np.inf), b, value.size, start[:-1], index, value
+            b.size, np.full(b.size, -np.inf), b, value.size, start[:-1], index, value
         )
         if status == _highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the rows")
-        self._ineq = np.concatenate([self._ineq, first + np.flatnonzero(~eq)])
+        self._ineq = np.concatenate([self._ineq, first + np.arange(b.size)])
 
     def delete_rows(self, start: int):
         """Delete the inequality rows from inequality row start on."""

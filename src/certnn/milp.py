@@ -1,46 +1,59 @@
 """Big-M MILP encodings of ReLU networks and an embedded branch-and-bound.
 
 Each hidden neuron z = max(a, 0), with pre-activation a known to lie in
-[lo, hi], is written by the sign of its bounds, with one binary t per neuron
-(t = 1 means z = 0, t = 0 means z = a):
+[lo, hi], is written by the sign of its bounds (Tjeng, Xiao and Tedrake,
+ICLR 2019):
 
-- inactive (hi <= 0): no row; z is fixed to 0 and t to 1;
-- active (lo >= 0): one equality row z = a; z lies in [lo, hi], t is fixed to 0;
-- unstable: the three big-M rows
+- inactive (hi <= 0): z is the constant 0;
+- active (lo >= 0): z is the affine expression a itself;
+- unstable: z gets a column in [0, M_pos] and one binary column t in
+  [0, 1] (t = 1 means z = 0, t = 0 means z = a), tied by the three big-M rows
 
     z >= a,   z <= a + M_neg * t,   z <= M_pos * (1 - t),
 
-  with z in [0, M_pos], t in [0, 1], M_pos = hi and M_neg = -lo.
+  with M_pos = hi and M_neg = -lo.
+
+So only the unstable neurons, the only places where the search branches,
+get columns.  Every other quantity is an affine expression (cols, M, m),
+the map y -> M y[cols] + m of the model's variables y: a layer's
+pre-activation is W E y[cols] + W e + b for the expression (cols, E, e) of
+the layer before, which :func:`_encode_network` composes layer by layer;
+the output u of a network copy is one, and so is each state x_k = A x_{k-1}
++ B u_{k-1} for k >= 1.  Under a fixed activation pattern this is the
+network's parametric description: one affine map of x0 and of the unstable
+neurons' columns.
 
 Every encoding of a network over an input set is a
 :class:`ClosedLoopEncoding`.  Its step 0 is x0 in X_in with one network
 copy u0 = N(x0): the open-loop output-range model.  Step k extends step
 k - 1 with the network copy at x_{k-1} (step 0 has its copy already) and the
 plant x_k = A x_{k-1} + B u_{k-1}, so the state of the step searched has no
-copy yet.  A state block, x0 included, is boxed when its network copy is
+copy yet.  A state, x0 included, is boxed when its network copy is
 encoded, by per-coordinate LPs on the relaxation built so far (for x0 these
-are the support LPs of X_in); the state of the last step searched is never
-boxed.  The bounds of the copy at that state follow on the same relaxation:
-interval arithmetic from the box, intersected, for each layer l >= 2 whose
-earlier layers are all sign-stable, with the max and min of its exact affine
-pre-activation (Tjeng, Xiao and Tedrake, ICLR 2019).  A query reuses the
-model of its step and replaces only the objective, so directions and
-horizons share one encoding.
+are the support LPs of X_in, and the box becomes x0's column bounds; a
+later state's box is implied by the rows, so it only bounds the copy); the
+state of the last step searched is never boxed.  The bounds of the copy at
+that state follow on the same relaxation: interval arithmetic from the box,
+intersected, for each layer l >= 2 whose earlier layers are all
+sign-stable, with the max and min of its pre-activation, which is then an
+affine expression of the columns before the copy.  A query reuses the model
+of its step and replaces only the objective, so directions and horizons
+share one encoding.
 
 One relaxation grows with the encoding: the encoder adds columns and rows
 in blocks, in encoding order, never reorders them, and each step appends
 its own to the same :class:`certnn.lp.LpModel`, so HiGHS holds them in that
-order.  The rows are those of X_in, then, per network copy and per hidden
-layer, the equality rows z = a of its active neurons followed by the three
-rows of each unstable neuron, neuron by neuron: z >= a, z <= a + M_neg t and
-z <= M_pos (1 - t); then the copy's output rows u = W z + b, then the plant
-rows x+ = A x + B u of the step that follows.  The views ``A_ub`` and
-``A_eq`` of a :class:`MilpModel` keep each kind's rows in that order.  The
-columns are x0 (always the first n_x), each layer's z then t, u, then x1,
-and so on, whatever the neurons' signs; the binaries are the t columns in
-that order.  The row order is kept because HiGHS's pivots follow it: the
-same rows in another order can branch elsewhere, count other nodes and
-write other certificate bytes.
+order.  The columns are x0 (always the first n_x), one unit column fixed to
+1, then, per network copy and per hidden layer, the z columns of its
+unstable neurons followed by their t columns; the binaries are the t
+columns in that order.  The rows are those of X_in, then, per network copy
+and per hidden layer, the three rows of each unstable neuron, neuron by
+neuron: z >= a, z <= a + M_neg t and z <= M_pos (1 - t).  There are no
+equality rows.  An objective d.x_k (or d.u0) is d M on the expression's
+columns plus d m on the unit column, so a model stays "max c.x".  The row
+order is kept because HiGHS's pivots follow it: the same rows in another
+order can branch elsewhere, count other nodes and write other certificate
+bytes.
 
 The solver is a best-first branch and bound on the LP relaxation, branching
 on the most fractional binary (ties to the lowest index).  Best first pops
@@ -54,8 +67,8 @@ as a search without a cutoff would (see ``solve_milp``).
 Every :class:`MilpModel` of an encoding carries that one relaxation.  A
 search sets its objective and root bounds on it; a node passes only the
 binary bounds in which it differs from the node solved before it, and HiGHS
-re-solves warm from the previous basis.  The box LPs of a state block are
-one ``LpModel.maxima`` call that swaps only the cost; they first restore the
+re-solves warm from the previous basis.  The box LPs of a state are one
+``LpModel.maxima`` call that swaps only the cost; they first restore the
 root bounds and clear the basis, so the box and the bounds of each copy,
 and with them each step's model, are those of a fresh encoding to that
 step.  Where an LP has tied optimal vertices, a warm start can return
@@ -73,7 +86,7 @@ import numpy as np
 from scipy import sparse
 
 from certnn import lp
-from certnn.errors import CertnnError
+from certnn.errors import CertnnError, EmptyInput
 from certnn.network import ReluNetwork
 from certnn.polytope import Polytope
 from certnn.tolerances import INTEGRALITY_TOL
@@ -97,15 +110,15 @@ class BnbStatus:
 
 @dataclass
 class MilpModel:
-    """maximize c.x over A_ub x <= b_ub, A_eq x = b_eq, lb <= x <= ub, x[binaries] in {0,1}.
+    """maximize c.x over A_ub x <= b_ub, lb <= x <= ub, x[binaries] in {0,1}.
 
     ``relaxation`` is the LP relaxation, the one solver model that the
     encoding appends its columns and rows to; ``replace`` copies share it,
     and ``solve_milp`` sets c and the bounds on it.  ``rows`` are the
-    encoding's row blocks up to this model's step.  A_ub, b_ub, A_eq and
-    b_eq are CSR views of them, laid out as the module docstring says and
-    assembled on first read; no solve reads them.  x0 is the first n_x
-    columns.
+    encoding's row blocks up to this model's step.  A_ub and b_ub are a CSR
+    view of them, laid out as the module docstring says and assembled on
+    first read; no solve reads them.  A_eq and b_eq, the equality rows of
+    the general form, are empty.  x0 is the first n_x columns.
     """
 
     c: np.ndarray
@@ -117,13 +130,12 @@ class MilpModel:
 
     @cached_property
     def _views(self):
-        A, rhs, eq = _assemble(self.rows, self.c.size)
-        return A[~eq], rhs[~eq], A[eq], rhs[eq]
+        return _assemble(self.rows, self.c.size)
 
     A_ub = property(lambda self: self._views[0])
     b_ub = property(lambda self: self._views[1])
-    A_eq = property(lambda self: self._views[2])
-    b_eq = property(lambda self: self._views[3])
+    A_eq = property(lambda self: sparse.csr_array((0, self.c.size)))
+    b_eq = property(lambda self: np.zeros(0))
 
 
 @dataclass
@@ -147,25 +159,31 @@ def _interval_affine(W, b, lo, hi):
 
 
 def _assemble(blocks, n_vars):
-    """(A, rhs, eq): the blocks' rows stacked in order, A in CSR, eq marking the equalities."""
+    """(A, rhs): the blocks' rows stacked in order, A in CSR."""
     if not blocks:
-        return sparse.csr_array((0, n_vars)), np.zeros(0), np.zeros(0, dtype=bool)
-    rhs, data, indices, counts, eq = zip(*blocks)
+        return sparse.csr_array((0, n_vars)), np.zeros(0)
+    rhs, data, indices, counts = zip(*blocks)
     counts = np.concatenate(counts)
     indptr = np.concatenate([[0], np.cumsum(counts)])
     data, indices = np.concatenate(data), np.concatenate(indices)
     A = sparse.csr_array((data, indices, indptr), shape=(counts.size, n_vars))
-    return A, np.concatenate(rhs), np.repeat(eq, [r.size for r in rhs])
+    return A, np.concatenate(rhs)
+
+
+def _objective_rows(cols, M, n_vars):
+    """The rows M_i then -M_i, for each row i of M, over the columns cols of n_vars."""
+    C = np.zeros((2 * M.shape[0], n_vars))
+    C[:, cols] = np.stack([M, -M], axis=1).reshape(-1, cols.size)
+    return C
 
 
 class _Builder:
     """Columns and blocks of rows in encoding order, appended to one LP relaxation.
 
-    A block of rows M x[cols] <= rhs (or = rhs), M dense, is kept as its
-    rhs, M's nonzeros and whether it is an equality block.  ``flush`` passes
-    the columns and blocks added since the last flush to ``relaxation``,
-    the columns in one ``LpModel.add_cols`` and the rows in one
-    ``LpModel.add_rows``; the first flush loads it.
+    A block of rows M x[cols] <= rhs, M dense, is kept as its rhs and M's
+    nonzeros.  ``flush`` passes the columns and blocks added since the last
+    flush to ``relaxation``, the columns in one ``LpModel.add_cols`` and the
+    rows in one ``LpModel.add_rows``; the first flush loads it.
     """
 
     def __init__(self):
@@ -186,21 +204,20 @@ class _Builder:
         self.ub = np.concatenate([self.ub, np.full(n, hi, dtype=float)])
         return np.arange(start, start + n)
 
-    def add(self, cols, M, rhs, eq=False):
-        """Append the block M x[cols] <= rhs, or = rhs when eq."""
+    def add(self, cols, M, rhs):
+        """Append the block M x[cols] <= rhs."""
         i, j = np.nonzero(M)
-        self.blocks.append((rhs, M[i, j], cols[j], np.count_nonzero(M, axis=1), eq))
+        self.blocks.append((rhs, M[i, j], cols[j], np.count_nonzero(M, axis=1)))
 
     def flush(self):
         n, done = self._flushed
-        A, rhs, eq = _assemble(self.blocks[done:], self.n_vars)
+        A, rhs = _assemble(self.blocks[done:], self.n_vars)
         if self.relaxation is None:
-            # the first flush holds X_in's rows, all inequalities; the dual
-            # simplex, as a node changes only column bounds (see certnn.lp)
+            # the dual simplex, as a node changes only column bounds (see certnn.lp)
             self.relaxation = lp.LpModel(np.zeros(self.n_vars), A, rhs, self.lb, self.ub)
         else:
             self.relaxation.add_cols(self.lb[n:], self.ub[n:])
-            self.relaxation.add_rows(A, rhs, eq)
+            self.relaxation.add_rows(A, rhs)
         self._flushed = (self.n_vars, len(self.blocks))
 
     def model(self) -> MilpModel:
@@ -210,84 +227,73 @@ class _Builder:
         return MilpModel(np.zeros(self.n_vars), lb, ub, self.binaries, rows, self.relaxation)
 
 
-def _encode_network(builder: _Builder, net: ReluNetwork, x_idx, bounds):
-    """Add one network evaluation; returns the output indices.
+def _encode_network(builder: _Builder, net: ReluNetwork, x, lo, hi):
+    """Bound and encode one network copy at the state x; returns (u, bounds).
 
-    ``bounds`` holds each hidden layer's pre-activation bounds (lo, hi) (see
-    ``_preactivation_bounds``).  An inactive neuron (hi <= 0) adds no
-    row, an active one (lo >= 0) one equality row, an unstable one the three
-    big-M rows of the module docstring.
+    x = (cols, S, s) is the state's affine expression and [lo, hi] its box.
+    Layer by layer, the pre-activation is the expression (cols, W E, W e + b)
+    of the layer before's output (cols, E, e), and its bounds are interval
+    arithmetic from the layer before's.  While every earlier layer is
+    sign-stable, nothing of this copy is encoded yet, so for a layer l >= 2
+    one ``maxima`` call on the relaxation gives max and min of the
+    expression of each neuron that the interval leaves unstable, and the
+    bounds are the intersection.  Layer 1 gets no LP: over the box its
+    interval is exact.  An inactive neuron's output is 0 and an active
+    one's its pre-activation; an unstable one gets its z and t columns and
+    the three big-M rows of the module docstring.  u is the output's
+    expression, ``bounds`` each hidden layer's pre-activation bounds.
     """
-    prev_idx = x_idx
-    for (W, b), (lo, hi) in zip(net.layers[:-1], bounds):
-        n_l = W.shape[0]
+    cols, E, e = x
+    bounds = []
+    stable = True  # every layer so far is sign-stable
+    for l, (W, b) in enumerate(net.layers[:-1]):
+        P, p = W @ E, W @ e + b
+        lo, hi = _interval_affine(W, b, lo, hi)
+        unstable = (lo < 0.0) & (hi > 0.0)
+        if l > 0 and stable and unstable.any():
+            relaxation = builder.relaxation
+            m = relaxation.maxima(_objective_rows(cols, P[unstable], relaxation.c.size))
+            lo[unstable] = np.maximum(lo[unstable], p[unstable] - m[1::2])
+            hi[unstable] = np.minimum(hi[unstable], p[unstable] + m[0::2])
+            hi = np.maximum(hi, lo)  # LP tolerances must not leave an empty interval
+        bounds.append((lo, hi))
         off = hi <= 0.0
         on = (lo >= 0.0) & ~off
-        # big-M constants M_pos, M_neg of the module docstring
-        big_pos = np.maximum(hi, 0.0)
-        big_neg = np.maximum(-lo, 0.0)
-        z_idx = builder.new_vars(n_l, np.where(on, lo, 0.0), big_pos)
-        t_idx = builder.new_vars(n_l, np.where(off, 1.0, 0.0), np.where(on, 0.0, 1.0))
-        builder.binaries = np.concatenate([builder.binaries, t_idx])
-        # over the columns (prev, z), the row of active neuron j: W_j prev - z_j = -b_j
-        I, O = np.eye(n_l), np.zeros((n_l, n_l))
-        builder.add(np.concatenate([prev_idx, z_idx]), np.hstack([W, -I])[on], -b[on], eq=True)
-        # over the columns (prev, z, t), the three rows of unstable neuron j:
-        # a_j - z_j <= -b_j,  z_j - a_j - M_neg t_j <= b_j,  z_j + M_pos t_j <= M_pos
-        rows = ([W, -I, O], [-W, I, -I * big_neg], [0 * W, I, I * big_pos])
         unstable = ~(on | off)
-        M = np.stack([np.hstack(r) for r in rows], axis=1)[unstable]
-        rhs = np.column_stack([-b, b, big_pos])[unstable]
-        cols = np.concatenate([prev_idx, z_idx, t_idx])
-        builder.add(cols, M.reshape(-1, cols.size), rhs.reshape(-1))
-        prev_idx = z_idx
-    # the output layer's input box: z in [max(lo, 0), M_pos] of the last hidden layer
-    W, b = net.layers[-1]
-    u_idx = builder.new_vars(net.n_u, *_interval_affine(W, b, np.maximum(lo, 0.0), big_pos))
-    M = np.hstack([W, -np.eye(net.n_u)])  # W prev - u = -b
-    builder.add(np.concatenate([prev_idx, u_idx]), M, -b, eq=True)
-    return u_idx
-
-
-def _preactivation_bounds(net: ReluNetwork, relaxation: lp.LpModel, x_idx, lo, hi):
-    """Each hidden layer's pre-activation bounds (lo, hi) for the network copy at x.
-
-    Interval arithmetic from the box [lo, hi] of x gives every layer's bounds.
-    While every layer before a layer l >= 2 is sign-stable, its pre-activation
-    is the map V x + c that ``ReluNetwork.pattern_maps`` gives for the
-    prefix's activation pattern, and one ``maxima`` call on ``relaxation``
-    (over the columns x_idx) gives max and min V_j x of each neuron that the
-    interval leaves unstable; the bounds are the intersection.  Layer 1 gets no LP: over the box its interval is exact.
-    """
-    masks = []  # the activation pattern of the sign-stable prefix
-    bounds = []
-    for l, (W, b) in enumerate(net.layers[:-1]):
-        lo, hi = _interval_affine(W, b, lo, hi)
-        stable_prefix = len(masks) == l
-        unstable = (lo < 0.0) & (hi > 0.0)
-        if l > 0 and stable_prefix and unstable.any():
-            ones = tuple(np.ones(w) for w in net.hidden_widths[l:])
-            V, c = net.pattern_maps(tuple(masks) + ones)[l]
-            C = np.zeros((2 * np.count_nonzero(unstable), relaxation.c.size))
-            C[:, x_idx] = np.stack([V[unstable], -V[unstable]], axis=1).reshape(-1, x_idx.size)
-            m = relaxation.maxima(C)
-            lo[unstable] = np.maximum(lo[unstable], c[unstable] - m[1::2])
-            hi[unstable] = np.minimum(hi[unstable], c[unstable] + m[0::2])
-            hi = np.maximum(hi, lo)  # LP tolerances must not leave an empty interval
-        if stable_prefix and not np.any((lo < 0.0) & (hi > 0.0)):  # else the prefix ends
-            masks.append(hi > 0.0)
-        bounds.append((lo, hi))
+        stable = stable and not unstable.any()
+        # big-M constants M_pos, M_neg of the module docstring
+        big_pos, big_neg = hi[unstable], -lo[unstable]
+        n = big_pos.size
+        z_idx = builder.new_vars(n, 0.0, big_pos)
+        t_idx = builder.new_vars(n, 0.0, 1.0)
+        builder.binaries = np.concatenate([builder.binaries, t_idx])
+        # over the columns (cols, z, t), the three rows of unstable neuron j:
+        # a_j - z_j <= -p_j,  z_j - a_j - M_neg t_j <= p_j,  z_j + M_pos t_j <= M_pos
+        I, O, Pu = np.eye(n), np.zeros((n, n)), P[unstable]
+        rows = ([Pu, -I, O], [-Pu, I, -I * big_neg], [0 * Pu, I, I * big_pos])
+        M = np.stack([np.hstack(r) for r in rows], axis=1)
+        rhs = np.column_stack([-p[unstable], p[unstable], big_pos])
+        row_cols = np.concatenate([cols, z_idx, t_idx])
+        builder.add(row_cols, M.reshape(-1, row_cols.size), rhs.reshape(-1))
+        # the layer's output over (cols, z): a where active, z where unstable, else 0
+        E = np.zeros((W.shape[0], cols.size + n))
+        E[on, : cols.size] = P[on]
+        E[np.flatnonzero(unstable), cols.size + np.arange(n)] = 1.0
+        cols, e = np.concatenate([cols, z_idx]), np.where(on, p, 0.0)
         lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-    return bounds
+    W, b = net.layers[-1]
+    return (cols, W @ E, W @ e + b), bounds
 
 
-def _with_objective(m: MilpModel, idx, direction) -> MilpModel:
-    """m with objective direction on the variables idx (and zero elsewhere)."""
+def _with_objective(m: MilpModel, expr, unit, direction) -> MilpModel:
+    """m with objective direction.(M y[cols] + c) for expr = (cols, M, c), c on the unit column."""
     direction = np.asarray(direction, dtype=float).reshape(-1)
-    if direction.size != len(idx):
-        raise MilpError(f"direction length {direction.size}, expected {len(idx)}")
+    cols, M, const = expr
+    if direction.size != M.shape[0]:
+        raise MilpError(f"direction length {direction.size}, expected {M.shape[0]}")
     c = np.zeros_like(m.c)
-    c[idx] = direction
+    c[cols] = direction @ M
+    c[unit] = direction @ const
     return replace(m, c=c)
 
 
@@ -301,6 +307,8 @@ class ClosedLoopEncoding:
     earlier step (``output`` included) raises MilpError.  All steps grow one
     relaxation, so the box LPs, the bound LPs and every direction of every
     step share one loaded LP; only the model of the current step is kept.
+    ``bounds[k]`` records the copy at x_k: the box (lo, hi) of x_k and, per
+    hidden layer, the pre-activation bounds (lo, hi) it was encoded with.
     ``system`` is read only when a step is added, so output-range callers may
     pass None.
     """
@@ -308,59 +316,64 @@ class ClosedLoopEncoding:
     def __init__(self, system, net: ReluNetwork, X_in: Polytope):
         self._system = system
         self._net = net
-        self._builder = _Builder()
-        self._x_idx = self._builder.new_vars(net.n_x, -np.inf, np.inf)
-        self._builder.add(self._x_idx, X_in.F, X_in.g)
-        self._builder.flush()
+        self._builder = builder = _Builder()
+        x0 = builder.new_vars(net.n_x, -np.inf, np.inf)
+        self._unit = builder.new_vars(1, 1.0, 1.0)[0]
+        builder.add(x0, X_in.F, X_in.g)
+        builder.flush()
+        self._x = (x0, np.eye(net.n_x), np.zeros(net.n_x))
         self._k = 0
-        self._encode_copy()
-        self._builder.flush()
+        self.bounds: list[tuple] = []
+        try:
+            self._encode_copy()
+        except EmptyInput:
+            raise EmptyInput("X_in is empty: its constraints admit no point") from None
+        builder.flush()
         self._model: MilpModel | None = None
 
     def _box_state(self):
-        """(lo, hi): the box of the current state block, by LPs on the relaxation so far.
+        """(lo, hi): the box of the current state, by LPs on the relaxation so far.
 
         The relaxation is first reset to its root bounds (a search leaves a
         node's bounds on it) and to a cold basis, so the box and the bound
         LPs after it give what they give on a fresh encoding.  One ``maxima``
-        call gives the max and the min of each coordinate, in that order;
-        for x0 these are the support LPs of X_in.
+        call gives the max and the min of each coordinate of the state's
+        expression, in that order; for x0 these are the support LPs of X_in.
         Raises EmptyInput for an empty and UnboundedInput for an unbounded X_in.
         """
-        builder, idx = self._builder, self._x_idx
+        builder = self._builder
         relaxation = builder.relaxation
         relaxation.set_bounds(builder.lb, builder.ub)
         relaxation.clear_basis()
-        C = np.zeros((2 * idx.size, builder.n_vars))
-        rows = 2 * np.arange(idx.size)
-        C[rows, idx], C[rows + 1, idx] = 1.0, -1.0
-        m = relaxation.maxima(C)
+        cols, S, s = self._x
+        m = relaxation.maxima(_objective_rows(cols, S, relaxation.c.size))
         if np.isinf(m).any():
             raise UnboundedInput("input polytope unbounded in some coordinate")
-        return -m[1::2], m[0::2]
+        return s - m[1::2], s + m[0::2]
 
     def _encode_copy(self):
-        """Box the current state block, bound the layers of its network copy, and encode the copy.
+        """Box the current state, then bound and encode its network copy.
 
-        ``_preactivation_bounds`` runs on the relaxation that ``_box_state``
-        ran on, which holds the box only once the copy is encoded.
+        At step 0 the box becomes x0's column bounds, once the bound LPs have
+        run on the relaxation without it.
         """
-        builder, idx = self._builder, self._x_idx
         lo, hi = self._box_state()
-        bounds = _preactivation_bounds(self._net, builder.relaxation, idx, lo, hi)
-        builder.lb[idx], builder.ub[idx] = lo, hi
-        self._u_idx = _encode_network(builder, self._net, idx, bounds)
+        self._u, layers = _encode_network(self._builder, self._net, self._x, lo, hi)
+        self.bounds.append(((lo, hi), layers))
+        if self._k == 0:
+            x0 = self._x[0]
+            self._builder.lb[x0], self._builder.ub[x0] = lo, hi
 
     def _extend(self):
-        builder, A, B = self._builder, self._system.A, self._system.B
-        if self._u_idx is None:
+        A, B = self._system.A, self._system.B
+        if self._u is None:
             self._encode_copy()
-        next_idx = builder.new_vars(A.shape[0], -np.inf, np.inf)
-        cols = np.concatenate([self._x_idx, self._u_idx, next_idx])
-        M = np.hstack([A, B, -np.eye(A.shape[0])])  # A x + B u - x+ = 0
-        builder.add(cols, M, np.zeros(A.shape[0]), eq=True)
-        builder.flush()
-        self._x_idx, self._u_idx = next_idx, None
+        (_, S, s), (cols, U, u) = self._x, self._u
+        # the copy's columns extend the state's, so S covers U's first columns
+        S = np.pad(S, ((0, 0), (0, cols.size - S.shape[1])))
+        self._x = (cols, A @ S + B @ U, A @ s + B @ u)
+        self._builder.flush()
+        self._u = None
         self._model = None
         self._k += 1
 
@@ -376,13 +389,13 @@ class ClosedLoopEncoding:
 
     def output(self, direction) -> MilpModel:
         """Model whose optimum is max direction.N(x) over x in X_in."""
-        return _with_objective(self._at(0), self._u_idx, direction)
+        return _with_objective(self._at(0), self._u, self._unit, direction)
 
     def model(self, k: int, direction) -> MilpModel:
         """Model whose optimum is max direction.x_k over k closed-loop steps from X_in."""
         if k < 1:
             raise MilpError("need k >= 1")
-        return _with_objective(self._at(k), self._x_idx, direction)
+        return _with_objective(self._at(k), self._x, self._unit, direction)
 
 
 def encode_output_range(net: ReluNetwork, X_in: Polytope, direction) -> MilpModel:

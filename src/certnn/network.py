@@ -73,10 +73,6 @@ class ReluNetwork:
         return self.layers[-1][0].shape[0]
 
     @property
-    def n_hidden_layers(self) -> int:
-        return len(self.layers) - 1
-
-    @property
     def hidden_widths(self) -> list[int]:
         return [W.shape[0] for W, _ in self.layers[:-1]]
 

@@ -272,19 +272,28 @@ def test_certificate_carries_replayable_witnesses(case_files):
 
 
 @pytest.mark.parametrize(
-    "xin",
+    "xin, line",
     [
-        {"F": [[1.0, 0.0], [0.0, 1.0]], "g": [1.0, 1.0]},  # unbounded
-        {"F": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], "g": [1.0, -2.0, 1.0, 1.0]},  # empty
+        (
+            {"F": [[1.0, 0.0], [0.0, 1.0]], "g": [1.0, 1.0]},
+            "error: input polytope unbounded in some coordinate\n",
+        ),
+        (
+            # x_1 <= 1 and x_1 >= 2
+            {"F": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], "g": [1.0, -2.0, 1.0, 1.0]},
+            "error: X_in is empty: its constraints admit no point\n",
+        ),
     ],
     ids=["unbounded", "empty"],
 )
-def test_bad_initial_set_exit_code(case_files, tmp_path, capsys, xin):
+def test_bad_initial_set_exit_code(case_files, tmp_path, capsys, xin, line):
+    # exit 1 with one line that says what is wrong with X_in, and no certificate
     sys_path, net_path, _, tmp = case_files
     xin_path = tmp_path / "bad_xin.json"
     xin_path.write_text(json.dumps(xin))
     assert main(_verify_argv(sys_path, net_path, xin_path, tmp / "bad_out")) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == line
+    assert not (tmp / "bad_out").exists()
 
 
 def test_non_finite_system_exit_code(case_files, tmp_path, capsys):

@@ -11,7 +11,6 @@ from scipy.optimize import linprog
 from certnn import lp, polytope
 from certnn.milp import encode_output_range
 from certnn.polytope import Polytope, remove_redundant, support
-import helpers
 from helpers import held_matrix
 
 
@@ -234,78 +233,6 @@ def test_deleted_rows_match_fresh_model(lp_path):
     model.add_rows(A[m:], b[m:])
     model.set_rhs(6, np.inf)
     assert_matches(np.vstack([A[:5], A[m], A[m + 2]]), np.concatenate([b[:5], b[[m, m + 2]]]))
-
-
-def _held_rows(model):
-    """The rows a model's HiGHS object holds: (matrix, lower, upper), dense, in HiGHS's order."""
-    p = model._highs.getLp()
-    return held_matrix(p).toarray(), np.asarray(p.row_lower_), np.asarray(p.row_upper_)
-
-
-def test_appended_columns_and_equality_rows_match_fresh_model(lp_path):
-    # columns appended, then inequality and equality rows interleaved in one
-    # append, hold the LP of a model loaded fresh on the same rows: its
-    # inequality rows, then its equality rows
-    rng = np.random.default_rng(24)
-    n, n_new = 3, 2
-    x0 = rng.standard_normal(n + n_new)
-    A, A_new = rng.standard_normal((6, n)), rng.standard_normal((5, n + n_new))
-    eq = np.array([False, True, False, True, False])
-    b = A @ x0[:n] + rng.uniform(0.1, 1.0, 6)
-    b_new = A_new @ x0 + np.where(eq, 0.0, rng.uniform(0.1, 1.0, 5))
-    lb, ub = np.full(n + n_new, -10.0), np.full(n + n_new, 10.0)
-    model = lp.LpModel(np.zeros(n), A, b, lb[:n], ub[:n])
-    model.add_cols(lb[n:], ub[n:])
-    model.add_rows(A_new, b_new, eq)
-    A_ub = np.vstack([np.hstack([A, np.zeros((6, n_new))]), A_new[~eq]])
-    fresh = lp.LpModel(
-        np.zeros(n + n_new), A_ub, np.concatenate([b, b_new[~eq]]), lb, ub, A_new[eq], b_new[eq]
-    )
-    order = np.concatenate([np.arange(6), 6 + np.flatnonzero(~eq), 6 + np.flatnonzero(eq)])
-    for got, want in zip(_held_rows(model), _held_rows(fresh)):
-        np.testing.assert_array_equal(got[order], want)
-    C = rng.standard_normal((8, n + n_new))
-    for c in C:
-        model.set_objective(c)
-        fresh.set_objective(c)
-        assert model.solve().value == pytest.approx(fresh.solve().value, abs=1e-9)
-        status, value = helpers.cold_linprog(model._highs)
-        assert (status, value) == (0, pytest.approx(helpers.cold_linprog(fresh._highs)[1], abs=1e-9))
-
-
-def test_row_edits_address_inequality_rows_among_equality_rows(lp_path):
-    # set_rhs and delete_rows count inequality rows only: with equality rows
-    # appended among them, they change and delete the intended rows and
-    # leave every equality row as it was
-    rng = np.random.default_rng(25)
-    n = 3
-    x0 = rng.standard_normal(n)
-    A = rng.standard_normal((7, n))
-    eq = np.array([False, False, True, False, True, False, False])
-    b = A @ x0 + np.where(eq, 0.0, rng.uniform(0.1, 1.0, 7))
-    lb, ub = np.full(n, -10.0), np.full(n, 10.0)
-    model = lp.LpModel(np.zeros(n), A[:2], b[:2], lb, ub)
-    model.add_rows(A[2:], b[2:], eq[2:])
-    ineq = np.flatnonzero(~eq)  # the HiGHS row of each inequality row
-    model.set_rhs(3, b[ineq[3]] + 0.5)
-    _, lower, upper = _held_rows(model)
-    want_upper = b.copy()
-    want_upper[ineq[3]] += 0.5
-    np.testing.assert_array_equal(upper, want_upper)
-    np.testing.assert_array_equal(lower, np.where(eq, b, -np.inf))
-    with pytest.raises(lp.LpError, match="no inequality row"):
-        model.set_rhs(5, 1.0)  # HiGHS holds 7 rows, 5 of them inequalities
-    model.delete_rows(2)
-    kept = np.flatnonzero(eq | (np.arange(7) < ineq[2]))
-    matrix, lower, upper = _held_rows(model)
-    np.testing.assert_array_equal(matrix, A[kept])
-    np.testing.assert_array_equal(upper, b[kept])
-    np.testing.assert_array_equal(lower, np.where(eq, b, -np.inf)[kept])
-    model.add_rows(A[5:6], b[5:6] + 1.0)
-    model.set_rhs(2, b[5])  # the appended row is inequality row 2 again
-    fresh = lp.LpModel(np.zeros(n), A[[0, 1, 5]], b[[0, 1, 5]], lb, ub, A[eq], b[eq])
-    C = rng.standard_normal((8, n))
-    np.testing.assert_allclose(model.maxima(C), fresh.maxima(C), rtol=0.0, atol=1e-9)
 
 
 def test_row_edits_leave_the_callers_arrays(lp_path):

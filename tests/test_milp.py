@@ -31,21 +31,8 @@ FAN8 = np.array(
 )
 
 
-def _columns(net, k=0):
-    """The state columns of step k, per hidden layer the (z, t) columns of its network copy, and u.
-
-    The columns are x0, then z and t of each hidden layer, then u, then x1, and so on.
-    """
-    start = k * (net.n_x + 2 * sum(net.hidden_widths) + net.n_u)
-    x, start, layers = np.arange(start, start + net.n_x), start + net.n_x, []
-    for n_l in net.hidden_widths:
-        layers.append((np.arange(start, start + n_l), np.arange(start + n_l, start + 2 * n_l)))
-        start += 2 * n_l
-    return x, layers, np.arange(start, start + net.n_u)
-
-
 class TestBounds:
-    """The interval bounds the encoder puts on each neuron's columns."""
+    """The bounds the encoder records for each network copy, and the columns it gives them."""
 
     def test_single_layer_intervals(self):
         # pre-activations over the unit box: [-1.5, 2.5] and [-3, 1]
@@ -53,16 +40,22 @@ class TestBounds:
             [(np.array([[1.0, -1.0], [2.0, 0.0]]), np.array([0.5, -1.0])),
              (np.eye(2), np.zeros(2))]
         )
-        m = encode_output_range(net, UNIT_BOX, [1.0, 0.0])
-        _, [(z, t)], u = _columns(net)
+        enc = ClosedLoopEncoding(None, net, UNIT_BOX)
+        m = enc.output([1.0, 0.0])
+        [(lo, hi)] = enc.bounds[0][1]
+        np.testing.assert_allclose(lo, [-1.5, -3.0])
+        np.testing.assert_allclose(hi, [2.5, 1.0])
+        # the columns are x0, the unit column, then z and t of the two unstable neurons
+        z, t = np.arange(3, 5), np.arange(5, 7)
+        assert m.c.size == 7
         np.testing.assert_allclose(m.ub[z], [2.5, 1.0])  # M_pos
         np.testing.assert_array_equal(m.binaries, t)
-        np.testing.assert_array_equal(m.ub[t], [1.0, 1.0])  # both neurons unstable
+        np.testing.assert_array_equal(m.ub[t], [1.0, 1.0])
         # z_j - a_j - M_neg t_j <= b_j is the second row of neuron j
         rows = UNIT_BOX.nrows + 3 * np.arange(2) + 1
         np.testing.assert_allclose(m.A_ub.toarray()[rows, t], [-1.5, -3.0])  # -M_neg
-        np.testing.assert_allclose(m.lb[u], [0.0, 0.0])
-        np.testing.assert_allclose(m.ub[u], [2.5, 1.0])
+        # the output u_0 = z_0 is the objective
+        np.testing.assert_array_equal(m.c, [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
     def test_stable_neurons_are_linear_rows(self):
         # pre-activations over the unit box: [4, 6] (active), [-6, -4]
@@ -71,21 +64,22 @@ class TestBounds:
             [(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), np.array([5.0, -5.0, 0.0])),
              (np.ones((1, 3)), np.zeros(1))]
         )
-        m = encode_output_range(net, UNIT_BOX, [1.0])
-        x, [(z, t)], u = _columns(net)
-        # the active neuron adds one equality row, W_0 x - z_0 = -b_0, before the output row
-        assert m.A_eq.shape[0] == 2
-        np.testing.assert_array_equal(m.A_eq.toarray()[0, np.concatenate([x, z])], [1, 0, -1, 0, 0])
-        assert m.b_eq[0] == -5.0
-        # only the unstable neuron adds inequality rows: its three big-M rows
+        enc = ClosedLoopEncoding(None, net, UNIT_BOX)
+        m = enc.output([1.0])
+        [(lo, hi)] = enc.bounds[0][1]
+        np.testing.assert_array_equal(lo, [4.0, -6.0, -2.0])
+        np.testing.assert_array_equal(hi, [6.0, -4.0, 2.0])
+        # only the unstable neuron gets columns, z in [0, M_pos] and t in
+        # [0, 1] after x0 and the unit column, and rows: its three big-M rows
+        assert m.c.size == 5 and m.A_eq.shape[0] == 0
+        np.testing.assert_array_equal(m.binaries, [4])
+        np.testing.assert_array_equal(m.lb[2:], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(m.ub[2:], [1.0, 2.0, 1.0])
         assert m.A_ub.shape[0] == UNIT_BOX.nrows + 3
-        np.testing.assert_array_equal(m.A_ub.toarray()[UNIT_BOX.nrows:, t[:2]], 0.0)
-        assert m.A_ub.toarray()[UNIT_BOX.nrows + 1, t[2]] == -2.0  # -M_neg
-        # active: z in [lo, hi], t = 0; inactive: z = 0, t = 1; unstable: z in [0, M_pos]
-        np.testing.assert_array_equal(m.lb[z], [4.0, 0.0, 0.0])
-        np.testing.assert_array_equal(m.ub[z], [6.0, 0.0, 2.0])
-        np.testing.assert_array_equal(m.lb[t], [0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(m.ub[t], [0.0, 1.0, 1.0])
+        assert m.A_ub.toarray()[UNIT_BOX.nrows + 1, 4] == -2.0  # -M_neg
+        # the active neuron is its pre-activation x_0 + 5 in the objective, its
+        # constant on the unit column; the inactive one is 0
+        np.testing.assert_array_equal(m.c, [1.0, 0.0, 5.0, 1.0, 0.0])
         assert solve_milp(m).value == pytest.approx(8.0, abs=1e-7)
 
     @staticmethod
@@ -111,39 +105,69 @@ class TestBounds:
             yield LtiSystem(A, rng.standard_normal((2, 1))), net
 
     def test_bounds_are_sound(self):
-        # rollouts from X_in stay inside the column bounds of each state block
-        # x_k and of each layer of the network copy at x_k, for k = 0..3, and
-        # no layer's bounds are looser than interval arithmetic from the
-        # bounds of the layer before; the bounds at x0 are exact, the others
-        # rest on the box LPs and the pre-activation LPs
+        # rollouts from X_in stay inside the recorded box of each state x_k
+        # and the recorded pre-activation bounds of each layer of the network
+        # copy at x_k, for k = 0..3, and no layer's bounds are looser than
+        # interval arithmetic from the bounds of the layer before; the bounds
+        # at x0 are exact, the others rest on the box LPs and the
+        # pre-activation LPs
         rng = np.random.default_rng(0)
         tightened = 0
         for sys, net in self._bounded_cases(rng):
-            m = ClosedLoopEncoding(sys, net, UNIT_BOX).model(4, [1.0, 0.0])
+            enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+            enc.model(4, [1.0, 0.0])
+            assert len(enc.bounds) == 4  # the copies at x0 .. x3; x4 is never boxed
             X = rng.uniform(-1.0, 1.0, size=(200, 2))
-            for k, tol in enumerate((1e-12, 1e-9, 1e-9, 1e-9)):
-                x, layers, u = _columns(net, k)
-                assert np.isfinite(m.lb[x]).all() and np.isfinite(m.ub[x]).all()
-                assert np.all((X >= m.lb[x] - tol) & (X <= m.ub[x] + tol))
-                Z, lo, hi = X, m.lb[x], m.ub[x]
-                for (W, b), (z, t) in zip(net.layers[:-1], layers):
+            for ((lo, hi), layers), tol in zip(enc.bounds, (1e-12, 1e-9, 1e-9, 1e-9)):
+                assert np.isfinite(lo).all() and np.isfinite(hi).all()
+                assert np.all((X >= lo - tol) & (X <= hi + tol))
+                Z = X
+                for (W, b), (pre_lo, pre_hi) in zip(net.layers[:-1], layers):
                     pre = Z @ W.T + b
-                    Z = np.maximum(pre, 0.0)
-                    assert np.all((Z >= m.lb[z] - tol) & (Z <= m.ub[z] + tol))
-                    # a binary fixed by the bounds matches every sampled sign
-                    assert np.all(pre[:, m.lb[t] == 1.0] <= tol)
-                    assert np.all(pre[:, m.ub[t] == 0.0] >= -tol)
-                    # the interval from the layer before bounds this layer's columns
+                    assert np.all((pre >= pre_lo - tol) & (pre <= pre_hi + tol))
+                    # a neuron fixed by the bounds matches every sampled sign
+                    assert np.all(pre[:, pre_hi <= 0.0] <= tol)
+                    assert np.all(pre[:, pre_lo >= 0.0] >= -tol)
+                    # the interval from the layer before bounds this layer
                     lo, hi = milp._interval_affine(W, b, lo, hi)
-                    assert np.all(m.ub[z] <= np.maximum(hi, 0.0) + 1e-9)
-                    assert np.all(m.lb[z] >= np.maximum(lo, 0.0) - 1e-9)
-                    assert np.all(m.lb[t][hi <= 0.0] == 1.0) and np.all(m.ub[t][lo >= 0.0] == 0.0)
-                    tightened += np.count_nonzero(m.ub[z] < np.maximum(hi, 0.0) - 1e-6)
-                    lo, hi = m.lb[z], m.ub[z]
+                    assert np.all(pre_hi <= hi + 1e-9) and np.all(pre_lo >= lo - 1e-9)
+                    tightened += np.count_nonzero(
+                        np.maximum(pre_hi, 0.0) < np.maximum(hi, 0.0) - 1e-6
+                    )
+                    Z = np.maximum(pre, 0.0)
+                    lo, hi = np.maximum(pre_lo, 0.0), np.maximum(pre_hi, 0.0)
                 out = Z @ net.layers[-1][0].T + net.layers[-1][1]
-                assert np.all((out >= m.lb[u] - tol) & (out <= m.ub[u] + tol))
                 X = X @ sys.A.T + out @ sys.B.T
         assert tightened > 0  # the LP bounds ran and cut
+
+    def test_columns_only_for_unstable_neurons(self):
+        # the model has no equality rows and one binary per unstable neuron:
+        # x0, the unit column, then per copy and layer the z columns of its
+        # unstable neurons, in [0, M_pos], and their t columns; the rows are
+        # X_in's and three per unstable neuron
+        rng = np.random.default_rng(3)
+        binaries = 0
+        for sys, net in list(self._bounded_cases(rng))[::3]:
+            enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+            m = enc.model(4, [1.0, 0.0])
+            assert m.A_eq.shape[0] == 0 and m.b_eq.size == 0
+            M_pos = [hi[(lo < 0.0) & (hi > 0.0)] for _, layers in enc.bounds for lo, hi in layers]
+            n = sum(h.size for h in M_pos)
+            assert m.c.size == net.n_x + 1 + 2 * n
+            assert m.A_ub.shape[0] == UNIT_BOX.nrows + 3 * n
+            assert m.lb[net.n_x] == m.ub[net.n_x] == 1.0
+            start, t_cols = net.n_x + 1, []
+            for h in M_pos:
+                z = np.arange(start, start + h.size)
+                np.testing.assert_array_equal(m.lb[z], 0.0)
+                np.testing.assert_array_equal(m.ub[z], h)
+                t_cols.append(z + h.size)
+                start += 2 * h.size
+            np.testing.assert_array_equal(m.binaries, np.concatenate(t_cols))
+            np.testing.assert_array_equal(m.lb[m.binaries], 0.0)
+            np.testing.assert_array_equal(m.ub[m.binaries], 1.0)
+            binaries += n
+        assert binaries > 0
 
     def test_unbounded_input(self, identity_pair_net):
         with pytest.raises(UnboundedInput):
@@ -298,6 +322,33 @@ class TestReach:
                 helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, d) for d in dirs
             ]
             np.testing.assert_allclose(got, want, atol=1e-6)
+
+    def test_active_layer_into_unstable_layer_matches_oracle(self):
+        # layer 1 is active on every state reached, so layer 2's pre-activation
+        # is an affine expression composed through it; its neurons are
+        # unstable and get the only binaries.  The output range and the
+        # maxima at k = 1..3 equal the oracles', and the witnesses replay
+        rng = np.random.default_rng(13)
+        sys = self._sys()
+        dirs = np.array([[1.0, 0.0], [-0.6, 0.8]])
+        for _ in range(2):
+            W1, W2 = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+            b1 = np.full(2, 10.0)
+            net = ReluNetwork([(W1, b1), (W2, -W2 @ b1), (0.5 * rng.standard_normal((1, 2)), np.zeros(1))])
+            enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+            for d, r in zip([[1.0], [-1.0]], output_range_results(net, UNIT_BOX, [[1.0], [-1.0]], enc)):
+                want = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, np.asarray(d))
+                assert r.value == pytest.approx(want, abs=1e-6)
+            for k in range(1, 4):
+                for d, r in zip(dirs, reach_results(sys, net, UNIT_BOX, k, dirs, encoding=enc)):
+                    want = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, d)
+                    assert r.value == pytest.approx(want, abs=1e-6)
+                    x = r.point[: sys.n_x]
+                    for _ in range(k):
+                        x = sys.A @ x + sys.B @ net.eval(x)
+                    assert float(d @ x) == pytest.approx(r.value, abs=1e-6)
+            for (_, [(lo1, _), (lo2, hi2)]) in enc.bounds:
+                assert np.all(lo1 >= 0.0) and np.any((lo2 < 0.0) & (hi2 > 0.0))
 
     def test_one_load_per_step(self, lp_path, monkeypatch):
         # extending to step 2 boxes x1, encodes its network copy and answers 4

@@ -174,7 +174,7 @@ class TestSaturate:
 
     def test_structure(self, identity_pair_net):
         sat = saturate(identity_pair_net, [-1.0], [1.0])
-        assert sat.n_hidden_layers == identity_pair_net.n_hidden_layers + 2
+        assert len(sat.hidden_widths) == len(identity_pair_net.hidden_widths) + 2
         assert sat.n_u == identity_pair_net.n_u
 
 

@@ -200,17 +200,26 @@ class TestVerifyStability:
         # 56 LPs outside the branch and bound, and 3 loads in all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
-        # from; the warm-started models count 88. Rollouts from the input and
+        # from; the warm-started models count 86. Rollouts from the input and
         # one-step maximizers refute k = 1..4 with no search, and the reach
         # search spends 54 at k = 5.
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
         assert cert.stability.k_star == 5
-        assert cert.milp_nodes == 88
+        assert cert.milp_nodes == 86
         assert cert.stability.reach_nodes == [0, 0, 0, 0, 54]
         assert [r.k for r in cert.stability.rollouts] == [1, 2, 3, 4]
         assert count_lps() == cert.milp_nodes + 56
         assert count_loads() == 3
+
+    def test_case_study_relaxation_size(self, case_system, case_Xin, case_net):
+        # at k* = 5 the copies at x_0 .. x_4 each have layer 1 active and one
+        # unstable saturation neuron in each of layers 2 and 3: 10 binaries,
+        # 23 columns (x0, the unit column, z and t of each) and 40 rows (the
+        # 10 of X_in, then 3 per unstable neuron), none of them equalities
+        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
+        m = milp.ClosedLoopEncoding(case_system, case_net, X_in).model(5, [1.0, 0.0])
+        assert (m.c.size, m.A_ub.shape[0], m.binaries.size, m.A_eq.shape[0]) == (23, 40, 10, 0)
 
     def test_without_reference_gain(self, case_system, case_Xin, case_X, case_U, case_net):
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
