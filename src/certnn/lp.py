@@ -1,19 +1,19 @@
 """Linear programs on HiGHS: loaded once, changed in place, re-solved warm.
 
-Problems are stated as maximize c.x subject to A x <= b, A_eq x = b_eq and
-per-variable bounds.  An :class:`LpModel` loads one such problem into HiGHS
-once.  Its column bounds (the nodes of a branch and bound), its cost and the
-right-hand sides of its inequality rows then change in place, columns and
-inequality rows can be appended, the last inequality rows deleted again,
-and each solve starts HiGHS's simplex from the basis of the previous solve
-instead of presolving the problem from scratch.  A right-hand side of +inf
-drops its row, so one load serves every redundancy test of a polytope,
-every step of an invariant-set fixpoint and every step of a closed-loop
-encoding.
+Problems are stated as maximize c.x subject to A x <= b and per-variable
+bounds, A dense.  An :class:`LpModel` loads one such problem into HiGHS
+once, and HiGHS is the only place that holds its rows.  Its column bounds
+(the nodes of a branch and bound), its cost and the right-hand sides of its
+rows then change in place, columns and rows can be appended, the last rows
+deleted again, and each solve starts HiGHS's simplex from the basis of the
+previous solve instead of presolving the problem from scratch.  A
+right-hand side of +inf drops its row, so one load serves every redundancy
+test of a polytope, every step of an invariant-set fixpoint and every step
+of a closed-loop encoding.  :meth:`LpModel.rows` reads the rows back.
 :meth:`LpModel.maxima` answers a whole matrix of objectives on one load: the
 support functions of a polytope and the per-coordinate box of a closed-loop
 state are each one call.  :func:`solve_lp` is the one-shot use of the same
-object.
+object; it passes an equality row as two inequality rows.
 
 The persistent solver is the HiGHS binding that scipy bundles as
 ``scipy.optimize._highspy`` (scipy >= 1.15); importing this module without
@@ -97,13 +97,10 @@ class LpOutcome:
 
 
 def _rowwise(A, m: int, n: int):
-    """(start, index, value): the nonzeros of the m-by-n matrix A, dense or CSR, row by row.
+    """(start, index, value): the nonzeros of the dense m-by-n matrix A, row by row.
 
-    start[i]:start[i + 1] are row i's entries; a CSR array passes its own
-    arrays through, a dense A drops its zeros.
+    start[i]:start[i + 1] are row i's entries.
     """
-    if getattr(A, "format", None) == "csr":
-        return A.indptr, A.indices, A.data
     A = np.asarray(A, dtype=float).reshape(m, n)
     row, col = np.nonzero(A)
     start = np.zeros(m + 1, dtype=np.int32)
@@ -123,46 +120,34 @@ def maximize(c, A=None, b=None, lb=None, ub=None) -> LinearProgram:
 
 
 class LpModel:
-    """maximize c.x  s.t.  A x <= b,  A_eq x = b_eq,  lb <= x <= ub, loaded once.
+    """maximize c.x  s.t.  A x <= b,  lb <= x <= ub, loaded once.
 
-    A and A_eq may be dense or scipy CSR arrays; only their nonzeros are
-    loaded.  ``primal`` picks HiGHS's primal simplex over its default, the
-    dual (see the module docstring).  ``set_bounds`` and
-    ``set_objective`` pass only the entries that changed to HiGHS,
-    ``set_rhs`` changes one inequality row (+inf drops it), ``add_cols``
-    appends columns, ``add_rows`` appends inequality rows, and
-    ``delete_rows`` deletes the last inequality rows.  Row i of ``set_rhs``
-    and ``delete_rows`` counts the inequality rows only, in the order they
-    were loaded and appended; HiGHS holds the equality rows, all loaded at
-    construction, between the loaded and the appended ones.  ``solve``
-    re-solves warm from the previous basis, ``clear_basis`` makes the next
-    solve cold, and ``maxima`` solves one LP per objective.  The rows live in HiGHS only; the caller's arrays are
-    never written.
+    A is dense; only its nonzeros are loaded.  ``primal`` picks HiGHS's
+    primal simplex over its default, the dual (see the module docstring).
+    ``set_bounds`` and ``set_objective`` pass only the entries that changed
+    to HiGHS, ``set_rhs`` changes one row (+inf drops it), ``add_cols``
+    appends columns, ``add_rows`` appends rows, ``delete_rows`` deletes the
+    last rows and ``rows`` reads them all back.  Row i is HiGHS's row i, in
+    the order the rows were loaded and appended.  ``solve`` re-solves warm
+    from the previous basis, ``clear_basis`` makes the next solve cold, and
+    ``maxima`` solves one LP per objective.  The rows live in HiGHS only;
+    the caller's arrays are never written.
     """
 
-    def __init__(self, c, A, b, lb, ub, A_eq=None, b_eq=None, *, primal: bool = False):
+    def __init__(self, c, A, b, lb, ub, *, primal: bool = False):
         self.c = np.array(c, dtype=float)
         self.lb = np.array(lb, dtype=float)
         self.ub = np.array(ub, dtype=float)
-        n = self.c.size
         b = np.asarray(b, dtype=float).reshape(-1)
-        b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).reshape(-1)
-        self._ineq = np.arange(b.size)  # the HiGHS row of each inequality row, in order
-        start, index, value = _rowwise(A, b.size, n)
-        if b_eq.size:
-            start_eq, index_eq, value_eq = _rowwise(A_eq, b_eq.size, n)
-            start = np.concatenate([start, start[-1] + start_eq[1:]])
-            index, value = np.concatenate([index, index_eq]), np.concatenate([value, value_eq])
         model = _highs.HighsLp()
-        model.num_col_, model.num_row_ = n, b.size + b_eq.size
+        model.num_col_, model.num_row_ = self.c.size, b.size
         model.col_cost_ = -self.c  # HiGHS minimizes
         model.col_lower_, model.col_upper_ = self.lb, self.ub
-        model.row_lower_ = np.concatenate([np.full(b.size, -np.inf), b_eq])
-        model.row_upper_ = np.concatenate([b, b_eq])
+        model.row_lower_, model.row_upper_ = np.full(b.size, -np.inf), b
         matrix = model.a_matrix_
         matrix.format_ = _highs.MatrixFormat.kRowwise
         matrix.num_col_, matrix.num_row_ = model.num_col_, model.num_row_
-        matrix.start_, matrix.index_, matrix.value_ = start, index, value
+        matrix.start_, matrix.index_, matrix.value_ = _rowwise(A, b.size, self.c.size)
         self._highs = h = _highs._Highs()
         h.setOptionValue("output_flag", False)
         if primal:
@@ -184,10 +169,10 @@ class LpModel:
             self._highs.changeColsCost(changed.size, changed, -self.c[changed])
 
     def set_rhs(self, i: int, value: float):
-        """Change the right-hand side of inequality row i; +inf drops the row."""
-        if not 0 <= i < self._ineq.size:
-            raise LpError(f"no inequality row {i}")
-        self._highs.changeRowBounds(int(self._ineq[i]), -np.inf, value)
+        """Change the right-hand side of row i; +inf drops the row."""
+        if not 0 <= i < self._highs.getNumRow():
+            raise LpError(f"no row {i}")
+        self._highs.changeRowBounds(i, -np.inf, value)
 
     def add_cols(self, lb, ub):
         """Append columns with the bounds lb <= x <= ub, zero cost and no row entries."""
@@ -204,23 +189,33 @@ class LpModel:
         self.ub = np.concatenate([self.ub, ub])
 
     def add_rows(self, A, b):
-        """Append the inequality rows A x <= b, in order."""
+        """Append the rows A x <= b, in order."""
         b = np.asarray(b, dtype=float).reshape(-1)
         start, index, value = _rowwise(A, b.size, self.c.size)
-        first = self._highs.getNumRow()
         status = self._highs.addRows(
             b.size, np.full(b.size, -np.inf), b, value.size, start[:-1], index, value
         )
         if status == _highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the rows")
-        self._ineq = np.concatenate([self._ineq, first + np.arange(b.size)])
 
     def delete_rows(self, start: int):
-        """Delete the inequality rows from inequality row start on."""
-        rows = self._ineq[start:]
+        """Delete the rows from row start on."""
+        rows = np.arange(start, self._highs.getNumRow(), dtype=np.int32)
         if rows.size:
-            self._highs.deleteRows(rows.size, rows.astype(np.int32))
-        self._ineq = self._ineq[:start]
+            self._highs.deleteRows(rows.size, rows)
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A, b): every row HiGHS holds, A dense, in order; a dropped row has b_i = +inf."""
+        p = self._highs.getLp()
+        m = p.a_matrix_
+        major = np.repeat(np.arange(len(m.start_) - 1), np.diff(m.start_))
+        index = np.asarray(m.index_, dtype=np.intp)
+        A = np.zeros((p.num_row_, p.num_col_))
+        if m.format_ == _highs.MatrixFormat.kColwise:
+            A[index, major] = m.value_
+        else:
+            A[major, index] = m.value_
+        return A, np.array(p.row_upper_, dtype=float)
 
     def clear_basis(self):
         """Forget the last basis, so the next solve starts cold, as on a fresh load."""
@@ -267,5 +262,11 @@ class LpModel:
 
 
 def solve_lp(p: LinearProgram) -> LpOutcome:
-    """Solve one LP, classifying the outcome as optimal/infeasible/unbounded."""
-    return LpModel(p.objective, p.A, p.b, p.lb, p.ub, p.A_eq, p.b_eq).solve()
+    """Solve one LP, classifying the outcome as optimal/infeasible/unbounded.
+
+    Each equality row a.x = b_i is passed as the two rows a.x <= b_i and -a.x <= -b_i.
+    """
+    A, b = np.reshape(p.A, (-1, p.objective.size)), p.b
+    if p.A_eq is not None:
+        A, b = np.vstack([A, p.A_eq, -p.A_eq]), np.concatenate([b, p.b_eq, -p.b_eq])
+    return LpModel(p.objective, A, b, p.lb, p.ub).solve()

@@ -40,13 +40,12 @@ affine expression of the columns before the copy.  A query reuses the model
 of its step and replaces only the objective, so directions and horizons
 share one encoding.
 
-One relaxation grows with the encoding: the encoder adds columns and rows
-in blocks, in encoding order, never reorders them, and each step appends
-its own to the same :class:`certnn.lp.LpModel`, so HiGHS holds them in that
-order.  The columns are x0 (always the first n_x), one unit column fixed to
-1, then, per network copy and per hidden layer, the z columns of its
-unstable neurons followed by their t columns; the binaries are the t
-columns in that order.  The rows are those of X_in, then, per network copy
+One relaxation grows with the encoding: the encoder appends each column
+and row to the same :class:`certnn.lp.LpModel` as it makes them, in
+encoding order, and HiGHS is the only place that holds a row.  The columns
+are x0 (always the first n_x), one unit column fixed to 1, then, per
+network copy and per hidden layer, the z columns of its unstable neurons
+followed by their t columns; the binaries are the t columns in that order.  The rows are those of X_in, then, per network copy
 and per hidden layer, the three rows of each unstable neuron, neuron by
 neuron: z >= a, z <= a + M_neg t and z <= M_pos (1 - t).  There are no
 equality rows.  An objective d.x_k (or d.u0) is d M on the expression's
@@ -80,13 +79,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from certnn import lp
-from certnn.errors import CertnnError, EmptyInput
+from certnn.errors import CertnnError, DimensionMismatch, EmptyInput
 from certnn.network import ReluNetwork
 from certnn.polytope import Polytope
 from certnn.tolerances import INTEGRALITY_TOL
@@ -114,27 +111,29 @@ class MilpModel:
 
     ``relaxation`` is the LP relaxation, the one solver model that the
     encoding appends its columns and rows to; ``replace`` copies share it,
-    and ``solve_milp`` sets c and the bounds on it.  ``rows`` are the
-    encoding's row blocks up to this model's step.  A_ub and b_ub are a CSR
-    view of them, laid out as the module docstring says and assembled on
-    first read; no solve reads them.  A_eq and b_eq, the equality rows of
-    the general form, are empty.  x0 is the first n_x columns.
+    and ``solve_milp`` sets c and the bounds on it.  A_ub and b_ub are the
+    rows it holds, read back from HiGHS on each access and laid out as the
+    module docstring says; no solve reads them.  On the model of an earlier
+    step they raise MilpError, as ``solve_milp`` does.  A_eq and b_eq, the
+    equality rows of the general form, are empty.  x0 is the first n_x
+    columns.
     """
 
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     binaries: np.ndarray
-    rows: tuple = field(repr=False, compare=False)
     relaxation: lp.LpModel = field(repr=False, compare=False)
 
-    @cached_property
-    def _views(self):
-        return _assemble(self.rows, self.c.size)
+    def _relaxation(self) -> lp.LpModel:
+        """``relaxation``, or MilpError when it holds a later step's columns and rows."""
+        if self.relaxation.c.size != self.c.size:
+            raise MilpError("the model is of an earlier step; its encoding has grown since")
+        return self.relaxation
 
-    A_ub = property(lambda self: self._views[0])
-    b_ub = property(lambda self: self._views[1])
-    A_eq = property(lambda self: sparse.csr_array((0, self.c.size)))
+    A_ub = property(lambda self: self._relaxation().rows()[0])
+    b_ub = property(lambda self: self._relaxation().rows()[1])
+    A_eq = property(lambda self: np.zeros((0, self.c.size)))
     b_eq = property(lambda self: np.zeros(0))
 
 
@@ -158,18 +157,6 @@ def _interval_affine(W, b, lo, hi):
     return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
 
 
-def _assemble(blocks, n_vars):
-    """(A, rhs): the blocks' rows stacked in order, A in CSR."""
-    if not blocks:
-        return sparse.csr_array((0, n_vars)), np.zeros(0)
-    rhs, data, indices, counts = zip(*blocks)
-    counts = np.concatenate(counts)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    data, indices = np.concatenate(data), np.concatenate(indices)
-    A = sparse.csr_array((data, indices, indptr), shape=(counts.size, n_vars))
-    return A, np.concatenate(rhs)
-
-
 def _objective_rows(cols, M, n_vars):
     """The rows M_i then -M_i, for each row i of M, over the columns cols of n_vars."""
     C = np.zeros((2 * M.shape[0], n_vars))
@@ -178,53 +165,40 @@ def _objective_rows(cols, M, n_vars):
 
 
 class _Builder:
-    """Columns and blocks of rows in encoding order, appended to one LP relaxation.
+    """The LP relaxation of an encoding, and what HiGHS cannot hold for it.
 
-    A block of rows M x[cols] <= rhs, M dense, is kept as its rhs and M's
-    nonzeros.  ``flush`` passes the columns and blocks added since the last
-    flush to ``relaxation``, the columns in one ``LpModel.add_cols`` and the
-    rows in one ``LpModel.add_rows``; the first flush loads it.
+    It is loaded with X_in's rows over x0 and the unit column.  ``new_vars``
+    and ``add`` append columns and rows to it as the encoder makes them.
+    ``lb`` and ``ub`` are the root column bounds, which a search overwrites
+    in the relaxation, and ``binaries`` the binary columns.
     """
 
-    def __init__(self):
-        self.lb = np.zeros(0)
-        self.ub = np.zeros(0)
-        self.blocks: list[tuple] = []
+    def __init__(self, X_in: Polytope):
+        free = np.full(X_in.dim, np.inf)
+        self.lb = np.append(-free, 1.0)  # x0, then the unit column fixed to 1
+        self.ub = np.append(free, 1.0)
         self.binaries = np.zeros(0, dtype=int)
-        self.relaxation: lp.LpModel | None = None
-        self._flushed = (0, 0)  # the columns and blocks the relaxation holds
-
-    @property
-    def n_vars(self) -> int:
-        return self.lb.size
+        F = np.pad(X_in.F, ((0, 0), (0, 1)))
+        # the dual simplex, as a node changes only column bounds (see certnn.lp)
+        self.relaxation = lp.LpModel(np.zeros(self.lb.size), F, X_in.g, self.lb, self.ub)
 
     def new_vars(self, n, lo, hi) -> np.ndarray:
-        start = self.n_vars
+        start = self.lb.size
         self.lb = np.concatenate([self.lb, np.full(n, lo, dtype=float)])
         self.ub = np.concatenate([self.ub, np.full(n, hi, dtype=float)])
+        self.relaxation.add_cols(self.lb[start:], self.ub[start:])
         return np.arange(start, start + n)
 
     def add(self, cols, M, rhs):
-        """Append the block M x[cols] <= rhs."""
-        i, j = np.nonzero(M)
-        self.blocks.append((rhs, M[i, j], cols[j], np.count_nonzero(M, axis=1)))
-
-    def flush(self):
-        n, done = self._flushed
-        A, rhs = _assemble(self.blocks[done:], self.n_vars)
-        if self.relaxation is None:
-            # the dual simplex, as a node changes only column bounds (see certnn.lp)
-            self.relaxation = lp.LpModel(np.zeros(self.n_vars), A, rhs, self.lb, self.ub)
-        else:
-            self.relaxation.add_cols(self.lb[n:], self.ub[n:])
-            self.relaxation.add_rows(A, rhs)
-        self._flushed = (self.n_vars, len(self.blocks))
+        """Append the rows M x[cols] <= rhs."""
+        A = np.zeros((M.shape[0], self.lb.size))
+        A[:, cols] = M
+        self.relaxation.add_rows(A, rhs)
 
     def model(self) -> MilpModel:
         """The model so far with a zero objective; callers set c."""
         lb, ub = self.lb.copy(), self.ub.copy()
-        rows = tuple(self.blocks)
-        return MilpModel(np.zeros(self.n_vars), lb, ub, self.binaries, rows, self.relaxation)
+        return MilpModel(np.zeros(lb.size), lb, ub, self.binaries, self.relaxation)
 
 
 def _encode_network(builder: _Builder, net: ReluNetwork, x, lo, hi):
@@ -251,8 +225,7 @@ def _encode_network(builder: _Builder, net: ReluNetwork, x, lo, hi):
         lo, hi = _interval_affine(W, b, lo, hi)
         unstable = (lo < 0.0) & (hi > 0.0)
         if l > 0 and stable and unstable.any():
-            relaxation = builder.relaxation
-            m = relaxation.maxima(_objective_rows(cols, P[unstable], relaxation.c.size))
+            m = builder.relaxation.maxima(_objective_rows(cols, P[unstable], builder.lb.size))
             lo[unstable] = np.maximum(lo[unstable], p[unstable] - m[1::2])
             hi[unstable] = np.minimum(hi[unstable], p[unstable] + m[0::2])
             hi = np.maximum(hi, lo)  # LP tolerances must not leave an empty interval
@@ -310,25 +283,29 @@ class ClosedLoopEncoding:
     ``bounds[k]`` records the copy at x_k: the box (lo, hi) of x_k and, per
     hidden layer, the pre-activation bounds (lo, hi) it was encoded with.
     ``system`` is read only when a step is added, so output-range callers may
-    pass None.
+    pass None.  Raises DimensionMismatch when X_in or the system does not fit
+    the network.
     """
 
     def __init__(self, system, net: ReluNetwork, X_in: Polytope):
+        if X_in.dim != net.n_x:
+            raise DimensionMismatch(f"X_in has dimension {X_in.dim}, the network {net.n_x} inputs")
+        if system is not None and (system.n_x, system.n_u) != (net.n_x, net.n_u):
+            raise DimensionMismatch(
+                f"the system has {system.n_x} states and {system.n_u} inputs,"
+                f" the network {net.n_x} inputs and {net.n_u} outputs"
+            )
         self._system = system
         self._net = net
-        self._builder = builder = _Builder()
-        x0 = builder.new_vars(net.n_x, -np.inf, np.inf)
-        self._unit = builder.new_vars(1, 1.0, 1.0)[0]
-        builder.add(x0, X_in.F, X_in.g)
-        builder.flush()
-        self._x = (x0, np.eye(net.n_x), np.zeros(net.n_x))
+        self._builder = _Builder(X_in)
+        self._unit = net.n_x
+        self._x = (np.arange(net.n_x), np.eye(net.n_x), np.zeros(net.n_x))
         self._k = 0
         self.bounds: list[tuple] = []
         try:
             self._encode_copy()
         except EmptyInput:
             raise EmptyInput("X_in is empty: its constraints admit no point") from None
-        builder.flush()
         self._model: MilpModel | None = None
 
     def _box_state(self):
@@ -372,7 +349,6 @@ class ClosedLoopEncoding:
         # the copy's columns extend the state's, so S covers U's first columns
         S = np.pad(S, ((0, 0), (0, cols.size - S.shape[1])))
         self._x = (cols, A @ S + B @ U, A @ s + B @ u)
-        self._builder.flush()
         self._u = None
         self._model = None
         self._k += 1
@@ -429,9 +405,7 @@ def solve_milp(m: MilpModel, cutoff: float | None = None) -> BnbResult:
     since: its relaxation then holds the later steps' columns and rows.
     """
     nodes, tie, heap = 0, 0, []
-    relaxation = m.relaxation
-    if relaxation.c.size != m.c.size:
-        raise MilpError("the model is of an earlier step; its encoding has grown since")
+    relaxation = m._relaxation()
     relaxation.set_objective(m.c)
 
     def _push(lb, ub):

@@ -5,6 +5,8 @@ current cell by its pre-activation hyperplane and infeasible branches are
 pruned with an LP, so only realizable patterns are visited (worst case still
 2^n, hence the neuron cap).  One LP is loaded for the whole search: a branch
 appends its half-space row and leaving the branch deletes that row again.
+The LP is the only copy of the rows: each region's cell is read back from
+it with ``LpModel.rows``.
 """
 
 from __future__ import annotations
@@ -39,12 +41,11 @@ def enumerate_regions(net: ReluNetwork, X_in: Polytope) -> list[Region]:
     regions: list[Region] = []
     widths = net.hidden_widths
 
-    def descend(layer: int, pattern_prefix: list[np.ndarray], rows, rhs):
+    def descend(layer: int, pattern_prefix: list[np.ndarray]):
         if layer == len(widths):
             pattern = tuple(np.asarray(p, dtype=np.int8) for p in pattern_prefix)
-            cell = Polytope(np.array(rows), np.array(rhs))
             try:
-                regions.append(Region(pattern, remove_redundant(cell)))
+                regions.append(Region(pattern, remove_redundant(Polytope(*model.rows()))))
             except EmptyInput:
                 pass  # an unrealizable pattern has no cell
             return
@@ -53,20 +54,22 @@ def enumerate_regions(net: ReluNetwork, X_in: Polytope) -> list[Region]:
             tuple(pattern_prefix) + tuple(np.ones(w, dtype=np.int8) for w in widths[layer:])
         )[layer]
 
-        def split(j: int, gamma: list[int], rows, rhs):
+        def split(j: int, gamma: list[int]):
             if j == widths[layer]:
-                descend(layer + 1, pattern_prefix + [np.array(gamma)], rows, rhs)
+                descend(layer + 1, pattern_prefix + [np.array(gamma)])
                 return
-            # the model holds exactly the rows of the current cell
+            # the model holds exactly the rows of the current cell: X_in's,
+            # then one per neuron decided so far
+            depth = X_in.nrows + sum(widths[:layer]) + j
             for bit, row, r in ((1, -V[j], c[j]), (0, V[j], -c[j])):
                 model.add_rows(row[None, :], [r])
                 if model.solve().status != lp.LpStatus.INFEASIBLE:
-                    split(j + 1, gamma + [bit], rows + [row], rhs + [r])
-                model.delete_rows(len(rows))
+                    split(j + 1, gamma + [bit])
+                model.delete_rows(depth)
 
-        split(0, [], rows, rhs)
+        split(0, [])
 
     # zero cost: each solve is the emptiness check of the current cell
     model = _load(X_in)
-    descend(0, [], list(X_in.F), list(X_in.g))
+    descend(0, [])
     return regions

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -179,16 +180,15 @@ def test_model_changes_status_in_place(lp_path):
 
 def test_row_edits_match_fresh_model(lp_path):
     # right-hand sides changed in place (+inf drops a row) and appended rows
-    # give the optima of a model loaded fresh on the resulting rows; the
-    # equality row sits between the loaded and the appended rows in HiGHS
+    # give the optima of a model loaded fresh on the resulting rows
     rng = np.random.default_rng(21)
     n, m = 4, 8
     x0 = rng.standard_normal(n)
-    A, A_new, A_eq = (rng.standard_normal((k, n)) for k in (m, 3, 1))
+    A, A_new = (rng.standard_normal((k, n)) for k in (m, 3))
     b = A @ x0 + rng.uniform(0.1, 1.0, m)
     b_new = A_new @ x0 + rng.uniform(0.1, 1.0, 3)
     lb, ub = np.full(n, -10.0), np.full(n, 10.0)
-    model = lp.LpModel(np.zeros(n), A, b, lb, ub, A_eq, A_eq @ x0)
+    model = lp.LpModel(np.zeros(n), A, b, lb, ub)
     assert model.solve().status == lp.LpStatus.OPTIMAL
     rhs = np.concatenate([b, b_new])
     model.set_rhs(2, np.inf)
@@ -199,32 +199,32 @@ def test_row_edits_match_fresh_model(lp_path):
         model.set_rhs(i, value)
         rhs[i] = value
     kept = np.isfinite(rhs)
-    fresh = lp.LpModel(np.zeros(n), np.vstack([A, A_new])[kept], rhs[kept], lb, ub, A_eq, A_eq @ x0)
+    fresh = lp.LpModel(np.zeros(n), np.vstack([A, A_new])[kept], rhs[kept], lb, ub)
     C = rng.standard_normal((12, n))
     np.testing.assert_allclose(model.maxima(C), fresh.maxima(C), rtol=0.0, atol=1e-9)
     model.set_objective(C[0])
     fresh.set_objective(C[0])
     assert model.solve().value == pytest.approx(fresh.solve().value, abs=1e-9)
-    with pytest.raises(lp.LpError, match="no inequality row"):
-        model.set_rhs(m + 3, 1.0)  # one past the appended rows, though HiGHS holds m + 4 rows
+    with pytest.raises(lp.LpError, match="no row"):
+        model.set_rhs(m + 3, 1.0)  # one past the appended rows
 
 
 def test_deleted_rows_match_fresh_model(lp_path):
-    # deleting the last inequality rows, appended ones and then loaded ones,
+    # deleting the last rows, appended ones and then loaded ones,
     # gives the optima of a model loaded fresh on the rows that remain; rows
     # appended after that are edited by their new index
     rng = np.random.default_rng(22)
     n, m = 4, 8
     x0 = rng.standard_normal(n)
-    A, A_eq = rng.standard_normal((m + 3, n)), rng.standard_normal((1, n))
+    A = rng.standard_normal((m + 3, n))
     b = A @ x0 + rng.uniform(0.1, 1.0, m + 3)
     lb, ub = np.full(n, -10.0), np.full(n, 10.0)
-    model = lp.LpModel(np.zeros(n), A[:m], b[:m], lb, ub, A_eq, A_eq @ x0)
+    model = lp.LpModel(np.zeros(n), A[:m], b[:m], lb, ub)
     model.add_rows(A[m:], b[m:])
     C = rng.standard_normal((12, n))
 
     def assert_matches(rows, rhs):
-        fresh = lp.LpModel(np.zeros(n), rows, rhs, lb, ub, A_eq, A_eq @ x0)
+        fresh = lp.LpModel(np.zeros(n), rows, rhs, lb, ub)
         np.testing.assert_allclose(model.maxima(C), fresh.maxima(C), rtol=0.0, atol=1e-9)
 
     for start in (m + 1, m, 5):
@@ -298,17 +298,62 @@ def assert_same_lp(model, other, rows):
     np.testing.assert_array_equal(model.maxima(DIRECTIONS), other.maxima(DIRECTIONS))
 
 
-@pytest.mark.parametrize("eq", [False, True], ids=["ub", "ub+eq"])
 @pytest.mark.parametrize("rows", [ROWS, ROWS[:0]], ids=["rows", "no rows"])
-def test_dense_and_csr_matrices_load_the_same_lp(rows, eq):
-    # a dense matrix, zeros and all, and its CSR array load the same rows
+def test_dense_matrices_load_their_nonzeros_only(rows):
+    # a dense matrix, zeros and all, loads its nonzeros only; the rows read
+    # back from HiGHS are the matrix, and loading them gives the same LP
     b = np.arange(1.0, rows.shape[0] + 1.0)
-    A_eq, b_eq = (ROWS[:1], [0.5]) if eq else (None, None)
     lb, ub = np.full(3, -5.0), np.full(3, 5.0)
-    dense = lp.LpModel(np.zeros(3), rows, b, lb, ub, A_eq, b_eq)
-    csr_eq = None if A_eq is None else sparse.csr_array(A_eq)
-    csr = lp.LpModel(np.zeros(3), sparse.csr_array(rows), b, lb, ub, csr_eq, b_eq)
-    assert_same_lp(dense, csr, rows if A_eq is None else np.vstack([rows, A_eq]))
+    dense = lp.LpModel(np.zeros(3), rows, b, lb, ub)
+    A, got_b = dense.rows()
+    np.testing.assert_array_equal(A, rows.reshape(-1, 3))
+    np.testing.assert_array_equal(got_b, b)
+    assert_same_lp(dense, lp.LpModel(np.zeros(3), A, got_b, lb, ub), rows)
+
+
+def test_rows_read_back_what_the_model_holds(lp_path):
+    # rows() is the loaded rows and then the appended ones, before and after
+    # a solve and after delete_rows; a row dropped by a right-hand side of
+    # +inf reads b_i = +inf
+    rng = np.random.default_rng(23)
+    n, m = 4, 6
+    x0 = rng.standard_normal(n)
+    A = rng.standard_normal((m + 3, n))
+    A[1, 2] = A[m + 1, 0] = 0.0  # zeros come back as zeros
+    b = A @ x0 + rng.uniform(0.1, 1.0, m + 3)
+    model = lp.LpModel(rng.standard_normal(n), A[:m], b[:m], np.full(n, -10.0), np.full(n, 10.0))
+
+    def assert_rows(want_A, want_b):
+        got_A, got_b = model.rows()
+        np.testing.assert_array_equal(got_A, want_A)
+        np.testing.assert_array_equal(got_b, want_b)
+
+    assert_rows(A[:m], b[:m])
+    model.add_rows(A[m:], b[m:])
+    assert_rows(A, b)
+    assert model.solve().status == lp.LpStatus.OPTIMAL
+    assert_rows(A, b)
+    model.set_rhs(2, np.inf)
+    assert model.solve().status == lp.LpStatus.OPTIMAL
+    assert_rows(A, np.where(np.arange(m + 3) == 2, np.inf, b))
+    model.delete_rows(m - 1)
+    assert_rows(A[: m - 1], np.where(np.arange(m - 1) == 2, np.inf, b[: m - 1]))
+
+
+def test_no_module_imports_scipy_sparse():
+    # rows go from the encoder to HiGHS as dense arrays, and scipy.sparse
+    # adds import time to every CLI call
+    found = []
+    for path in sorted(Path(lp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.startswith("scipy.sparse")]
+    assert found == []
 
 
 def test_dense_rows_appended_match_rows_loaded():

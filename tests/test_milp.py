@@ -18,6 +18,7 @@ from certnn.milp import (
     reach_set,
     solve_milp,
 )
+from certnn.errors import DimensionMismatch
 from certnn.network import ReluNetwork, synth_satlqr
 from certnn.polytope import EmptyInput, Polytope
 
@@ -53,7 +54,7 @@ class TestBounds:
         np.testing.assert_array_equal(m.ub[t], [1.0, 1.0])
         # z_j - a_j - M_neg t_j <= b_j is the second row of neuron j
         rows = UNIT_BOX.nrows + 3 * np.arange(2) + 1
-        np.testing.assert_allclose(m.A_ub.toarray()[rows, t], [-1.5, -3.0])  # -M_neg
+        np.testing.assert_allclose(m.A_ub[rows, t], [-1.5, -3.0])  # -M_neg
         # the output u_0 = z_0 is the objective
         np.testing.assert_array_equal(m.c, [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
@@ -76,7 +77,7 @@ class TestBounds:
         np.testing.assert_array_equal(m.lb[2:], [1.0, 0.0, 0.0])
         np.testing.assert_array_equal(m.ub[2:], [1.0, 2.0, 1.0])
         assert m.A_ub.shape[0] == UNIT_BOX.nrows + 3
-        assert m.A_ub.toarray()[UNIT_BOX.nrows + 1, 4] == -2.0  # -M_neg
+        assert m.A_ub[UNIT_BOX.nrows + 1, 4] == -2.0  # -M_neg
         # the active neuron is its pre-activation x_0 + 5 in the objective, its
         # constant on the unit column; the inactive one is 0
         np.testing.assert_array_equal(m.c, [1.0, 0.0, 5.0, 1.0, 0.0])
@@ -225,12 +226,9 @@ MODEL_ARRAYS = ("c", "A_ub", "b_ub", "A_eq", "b_eq", "lb", "ub", "binaries")
 
 
 def _assert_models_equal(got, want):
-    """Array for array; the sparse constraint matrices are compared densely."""
+    """Array for array."""
     for name in MODEL_ARRAYS:
-        a, b = getattr(got, name), getattr(want, name)
-        if name in ("A_ub", "A_eq"):
-            a, b = a.toarray(), b.toarray()
-        np.testing.assert_array_equal(a, b, err_msg=name)
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 class TestReach:
@@ -395,18 +393,41 @@ def test_bound_covers_true_max():
 def test_model_of_an_earlier_step_is_refused():
     # the steps of an encoding grow one relaxation, so once it has grown a
     # model of an earlier step no longer matches it and is refused, not
-    # solved; its constraint views keep that step's rows
+    # solved, and its rows, which only the relaxation holds, are refused too
     sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
     net = random_net(np.random.default_rng(12), 2, [3], 1, scale=0.5)
     enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
     output, step1 = enc.output([1.0]), enc.model(1, [1.0, 0.0])
     assert solve_milp(step1).status == BnbStatus.OPTIMAL
+    _assert_models_equal(step1, encode_reach(sys, net, UNIT_BOX, 1, [1.0, 0.0]))
     step2 = enc.model(2, [1.0, 0.0])
+    assert step2.c.size > step1.c.size  # step 2 added columns and rows
     for stale in (output, step1):
         with pytest.raises(MilpError, match="earlier step"):
             solve_milp(stale)
-    _assert_models_equal(step1, encode_reach(sys, net, UNIT_BOX, 1, [1.0, 0.0]))
+        for rows in ("A_ub", "b_ub"):
+            with pytest.raises(MilpError, match="earlier step"):
+                getattr(stale, rows)
     assert solve_milp(step2).status == BnbStatus.OPTIMAL
+
+
+def test_mismatched_input_set_is_refused():
+    # a 3-D X_in on a network of 2 inputs
+    net = random_net(np.random.default_rng(13), 2, [3], 1)
+    with pytest.raises(DimensionMismatch, match="X_in"):
+        output_range(net, Polytope.box([-1.0] * 3, [1.0] * 3), [[1.0]])
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [(0.5 * np.eye(3), np.ones((3, 1))), (0.5 * np.eye(2), np.ones((2, 2)))],
+    ids=["3 states", "2 inputs"],
+)
+def test_mismatched_plant_is_refused(A, B):
+    # a plant whose states or inputs differ from the network's inputs or outputs
+    net = random_net(np.random.default_rng(13), 2, [3], 1)
+    with pytest.raises(DimensionMismatch, match="system"):
+        reach_set(LtiSystem(A, B), net, UNIT_BOX, 1, [[1.0, 0.0]])
 
 
 def test_node_cap_raises(monkeypatch):
