@@ -22,6 +22,10 @@ Prints, one per line:
 - the branch-and-bound nodes of one untraced range_bnb pass (20
   output-range queries: 5 nets, 4 directions each);
 - one "name = value" line per entry of certnn/tolerances.py.
+
+Exits 1 after printing them when a caller named in CASE_CALLERS solves no LP
+on the case_study pass, as when it was renamed: its LPs would be counted as
+set LPs without a word.
 """
 
 import collections
@@ -80,8 +84,9 @@ SET_CALLERS = {
 
 # The case-study LPs by the function that solves them, or that calls
 # LpModel.maxima to: milp.ClosedLoopEncoding._box_state boxes a state,
-# milp._encode_network bounds a network copy, and solve_milp's _push
-# solves a branch-and-bound node; every other LP is a set LP (R_eq, R_as).
+# milp.ClosedLoopEncoding._encode_network bounds a network copy, and
+# solve_milp's _push solves a branch-and-bound node; every other LP is a set
+# LP (R_eq, R_as).
 CASE_CALLERS = {
     "_box_state": "box LPs",
     "_encode_network": "bound LPs",
@@ -97,7 +102,8 @@ def _case_caller(callers):
     return next((CASE_CALLERS[c] for c in callers if c in CASE_CALLERS), "set LPs")
 
 
-def lp_count_lines():
+def lp_count_lines(missing: list):
+    """The LP count lines; appends to missing each CASE_CALLERS name that counts 0."""
     solve, init = lp.LpModel.solve, lp.LpModel.__init__
     calls, iterations = collections.Counter(), collections.Counter()
     loads = 0
@@ -138,6 +144,8 @@ def lp_count_lines():
             for op in workloads.case_ops(Path(work)):
                 op.run()
         yield from lines("case_study", _case_caller, [*CASE_CALLERS.values(), "set LPs"])
+        seen = {_case_caller(callers) for callers in calls}
+        missing += [name for name in CASE_CALLERS.values() if name not in seen]
     finally:
         lp.LpModel.solve, lp.LpModel.__init__ = solve, init
 
@@ -146,13 +154,17 @@ def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 1
+    missing = []
     lines = [
         *case_study_lines(Path(sys.argv[1])),
-        *lp_count_lines(),
+        *lp_count_lines(missing),
         f"range_bnb pass: milp nodes {sum(op.run().nodes for op in workloads.range_ops())}",
         *(f"{n} = {v!r}" for n, v in vars(tolerances).items() if n.isupper()),
     ]
     print(*lines, sep="\n")
+    if missing:
+        print(f"error: the case_study pass counts 0 {', '.join(missing)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -205,7 +205,12 @@ class LpModel:
             self._highs.deleteRows(rows.size, rows)
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b): every row HiGHS holds, A dense, in order; a dropped row has b_i = +inf."""
+        """(A, b): every row HiGHS holds, A dense, in order; a dropped row has b_i = +inf.
+
+        HiGHS holds its matrix column-wise after a load or a solve, but
+        can hold it row-wise after ``add_rows``, as when ``add_cols`` came
+        just before, so both formats are read.
+        """
         p = self._highs.getLp()
         m = p.a_matrix_
         major = np.repeat(np.arange(len(m.start_) - 1), np.diff(m.start_))

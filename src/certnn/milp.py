@@ -14,14 +14,14 @@ ICLR 2019):
   with M_pos = hi and M_neg = -lo.
 
 So only the unstable neurons, the only places where the search branches,
-get columns.  Every other quantity is an affine expression (cols, M, m),
-the map y -> M y[cols] + m of the model's variables y: a layer's
-pre-activation is W E y[cols] + W e + b for the expression (cols, E, e) of
-the layer before, which :func:`_encode_network` composes layer by layer;
-the output u of a network copy is one, and so is each state x_k = A x_{k-1}
-+ B u_{k-1} for k >= 1.  Under a fixed activation pattern this is the
-network's parametric description: one affine map of x0 and of the unstable
-neurons' columns.
+get columns.  Every other quantity is an affine expression (M, m), the map
+y -> M y + m of the model's columns y, with M spanning every column made so
+far: a layer's pre-activation is (W E, W e + b) for the expression (E, e)
+of the layer before, which ``ClosedLoopEncoding._encode_network`` composes
+layer by layer; the output u of a network copy is one, and so is each state
+x_k = A x_{k-1} + B u_{k-1} for k >= 1, and x0 is (I, 0) over its own
+columns.  Under a fixed activation pattern this is the network's parametric
+description: one affine map of x0 and of the unstable neurons' columns.
 
 Every encoding of a network over an input set is a
 :class:`ClosedLoopEncoding`.  Its step 0 is x0 in X_in with one network
@@ -45,14 +45,14 @@ and row to the same :class:`certnn.lp.LpModel` as it makes them, in
 encoding order, and HiGHS is the only place that holds a row.  The columns
 are x0 (always the first n_x), one unit column fixed to 1, then, per
 network copy and per hidden layer, the z columns of its unstable neurons
-followed by their t columns; the binaries are the t columns in that order.  The rows are those of X_in, then, per network copy
-and per hidden layer, the three rows of each unstable neuron, neuron by
-neuron: z >= a, z <= a + M_neg t and z <= M_pos (1 - t).  There are no
-equality rows.  An objective d.x_k (or d.u0) is d M on the expression's
-columns plus d m on the unit column, so a model stays "max c.x".  The row
-order is kept because HiGHS's pivots follow it: the same rows in another
-order can branch elsewhere, count other nodes and write other certificate
-bytes.
+followed by their t columns; the binaries are the t columns in that order.
+The rows are those of X_in, then, per network copy and per hidden layer,
+the three rows of each unstable neuron, neuron by neuron: z >= a,
+z <= a + M_neg t and z <= M_pos (1 - t).  There are no equality rows.  An
+objective d.x_k (or d.u0) is d M, with d m on the unit column, so a model
+stays "max c.x".  The row order is kept because HiGHS's pivots follow it:
+the same rows in another order can branch elsewhere, count other nodes and
+write other certificate bytes.
 
 The solver is a best-first branch and bound on the LP relaxation, branching
 on the most fractional binary (ties to the lowest index).  Best first pops
@@ -111,7 +111,8 @@ class MilpModel:
 
     ``relaxation`` is the LP relaxation, the one solver model that the
     encoding appends its columns and rows to; ``replace`` copies share it,
-    and ``solve_milp`` sets c and the bounds on it.  A_ub and b_ub are the
+    and ``solve_milp`` sets c and the bounds on it.  c spans every column
+    of the relaxation and is zero on the binaries.  A_ub and b_ub are the
     rows it holds, read back from HiGHS on each access and laid out as the
     module docstring says; no solve reads them.  On the model of an earlier
     step they raise MilpError, as ``solve_milp`` does.  A_eq and b_eq, the
@@ -157,117 +158,9 @@ def _interval_affine(W, b, lo, hi):
     return Wp @ lo + Wn @ hi + b, Wp @ hi + Wn @ lo + b
 
 
-def _objective_rows(cols, M, n_vars):
-    """The rows M_i then -M_i, for each row i of M, over the columns cols of n_vars."""
-    C = np.zeros((2 * M.shape[0], n_vars))
-    C[:, cols] = np.stack([M, -M], axis=1).reshape(-1, cols.size)
-    return C
-
-
-class _Builder:
-    """The LP relaxation of an encoding, and what HiGHS cannot hold for it.
-
-    It is loaded with X_in's rows over x0 and the unit column.  ``new_vars``
-    and ``add`` append columns and rows to it as the encoder makes them.
-    ``lb`` and ``ub`` are the root column bounds, which a search overwrites
-    in the relaxation, and ``binaries`` the binary columns.
-    """
-
-    def __init__(self, X_in: Polytope):
-        free = np.full(X_in.dim, np.inf)
-        self.lb = np.append(-free, 1.0)  # x0, then the unit column fixed to 1
-        self.ub = np.append(free, 1.0)
-        self.binaries = np.zeros(0, dtype=int)
-        F = np.pad(X_in.F, ((0, 0), (0, 1)))
-        # the dual simplex, as a node changes only column bounds (see certnn.lp)
-        self.relaxation = lp.LpModel(np.zeros(self.lb.size), F, X_in.g, self.lb, self.ub)
-
-    def new_vars(self, n, lo, hi) -> np.ndarray:
-        start = self.lb.size
-        self.lb = np.concatenate([self.lb, np.full(n, lo, dtype=float)])
-        self.ub = np.concatenate([self.ub, np.full(n, hi, dtype=float)])
-        self.relaxation.add_cols(self.lb[start:], self.ub[start:])
-        return np.arange(start, start + n)
-
-    def add(self, cols, M, rhs):
-        """Append the rows M x[cols] <= rhs."""
-        A = np.zeros((M.shape[0], self.lb.size))
-        A[:, cols] = M
-        self.relaxation.add_rows(A, rhs)
-
-    def model(self) -> MilpModel:
-        """The model so far with a zero objective; callers set c."""
-        lb, ub = self.lb.copy(), self.ub.copy()
-        return MilpModel(np.zeros(lb.size), lb, ub, self.binaries, self.relaxation)
-
-
-def _encode_network(builder: _Builder, net: ReluNetwork, x, lo, hi):
-    """Bound and encode one network copy at the state x; returns (u, bounds).
-
-    x = (cols, S, s) is the state's affine expression and [lo, hi] its box.
-    Layer by layer, the pre-activation is the expression (cols, W E, W e + b)
-    of the layer before's output (cols, E, e), and its bounds are interval
-    arithmetic from the layer before's.  While every earlier layer is
-    sign-stable, nothing of this copy is encoded yet, so for a layer l >= 2
-    one ``maxima`` call on the relaxation gives max and min of the
-    expression of each neuron that the interval leaves unstable, and the
-    bounds are the intersection.  Layer 1 gets no LP: over the box its
-    interval is exact.  An inactive neuron's output is 0 and an active
-    one's its pre-activation; an unstable one gets its z and t columns and
-    the three big-M rows of the module docstring.  u is the output's
-    expression, ``bounds`` each hidden layer's pre-activation bounds.
-    """
-    cols, E, e = x
-    bounds = []
-    stable = True  # every layer so far is sign-stable
-    for l, (W, b) in enumerate(net.layers[:-1]):
-        P, p = W @ E, W @ e + b
-        lo, hi = _interval_affine(W, b, lo, hi)
-        unstable = (lo < 0.0) & (hi > 0.0)
-        if l > 0 and stable and unstable.any():
-            m = builder.relaxation.maxima(_objective_rows(cols, P[unstable], builder.lb.size))
-            lo[unstable] = np.maximum(lo[unstable], p[unstable] - m[1::2])
-            hi[unstable] = np.minimum(hi[unstable], p[unstable] + m[0::2])
-            hi = np.maximum(hi, lo)  # LP tolerances must not leave an empty interval
-        bounds.append((lo, hi))
-        off = hi <= 0.0
-        on = (lo >= 0.0) & ~off
-        unstable = ~(on | off)
-        stable = stable and not unstable.any()
-        # big-M constants M_pos, M_neg of the module docstring
-        big_pos, big_neg = hi[unstable], -lo[unstable]
-        n = big_pos.size
-        z_idx = builder.new_vars(n, 0.0, big_pos)
-        t_idx = builder.new_vars(n, 0.0, 1.0)
-        builder.binaries = np.concatenate([builder.binaries, t_idx])
-        # over the columns (cols, z, t), the three rows of unstable neuron j:
-        # a_j - z_j <= -p_j,  z_j - a_j - M_neg t_j <= p_j,  z_j + M_pos t_j <= M_pos
-        I, O, Pu = np.eye(n), np.zeros((n, n)), P[unstable]
-        rows = ([Pu, -I, O], [-Pu, I, -I * big_neg], [0 * Pu, I, I * big_pos])
-        M = np.stack([np.hstack(r) for r in rows], axis=1)
-        rhs = np.column_stack([-p[unstable], p[unstable], big_pos])
-        row_cols = np.concatenate([cols, z_idx, t_idx])
-        builder.add(row_cols, M.reshape(-1, row_cols.size), rhs.reshape(-1))
-        # the layer's output over (cols, z): a where active, z where unstable, else 0
-        E = np.zeros((W.shape[0], cols.size + n))
-        E[on, : cols.size] = P[on]
-        E[np.flatnonzero(unstable), cols.size + np.arange(n)] = 1.0
-        cols, e = np.concatenate([cols, z_idx]), np.where(on, p, 0.0)
-        lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-    W, b = net.layers[-1]
-    return (cols, W @ E, W @ e + b), bounds
-
-
-def _with_objective(m: MilpModel, expr, unit, direction) -> MilpModel:
-    """m with objective direction.(M y[cols] + c) for expr = (cols, M, c), c on the unit column."""
-    direction = np.asarray(direction, dtype=float).reshape(-1)
-    cols, M, const = expr
-    if direction.size != M.shape[0]:
-        raise MilpError(f"direction length {direction.size}, expected {M.shape[0]}")
-    c = np.zeros_like(m.c)
-    c[cols] = direction @ M
-    c[unit] = direction @ const
-    return replace(m, c=c)
+def _objective_rows(M):
+    """The rows M_i then -M_i, for each row i of M."""
+    return np.stack([M, -M], axis=1).reshape(-1, M.shape[1])
 
 
 class ClosedLoopEncoding:
@@ -297,9 +190,15 @@ class ClosedLoopEncoding:
             )
         self._system = system
         self._net = net
-        self._builder = _Builder(X_in)
-        self._unit = net.n_x
-        self._x = (np.arange(net.n_x), np.eye(net.n_x), np.zeros(net.n_x))
+        # the root column bounds, which a search overwrites in the relaxation:
+        # x0, then the unit column fixed to 1
+        free = np.full(net.n_x, np.inf)
+        self._lb, self._ub = np.append(-free, 1.0), np.append(free, 1.0)
+        self._binaries = np.zeros(0, dtype=int)
+        F = np.pad(X_in.F, ((0, 0), (0, 1)))
+        # the dual simplex, as a node changes only column bounds (see certnn.lp)
+        self._relaxation = lp.LpModel(np.zeros(self._lb.size), F, X_in.g, self._lb, self._ub)
+        self._x = (np.eye(net.n_x, net.n_x + 1), np.zeros(net.n_x))
         self._k = 0
         self.bounds: list[tuple] = []
         try:
@@ -318,15 +217,70 @@ class ClosedLoopEncoding:
         expression, in that order; for x0 these are the support LPs of X_in.
         Raises EmptyInput for an empty and UnboundedInput for an unbounded X_in.
         """
-        builder = self._builder
-        relaxation = builder.relaxation
-        relaxation.set_bounds(builder.lb, builder.ub)
-        relaxation.clear_basis()
-        cols, S, s = self._x
-        m = relaxation.maxima(_objective_rows(cols, S, relaxation.c.size))
+        self._relaxation.set_bounds(self._lb, self._ub)
+        self._relaxation.clear_basis()
+        S, s = self._x
+        m = self._relaxation.maxima(_objective_rows(S))
         if np.isinf(m).any():
             raise UnboundedInput("input polytope unbounded in some coordinate")
         return s - m[1::2], s + m[0::2]
+
+    def _encode_network(self, x, lo, hi):
+        """Bound and encode the network copy at the state x; returns (u, bounds).
+
+        x = (S, s) is the state's affine expression and [lo, hi] its box.
+        Layer by layer, the pre-activation is the expression (W E, W e + b)
+        of the layer before's output (E, e), and its bounds are interval
+        arithmetic from the layer before's.  While every earlier layer is
+        sign-stable, nothing of this copy is encoded yet, so for a layer l >= 2
+        one ``maxima`` call on the relaxation gives max and min of the
+        expression of each neuron that the interval leaves unstable, and the
+        bounds are the intersection.  Layer 1 gets no LP: over the box its
+        interval is exact.  An inactive neuron's output is 0 and an active
+        one's its pre-activation; an unstable one gets its z and t columns and
+        the three big-M rows of the module docstring.  u is the output's
+        expression, ``bounds`` each hidden layer's pre-activation bounds.
+        """
+        E, e = x
+        bounds = []
+        stable = True  # every layer so far is sign-stable
+        for l, (W, b) in enumerate(self._net.layers[:-1]):
+            P, p = W @ E, W @ e + b
+            lo, hi = _interval_affine(W, b, lo, hi)
+            unstable = (lo < 0.0) & (hi > 0.0)
+            if l > 0 and stable and unstable.any():
+                m = self._relaxation.maxima(_objective_rows(P[unstable]))
+                lo[unstable] = np.maximum(lo[unstable], p[unstable] - m[1::2])
+                hi[unstable] = np.minimum(hi[unstable], p[unstable] + m[0::2])
+                hi = np.maximum(hi, lo)  # LP tolerances must not leave an empty interval
+            bounds.append((lo, hi))
+            off = hi <= 0.0
+            on = (lo >= 0.0) & ~off
+            unstable = ~(on | off)
+            stable = stable and not unstable.any()
+            # big-M constants M_pos, M_neg of the module docstring
+            big_pos, big_neg = hi[unstable], -lo[unstable]
+            n, N = big_pos.size, P.shape[1]
+            # the columns z in [0, M_pos], then the binaries t
+            col_lb, col_ub = np.zeros(2 * n), np.append(big_pos, np.ones(n))
+            self._lb, self._ub = np.append(self._lb, col_lb), np.append(self._ub, col_ub)
+            self._relaxation.add_cols(col_lb, col_ub)
+            self._binaries = np.append(self._binaries, N + n + np.arange(n))
+            # over the columns (before, z, t), the three rows of unstable neuron j:
+            # a_j - z_j <= -p_j,  z_j - a_j - M_neg t_j <= p_j,  z_j + M_pos t_j <= M_pos
+            I, O, Pu = np.eye(n), np.zeros((n, n)), P[unstable]
+            rows = ([Pu, -I, O], [-Pu, I, -I * big_neg], [0 * Pu, I, I * big_pos])
+            M = np.stack([np.hstack(r) for r in rows], axis=1)
+            rhs = np.column_stack([-p[unstable], p[unstable], big_pos])
+            self._relaxation.add_rows(M.reshape(-1, N + 2 * n), rhs.reshape(-1))
+            # the layer's output: a where active, z where unstable, else 0
+            E = np.zeros((W.shape[0], N + 2 * n))
+            E[on, :N] = P[on]
+            E[np.flatnonzero(unstable), N + np.arange(n)] = 1.0
+            e = np.where(on, p, 0.0)
+            lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
+        W, b = self._net.layers[-1]
+        return (W @ E, W @ e + b), bounds
 
     def _encode_copy(self):
         """Box the current state, then bound and encode its network copy.
@@ -335,43 +289,53 @@ class ClosedLoopEncoding:
         run on the relaxation without it.
         """
         lo, hi = self._box_state()
-        self._u, layers = _encode_network(self._builder, self._net, self._x, lo, hi)
+        self._u, layers = self._encode_network(self._x, lo, hi)
         self.bounds.append(((lo, hi), layers))
         if self._k == 0:
-            x0 = self._x[0]
-            self._builder.lb[x0], self._builder.ub[x0] = lo, hi
+            self._lb[: lo.size], self._ub[: hi.size] = lo, hi
 
     def _extend(self):
         A, B = self._system.A, self._system.B
         if self._u is None:
             self._encode_copy()
-        (_, S, s), (cols, U, u) = self._x, self._u
+        (S, s), (U, u) = self._x, self._u
         # the copy's columns extend the state's, so S covers U's first columns
-        S = np.pad(S, ((0, 0), (0, cols.size - S.shape[1])))
-        self._x = (cols, A @ S + B @ U, A @ s + B @ u)
+        S = np.pad(S, ((0, 0), (0, U.shape[1] - S.shape[1])))
+        self._x = (A @ S + B @ U, A @ s + B @ u)
         self._u = None
         self._model = None
         self._k += 1
 
     def _at(self, k: int) -> MilpModel:
-        """The model of step k, extending the encoding up to it."""
+        """The model of step k with a zero objective, extending the encoding up to it."""
         if k < self._k:
             raise MilpError(f"encoding is at step {self._k}; it cannot return to step {k}")
         while self._k < k:
             self._extend()
         if self._model is None:
-            self._model = self._builder.model()
+            lb, ub = self._lb.copy(), self._ub.copy()
+            self._model = MilpModel(np.zeros(lb.size), lb, ub, self._binaries, self._relaxation)
         return self._model
+
+    def _with_objective(self, m: MilpModel, expr, direction) -> MilpModel:
+        """m with objective direction.(M y + c) for expr = (M, c), c on the unit column."""
+        direction = np.asarray(direction, dtype=float).reshape(-1)
+        M, const = expr
+        if direction.size != M.shape[0]:
+            raise MilpError(f"direction length {direction.size}, expected {M.shape[0]}")
+        c = direction @ M
+        c[self._net.n_x] = direction @ const
+        return replace(m, c=c)
 
     def output(self, direction) -> MilpModel:
         """Model whose optimum is max direction.N(x) over x in X_in."""
-        return _with_objective(self._at(0), self._u, self._unit, direction)
+        return self._with_objective(self._at(0), self._u, direction)
 
     def model(self, k: int, direction) -> MilpModel:
         """Model whose optimum is max direction.x_k over k closed-loop steps from X_in."""
         if k < 1:
             raise MilpError("need k >= 1")
-        return _with_objective(self._at(k), self._x, self._unit, direction)
+        return self._with_objective(self._at(k), self._x, direction)
 
 
 def encode_output_range(net: ReluNetwork, X_in: Polytope, direction) -> MilpModel:
@@ -447,7 +411,8 @@ def _solve_directions(make_model, directions, cutoffs=None) -> list[BnbResult]:
     for d, cutoff in zip(directions, cutoffs):
         res = solve_milp(make_model(d), cutoff)
         if res.status == BnbStatus.INFEASIBLE:
-            raise MilpError("direction query infeasible; input set is empty")
+            # an empty X_in raises EmptyInput when its encoding is built
+            raise MilpError("direction query infeasible: the LP solver failed")
         results.append(res)
         if cutoff is not None and res.status == BnbStatus.OPTIMAL:
             break

@@ -337,7 +337,17 @@ def test_rows_read_back_what_the_model_holds(lp_path):
     assert model.solve().status == lp.LpStatus.OPTIMAL
     assert_rows(A, np.where(np.arange(m + 3) == 2, np.inf, b))
     model.delete_rows(m - 1)
-    assert_rows(A[: m - 1], np.where(np.arange(m - 1) == 2, np.inf, b[: m - 1]))
+    b = np.where(np.arange(m + 3) == 2, np.inf, b)
+    assert_rows(A[: m - 1], b[: m - 1])
+    # rows appended after new columns, which HiGHS then holds row by row;
+    # the new columns read as zeros in the rows before them
+    model.add_cols(np.zeros(2), np.ones(2))
+    A = np.hstack([A, rng.standard_normal((m + 3, 2))])
+    A[: m - 1, n:] = 0.0
+    model.add_rows(A[m - 1 :], b[m - 1 :])
+    assert_rows(A, b)
+    assert model.solve().status == lp.LpStatus.OPTIMAL
+    assert_rows(A, b)
 
 
 def test_no_module_imports_scipy_sparse():

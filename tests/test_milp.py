@@ -111,11 +111,16 @@ class TestBounds:
         # copy at x_k, for k = 0..3, and no layer's bounds are looser than
         # interval arithmetic from the bounds of the layer before; the bounds
         # at x0 are exact, the others rest on the box LPs and the
-        # pre-activation LPs
+        # pre-activation LPs.  The model of each step k = 0..3 has an
+        # objective over every column of its relaxation, zero on the binaries
         rng = np.random.default_rng(0)
         tightened = 0
         for sys, net in self._bounded_cases(rng):
             enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+            for k in range(4):
+                m = enc.model(k, [1.0, 0.0]) if k else enc.output(np.ones(net.n_u))
+                assert m.c.size == m.A_ub.shape[1]  # read before the encoding grows
+                np.testing.assert_array_equal(m.c[m.binaries], 0.0)
             enc.model(4, [1.0, 0.0])
             assert len(enc.bounds) == 4  # the copies at x0 .. x3; x4 is never boxed
             X = rng.uniform(-1.0, 1.0, size=(200, 2))
