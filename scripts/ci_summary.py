@@ -14,11 +14,11 @@ Prints, one per line:
 - the LpModel.solve calls of one untraced set_algebra pass (LQR and
   admissible invariant set of 8 plants), split into the fixpoint's cut tests,
   the redundancy prune's row tests and the emptiness checks, and of one
-  untraced case_study pass (4 CLI verifies), split into the box LPs of the
-  state blocks, the pre-activation bound LPs, the branch-and-bound nodes and
-  the set LPs (R_eq and R_as); each is followed by the HiGHS simplex
-  iterations of those solves, split the same way, and by the LpModel loads
-  of the pass;
+  untraced case_study pass (4 CLI verifies), split into the box LPs (the
+  support LPs of X_in that bound x0), the pre-activation bound LPs, the
+  branch-and-bound nodes and the set LPs (R_eq and R_as); each is followed
+  by the HiGHS simplex iterations of those solves, split the same way, and
+  by the LpModel loads of the pass;
 - the branch-and-bound nodes of one untraced range_bnb pass (20
   output-range queries: 5 nets, 4 directions each);
 - one "name = value" line per entry of certnn/tolerances.py.
@@ -83,12 +83,12 @@ SET_CALLERS = {
 
 
 # The case-study LPs by the function that solves them, or that calls
-# LpModel.maxima to: milp.ClosedLoopEncoding._box_state boxes a state,
-# milp.ClosedLoopEncoding._encode_network bounds a network copy, and
-# solve_milp's _push solves a branch-and-bound node; every other LP is a set
-# LP (R_eq, R_as).
+# LpModel.maxima to: milp.ClosedLoopEncoding.__init__ boxes X_in (the only
+# __init__ that calls maxima), milp.ClosedLoopEncoding._encode_network bounds
+# a network copy, and solve_milp's _push solves a branch-and-bound node; every
+# other LP is a set LP (R_eq, R_as).
 CASE_CALLERS = {
-    "_box_state": "box LPs",
+    "__init__": "box LPs",
     "_encode_network": "bound LPs",
     "_push": "BnB nodes",
 }

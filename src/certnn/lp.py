@@ -11,9 +11,9 @@ right-hand side of +inf drops its row, so one load serves every redundancy
 test of a polytope, every step of an invariant-set fixpoint and every step
 of a closed-loop encoding.  :meth:`LpModel.rows` reads the rows back.
 :meth:`LpModel.maxima` answers a whole matrix of objectives on one load: the
-support functions of a polytope and the per-coordinate box of a closed-loop
-state are each one call.  :func:`solve_lp` is the one-shot use of the same
-object; it passes an equality row as two inequality rows.
+support functions of a polytope and the bound LPs of a network layer are
+each one call.  :func:`solve_lp` is the one-shot use of the same object;
+it passes an equality row as two inequality rows.
 
 The persistent solver is the HiGHS binding that scipy bundles as
 ``scipy.optimize._highspy`` (scipy >= 1.15); importing this module without
@@ -29,7 +29,7 @@ basis primal feasible, so they run HiGHS's primal simplex (``primal=True``),
 where the default dual simplex would first repair dual feasibility.  The
 MILP relaxations keep the dual simplex: a node changes only column bounds,
 which leaves the basis dual feasible, and with every MILP LP on the primal
-simplex the four case-study bench verifies count 142/134/52/84 nodes
+simplex the four case-study bench verifies count 146/132/50/88 nodes
 instead of 86/76/40/58.
 
 When an LP has several optimal vertices, a warm start may return another
@@ -207,19 +207,17 @@ class LpModel:
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, b): every row HiGHS holds, A dense, in order; a dropped row has b_i = +inf.
 
-        HiGHS holds its matrix column-wise after a load or a solve, but
-        can hold it row-wise after ``add_rows``, as when ``add_cols`` came
-        just before, so both formats are read.
+        HiGHS can hold its matrix row-wise after ``add_rows``, as when
+        ``add_cols`` came just before, so it is made column-wise first.
         """
+        self._highs.ensureColwise()
         p = self._highs.getLp()
         m = p.a_matrix_
-        major = np.repeat(np.arange(len(m.start_) - 1), np.diff(m.start_))
-        index = np.asarray(m.index_, dtype=np.intp)
+        if m.format_ != _highs.MatrixFormat.kColwise:
+            raise LpError("HiGHS holds the matrix in a format other than column-wise")
+        col = np.repeat(np.arange(len(m.start_) - 1), np.diff(m.start_))
         A = np.zeros((p.num_row_, p.num_col_))
-        if m.format_ == _highs.MatrixFormat.kColwise:
-            A[index, major] = m.value_
-        else:
-            A[major, index] = m.value_
+        A[np.asarray(m.index_, dtype=np.intp), col] = m.value_
         return A, np.array(p.row_upper_, dtype=float)
 
     def clear_basis(self):

@@ -28,16 +28,18 @@ Every encoding of a network over an input set is a
 copy u0 = N(x0): the open-loop output-range model.  Step k extends step
 k - 1 with the network copy at x_{k-1} (step 0 has its copy already) and the
 plant x_k = A x_{k-1} + B u_{k-1}, so the state of the step searched has no
-copy yet.  A state, x0 included, is boxed when its network copy is
-encoded, by per-coordinate LPs on the relaxation built so far (for x0 these
-are the support LPs of X_in, and the box becomes x0's column bounds; a
-later state's box is implied by the rows, so it only bounds the copy); the
-state of the last step searched is never boxed.  The bounds of the copy at
-that state follow on the same relaxation: interval arithmetic from the box,
-intersected, for each layer l >= 2 whose earlier layers are all
-sign-stable, with the max and min of its pre-activation, which is then an
-affine expression of the columns before the copy.  A query reuses the model
-of its step and replaces only the objective, so directions and horizons
+copy yet.  Only X_in is boxed by LPs: its support LPs along the axes,
+solved when the encoding is built, become x0's column bounds.  The box of
+every state, x0 included, is the interval of its expression over the root
+column bounds: x0's support box, and an enclosure of a later state.  The
+bounds of the copy at a state start from interval arithmetic on its box.
+While every earlier layer of the copy is sign-stable, each neuron that the
+interval leaves unstable also gets the max and min of its pre-activation,
+then an affine expression of the columns before the copy, by LP on the
+relaxation built so far, and its bounds are the intersection.  Layer 1 of
+x0's copy is the one exception: its interval is exact over x0's box, and
+so over X_in when X_in is a box.  A query builds its step's model on the
+one relaxation and sets only the objective, so directions and horizons
 share one encoding.
 
 One relaxation grows with the encoding: the encoder appends each column
@@ -66,19 +68,19 @@ as a search without a cutoff would (see ``solve_milp``).
 Every :class:`MilpModel` of an encoding carries that one relaxation.  A
 search sets its objective and root bounds on it; a node passes only the
 binary bounds in which it differs from the node solved before it, and HiGHS
-re-solves warm from the previous basis.  The box LPs of a state are one
-``LpModel.maxima`` call that swaps only the cost; they first restore the
-root bounds and clear the basis, so the box and the bounds of each copy,
-and with them each step's model, are those of a fresh encoding to that
-step.  Where an LP has tied optimal vertices, a warm start can return
-another one than a cold solve, so the search may branch elsewhere and count
-other nodes; the proven values do not change.
+re-solves warm from the previous basis.  The bound LPs of a layer are one
+``LpModel.maxima`` call that swaps only the cost; before a copy is bounded,
+the relaxation is reset to its root bounds and a cold basis, so the bounds
+of each copy, and with them each step's model, are those of a fresh
+encoding to that step.  Where an LP has tied optimal vertices, a warm start
+can return another one than a cold solve, so the search may branch
+elsewhere and count other nodes; the proven values do not change.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -171,13 +173,14 @@ class ClosedLoopEncoding:
     ``model(k, direction)`` extends the encoding up to step k and returns the
     model of max direction.x_k.  Steps are only ever added: asking for an
     earlier step (``output`` included) raises MilpError.  All steps grow one
-    relaxation, so the box LPs, the bound LPs and every direction of every
-    step share one loaded LP; only the model of the current step is kept.
-    ``bounds[k]`` records the copy at x_k: the box (lo, hi) of x_k and, per
-    hidden layer, the pre-activation bounds (lo, hi) it was encoded with.
-    ``system`` is read only when a step is added, so output-range callers may
-    pass None.  Raises DimensionMismatch when X_in or the system does not fit
-    the network.
+    relaxation, so the support LPs of X_in, the bound LPs and every direction
+    of every step share one loaded LP.  ``bounds[k]`` records the copy at
+    x_k: the box (lo, hi) of x_k, the interval of its expression (exact for
+    x0, an enclosure after), and, per hidden layer, the pre-activation bounds
+    (lo, hi) it was encoded with.  ``system`` is read only when a step is
+    added, so output-range callers may pass None.  Raises DimensionMismatch
+    when X_in or the system does not fit the network, EmptyInput for an
+    empty and UnboundedInput for an unbounded X_in.
     """
 
     def __init__(self, system, net: ReluNetwork, X_in: Polytope):
@@ -199,31 +202,17 @@ class ClosedLoopEncoding:
         # the dual simplex, as a node changes only column bounds (see certnn.lp)
         self._relaxation = lp.LpModel(np.zeros(self._lb.size), F, X_in.g, self._lb, self._ub)
         self._x = (np.eye(net.n_x, net.n_x + 1), np.zeros(net.n_x))
-        self._k = 0
-        self.bounds: list[tuple] = []
+        # x0's column bounds: the max and the min of each coordinate over X_in
         try:
-            self._encode_copy()
+            m = self._relaxation.maxima(_objective_rows(self._x[0]))
         except EmptyInput:
             raise EmptyInput("X_in is empty: its constraints admit no point") from None
-        self._model: MilpModel | None = None
-
-    def _box_state(self):
-        """(lo, hi): the box of the current state, by LPs on the relaxation so far.
-
-        The relaxation is first reset to its root bounds (a search leaves a
-        node's bounds on it) and to a cold basis, so the box and the bound
-        LPs after it give what they give on a fresh encoding.  One ``maxima``
-        call gives the max and the min of each coordinate of the state's
-        expression, in that order; for x0 these are the support LPs of X_in.
-        Raises EmptyInput for an empty and UnboundedInput for an unbounded X_in.
-        """
-        self._relaxation.set_bounds(self._lb, self._ub)
-        self._relaxation.clear_basis()
-        S, s = self._x
-        m = self._relaxation.maxima(_objective_rows(S))
         if np.isinf(m).any():
             raise UnboundedInput("input polytope unbounded in some coordinate")
-        return s - m[1::2], s + m[0::2]
+        self._lb[: net.n_x], self._ub[: net.n_x] = -m[1::2], m[0::2]
+        self._k = 0
+        self.bounds: list[tuple] = []
+        self._encode_copy()
 
     def _encode_network(self, x, lo, hi):
         """Bound and encode the network copy at the state x; returns (u, bounds).
@@ -232,13 +221,13 @@ class ClosedLoopEncoding:
         Layer by layer, the pre-activation is the expression (W E, W e + b)
         of the layer before's output (E, e), and its bounds are interval
         arithmetic from the layer before's.  While every earlier layer is
-        sign-stable, nothing of this copy is encoded yet, so for a layer l >= 2
-        one ``maxima`` call on the relaxation gives max and min of the
-        expression of each neuron that the interval leaves unstable, and the
-        bounds are the intersection.  Layer 1 gets no LP: over the box its
-        interval is exact.  An inactive neuron's output is 0 and an active
-        one's its pre-activation; an unstable one gets its z and t columns and
-        the three big-M rows of the module docstring.  u is the output's
+        sign-stable, nothing of this copy is encoded yet, so one ``maxima``
+        call on the relaxation gives max and min of the expression of each
+        neuron that the interval leaves unstable, and the bounds are the
+        intersection.  Layer 1 of x0's copy gets no LP: its interval is
+        exact over x0's box.  An inactive neuron's output is 0 and an active
+        one's its pre-activation; an unstable one gets its z and t columns
+        and the three big-M rows of the module docstring.  u is the output's
         expression, ``bounds`` each hidden layer's pre-activation bounds.
         """
         E, e = x
@@ -248,7 +237,7 @@ class ClosedLoopEncoding:
             P, p = W @ E, W @ e + b
             lo, hi = _interval_affine(W, b, lo, hi)
             unstable = (lo < 0.0) & (hi > 0.0)
-            if l > 0 and stable and unstable.any():
+            if (l > 0 or self._k > 0) and stable and unstable.any():
                 m = self._relaxation.maxima(_objective_rows(P[unstable]))
                 lo[unstable] = np.maximum(lo[unstable], p[unstable] - m[1::2])
                 hi[unstable] = np.minimum(hi[unstable], p[unstable] + m[0::2])
@@ -285,14 +274,16 @@ class ClosedLoopEncoding:
     def _encode_copy(self):
         """Box the current state, then bound and encode its network copy.
 
-        At step 0 the box becomes x0's column bounds, once the bound LPs have
-        run on the relaxation without it.
+        The relaxation is first reset to its root bounds (a search leaves a
+        node's bounds on it) and to a cold basis, so the bound LPs give what
+        they give on a fresh encoding.  The box is the interval of the
+        state's expression over the root column bounds.
         """
-        lo, hi = self._box_state()
+        self._relaxation.set_bounds(self._lb, self._ub)
+        self._relaxation.clear_basis()
+        lo, hi = _interval_affine(*self._x, self._lb, self._ub)
         self._u, layers = self._encode_network(self._x, lo, hi)
         self.bounds.append(((lo, hi), layers))
-        if self._k == 0:
-            self._lb[: lo.size], self._ub[: hi.size] = lo, hi
 
     def _extend(self):
         A, B = self._system.A, self._system.B
@@ -303,39 +294,39 @@ class ClosedLoopEncoding:
         S = np.pad(S, ((0, 0), (0, U.shape[1] - S.shape[1])))
         self._x = (A @ S + B @ U, A @ s + B @ u)
         self._u = None
-        self._model = None
         self._k += 1
 
-    def _at(self, k: int) -> MilpModel:
-        """The model of step k with a zero objective, extending the encoding up to it."""
+    def _at(self, k: int):
+        """Extend the encoding up to step k."""
         if k < self._k:
             raise MilpError(f"encoding is at step {self._k}; it cannot return to step {k}")
         while self._k < k:
             self._extend()
-        if self._model is None:
-            lb, ub = self._lb.copy(), self._ub.copy()
-            self._model = MilpModel(np.zeros(lb.size), lb, ub, self._binaries, self._relaxation)
-        return self._model
 
-    def _with_objective(self, m: MilpModel, expr, direction) -> MilpModel:
-        """m with objective direction.(M y + c) for expr = (M, c), c on the unit column."""
+    def _with_objective(self, expr, direction) -> MilpModel:
+        """The current step's model, objective direction.(M y + c) for expr = (M, c).
+
+        c goes on the unit column.
+        """
         direction = np.asarray(direction, dtype=float).reshape(-1)
         M, const = expr
         if direction.size != M.shape[0]:
             raise MilpError(f"direction length {direction.size}, expected {M.shape[0]}")
         c = direction @ M
         c[self._net.n_x] = direction @ const
-        return replace(m, c=c)
+        return MilpModel(c, self._lb.copy(), self._ub.copy(), self._binaries, self._relaxation)
 
     def output(self, direction) -> MilpModel:
         """Model whose optimum is max direction.N(x) over x in X_in."""
-        return self._with_objective(self._at(0), self._u, direction)
+        self._at(0)
+        return self._with_objective(self._u, direction)
 
     def model(self, k: int, direction) -> MilpModel:
         """Model whose optimum is max direction.x_k over k closed-loop steps from X_in."""
         if k < 1:
             raise MilpError("need k >= 1")
-        return self._with_objective(self._at(k), self._x, direction)
+        self._at(k)
+        return self._with_objective(self._x, direction)
 
 
 def encode_output_range(net: ReluNetwork, X_in: Polytope, direction) -> MilpModel:

@@ -82,7 +82,7 @@ def count_lps(monkeypatch):
     """Counts LP solves from fixture set-up on; call it to read the count.
 
     Every LP, one-shot (``solve_lp``) or re-solved on a persistent model
-    (branch-and-bound nodes, box LPs), goes through ``LpModel.solve``.
+    (branch-and-bound nodes, bound LPs), goes through ``LpModel.solve``.
     """
     solve = lp.LpModel.solve
     calls = 0

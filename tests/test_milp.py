@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import helpers
-from conftest import random_net
+from conftest import CASE_K, random_net
 from certnn import lp, milp
 from certnn.control import LtiSystem
 from certnn.milp import (
@@ -145,6 +146,41 @@ class TestBounds:
                 out = Z @ net.layers[-1][0].T + net.layers[-1][1]
                 X = X @ sys.A.T + out @ sys.B.T
         assert tightened > 0  # the LP bounds ran and cut
+
+    def test_later_layer_one_bounds_are_relaxation_extrema(self):
+        # at x_k, k >= 1, the box is an interval enclosure, so each layer-1
+        # neuron that it leaves unstable is bounded by its max and min over
+        # the step-k relaxation, solved here cold by linprog on the model's
+        # rows and bounds read before the copy at x_k is encoded.  The
+        # layer-1 rows are not axis-aligned, so the LP is tighter than the
+        # interval over the box
+        rng = np.random.default_rng(5)
+        sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
+        tighter = 0
+        for _ in range(3):
+            net = random_net(rng, 2, [4, 3], 1)
+            W1, b1 = net.layers[0]
+            enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+            enc.output(np.ones(net.n_u))
+            for k in range(1, 4):
+                # the objective of max w.x_k is the expression of w.x_k
+                models = [enc.model(k, w) for w in W1]
+                A_ub, b_ub = models[0].A_ub, models[0].b_ub
+                bounds = list(zip(models[0].lb, models[0].ub))
+                extrema = [
+                    (linprog(m.c, A_ub=A_ub, b_ub=b_ub, bounds=bounds).fun,
+                     -linprog(-m.c, A_ub=A_ub, b_ub=b_ub, bounds=bounds).fun)
+                    for m in models
+                ]
+                lp_lo, lp_hi = np.array(extrema).T + b1
+                enc.model(k + 1, [1.0, 0.0])
+                (box_lo, box_hi), [(pre_lo, pre_hi), *_] = enc.bounds[k]
+                lo, hi = milp._interval_affine(W1, b1, box_lo, box_hi)
+                unstable = (lo < 0.0) & (hi > 0.0)
+                np.testing.assert_allclose(pre_lo[unstable], lp_lo[unstable], atol=1e-7)
+                np.testing.assert_allclose(pre_hi[unstable], lp_hi[unstable], atol=1e-7)
+                tighter += np.count_nonzero((lp_hi < hi - 1e-3) & unstable)
+        assert tighter > 0
 
     def test_columns_only_for_unstable_neurons(self):
         # the model has no equality rows and one binary per unstable neuron:
@@ -375,6 +411,17 @@ class TestReach:
         monkeypatch.setattr(lp.LpModel, "__init__", init)
         want = [solve_milp(encode_reach(sys, net, UNIT_BOX, 2, d)).value for d in dirs]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    def test_later_state_solves_no_box_lps(self, case_system, case_Xin, count_lps):
+        # only X_in is boxed by LPs: extending the case-study encoding from
+        # step 1 to step 2 solves just the 2 bound LPs of the layer-2
+        # saturation neuron of the copy at x1
+        net = synth_satlqr(CASE_K, [-1.0], [1.0])
+        enc = ClosedLoopEncoding(case_system, net, case_Xin)
+        enc.model(1, [1.0, 0.0])
+        before = count_lps()
+        enc.model(2, [1.0, 0.0])
+        assert count_lps() - before == 2
 
     def test_k_validation(self, identity_pair_net):
         sys = LtiSystem(np.eye(1), np.eye(1))

@@ -189,15 +189,15 @@ class TestVerifyStability:
         self, case_system, case_Xin, case_X, case_U, case_net, count_lps, count_loads
     ):
         # one closed-loop encoding per call on one growing load, whose step 0
-        # is the input check, each state block boxed once when its network
-        # copy is encoded, R_eq pruned on one load, R_as from a
+        # is the input check, only X_in boxed (4 LPs; every later state's box
+        # is the interval of its expression), R_eq pruned on one load, R_as from a
         # single invariant-set fixpoint on one load that re-tests only the
         # rows that cut, rows that rays from the origin prove to be facets
         # kept and rows that a point of the set proves to cut appended without
         # an LP, no emptiness LP for R_eq or R_eq /\ X, which hold the origin,
         # R_as checked non-empty without an LP, and the layer-2 saturation
         # neuron of each encoded network copy bounded by 2 LPs (x_0 .. x_4):
-        # 56 LPs outside the branch and bound, and 3 loads in all.
+        # 40 LPs outside the branch and bound, and 3 loads in all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
         # from; the warm-started models count 86. Rollouts from the input and
@@ -209,7 +209,7 @@ class TestVerifyStability:
         assert cert.milp_nodes == 86
         assert cert.stability.reach_nodes == [0, 0, 0, 0, 54]
         assert [r.k for r in cert.stability.rollouts] == [1, 2, 3, 4]
-        assert count_lps() == cert.milp_nodes + 56
+        assert count_lps() == cert.milp_nodes + 40
         assert count_loads() == 3
 
     def test_case_study_relaxation_size(self, case_system, case_Xin, case_net):
