@@ -150,10 +150,11 @@ class TestAdmissibleSets:
     def test_case_study_lp_budget(self, case_system, case_X, case_U, count_lps):
         # one fixpoint that adds only the cutting rows, re-tests only the rows
         # that cut and prunes once, with no LP for a row that a ray from the
-        # origin proves to be a facet
+        # origin proves to be a facet; X and U are boxes about the origin, so
+        # one LP decides each mirror pair of rows (one LP per row takes 10)
         sol = lqr(case_system, CASE_Q, CASE_R)
         lqr_admissible_set(case_system, sol.K, case_X, case_U)
-        assert count_lps() <= 13
+        assert count_lps() == 5
 
     def test_one_load_per_fixpoint(self, lp_path, count_loads):
         # the emptiness check, every fixpoint step and the final pruning share one loaded LP

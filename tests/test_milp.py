@@ -110,10 +110,13 @@ class TestBounds:
         # rollouts from X_in stay inside the recorded box of each state x_k
         # and the recorded pre-activation bounds of each layer of the network
         # copy at x_k, for k = 0..3, and no layer's bounds are looser than
-        # interval arithmetic from the bounds of the layer before; the bounds
-        # at x0 are exact, the others rest on the box LPs and the
-        # pre-activation LPs.  The model of each step k = 0..3 has an
-        # objective over every column of its relaxation, zero on the binaries
+        # interval arithmetic from the bounds of the layer before; the box of
+        # x0 comes from X_in's support LPs and is exact, the box of a later
+        # state is the interval enclosure of its expression, and the
+        # pre-activation bounds rest on that box and on the pre-activation
+        # LPs, which bound layer 1 too at every copy after x0's.  The model
+        # of each step k = 0..3 has an objective over every column of its
+        # relaxation, zero on the binaries
         rng = np.random.default_rng(0)
         tightened = 0
         for sys, net in self._bounded_cases(rng):

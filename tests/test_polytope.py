@@ -454,12 +454,106 @@ def test_max_positively_invariant_matches_every_row_reference(lp_path, case):
 
 
 def test_six_state_fixpoint_lp_count(count_lps):
-    # set-algebra plant 0 (6 states): 26 LPs, where rays along the row
-    # normals alone, with an LP for every cut test and for emptiness, take 37
+    # set-algebra plant 0 (6 states): 13 LPs, one per mirror pair of rows;
+    # one LP per row takes 26, and rays along the row normals alone, with an
+    # LP for every cut test and for emptiness, take 37
     A, P, (F, _) = _lqr_fixpoint_case(0)
     before = count_lps()
     assert max_positively_invariant(A, P).nrows == len(F) == 24
-    assert count_lps() - before == 26
+    assert count_lps() - before == 13
+
+
+def _symmetric_case(seed, duplicates):
+    """A random polytope symmetric about the origin: 3n rows and their mirrors, shuffled.
+
+    n = 2 + seed % 3 and the offsets lie in [0.5, 1.5].  With duplicates,
+    two of the rows recur scaled by 2, each with its mirror.
+    """
+    rng = np.random.default_rng([seed, 37])
+    n = 2 + seed % 3
+    F = rng.standard_normal((3 * n, n))
+    g = rng.uniform(0.5, 1.5, 3 * n)
+    if duplicates:
+        F, g = np.vstack([F, 2.0 * F[:2]]), np.concatenate([g, 2.0 * g[:2]])
+    F, g = np.vstack([F, -F]), np.concatenate([g, g])
+    order = rng.permutation(len(g))
+    return Polytope(F[order], g[order])
+
+
+def _assert_irredundant_same_set(R, P):
+    """R and P hold the same points, and no row of R is redundant."""
+    assert contains_set(P, R) and contains_set(R, P)
+    assert helpers.redundancy_oracle(R.F, R.g) == list(range(R.nrows))
+
+
+def test_mirror_pairs_in_adversarial_order(count_lps):
+    # rows p, q', q, p' with q = 2p and ' the mirror: p and q, and p' and
+    # q', are the same half-planes.  One LP at p drops the pair (p, p') at
+    # once, and one LP at q' then keeps the pair (q', q).  Dropping p' only
+    # at its own turn would leave p' to imply q' at the LP of q', and every
+    # row would go
+    f = np.array([1.0, 0.5])
+    P = Polytope(np.array([f, -2.0 * f, 2.0 * f, -f]), np.array([1.0, 2.0, 2.0, 1.0]))
+    np.testing.assert_array_equal(polytope._mirrors(P), [3, 2, 1, 0])
+    R = remove_redundant(P)
+    assert count_lps() == 2
+    _assert_irredundant_same_set(R, P)
+
+
+@pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "scaled_duplicates"])
+@pytest.mark.parametrize("seed", range(6))
+def test_mirror_pairs_match_per_row_oracles(seed, duplicates):
+    # on a set symmetric about the origin one LP decides each pair of rows:
+    # remove_redundant keeps an irredundant H-representation of the same
+    # set, and the invariant set of a stable map is the every-row
+    # reference.  Without duplicates the facets are unique, so the rows are
+    # the per-row scan's, in order
+    P = _symmetric_case(seed, duplicates)
+    assert not np.array_equal(polytope._mirrors(P), np.arange(P.nrows))
+    R = remove_redundant(P)
+    _assert_irredundant_same_set(R, P)
+    A = _stable_map_case(seed)[0]  # a stable map of the same dimension
+    omega = max_positively_invariant(A, P)
+    F, g = helpers.mpi_reference(A, P.F, P.g)
+    _assert_irredundant_same_set(omega, Polytope(F, g))
+    if not duplicates:
+        keep = helpers.redundancy_oracle(P.F, P.g)
+        assert np.array_equal(R.F, P.F[keep]) and np.array_equal(R.g, P.g[keep])
+        assert omega.F.shape == F.shape
+        np.testing.assert_allclose(omega.F, F, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(omega.g, g)
+
+
+def _unmatched(P):
+    """P with one exact duplicate row appended, and P with one offset moved up by one ulp."""
+    g = P.g.copy()
+    g[0] = np.nextafter(g[0], np.inf)
+    return Polytope(np.vstack([P.F, P.F[:1]]), np.append(P.g, P.g[0])), Polytope(P.F, g)
+
+
+def test_unmatched_rows_take_the_per_row_scan(count_lps):
+    # a duplicate row or an offset off by one ulp leaves a row without
+    # exactly one mirror: every row is then decided on its own, with the
+    # rows and the LP counts of the per-row scan, which takes 26 LPs on
+    # plant 0's own matched set too (see test_six_state_fixpoint_lp_count)
+    duplicate, nudged = _unmatched(_symmetric_case(0, duplicates=False))
+    for Q, lps in ((duplicate, 7), (nudged, 6)):
+        np.testing.assert_array_equal(polytope._mirrors(Q), np.arange(Q.nrows))
+        before = count_lps()
+        R = remove_redundant(Q)
+        assert count_lps() - before == lps
+        keep = helpers.redundancy_oracle(Q.F, Q.g)
+        assert np.array_equal(R.F, Q.F[keep]) and np.array_equal(R.g, Q.g[keep])
+    A, P, _ = _lqr_fixpoint_case(0)
+    duplicate, nudged = _unmatched(P)
+    for Q, lps in ((duplicate, 29), (nudged, 26)):
+        before = count_lps()
+        omega = max_positively_invariant(A, Q)
+        assert count_lps() - before == lps
+        F, g = helpers.mpi_reference(A, Q.F, Q.g)
+        assert omega.F.shape == F.shape
+        np.testing.assert_allclose(omega.F, F, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(omega.g, g)
 
 
 def test_vertices_2d_unit_box():
