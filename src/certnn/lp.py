@@ -2,18 +2,19 @@
 
 Problems are stated as maximize c.x subject to A x <= b and per-variable
 bounds, A dense.  An :class:`LpModel` loads one such problem into HiGHS
-once, and HiGHS is the only place that holds its rows.  Its column bounds
-(the nodes of a branch and bound), its cost and the right-hand sides of its
-rows then change in place, columns and rows can be appended, the last rows
-deleted again, and each solve starts HiGHS's simplex from the basis of the
-previous solve instead of presolving the problem from scratch.  A
-right-hand side of +inf drops its row, so one load serves every redundancy
-test of a polytope, every step of an invariant-set fixpoint and every step
-of a closed-loop encoding.  :meth:`LpModel.rows` reads the rows back.
-:meth:`LpModel.maxima` answers a whole matrix of objectives on one load: the
-support functions of a polytope and the bound LPs of a network layer are
-each one call.  :func:`solve_lp` is the one-shot use of the same object;
-it passes an equality row as two inequality rows.
+once, by the same appends that later grow it, and HiGHS is the only place
+that holds its rows.  Its column bounds (the nodes of a branch and bound),
+its cost and the right-hand sides of its rows then change in place, columns
+and rows can be appended, the last rows deleted again, and each solve starts
+HiGHS's simplex from the basis of the previous solve instead of presolving
+the problem from scratch.  A right-hand side of +inf drops its row, so one
+load serves every redundancy test of a polytope, every step of an
+invariant-set fixpoint and every step of a closed-loop encoding.
+:meth:`LpModel.rows` reads the rows back.  :meth:`LpModel.maxima` answers a
+whole matrix of objectives on one load: the support functions of a polytope
+and the bound LPs of a network layer are each one call.  :func:`solve_lp` is
+the one-shot use of the same object; it passes an equality row as two
+inequality rows.
 
 The persistent solver is the HiGHS binding that scipy bundles as
 ``scipy.optimize._highspy`` (scipy >= 1.15); importing this module without
@@ -96,18 +97,6 @@ class LpOutcome:
     point: np.ndarray | None = None
 
 
-def _rowwise(A, m: int, n: int):
-    """(start, index, value): the nonzeros of the dense m-by-n matrix A, row by row.
-
-    start[i]:start[i + 1] are row i's entries.
-    """
-    A = np.asarray(A, dtype=float).reshape(m, n)
-    row, col = np.nonzero(A)
-    start = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(A, axis=1), out=start[1:])
-    return start, col.astype(np.int32), A[row, col]
-
-
 def maximize(c, A=None, b=None, lb=None, ub=None) -> LinearProgram:
     """Convenience constructor with free variables by default."""
     c = np.asarray(c, dtype=float).reshape(-1)
@@ -124,6 +113,8 @@ class LpModel:
 
     A is dense; only its nonzeros are loaded.  ``primal`` picks HiGHS's
     primal simplex over its default, the dual (see the module docstring).
+    It is built from an empty HiGHS model by ``add_cols``, ``set_objective``
+    and ``add_rows``, the appends it later grows by.
     ``set_bounds`` and ``set_objective`` pass only the entries that changed
     to HiGHS, ``set_rhs`` changes one row (+inf drops it), ``add_cols``
     appends columns, ``add_rows`` appends rows, ``delete_rows`` deletes the
@@ -135,25 +126,14 @@ class LpModel:
     """
 
     def __init__(self, c, A, b, lb, ub, *, primal: bool = False):
-        self.c = np.array(c, dtype=float)
-        self.lb = np.array(lb, dtype=float)
-        self.ub = np.array(ub, dtype=float)
-        b = np.asarray(b, dtype=float).reshape(-1)
-        model = _highs.HighsLp()
-        model.num_col_, model.num_row_ = self.c.size, b.size
-        model.col_cost_ = -self.c  # HiGHS minimizes
-        model.col_lower_, model.col_upper_ = self.lb, self.ub
-        model.row_lower_, model.row_upper_ = np.full(b.size, -np.inf), b
-        matrix = model.a_matrix_
-        matrix.format_ = _highs.MatrixFormat.kRowwise
-        matrix.num_col_, matrix.num_row_ = model.num_col_, model.num_row_
-        matrix.start_, matrix.index_, matrix.value_ = _rowwise(A, b.size, self.c.size)
         self._highs = h = _highs._Highs()
         h.setOptionValue("output_flag", False)
         if primal:
             h.setOptionValue("simplex_strategy", PRIMAL_SIMPLEX)
-        if h.passModel(model) == _highs.HighsStatus.kError:
-            raise LpError("HiGHS rejected the model")
+        self.c, self.lb, self.ub = np.zeros(0), np.zeros(0), np.zeros(0)
+        self.add_cols(lb, ub)
+        self.set_objective(np.asarray(c, dtype=float))
+        self.add_rows(A, b)
 
     def set_bounds(self, lb, ub):
         changed = np.flatnonzero((lb != self.lb) | (ub != self.ub))
@@ -166,7 +146,7 @@ class LpModel:
         changed = np.flatnonzero(c != self.c)
         self.c[changed] = c[changed]
         if changed.size:
-            self._highs.changeColsCost(changed.size, changed, -self.c[changed])
+            self._highs.changeColsCost(changed.size, changed, -self.c[changed])  # HiGHS minimizes
 
     def set_rhs(self, i: int, value: float):
         """Change the right-hand side of row i; +inf drops the row."""
@@ -191,9 +171,11 @@ class LpModel:
     def add_rows(self, A, b):
         """Append the rows A x <= b, in order."""
         b = np.asarray(b, dtype=float).reshape(-1)
-        start, index, value = _rowwise(A, b.size, self.c.size)
+        A = np.asarray(A, dtype=float).reshape(b.size, self.c.size)
+        row, col = np.nonzero(A)
+        start = np.searchsorted(row, np.arange(b.size)).astype(np.int32)
         status = self._highs.addRows(
-            b.size, np.full(b.size, -np.inf), b, value.size, start[:-1], index, value
+            b.size, np.full(b.size, -np.inf), b, col.size, start, col.astype(np.int32), A[row, col]
         )
         if status == _highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the rows")

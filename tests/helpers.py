@@ -122,9 +122,14 @@ def _feasible(F, g):
     return res.status == 0
 
 
-def output_range_oracle(net, F_in, g_in, direction):
-    """max direction.N(x) over {F_in x <= g_in} by full pattern enumeration."""
-    best = -np.inf
+def output_range_oracle(net, F_in, g_in, directions):
+    """max d.N(x) over {F_in x <= g_in} by full pattern enumeration.
+
+    directions is one direction d (returns a float) or a matrix with one
+    direction per row (returns an array); the patterns are swept once for all.
+    """
+    D = np.atleast_2d(directions)
+    best = np.full(len(D), -np.inf)
     for gammas in _all_patterns(net.hidden_widths):
         rows, rhs = _pattern_rows(net, gammas)
         F = np.vstack([F_in, rows])
@@ -132,45 +137,31 @@ def output_range_oracle(net, F_in, g_in, direction):
         if not _feasible(F, g):
             continue
         W, b = _affine_under_pattern(net, gammas)
-        val = _lp_max(direction @ W, F, g)
-        if val is not None:
-            best = max(best, val + float(direction @ b))
-    return best
-
-
-def output_range_fan_oracle(net, F_in, g_in, directions):
-    """Per-direction maxima over all directions with one pattern sweep."""
-    directions = np.atleast_2d(directions)
-    best = np.full(len(directions), -np.inf)
-    for gammas in _all_patterns(net.hidden_widths):
-        rows, rhs = _pattern_rows(net, gammas)
-        F = np.vstack([F_in, rows])
-        g = np.concatenate([g_in, rhs])
-        if not _feasible(F, g):
-            continue
-        W, b = _affine_under_pattern(net, gammas)
-        for i, d in enumerate(directions):
+        for i, d in enumerate(D):
             val = _lp_max(d @ W, F, g)
             if val is not None:
                 best[i] = max(best[i], val + float(d @ b))
-    return best
+    return float(best[0]) if np.ndim(directions) == 1 else best
 
 
-def reach_oracle(A, B, net, F_in, g_in, k, direction):
-    """max direction.x_k over k closed-loop steps by pattern-sequence enumeration.
+def reach_oracle(A, B, net, F_in, g_in, k, directions):
+    """max d.x_k over k closed-loop steps by pattern-sequence enumeration.
 
     All constraints are affine in x0 once the activation pattern of every step
     is fixed; infeasible prefixes are pruned (this only skips empty branches,
-    the enumeration stays exhaustive).
+    the enumeration stays exhaustive).  directions is one direction d (returns
+    a float) or a matrix with one direction per row (returns an array); the
+    pattern sequences are enumerated once for all.
     """
-    best = -np.inf
+    D = np.atleast_2d(directions)
+    best = np.full(len(D), -np.inf)
 
     def descend(step, F, g, W_state, b_state):
-        nonlocal best
         if step == k:
-            val = _lp_max(direction @ W_state, F, g)
-            if val is not None and np.isfinite(val):
-                best = max(best, val + float(direction @ b_state))
+            for i, d in enumerate(D):
+                val = _lp_max(d @ W_state, F, g)
+                if val is not None and np.isfinite(val):
+                    best[i] = max(best[i], val + float(d @ b_state))
             return
         for gammas in _all_patterns(net.hidden_widths):
             rows, rhs = _pattern_rows(net, gammas)
@@ -185,7 +176,7 @@ def reach_oracle(A, B, net, F_in, g_in, k, direction):
 
     n_x = A.shape[0]
     descend(0, F_in, g_in, np.eye(n_x), np.zeros(n_x))
-    return best
+    return float(best[0]) if np.ndim(directions) == 1 else best
 
 
 def mpi_oracle(A, F, g, N):

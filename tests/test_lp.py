@@ -367,12 +367,21 @@ def test_no_module_imports_scipy_sparse():
 
 
 def test_dense_rows_appended_match_rows_loaded():
-    # a dense block with zeros appended by add_rows holds the rows loaded at once
+    # the constructor loads its rows by add_rows too, so this checks that a
+    # dense block with zeros split over two add_rows calls holds what one holds
     b = np.arange(1.0, ROWS.shape[0] + 1.0)
     lb, ub = np.full(3, -5.0), np.full(3, 5.0)
     appended = lp.LpModel(np.zeros(3), ROWS[:1], b[:1], lb, ub)
     appended.add_rows(ROWS[1:], b[1:])
     assert_same_lp(appended, lp.LpModel(np.zeros(3), ROWS, b, lb, ub), ROWS)
+
+
+@pytest.mark.parametrize("coef", [np.inf, 1e300])
+def test_a_rejected_row_raises_at_construction(coef):
+    # HiGHS refuses an infinite or huge coefficient; the constructor's
+    # add_rows raises LpError rather than leave a model without the row
+    with pytest.raises(lp.LpError):
+        lp.LpModel(np.zeros(1), [[coef]], [1.0], [-1.0], [1.0])
 
 
 def test_simplex_by_model_kind(identity_pair_net):

@@ -360,9 +360,7 @@ class TestReach:
         enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
         for k in range(1, 4):
             got = [r.value for r in reach_results(sys, net, UNIT_BOX, k, dirs, encoding=enc)]
-            want = [
-                helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, d) for d in dirs
-            ]
+            want = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, dirs)
             np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_active_layer_into_unstable_layer_matches_oracle(self):
@@ -378,12 +376,13 @@ class TestReach:
             b1 = np.full(2, 10.0)
             net = ReluNetwork([(W1, b1), (W2, -W2 @ b1), (0.5 * rng.standard_normal((1, 2)), np.zeros(1))])
             enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
-            for d, r in zip([[1.0], [-1.0]], output_range_results(net, UNIT_BOX, [[1.0], [-1.0]], enc)):
-                want = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, np.asarray(d))
+            wants = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, [[1.0], [-1.0]])
+            for want, r in zip(wants, output_range_results(net, UNIT_BOX, [[1.0], [-1.0]], enc)):
                 assert r.value == pytest.approx(want, abs=1e-6)
             for k in range(1, 4):
-                for d, r in zip(dirs, reach_results(sys, net, UNIT_BOX, k, dirs, encoding=enc)):
-                    want = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, d)
+                wants = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, dirs)
+                results = reach_results(sys, net, UNIT_BOX, k, dirs, encoding=enc)
+                for d, want, r in zip(dirs, wants, results):
                     assert r.value == pytest.approx(want, abs=1e-6)
                     x = r.point[: sys.n_x]
                     for _ in range(k):
@@ -519,10 +518,7 @@ def satlqr_loops():
         A /= np.max(np.abs(np.linalg.eigvals(A)))
         sys = LtiSystem(A, rng.standard_normal((2, 1)))
         net = synth_satlqr(rng.uniform(-1.0, 1.0, size=(1, 2)), [-1.0], [1.0])
-        want = [
-            [helpers.reach_oracle(sys.A, sys.B, net, X_in.F, X_in.g, k, d) for d in dirs]
-            for k in (1, 2)
-        ]
+        want = [helpers.reach_oracle(sys.A, sys.B, net, X_in.F, X_in.g, k, dirs) for k in (1, 2)]
         loops.append((sys, net, X_in, dirs, want))
     return loops
 
@@ -549,8 +545,8 @@ class TestLpPaths:
         dirs = np.array([[1.0], [-1.0]])
         for _ in range(3):
             net = random_net(rng, 2, [3, 2], 1)
-            for d, r in zip(dirs, output_range_results(net, UNIT_BOX, dirs)):
-                want = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, d)
+            wants = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, dirs)
+            for d, want, r in zip(dirs, wants, output_range_results(net, UNIT_BOX, dirs)):
                 assert r.value == pytest.approx(want, abs=1e-6)
                 assert r.bound >= want - 1e-6
                 x0 = r.point[: net.n_x]
@@ -564,8 +560,9 @@ class TestLpPaths:
         net = random_net(rng, 2, [3], 1, scale=0.5)
         enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
         for k in range(1, 4):
-            for d, r in zip(dirs, reach_results(sys, net, UNIT_BOX, k, dirs, encoding=enc)):
-                want = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, d)
+            wants = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, dirs)
+            results = reach_results(sys, net, UNIT_BOX, k, dirs, encoding=enc)
+            for d, want, r in zip(dirs, wants, results):
                 assert r.value == pytest.approx(want, abs=1e-6)
                 x = x0 = r.point[: sys.n_x]
                 for _ in range(k):
@@ -631,10 +628,11 @@ class TestCutoff:
 
     def test_output_range(self, lp_path):
         rng = np.random.default_rng(31)
+        dirs = np.array([[1.0], [-1.0]])
         for _ in range(3):
             net = random_net(rng, 2, [3, 2], 1)
-            for d in np.array([[1.0], [-1.0]]):
-                want = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, d)
+            wants = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, dirs)
+            for d, want in zip(dirs, wants):
                 self._check(
                     lambda: encode_output_range(net, UNIT_BOX, d),
                     want,
@@ -648,8 +646,8 @@ class TestCutoff:
         for _ in range(2):
             net = random_net(rng, 2, [3], 1, scale=0.5)
             for k in range(1, 4):
-                for d in dirs:
-                    want = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, d)
+                wants = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, dirs)
+                for d, want in zip(dirs, wants):
 
                     def replay(x0):
                         for _ in range(k):
