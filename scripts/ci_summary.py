@@ -19,6 +19,9 @@ Prints, one per line:
   branch-and-bound nodes and the set LPs (R_eq and R_as); each is followed
   by the HiGHS simplex iterations of those solves, split the same way, and
   by the LpModel loads of the pass;
+- the sha256 over the F and g bytes of the 8 invariant sets of that
+  set_algebra pass, in op order, so that a shortcut that changes a row shows
+  as a changed hash and not only as a changed LP count;
 - the branch-and-bound nodes of one untraced range_bnb pass (20
   output-range queries: 5 nets, 4 directions each);
 - one "name = value" line per entry of certnn/tolerances.py.
@@ -138,9 +141,12 @@ def lp_count_lines(missing: list):
 
     lp.LpModel.solve, lp.LpModel.__init__ = counting, loading
     try:
+        sets = hashlib.sha256()
         for op in workloads.set_ops():
-            op.run()
+            R = op.run()[1]
+            sets.update(R.F.tobytes() + R.g.tobytes())
         yield from lines("set_algebra", _set_caller, SET_CALLERS.values())
+        yield f"set_algebra pass: invariant sets sha256 {sets.hexdigest()}"
         seen = {_set_caller(callers) for callers in calls}
         missing += [f"set_algebra {name}" for name in SET_REQUIRED if name not in seen]
         calls.clear()

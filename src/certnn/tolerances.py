@@ -38,6 +38,13 @@ INTEGRALITY_TOL = 1e-6
 # than REDUNDANCY_TOL proves the row to cut without an LP.
 REDUNDANCY_TOL = 1e-9
 
+# polytope._slab_bounds bounds a symmetric set by the slabs of the n rows that a
+# pivoted QR of its scaled rows picks only while the last diagonal entry of
+# that QR exceeds SLAB_RANK_TOL times the first: below it the picked rows are
+# near dependent, as when the set holds a line, and the bounds would be huge
+# or lost to rounding.
+SLAB_RANK_TOL = 1e-6
+
 # control.lqr rejects Q as not positive semidefinite when its least eigenvalue
 # is below -PSD_TOL.
 PSD_TOL = 1e-10

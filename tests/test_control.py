@@ -151,10 +151,11 @@ class TestAdmissibleSets:
         # one fixpoint that adds only the cutting rows, re-tests only the rows
         # that cut and prunes once, with no LP for a row that a ray from the
         # origin proves to be a facet; X and U are boxes about the origin, so
-        # one LP decides each mirror pair of rows (one LP per row takes 10)
+        # the set's own slabs settle every row that no point or ray decides
+        # (one LP per mirror pair of rows takes 5, one LP per row 10)
         sol = lqr(case_system, CASE_Q, CASE_R)
         lqr_admissible_set(case_system, sol.K, case_X, case_U)
-        assert count_lps() == 5
+        assert count_lps() == 0
 
     def test_one_load_per_fixpoint(self, lp_path, count_loads):
         # the emptiness check, every fixpoint step and the final pruning share one loaded LP

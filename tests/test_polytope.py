@@ -454,13 +454,14 @@ def test_max_positively_invariant_matches_every_row_reference(lp_path, case):
 
 
 def test_six_state_fixpoint_lp_count(count_lps):
-    # set-algebra plant 0 (6 states): 13 LPs, one per mirror pair of rows;
-    # one LP per row takes 26, and rays along the row normals alone, with an
-    # LP for every cut test and for emptiness, take 37
+    # set-algebra plant 0 (6 states): 6 LPs, one per mirror pair of rows
+    # that neither a point nor the set's own slabs decide; one LP per pair
+    # takes 13, one LP per row 26, and rays along the row normals alone, with
+    # an LP for every cut test and for emptiness, take 37
     A, P, (F, _) = _lqr_fixpoint_case(0)
     before = count_lps()
     assert max_positively_invariant(A, P).nrows == len(F) == 24
-    assert count_lps() - before == 13
+    assert count_lps() - before == 6
 
 
 def _symmetric_case(seed, duplicates):
@@ -554,6 +555,124 @@ def test_unmatched_rows_take_the_per_row_scan(count_lps):
         assert omega.F.shape == F.shape
         np.testing.assert_allclose(omega.F, F, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(omega.g, g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_slab_bounds_are_upper_bounds(seed):
+    # the slabs |F_B x| <= g_B of n rows of a symmetric set hold the set, so
+    # their support along any direction is at least the set's, and it is
+    # the offset itself along each picked row
+    rng = np.random.default_rng([seed, 43])
+    for duplicates in (False, True):
+        P = _symmetric_case(seed, duplicates)
+        D = np.vstack([P.F, rng.standard_normal((20, P.dim))])
+        bounds = polytope._slab_bounds(P.F, P.g, D)
+        assert np.all(np.isfinite(bounds))
+        assert np.all(bounds >= support(P, D) - 1e-9)
+        assert np.sum(np.isclose(bounds[: P.nrows], P.g, rtol=1e-12, atol=0.0)) >= P.dim
+    A, P, _ = _lqr_fixpoint_case(seed)
+    assert np.all(polytope._slab_bounds(P.F, P.g, P.F @ A) >= support(P, P.F @ A) - 1e-9)
+
+
+def test_slab_bounds_of_a_set_holding_a_line_are_infinite():
+    assert np.all(polytope._slab_bounds(STRIP.F, STRIP.g, np.eye(2)) == np.inf)
+
+
+def _split_box():
+    """The unit box of R^3 with its x3 rows repeated scaled by 2, mirrors matched.
+
+    Rays prove the x1 and x2 rows to be facets; the x3 rows tie with their
+    copies, so no ray proves them, and the ray-proven facets span only a plane.
+    """
+    F = np.vstack([np.eye(3), [0.0, 0.0, 2.0]])
+    return Polytope(np.vstack([F, -F]), np.array([1.0, 1.0, 1.0, 2.0] * 2))
+
+
+def test_slabs_keep_the_rows_of_the_per_row_oracles(monkeypatch, count_lps):
+    # on symmetric sets with and without scaled duplicate rows, the slabs
+    # settle rows without an LP: remove_redundant and the invariant set keep
+    # what one fresh LP per row keeps (as point sets where duplicates leave a
+    # choice of row), and exactly the rows of the same code without slabs
+    cases = [(_symmetric_case(seed, dup), _stable_map_case(seed)[0])
+             for seed in range(6, 10) for dup in (False, True)]
+    cases.append((_split_box(), _stable_map_case(1)[0]))
+    results, lps = [], []
+    for slabs in (True, False):
+        if not slabs:
+            monkeypatch.setattr(polytope, "_slab_bounds", lambda F, g, D: np.full(len(D), np.inf))
+        before = count_lps()
+        results.append([(remove_redundant(P), max_positively_invariant(A, P)) for P, A in cases])
+        lps.append(count_lps() - before)
+    assert lps[0] < lps[1]
+    for (P, A), (R, omega), (R0, omega0) in zip(cases, *results):
+        for Q, Q0 in ((R, R0), (omega, omega0)):
+            assert np.array_equal(Q.F, Q0.F) and np.array_equal(Q.g, Q0.g)
+        keep = helpers.redundancy_oracle(P.F, P.g)
+        F, g = helpers.mpi_reference(A, P.F, P.g)
+        if len(np.unique(P.F / P.g[:, None], axis=0)) == P.nrows:  # no duplicates: same rows
+            assert np.array_equal(R.F, P.F[keep]) and np.array_equal(R.g, P.g[keep])
+            assert omega.F.shape == F.shape
+            np.testing.assert_allclose(omega.F, F, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(omega.g, g)
+        else:
+            _assert_irredundant_same_set(R, Polytope(P.F[keep], P.g[keep]))
+            _assert_irredundant_same_set(omega, Polytope(F, g))
+
+
+def _hexagon():
+    """A rotated regular hexagon of inradius 1, and each facet again at offset 1.05."""
+    angles = 0.3 + np.pi / 3.0 * np.arange(3)
+    N = np.column_stack([np.cos(angles), np.sin(angles)])
+    F = np.vstack([N, N])
+    return Polytope(np.vstack([F, -F]), np.array([1.0, 1.0, 1.0, 1.05, 1.05, 1.05] * 2))
+
+
+def test_loose_slabs_leave_rows_to_the_lp(count_lps):
+    # the slabs of two facet pairs of a hexagon bound a parallelogram whose
+    # support along the third pair's normal is 2: the copies of the picked
+    # facets at 1.05 need no LP, the copy of the third pair still does, and
+    # the rows kept are the per-row scan's.  Under 0.9 times a rotation by
+    # 60 degrees the hexagon is invariant, and again one image pair needs an LP
+    P = _hexagon()
+    facets = polytope._ray_facets(P)
+    np.testing.assert_array_equal(np.flatnonzero(facets), [0, 1, 2, 6, 7, 8])
+    loose = polytope._slab_bounds(P.F[facets], P.g[facets], P.F) > P.g
+    assert np.count_nonzero(loose & ~facets) == 2  # one pair
+    R = remove_redundant(P)
+    assert count_lps() == 1
+    keep = helpers.redundancy_oracle(P.F, P.g)
+    assert np.array_equal(R.F, P.F[keep]) and np.array_equal(R.g, P.g[keep])
+    turn = np.pi / 3.0
+    A = 0.9 * np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    omega = max_positively_invariant(A, R)
+    assert count_lps() == 2
+    assert np.array_equal(omega.F, R.F) and np.array_equal(omega.g, R.g)
+
+
+def test_slabs_never_run_on_unmatched_sets(monkeypatch, count_lps):
+    # one offset moved up by one ulp leaves rows without a mirror, and a zero
+    # offset leaves no room for slabs: those sets take the per-row path, with
+    # its rows and LP counts (see test_unmatched_rows_take_the_per_row_scan
+    # for plant 0's), and never ask for a slab bound
+    def no_slabs(F, g, D):
+        raise AssertionError("a slab bound on a set without the slab rule")
+
+    monkeypatch.setattr(polytope, "_slab_bounds", no_slabs)
+    A, P, _ = _lqr_fixpoint_case(0)
+    before = count_lps()
+    max_positively_invariant(A, _unmatched(P)[1])
+    assert count_lps() - before == 26
+    _, nudged = _unmatched(_hexagon())
+    before = count_lps()
+    R = remove_redundant(nudged)
+    assert count_lps() - before == 6  # one LP per row that no ray proves a facet
+    keep = helpers.redundancy_oracle(nudged.F, nudged.g)
+    assert np.array_equal(R.F, nudged.F[keep]) and np.array_equal(R.g, nudged.g[keep])
+    flat = Polytope.box([-1.0, 0.0], [1.0, 0.0])  # x2 = 0: the offsets of the x2 pair are 0
+    assert not np.array_equal(polytope._mirrors(flat), np.arange(flat.nrows))
+    omega = max_positively_invariant(_stable_map_case(0)[0], flat)
+    F, g = helpers.mpi_reference(_stable_map_case(0)[0], flat.F, flat.g)
+    _assert_irredundant_same_set(omega, Polytope(F, g))
 
 
 def test_vertices_2d_unit_box():
