@@ -7,8 +7,8 @@ Usage, from the repository root, after scripts/run_case_study.py:
 
 Prints, one per line:
 - the case study's k*, MILP node count and nodes per reach step;
-- the size of its closed-loop relaxation at k*: columns, rows, binaries and
-  equality rows, so that a change to the encoding shows;
+- the size of its closed-loop relaxation at k*: columns, rows and binaries,
+  so that a change to the encoding shows;
 - its region count, and the sha256 of certificate.json, r_eq.json and of the
   CSV files regions.csv, trajectory.csv and r_as.csv;
 - the LpModel.solve calls of one untraced set_algebra pass (LQR and
@@ -24,6 +24,11 @@ Prints, one per line:
   as a changed hash and not only as a changed LP count;
 - the branch-and-bound nodes of one untraced range_bnb pass (20
   output-range queries: 5 nets, 4 directions each);
+- the verdict, k*, MILP node count and nodes per reach step of three
+  imitation loops of tests/helpers.py (random ReLU controllers fitted to the
+  saturated LQR: one hidden layer of 8 neurons, seeds 0 and 2, and of 16,
+  seed 2), so that a change to how tight the encoder's bounds are shows
+  even where the case study's nodes do not move;
 - one "name = value" line per entry of certnn/tolerances.py.
 
 Exits 1 after printing them when a caller named in CASE_CALLERS solves no LP
@@ -39,8 +44,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+import helpers  # noqa: E402
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
@@ -49,6 +56,7 @@ from certnn.control import system_from_json  # noqa: E402
 from certnn.milp import ClosedLoopEncoding  # noqa: E402
 from certnn.network import ReluNetwork  # noqa: E402
 from certnn.polytope import Polytope  # noqa: E402
+from certnn.verify import verify_stability  # noqa: E402
 
 
 def sha256(path: Path) -> str:
@@ -64,15 +72,28 @@ def case_study_lines(out: Path):
         net = ReluNetwork.load(out / "network.json")
         X_in = Polytope.from_json(json.loads((out / "xin.json").read_text()))
         m = ClosedLoopEncoding(system, net, X_in).model(s["k_star"], np.ones(system.n_x))
-        rows, eq = m.A_ub.shape[0] + m.A_eq.shape[0], m.A_eq.shape[0]
         yield (
-            f"case study: relaxation at k_star: columns {m.c.size} rows {rows}"
-            f" binaries {m.binaries.size} equality rows {eq}"
+            f"case study: relaxation at k_star: columns {m.c.size} rows {m.A_ub.shape[0]}"
+            f" binaries {m.binaries.size}"
         )
     yield f"certificate.json sha256: {sha256(out / 'certificate.json')}"
     yield f"case study: regions {len(json.loads((out / 'regions.json').read_text()))}"
     for name in ("r_eq.json", "regions.csv", "trajectory.csv", "r_as.csv"):
         yield f"{name} sha256: {sha256(out / name)}"
+
+
+# (hidden widths, seed) of the imitation loops whose verify is summarized
+IMITATION_LOOPS = (([8], 0), ([8], 2), ([16], 2))
+
+
+def imitation_lines():
+    for widths, seed in IMITATION_LOOPS:
+        cert = verify_stability(**helpers.imitation_loop(widths, seed), k_max=10)
+        s = cert.stability
+        yield (
+            f"imitation loop widths {widths} seed {seed}: {cert.verdict} k_star {s.k_star}"
+            f" milp_nodes {cert.milp_nodes} reach_nodes {s.reach_nodes}"
+        )
 
 
 # The set-algebra LPs by the function that solves them: LpModel.maxima runs the
@@ -169,6 +190,7 @@ def main() -> int:
     missing = []
     lines = [
         *case_study_lines(Path(sys.argv[1])),
+        *imitation_lines(),
         *lp_count_lines(missing),
         f"range_bnb pass: milp nodes {sum(op.run().nodes for op in workloads.range_ops())}",
         *(f"{n} = {v!r}" for n, v in vars(tolerances).items() if n.isupper()),

@@ -33,14 +33,12 @@ solved when the encoding is built, become x0's column bounds.  The box of
 every state, x0 included, is the interval of its expression over the root
 column bounds: x0's support box, and an enclosure of a later state.  The
 bounds of the copy at a state start from interval arithmetic on its box.
-While every earlier layer of the copy is sign-stable, each neuron that the
-interval leaves unstable also gets the max and min of its pre-activation,
-then an affine expression of the columns before the copy, by LP on the
-relaxation built so far, and its bounds are the intersection.  Layer 1 of
-x0's copy is the one exception: its interval is exact over x0's box, and
-so over X_in when X_in is a box.  A query builds its step's model on the
-one relaxation and sets only the objective, so directions and horizons
-share one encoding.
+Every neuron that the interval leaves unstable, in every layer of every
+copy, also gets the max and min of its pre-activation, an affine
+expression of the columns made so far, by LP on the relaxation built so
+far, and its bounds are the intersection.  A query builds its step's model
+on the one relaxation and sets only the objective, so directions and
+horizons share one encoding.
 
 One relaxation grows with the encoding: the encoder appends each column
 and row to the same :class:`certnn.lp.LpModel` as it makes them, in
@@ -220,24 +218,22 @@ class ClosedLoopEncoding:
         x = (S, s) is the state's affine expression and [lo, hi] its box.
         Layer by layer, the pre-activation is the expression (W E, W e + b)
         of the layer before's output (E, e), and its bounds are interval
-        arithmetic from the layer before's.  While every earlier layer is
-        sign-stable, nothing of this copy is encoded yet, so one ``maxima``
-        call on the relaxation gives max and min of the expression of each
-        neuron that the interval leaves unstable, and the bounds are the
-        intersection.  Layer 1 of x0's copy gets no LP: its interval is
-        exact over x0's box.  An inactive neuron's output is 0 and an active
-        one's its pre-activation; an unstable one gets its z and t columns
-        and the three big-M rows of the module docstring.  u is the output's
-        expression, ``bounds`` each hidden layer's pre-activation bounds.
+        arithmetic from the layer before's.  One ``maxima`` call on the
+        relaxation built so far, the earlier layers of this copy included,
+        gives max and min of the expression of each neuron that the interval
+        leaves unstable, and the bounds are the intersection.  An inactive
+        neuron's output is 0 and an active one's its pre-activation; an
+        unstable one gets its z and t columns and the three big-M rows of the
+        module docstring.  u is the output's expression, ``bounds`` each
+        hidden layer's pre-activation bounds.
         """
         E, e = x
         bounds = []
-        stable = True  # every layer so far is sign-stable
-        for l, (W, b) in enumerate(self._net.layers[:-1]):
+        for W, b in self._net.layers[:-1]:
             P, p = W @ E, W @ e + b
             lo, hi = _interval_affine(W, b, lo, hi)
             unstable = (lo < 0.0) & (hi > 0.0)
-            if (l > 0 or self._k > 0) and stable and unstable.any():
+            if unstable.any():
                 m = self._relaxation.maxima(_objective_rows(P[unstable]))
                 lo[unstable] = np.maximum(lo[unstable], p[unstable] - m[1::2])
                 hi[unstable] = np.minimum(hi[unstable], p[unstable] + m[0::2])
@@ -246,7 +242,6 @@ class ClosedLoopEncoding:
             off = hi <= 0.0
             on = (lo >= 0.0) & ~off
             unstable = ~(on | off)
-            stable = stable and not unstable.any()
             # big-M constants M_pos, M_neg of the module docstring
             big_pos, big_neg = hi[unstable], -lo[unstable]
             n, N = big_pos.size, P.shape[1]

@@ -8,7 +8,9 @@ number of preimages or by the invariant-set iteration with one fresh LP per
 support, redundancy removal by one fresh LP per row, activation regions
 by enumeration of every pattern, and the LQR retrofit by least squares on
 the Kronecker-expanded gain equation.  ``cold_linprog`` solves the LP that a
-warm-started HiGHS model holds once more from scratch.
+warm-started HiGHS model holds once more from scratch.  ``imitation_loop``
+builds the closed loops of the imitation ladder: random ReLU controllers
+fitted to the saturated case-study LQR.
 """
 
 import itertools
@@ -17,6 +19,10 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
+
+from certnn.control import LtiSystem, lqr
+from certnn.network import ReluNetwork, retrofit_lqr, saturate
+from certnn.polytope import Polytope
 
 
 def _hidden_under_pattern(net, gammas):
@@ -304,3 +310,37 @@ def retrofit_reference(net, K):
     if np.max(np.abs(A_full @ sol - b_full)) > 1e-8 * (1.0 + np.max(np.abs(b_full))):
         return None
     return sol[: n_u * n_L].reshape(n_u, n_L), sol[n_u * n_L :], float(np.sum((sol - target) ** 2))
+
+
+def imitation_loop(widths, seed):
+    """A ReLU controller fitted to the saturated case-study LQR, as ``verify_stability`` kwargs.
+
+    K is the LQR gain of the case-study plant under Q = 2 I, R = 1.  The
+    hidden layers are random (weights N(0, 1), biases U(-3, 3)); the output
+    layer is the least-squares fit of clip(-K x, -1, 1) on 4,000 states drawn
+    from [-4, 4]^2, then retrofitted to -K at the origin and saturated into
+    U = [-1, 1].  X_in is the case-study input set at half its offsets and X
+    the box |x_i| <= 5.
+    """
+    from conftest import CASE_A, CASE_B, CASE_C_IN, CASE_c_IN  # conftest imports this module
+
+    system = LtiSystem(CASE_A, CASE_B)
+    K = lqr(system, 2.0 * np.eye(2), np.eye(1)).K
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-4.0, 4.0, (4000, 2))
+    layers, H = [], X
+    for w in widths:
+        W, b = rng.normal(size=(w, H.shape[1])), rng.uniform(-3.0, 3.0, w)
+        layers.append((W, b))
+        H = np.maximum(H @ W.T + b, 0.0)
+    target = np.clip(-X @ K.T, -1.0, 1.0)
+    fit = np.linalg.lstsq(np.column_stack([H, np.ones(len(H))]), target, rcond=None)[0]
+    net, _ = retrofit_lqr(ReluNetwork([*layers, (fit[:-1].T, fit[-1])]), K)
+    return dict(
+        sys=system,
+        net=saturate(net, [-1.0], [1.0]),
+        X_in=Polytope(CASE_C_IN, 0.5 * CASE_c_IN),
+        X=Polytope.box([-5.0, -5.0], [5.0, 5.0]),
+        U=Polytope.box([-1.0], [1.0]),
+        K_ref=K,
+    )

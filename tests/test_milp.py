@@ -21,9 +21,15 @@ from certnn.milp import (
 )
 from certnn.errors import DimensionMismatch
 from certnn.network import ReluNetwork, synth_satlqr
-from certnn.polytope import EmptyInput, Polytope
+from certnn.polytope import EmptyInput, Polytope, support
 
 UNIT_BOX = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+
+# a regular hexagon, not a box: its support along a non-axis direction is
+# below the interval over its bounding box
+HEXAGON = Polytope(
+    np.array([[np.cos(t), np.sin(t)] for t in np.arange(6) * np.pi / 3]), np.ones(6)
+)
 
 FAN8 = np.array(
     [
@@ -114,7 +120,7 @@ class TestBounds:
         # x0 comes from X_in's support LPs and is exact, the box of a later
         # state is the interval enclosure of its expression, and the
         # pre-activation bounds rest on that box and on the pre-activation
-        # LPs, which bound layer 1 too at every copy after x0's.  The model
+        # LPs, which bound every layer of every copy.  The model
         # of each step k = 0..3 has an objective over every column of its
         # relaxation, zero on the binaries
         rng = np.random.default_rng(0)
@@ -151,39 +157,45 @@ class TestBounds:
         assert tightened > 0  # the LP bounds ran and cut
 
     def test_later_layer_one_bounds_are_relaxation_extrema(self):
-        # at x_k, k >= 1, the box is an interval enclosure, so each layer-1
-        # neuron that it leaves unstable is bounded by its max and min over
-        # the step-k relaxation, solved here cold by linprog on the model's
-        # rows and bounds read before the copy at x_k is encoded.  The
-        # layer-1 rows are not axis-aligned, so the LP is tighter than the
-        # interval over the box
+        # at each x_k, each layer-1 neuron that the box of x_k leaves unstable
+        # is bounded by its max and min over the step-k relaxation.  At x0
+        # that relaxation is X_in alone, so the bounds are X_in's support
+        # along +-W1, plus b1: exact, and tighter than the interval over x0's
+        # box when X_in is not a box, as the hexagon is.  At x_k, k >= 1, the
+        # box is an interval enclosure, and the extrema are solved here cold
+        # by linprog on the model's rows and bounds read before the copy at
+        # x_k is encoded.  The layer-1 rows are not axis-aligned, so the LP
+        # is tighter than the interval over the box
         rng = np.random.default_rng(5)
         sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
-        tighter = 0
+        tighter = np.zeros(4, dtype=int)  # per k
         for _ in range(3):
             net = random_net(rng, 2, [4, 3], 1)
             W1, b1 = net.layers[0]
-            enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
-            enc.output(np.ones(net.n_u))
-            for k in range(1, 4):
-                # the objective of max w.x_k is the expression of w.x_k
-                models = [enc.model(k, w) for w in W1]
-                A_ub, b_ub = models[0].A_ub, models[0].b_ub
-                bounds = list(zip(models[0].lb, models[0].ub))
-                extrema = [
-                    (linprog(m.c, A_ub=A_ub, b_ub=b_ub, bounds=bounds).fun,
-                     -linprog(-m.c, A_ub=A_ub, b_ub=b_ub, bounds=bounds).fun)
-                    for m in models
-                ]
-                lp_lo, lp_hi = np.array(extrema).T + b1
-                enc.model(k + 1, [1.0, 0.0])
-                (box_lo, box_hi), [(pre_lo, pre_hi), *_] = enc.bounds[k]
-                lo, hi = milp._interval_affine(W1, b1, box_lo, box_hi)
-                unstable = (lo < 0.0) & (hi > 0.0)
-                np.testing.assert_allclose(pre_lo[unstable], lp_lo[unstable], atol=1e-7)
-                np.testing.assert_allclose(pre_hi[unstable], lp_hi[unstable], atol=1e-7)
-                tighter += np.count_nonzero((lp_hi < hi - 1e-3) & unstable)
-        assert tighter > 0
+            for X_in in (UNIT_BOX, HEXAGON):
+                enc = ClosedLoopEncoding(sys, net, X_in)
+                for k in range(4):
+                    if k == 0:
+                        extrema = np.column_stack([-support(X_in, -W1), support(X_in, W1)])
+                    else:
+                        # the objective of max w.x_k is the expression of w.x_k
+                        models = [enc.model(k, w) for w in W1]
+                        A_ub, b_ub = models[0].A_ub, models[0].b_ub
+                        bounds = list(zip(models[0].lb, models[0].ub))
+                        extrema = [
+                            (linprog(m.c, A_ub=A_ub, b_ub=b_ub, bounds=bounds).fun,
+                             -linprog(-m.c, A_ub=A_ub, b_ub=b_ub, bounds=bounds).fun)
+                            for m in models
+                        ]
+                        enc.model(k + 1, [1.0, 0.0])
+                    lp_lo, lp_hi = np.array(extrema).T + b1
+                    (box_lo, box_hi), [(pre_lo, pre_hi), *_] = enc.bounds[k]
+                    lo, hi = milp._interval_affine(W1, b1, box_lo, box_hi)
+                    unstable = (lo < 0.0) & (hi > 0.0)
+                    np.testing.assert_allclose(pre_lo[unstable], lp_lo[unstable], atol=1e-7)
+                    np.testing.assert_allclose(pre_hi[unstable], lp_hi[unstable], atol=1e-7)
+                    tighter[k] += np.count_nonzero((lp_hi < hi - 1e-3) & unstable)
+        assert tighter.all()
 
     def test_columns_only_for_unstable_neurons(self):
         # the model has no equality rows and one binary per unstable neuron:
@@ -416,14 +428,14 @@ class TestReach:
 
     def test_later_state_solves_no_box_lps(self, case_system, case_Xin, count_lps):
         # only X_in is boxed by LPs: extending the case-study encoding from
-        # step 1 to step 2 solves just the 2 bound LPs of the layer-2
-        # saturation neuron of the copy at x1
+        # step 1 to step 2 solves just the 4 bound LPs of the two saturation
+        # neurons, in layers 2 and 3, of the copy at x1
         net = synth_satlqr(CASE_K, [-1.0], [1.0])
         enc = ClosedLoopEncoding(case_system, net, case_Xin)
         enc.model(1, [1.0, 0.0])
         before = count_lps()
         enc.model(2, [1.0, 0.0])
-        assert count_lps() - before == 2
+        assert count_lps() - before == 4
 
     def test_k_validation(self, identity_pair_net):
         sys = LtiSystem(np.eye(1), np.eye(1))

@@ -84,14 +84,14 @@ class TestVerifyInvariance:
     ):
         # the input check and the one-step check share one encoding; only x0
         # has a network copy encoded, so only X_in is boxed (4 LPs) and the
-        # saturation neuron of layer 2 bounded (2 LPs); a rollout refutes
-        # k = 1 with no search, and the other 26 LPs outside the branch and
-        # bound are R_eq and R_as
+        # saturation neurons of layers 2 and 3 bounded (2 LPs each); a
+        # rollout refutes k = 1 with no search, and the other 26 LPs outside
+        # the branch and bound are R_eq and R_as
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=1)
         assert cert.invariance_ok and cert.stability.k_star is None
         assert cert.stability.reach_nodes == [0]
-        assert count_lps() == cert.milp_nodes + 32
+        assert count_lps() == cert.milp_nodes + 34
 
     def test_violated_produces_witness(self, case_system, case_X, case_U, case_net):
         # an expanding box cannot be invariant for this rotation-like plant
@@ -195,9 +195,10 @@ class TestVerifyStability:
         # rows that cut, rows that rays from the origin prove to be facets
         # kept and rows that a point of the set proves to cut appended without
         # an LP, no emptiness LP for R_eq or R_eq /\ X, which hold the origin,
-        # R_as checked non-empty without an LP, and the layer-2 saturation
-        # neuron of each encoded network copy bounded by 2 LPs (x_0 .. x_4):
-        # 40 LPs outside the branch and bound, and 3 loads in all.
+        # R_as checked non-empty without an LP, and the saturation neurons
+        # of layers 2 and 3 of each encoded network copy bounded by 2 LPs
+        # each (x_0 .. x_4): 50 LPs outside the branch and bound, and 3
+        # loads in all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
         # from; the warm-started models count 86. Rollouts from the input and
@@ -209,7 +210,7 @@ class TestVerifyStability:
         assert cert.milp_nodes == 86
         assert cert.stability.reach_nodes == [0, 0, 0, 0, 54]
         assert [r.k for r in cert.stability.rollouts] == [1, 2, 3, 4]
-        assert count_lps() == cert.milp_nodes + 40
+        assert count_lps() == cert.milp_nodes + 50
         assert count_loads() == 3
 
     def test_case_study_relaxation_size(self, case_system, case_Xin, case_net):
@@ -276,6 +277,30 @@ def _exact_reach_search(sys, net, X_in, R_as, k_max):
         if all(r.bound <= g + CONTAIN_TOL for r, g in zip(results, R_as.g)):
             return k, np.array([r.value for r in results])
     return None, None
+
+
+class TestImitationLadder:
+    """Verify on controllers fitted to the saturated LQR (``helpers.imitation_loop``)."""
+
+    @pytest.mark.parametrize(
+        "widths, seed, verdict, k_star, budget",
+        [
+            ([8], 0, Verdict.LQR_OPTIMAL_NEAR_EQ, 3, 200),
+            ([8], 2, Verdict.LQR_OPTIMAL_NEAR_EQ, 3, 250),
+            ([16], 2, Verdict.INPUT_ONLY, 4, 400),
+        ],
+        ids=["w8-seed0", "w8-seed2", "w16-seed2"],
+    )
+    def test_verdict_within_node_budget(self, monkeypatch, widths, seed, verdict, k_star, budget):
+        # every unstable neuron of every copy has LP bounds over the
+        # relaxation built so far, which keeps the big-M constants, and with
+        # them the searches, small: 120, 149 and 229 nodes.  Looser bounds
+        # take these searches to hundreds or tens of thousands of nodes, so
+        # a low cap ends them in seconds
+        monkeypatch.setattr(milp, "MAX_NODES", 2_000)
+        cert = verify_stability(**helpers.imitation_loop(widths, seed), k_max=10)
+        assert (cert.verdict, cert.stability.k_star) == (verdict, k_star)
+        assert cert.milp_nodes <= budget
 
 
 class TestDecisionSearch:
