@@ -9,8 +9,10 @@ Prints, one per line:
 - the case study's k*, MILP node count and nodes per reach step;
 - the size of its closed-loop relaxation at k*: columns, rows and binaries,
   so that a change to the encoding shows;
-- its region count, and the sha256 of certificate.json, r_eq.json and of the
-  CSV files regions.csv, trajectory.csv and r_as.csv;
+- its region count, and the sha256 of certificate.json, r_eq.json,
+  trajectory.csv and of every vertex CSV (regions.csv and the five sets of
+  certnn sets), then the vertex count of each vertex CSV, so that a lost
+  vertex shows as a count and not only as a changed hash;
 - the LpModel.solve calls of one untraced set_algebra pass (LQR and
   admissible invariant set of 8 plants), split into the fixpoint's cut tests,
   the redundancy prune's row tests and the emptiness checks, and of one
@@ -63,6 +65,10 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# the vertex CSVs the case study writes: certnn regions, then certnn sets
+VERTEX_CSVS = ("regions.csv", "r_as.csv", "r_eq.csv", "r_lqr.csv", "x1_out.csv", "xk_out.csv")
+
+
 def case_study_lines(out: Path):
     cert = json.loads((out / "certificate.json").read_text())
     s = cert["stability"]
@@ -78,8 +84,10 @@ def case_study_lines(out: Path):
         )
     yield f"certificate.json sha256: {sha256(out / 'certificate.json')}"
     yield f"case study: regions {len(json.loads((out / 'regions.json').read_text()))}"
-    for name in ("r_eq.json", "regions.csv", "trajectory.csv", "r_as.csv"):
+    for name in ("r_eq.json", "trajectory.csv", *VERTEX_CSVS):
         yield f"{name} sha256: {sha256(out / name)}"
+    for name in VERTEX_CSVS:
+        yield f"{name} vertices: {len((out / name).read_text().splitlines()) - 1}"
 
 
 # (hidden widths, seed) of the imitation loops whose verify is summarized

@@ -34,7 +34,8 @@ holds on every set the scan passes through.  That takes a pass from 135 to
 containment, never by comparing rows, because equivalent H-representations
 can differ in row order and scaling.  Every loaded set is re-solved by
 HiGHS's primal simplex, which goes on from the last basis after a change of
-cost (see certnn.lp).
+cost (see certnn.lp).  The vertices of a 2-D polygon, for plots, are Qhull's
+halfspace intersection from its Chebyshev centre (scipy.spatial).
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ from scipy.linalg import lapack
 
 from certnn import lp
 from certnn.errors import DimensionMismatch, EmptyInput, NoConvergence
-from certnn.tolerances import (
-    DUPLICATE_VERTEX_TOL, LP_FEAS_TOL, PARALLEL_TOL, POINT_TOL, REDUNDANCY_TOL, SLAB_RANK_TOL,
-    VERTEX_TOL
-)
+from certnn.tolerances import LP_FEAS_TOL, POINT_TOL, REDUNDANCY_TOL, SLAB_RANK_TOL
 
 MAX_FIXPOINT_ITER = 500
 
@@ -90,9 +88,9 @@ class Polytope:
         eye = np.eye(n)
         return Polytope(np.vstack([eye, -eye]), np.concatenate([ub, -lb]))
 
-    def contains_point(self, x, tol: float = POINT_TOL) -> bool:
+    def contains_point(self, x) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
-        return bool(np.all(self.F @ x <= self.g + tol))
+        return bool(np.all(self.F @ x <= self.g + POINT_TOL))
 
     def to_json(self) -> dict:
         return {"F": self.F.tolist(), "g": self.g.tolist()}
@@ -422,32 +420,28 @@ def bounding_box(P: Polytope) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vertices_2d(P: Polytope) -> np.ndarray:
-    """Vertices of a bounded 2-D polytope, ordered counter-clockwise.
+    """Vertices of a 2-D polygon, ordered counter-clockwise about their mean.
 
-    Enumerates pairwise facet intersections and keeps the feasible ones;
-    adequate for plot output, not meant for high row counts.
+    Qhull's halfspace intersection from P's Chebyshev centre, the centre of
+    the largest disc in P, found by one LP over the nonzero rows; Qhull
+    merges the rows that meet at one vertex, so each vertex comes once.  A
+    set that is empty, unbounded or flat (that disc has radius 0) is no
+    polygon and gets no vertices: shape (0, 2).
     """
     if P.dim != 2:
         raise DimensionMismatch("vertex enumeration implemented for 2-D only")
-    pts = []
-    m = P.nrows
-    for i in range(m):
-        for j in range(i + 1, m):
-            M = np.vstack([P.F[i], P.F[j]])
-            if abs(np.linalg.det(M)) < PARALLEL_TOL:
-                continue
-            v = np.linalg.solve(M, np.array([P.g[i], P.g[j]]))
-            if P.contains_point(v, VERTEX_TOL):
-                pts.append(v)
-    if not pts:
+    from scipy.spatial import HalfspaceIntersection
+    try:
+        if not np.all(np.isfinite(bounding_box(P))):
+            return np.zeros((0, 2))
+    except EmptyInput:
         return np.zeros((0, 2))
-    pts = np.array(pts)
-    # deduplicate
-    uniq: list[np.ndarray] = []
-    for v in pts:
-        if not any(np.linalg.norm(v - u) < DUPLICATE_VERTEX_TOL for u in uniq):
-            uniq.append(v)
-    pts = np.array(uniq)
+    rows = np.any(P.F != 0.0, axis=1)
+    F, g = P.F[rows], P.g[rows]
+    A = np.hstack([F, np.linalg.norm(F, axis=1, keepdims=True)])  # F x + |F_i| r <= g
+    out = lp.LpModel([0.0, 0.0, 1.0], A, g, np.full(3, -np.inf), np.full(3, np.inf)).solve()
+    if out.value <= 0.0:
+        return np.zeros((0, 2))
+    pts = HalfspaceIntersection(np.column_stack([F, -g]), out.point[:2]).intersections
     center = pts.mean(axis=0)
-    order = np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))
-    return pts[order]
+    return pts[np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]))]

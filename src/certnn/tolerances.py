@@ -23,8 +23,8 @@ CONTAIN_TOL = 1e-9
 # the gap between the equilibrium gain and -K_ref, as zero up to RESIDUAL_TOL.
 RESIDUAL_TOL = 1e-6
 
-# The default slack of Polytope.contains_point, which decides whether R_as holds
-# the origin or the stability set is empty.
+# The slack of Polytope.contains_point, which decides whether R_as holds the
+# origin (else the stability set is empty) and which rollout seeds lie in X_in.
 POINT_TOL = 1e-9
 
 # Branch and bound counts a binary within INTEGRALITY_TOL of 0 or 1 as integral
@@ -52,15 +52,3 @@ PSD_TOL = 1e-10
 # network.retrofit_lqr raises RankDeficient when the residual of its equality
 # constraints exceeds RETROFIT_TOL * (1 + max |K|).
 RETROFIT_TOL = 1e-8
-
-# vertices_2d takes two facet lines whose 2x2 determinant is below PARALLEL_TOL
-# in absolute value as parallel and does not intersect them.
-PARALLEL_TOL = 1e-12
-
-# vertices_2d keeps an intersection of two facet lines as a vertex when it
-# violates no row of the polytope by more than VERTEX_TOL.
-VERTEX_TOL = 1e-7
-
-# vertices_2d merges two vertices closer than DUPLICATE_VERTEX_TOL in the
-# Euclidean norm into one.
-DUPLICATE_VERTEX_TOL = 1e-8

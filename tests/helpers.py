@@ -8,9 +8,10 @@ number of preimages or by the invariant-set iteration with one fresh LP per
 support, redundancy removal by one fresh LP per row, activation regions
 by enumeration of every pattern, and the LQR retrofit by least squares on
 the Kronecker-expanded gain equation.  ``cold_linprog`` solves the LP that a
-warm-started HiGHS model holds once more from scratch.  ``imitation_loop``
-builds the closed loops of the imitation ladder: random ReLU controllers
-fitted to the saturated case-study LQR.
+warm-started HiGHS model holds once more from scratch.
+``check_polygon_vertices`` checks a vertex list against the rows of its
+polygon.  ``imitation_loop`` builds the closed loops of the imitation ladder:
+random ReLU controllers fitted to the saturated case-study LQR.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from scipy.optimize._highspy import _core as highs
 
 from certnn.control import LtiSystem, lqr
 from certnn.network import ReluNetwork, retrofit_lqr, saturate
-from certnn.polytope import Polytope
+from certnn.polytope import Polytope, remove_redundant
 
 
 def _hidden_under_pattern(net, gammas):
@@ -211,6 +212,23 @@ def redundancy_oracle(F, g, tol=1e-9):
         if val is not None and val <= g[i] + tol:
             keep.remove(i)
     return keep
+
+
+def check_polygon_vertices(P, V):
+    """Assert that V lists the vertices of the 2-D polygon P, counter-clockwise.
+
+    Every vertex satisfies every row within 1e-9 and lies on at least two
+    rows within 1e-9, there is one vertex per facet (remove_redundant(P)
+    keeps one row per facet), and every turn from one edge to the next is
+    strictly counter-clockwise.
+    """
+    slack = P.F @ V.T - P.g[:, None]
+    assert np.all(slack <= 1e-9)
+    assert np.all(np.sum(np.abs(slack) <= 1e-9, axis=0) >= 2)
+    assert len(V) == remove_redundant(P).nrows
+    edges = np.roll(V, -1, axis=0) - V
+    after = np.roll(edges, -1, axis=0)
+    assert np.all(edges[:, 0] * after[:, 1] - edges[:, 1] * after[:, 0] > 0.0)
 
 
 def mpi_reference(A, F, g, tol=1e-9, max_iter=500):

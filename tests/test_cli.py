@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import helpers
 from conftest import CASE_A, CASE_B, CASE_C_IN, CASE_K, CASE_Q, CASE_R, CASE_c_IN
 from certnn.cli import main
 from certnn.network import ReluNetwork, synth_satlqr
@@ -239,10 +240,35 @@ def test_sets_outputs(case_files):
     )
     assert code == 0
     for name in ("r_lqr", "r_eq", "r_as", "x1_out", "xk_out"):
-        assert (out / f"{name}.json").exists()
-        assert (out / f"{name}.csv").exists()
+        P = Polytope.from_json(json.loads((out / f"{name}.json").read_text()))
+        helpers.check_polygon_vertices(P, _vertices(out / f"{name}.csv"))
     r_as = Polytope.from_json(json.loads((out / "r_as.json").read_text()))
     assert r_as.contains_point([0.0, 0.0])
+
+
+def _vertices(path):
+    with open(path) as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["x1", "x2"]
+    return np.array(rows[1:], dtype=float).reshape(-1, 2)
+
+
+def test_sets_with_a_zero_row_in_the_initial_set(case_files, capsys):
+    # the row 0 x <= 1 holds everywhere; X_1_out then carries a zero row with
+    # offset 0, and the pictures are those of the run without it
+    sys_path, net_path, xin_path, tmp = case_files
+    xin = Polytope.from_json(json.loads(open(xin_path).read()))
+    padded = tmp / "xin_zero_row.json"
+    zero_row = Polytope(np.vstack([xin.F, [0.0, 0.0]]), np.append(xin.g, 1.0))
+    padded.write_text(json.dumps(zero_row.to_json()))
+    for path, out in ((xin_path, tmp / "plain"), (padded, tmp / "padded")):
+        argv = ["sets", "--system", sys_path, "--network", net_path, "--xin", str(path)]
+        assert main([*argv, "--out-dir", str(out), "--kmax", "10"]) == 0
+        assert capsys.readouterr().out == "verdict: LqrOptimalNearEq\n"
+    for name in ("x1_out.csv", "r_as.csv"):
+        np.testing.assert_allclose(
+            _vertices(tmp / "padded" / name), _vertices(tmp / "plain" / name), rtol=0.0, atol=1e-12
+        )
 
 
 def _verify_argv(sys_path, net_path, xin_path, out):
@@ -266,7 +292,7 @@ def test_certificate_carries_replayable_witnesses(case_files):
     net = ReluNetwork.load(net_path)
     for w in cert["witnesses"]:
         x0 = np.asarray(w)
-        assert X_in.contains_point(x0, tol=1e-7)
+        assert np.all(X_in.F @ x0 <= X_in.g + 1e-7)
         x1 = CASE_A @ x0 + CASE_B @ net.eval(x0)
         assert np.any(X_in.F @ x1 > X_in.g + 1e-9)
 

@@ -274,7 +274,7 @@ class TestOutputRange:
         model = encode_output_range(net, UNIT_BOX, [1.0])
         res = solve_milp(model)
         x_star = res.point[: net.n_x]
-        assert UNIT_BOX.contains_point(x_star, tol=1e-6)
+        assert np.all(UNIT_BOX.F @ x_star <= UNIT_BOX.g + 1e-6)
         assert float(net.eval(x_star)[0]) == pytest.approx(res.value, abs=1e-6)
 
 
@@ -562,7 +562,7 @@ class TestLpPaths:
                 assert r.value == pytest.approx(want, abs=1e-6)
                 assert r.bound >= want - 1e-6
                 x0 = r.point[: net.n_x]
-                assert UNIT_BOX.contains_point(x0, tol=1e-6)
+                assert np.all(UNIT_BOX.F @ x0 <= UNIT_BOX.g + 1e-6)
                 assert float(d @ net.eval(x0)) == pytest.approx(r.value, abs=1e-6)
 
     def test_reach_matches_oracle(self, lp_path):
@@ -579,7 +579,7 @@ class TestLpPaths:
                 x = x0 = r.point[: sys.n_x]
                 for _ in range(k):
                     x = sys.A @ x + sys.B @ net.eval(x)
-                assert UNIT_BOX.contains_point(x0, tol=1e-6)
+                assert np.all(UNIT_BOX.F @ x0 <= UNIT_BOX.g + 1e-6)
                 assert float(d @ x) == pytest.approx(r.value, abs=1e-6)
 
     def test_satlqr_reach_matches_oracle(self, lp_path, satlqr_loops):
@@ -630,7 +630,7 @@ class TestCutoff:
                 assert res.value == pytest.approx(want, abs=1e-9)
                 assert res.bound == res.value
                 x0 = res.point[:2]
-                assert UNIT_BOX.contains_point(x0, tol=1e-6)
+                assert np.all(UNIT_BOX.F @ x0 <= UNIT_BOX.g + 1e-6)
                 assert replay(x0) == pytest.approx(res.value, abs=1e-6)
             else:
                 assert res.status == BnbStatus.BELOW_CUTOFF

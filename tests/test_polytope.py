@@ -675,6 +675,90 @@ def test_slabs_never_run_on_unmatched_sets(monkeypatch, count_lps):
     _assert_irredundant_same_set(omega, Polytope(F, g))
 
 
+def _random_polygon(seed):
+    """A bounded polygon: three rows whose normals positively span the plane and
+    up to five random rows, all offset about a random point.  Every third seed
+    adds an exact and a x2 duplicate of existing rows.
+    """
+    rng = np.random.default_rng([seed, 33])
+    angles = rng.uniform(0, 2 * np.pi) + 2 * np.pi / 3 * np.arange(3) + rng.uniform(-0.5, 0.5, 3)
+    angles = np.concatenate([angles, rng.uniform(0, 2 * np.pi, rng.integers(0, 6))])
+    F = rng.uniform(0.5, 2.0, (angles.size, 1)) * np.column_stack([np.cos(angles), np.sin(angles)])
+    g = rng.uniform(0.3, 1.5, angles.size) * np.linalg.norm(F, axis=1) + F @ rng.normal(size=2)
+    if seed % 3 == 0:
+        i, j = rng.integers(0, angles.size, 2)
+        F, g = np.vstack([F, F[i], 2.0 * F[j]]), np.concatenate([g, [g[i], 2.0 * g[j]]])
+    return Polytope(F, g)
+
+
+POLYGONS = {
+    **{f"random{seed}": _random_polygon(seed) for seed in range(200)},
+    # the last row passes through the vertex (1, 0) and cuts nothing
+    "triangle_redundant_row": Polytope(
+        np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [1.0, 0.5]]), np.array([0.0, 0.0, 1.0, 1.0])
+    ),
+    "case_Xin": Polytope(CASE_C_IN, CASE_c_IN),
+    "case_R_as": Polytope(CASE_C_AS, CASE_c_AS),
+    "case_R_eq": Polytope(CASE_F_EQ, CASE_g_EQ),
+}
+
+
+@pytest.mark.parametrize("name", POLYGONS)
+def test_vertices_2d_of_bounded_polygons(name):
+    P = POLYGONS[name]
+    helpers.check_polygon_vertices(P, vertices_2d(P))
+
+
+def _box_plus(f, g):
+    return Polytope(np.vstack([UNIT_BOX.F, f]), np.append(UNIT_BOX.g, g))
+
+
+def _rotated_sliver(width, angle):
+    """The rectangle [-1, 1] x [-width / 2, width / 2] turned by angle."""
+    c, s = np.cos(angle), np.sin(angle)
+    P = Polytope.box([-1.0, -width / 2], [1.0, width / 2])
+    return Polytope(P.F @ np.array([[c, s], [-s, c]]), P.g)
+
+
+DEGENERATE = {
+    "empty": _box_plus([1.0, 0.0], -2.0),
+    "no_rows": Polytope(np.zeros((0, 2)), np.zeros(0)),
+    "strip": STRIP,
+    "strip_one_cap": Polytope(np.vstack([STRIP.F, [0.0, 1.0]]), np.ones(3)),
+    "segment": Polytope.box([-1.0, 0.0], [1.0, 0.0]),
+    "point": Polytope.box([0.5, 0.5], [0.5, 0.5]),
+    "box_zero_row_infeasible": _box_plus([0.0, 0.0], -1.0),
+    **{f"sliver_width0_angle{a}": _rotated_sliver(0.0, a) for a in (0.0, 0.3, 1.1)},
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_vertices_2d_of_sets_that_are_no_polygon(name):
+    # empty, unbounded and flat sets get no vertices, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vertices_2d(DEGENERATE[name]).shape == (0, 2)
+
+
+FOUR_CORNERS = {
+    "box_zero_row_g0": _box_plus([0.0, 0.0], 0.0),
+    "box_zero_row_g1": _box_plus([0.0, 0.0], 1.0),
+    **{
+        f"sliver_width{w}_angle{a}": _rotated_sliver(w, a)
+        for w in (1e-3, 1e-6, 1e-9, 1e-12, 3e-14)
+        for a in (0.0, 0.3, 1.1)
+    },
+}
+
+
+@pytest.mark.parametrize("name", FOUR_CORNERS)
+def test_vertices_2d_of_thin_and_padded_boxes(name):
+    # a zero row that holds everywhere is no facet, and a sliver is still a polygon
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vertices_2d(FOUR_CORNERS[name]).shape == (4, 2)
+
+
 def test_vertices_2d_unit_box():
     verts = vertices_2d(UNIT_BOX)
     assert verts.shape == (4, 2)

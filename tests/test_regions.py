@@ -41,7 +41,7 @@ def test_regions_cover_sampled_points():
         hits = [
             r
             for r in regions
-            if r.polytope.contains_point(x, tol=1e-7)
+            if np.all(r.polytope.F @ x <= r.polytope.g + 1e-7)
         ]
         assert hits, f"no region contains {x}"
         # the region carrying this point's own pattern is among the hits
