@@ -30,7 +30,12 @@ Prints, one per line:
   imitation loops of tests/helpers.py (random ReLU controllers fitted to the
   saturated LQR: one hidden layer of 8 neurons, seeds 0 and 2, and of 16,
   seed 2), so that a change to how tight the encoder's bounds are shows
-  even where the case study's nodes do not move;
+  even where the case study's nodes do not move; a loop whose one-step
+  invariance fails has no k* and no reach steps;
+- the verdict, reason and MILP node count of the 6-state imitation loop
+  (helpers.set_plant_loop: set-algebra plant 0, 16 neurons, seed 0, from
+  X_in = R_K), whose invariance fails: its verdict is settled before any
+  reach search;
 - one "name = value" line per entry of certnn/tolerances.py.
 
 Exits 1 after printing them when a caller named in CASE_CALLERS solves no LP
@@ -102,6 +107,11 @@ def imitation_lines():
             f"imitation loop widths {widths} seed {seed}: {cert.verdict} k_star {s.k_star}"
             f" milp_nodes {cert.milp_nodes} reach_nodes {s.reach_nodes}"
         )
+    cert = verify_stability(**helpers.set_plant_loop(0, [16], 0), k_max=10)
+    yield (
+        f"6-state imitation loop widths [16] seed 0: {cert.verdict} ({cert.reason})"
+        f" milp_nodes {cert.milp_nodes}"
+    )
 
 
 # The set-algebra LPs by the function that solves them: LpModel.maxima runs the

@@ -34,11 +34,11 @@ every state, x0 included, is the interval of its expression over the root
 column bounds: x0's support box, and an enclosure of a later state.  The
 bounds of the copy at a state start from interval arithmetic on its box.
 Every neuron that the interval leaves unstable, in every layer of every
-copy, also gets the max and min of its pre-activation, an affine
-expression of the columns made so far, by LP on the relaxation built so
-far, and its bounds are the intersection.  A query builds its step's model
-on the one relaxation and sets only the objective, so directions and
-horizons share one encoding.
+copy, also gets the max and min of its pre-activation, an affine expression
+of the columns made so far, by LP on the relaxation built so far (none for
+one column: the interval over its bounds is exact), and its bounds are the
+intersection.  A query builds its step's model on the one relaxation and
+sets only the objective, so directions and horizons share one encoding.
 
 One relaxation grows with the encoding: the encoder appends each column
 and row to the same :class:`certnn.lp.LpModel` as it makes them, in
@@ -217,26 +217,29 @@ class ClosedLoopEncoding:
 
         x = (S, s) is the state's affine expression and [lo, hi] its box.
         Layer by layer, the pre-activation is the expression (W E, W e + b)
-        of the layer before's output (E, e), and its bounds are interval
-        arithmetic from the layer before's.  One ``maxima`` call on the
-        relaxation built so far, the earlier layers of this copy included,
-        gives max and min of the expression of each neuron that the interval
-        leaves unstable, and the bounds are the intersection.  An inactive
-        neuron's output is 0 and an active one's its pre-activation; an
-        unstable one gets its z and t columns and the three big-M rows of the
-        module docstring.  u is the output's expression, ``bounds`` each
-        hidden layer's pre-activation bounds.
+        of the layer before's output (E, e), bounded by interval arithmetic
+        from the layer before's bounds, or over its column's bounds when it
+        has one column, which is exact.  Else one ``maxima`` call on the
+        relaxation built so far, this copy's earlier layers included, bounds
+        each neuron that the interval leaves unstable, and the bounds are the
+        intersection.  An inactive neuron's output is 0 and an active one's
+        its pre-activation; an unstable one gets its z and t columns and the
+        three big-M rows of the module docstring.  u is the output's
+        expression, ``bounds`` each hidden layer's pre-activation bounds.
         """
         E, e = x
         bounds = []
         for W, b in self._net.layers[:-1]:
             P, p = W @ E, W @ e + b
             lo, hi = _interval_affine(W, b, lo, hi)
-            unstable = (lo < 0.0) & (hi > 0.0)
-            if unstable.any():
-                m = self._relaxation.maxima(_objective_rows(P[unstable]))
-                lo[unstable] = np.maximum(lo[unstable], p[unstable] - m[1::2])
-                hi[unstable] = np.minimum(hi[unstable], p[unstable] + m[0::2])
+            # one column spans its bounds (z: [0, M_pos], x0: X_in's box), so its interval is exact
+            one = np.count_nonzero(P, axis=1) == 1
+            lo[one], hi[one] = _interval_affine(P[one], p[one], self._lb, self._ub)
+            bound = (lo < 0.0) & (hi > 0.0) & ~one
+            if bound.any():
+                m = self._relaxation.maxima(_objective_rows(P[bound]))
+                lo[bound] = np.maximum(lo[bound], p[bound] - m[1::2])
+                hi[bound] = np.minimum(hi[bound], p[bound] + m[0::2])
                 hi = np.maximum(hi, lo)  # LP tolerances must not leave an empty interval
             bounds.append((lo, hi))
             off = hi <= 0.0

@@ -11,7 +11,11 @@ componentwise comparison rather than an over-approximation, and
 ``_contained`` decides all three with one rule: each proven upper bound of
 the branch and bound, not the value at its point, is at most the facet's
 offset plus CONTAIN_TOL.  The three checks share one closed-loop encoding,
-whose step 0 is the output-range model of the network over X_in.
+whose step 0 is the output-range model of the network over X_in.  The
+input and one-step checks set the verdict floor (Invariant, InputOnly or
+Failed); the rollouts and the reach search run only when X_in is
+invariant, the stability conditions hold and R_as is built: no search can
+certify a loop whose invariance failed.
 
 The input and one-step checks solve each facet to optimality, since U_star
 and X_1_out are outputs.  The reach search only needs a yes or a no per
@@ -208,14 +212,14 @@ def verify_stability(
     """Full certificate: constraint satisfaction plus asymptotic stability.
 
     Pipeline: input check, one-step invariance of X_in, stability conditions
-    at the equilibrium region, construction of R_as, then a linear search for
-    the first k <= k_max with the k-step reachable set certified inside R_as
-    (directions = facets of R_as, so containment is componentwise); a
-    rollout that leaves R_as fails a k before its search.  The stability
-    residuals are compared with RESIDUAL_TOL.  The report's ``reach_nodes``
-    holds the nodes spent at each k (0 where a rollout failed it), its
-    ``rollouts`` those rollouts, and its ``X_k_out`` the proven bounds at k*
-    (see the module docstring).
+    at the equilibrium region, construction of R_as, then, if all of these
+    held, a linear search for the first k <= k_max with the k-step reachable
+    set certified inside R_as (directions = facets of R_as, so containment
+    is componentwise); a rollout that leaves R_as fails a k before its
+    search.  The stability residuals are compared with RESIDUAL_TOL.  The
+    report's ``reach_nodes`` holds the nodes spent at each k (0 where a
+    rollout failed it), its ``rollouts`` those rollouts, and its ``X_k_out``
+    the proven bounds at k* (see the module docstring).
     """
     encoding = milp.ClosedLoopEncoding(sys, net, X_in)
     input_results = milp.output_range_results(net, X_in, U.F, encoding=encoding)
@@ -233,8 +237,9 @@ def verify_stability(
     report = StabilityReport(
         bias_residual=bias_residual, spectral_radius=rho, lqr_match_residual=match
     )
+    floor = Verdict.INPUT_ONLY if input_ok else Verdict.FAILED
     cert = Certificate(
-        verdict=Verdict.FAILED,
+        verdict=Verdict.INVARIANT if invariance_ok else floor,
         input_ok=input_ok,
         invariance_ok=invariance_ok,
         U_star=U_star,
@@ -245,12 +250,6 @@ def verify_stability(
     )
 
     def fallback(reason: str) -> Certificate:
-        if invariance_ok:
-            cert.verdict = Verdict.INVARIANT
-        elif input_ok:
-            cert.verdict = Verdict.INPUT_ONLY
-        else:
-            cert.verdict = Verdict.FAILED
         cert.reason = reason
         return cert
 
@@ -268,6 +267,8 @@ def verify_stability(
         report.R_as = R_as
     except EmptyStabilitySet:
         return fallback("empty stability set")
+    if not invariance_ok:
+        return fallback("one-step invariance of X_in failed")
 
     x0 = [x for x in seeds if X_in.contains_point(x)]
     x_k = x0
@@ -294,12 +295,8 @@ def verify_stability(
             x0, x_k = x0 + [seed], x_k + [simulate(sys, net, seed, k).states[-1]]
     if report.k_star is None:
         return fallback(f"no k <= {k_max} with reachable set inside R_as")
-
-    if not invariance_ok:
-        return fallback("one-step invariance of X_in failed")
     if match is not None and match <= RESIDUAL_TOL:
         cert.verdict = Verdict.LQR_OPTIMAL_NEAR_EQ
     else:
         cert.verdict = Verdict.ASYMPTOTICALLY_STABLE
-    cert.reason = None
     return cert

@@ -11,7 +11,9 @@ the Kronecker-expanded gain equation.  ``cold_linprog`` solves the LP that a
 warm-started HiGHS model holds once more from scratch.
 ``check_polygon_vertices`` checks a vertex list against the rows of its
 polygon.  ``imitation_loop`` builds the closed loops of the imitation ladder:
-random ReLU controllers fitted to the saturated case-study LQR.
+random ReLU controllers fitted to a saturated LQR, by default the case
+study's; ``set_plant_loop`` builds one on a plant of perfbench's set_algebra
+workload, whose plants ``set_algebra_plants`` redraws.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
 
-from certnn.control import LtiSystem, lqr
+from certnn.control import LtiSystem, lqr, lqr_admissible_set
 from certnn.network import ReluNetwork, retrofit_lqr, saturate
 from certnn.polytope import Polytope, remove_redundant
 
@@ -330,22 +332,38 @@ def retrofit_reference(net, K):
     return sol[: n_u * n_L].reshape(n_u, n_L), sol[n_u * n_L :], float(np.sum((sol - target) ** 2))
 
 
-def imitation_loop(widths, seed):
-    """A ReLU controller fitted to the saturated case-study LQR, as ``verify_stability`` kwargs.
+def set_algebra_plants():
+    """(A, B) of the 8 plants of perfbench's set_algebra workload: same seed, same recipe."""
+    rng = np.random.default_rng([0, 3])
+    plants = []
+    for _ in range(8):
+        n = int(rng.integers(4, 9))
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.9, 1.1) / np.max(np.abs(np.linalg.eigvals(A)))
+        plants.append((A, rng.standard_normal((n, 1))))
+    return plants
 
-    K is the LQR gain of the case-study plant under Q = 2 I, R = 1.  The
-    hidden layers are random (weights N(0, 1), biases U(-3, 3)); the output
-    layer is the least-squares fit of clip(-K x, -1, 1) on 4,000 states drawn
-    from [-4, 4]^2, then retrofitted to -K at the origin and saturated into
-    U = [-1, 1].  X_in is the case-study input set at half its offsets and X
-    the box |x_i| <= 5.
+
+def imitation_loop(widths, seed, plant=None, box=4.0, X_in=None):
+    """A ReLU controller fitted to a saturated LQR, as ``verify_stability`` kwargs.
+
+    plant is (system, K), by default the case-study plant and its LQR gain
+    under Q = 2 I, R = 1.  The hidden layers are random (weights N(0, 1),
+    biases U(-3, 3)); the output layer is the least-squares fit of
+    clip(-K x, -1, 1) on 4,000 states drawn from [-box, box]^n, then
+    retrofitted to -K at the origin and saturated into U = [-1, 1].  X_in is
+    by default the case-study input set at half its offsets, and X the box
+    |x_i| <= 5.
     """
     from conftest import CASE_A, CASE_B, CASE_C_IN, CASE_c_IN  # conftest imports this module
 
-    system = LtiSystem(CASE_A, CASE_B)
-    K = lqr(system, 2.0 * np.eye(2), np.eye(1)).K
+    if plant is None:
+        system = LtiSystem(CASE_A, CASE_B)
+        plant = system, lqr(system, 2.0 * np.eye(2), np.eye(1)).K
+    system, K = plant
+    n = system.n_x
     rng = np.random.default_rng(seed)
-    X = rng.uniform(-4.0, 4.0, (4000, 2))
+    X = rng.uniform(-box, box, (4000, n))
     layers, H = [], X
     for w in widths:
         W, b = rng.normal(size=(w, H.shape[1])), rng.uniform(-3.0, 3.0, w)
@@ -357,8 +375,22 @@ def imitation_loop(widths, seed):
     return dict(
         sys=system,
         net=saturate(net, [-1.0], [1.0]),
-        X_in=Polytope(CASE_C_IN, 0.5 * CASE_c_IN),
-        X=Polytope.box([-5.0, -5.0], [5.0, 5.0]),
+        X_in=Polytope(CASE_C_IN, 0.5 * CASE_c_IN) if X_in is None else X_in,
+        X=Polytope.box(-5.0 * np.ones(n), 5.0 * np.ones(n)),
         U=Polytope.box([-1.0], [1.0]),
         K_ref=K,
     )
+
+
+def set_plant_loop(i, widths, seed):
+    """``imitation_loop`` on set-algebra plant i, fitted on [-2, 2]^n from X_in = R_K.
+
+    K is the plant's LQR gain under Q = I, R = 1, the set_algebra workload's
+    weights, and R_K its maximal admissible invariant set in X and U.
+    """
+    A, B = set_algebra_plants()[i]
+    system = LtiSystem(A, B)
+    K = lqr(system, np.eye(system.n_x), np.eye(1)).K
+    X = Polytope.box(-5.0 * np.ones(system.n_x), 5.0 * np.ones(system.n_x))
+    R_K = lqr_admissible_set(system, K, X, Polytope.box([-1.0], [1.0]))
+    return imitation_loop(widths, seed, plant=(system, K), box=2.0, X_in=R_K)

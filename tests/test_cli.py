@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from conftest import CASE_A, CASE_B, CASE_C_IN, CASE_K, CASE_Q, CASE_R, CASE_c_IN
+from certnn import milp
 from certnn.cli import main
 from certnn.network import ReluNetwork, synth_satlqr
 from certnn.polytope import Polytope
@@ -67,6 +68,42 @@ def test_verify_failure_exit_code(case_files, tmp_path):
         ]
     )
     assert code == 2
+
+
+def test_verify_settles_a_failed_invariance_without_search(tmp_path, monkeypatch, capsys):
+    # the 6-state loop of helpers.set_plant_loop, from X_in = R_K: the
+    # one-step check refutes invariance, so the verdict is InputOnly and no
+    # rollout or reach search runs; a search at k = 8 would exceed the cap
+    monkeypatch.setattr(milp, "MAX_NODES", 5_000)
+    loop = helpers.set_plant_loop(0, [16], 0)
+    n = loop["sys"].n_x
+    system = {
+        "A": loop["sys"].A.tolist(),
+        "B": loop["sys"].B.tolist(),
+        "X": loop["X"].to_json(),
+        "U_box": {"lb": [-1.0], "ub": [1.0]},
+        "Q": np.eye(n).tolist(),
+        "R": [[1.0]],
+    }
+    (tmp_path / "system.json").write_text(json.dumps(system))
+    loop["net"].save(tmp_path / "network.json")
+    (tmp_path / "xin.json").write_text(json.dumps(loop["X_in"].to_json()))
+    out = tmp_path / "out"
+    code = main(
+        [
+            "verify", "--system", str(tmp_path / "system.json"),
+            "--network", str(tmp_path / "network.json"), "--xin", str(tmp_path / "xin.json"),
+            "--out-dir", str(out), "--kmax", "10",
+        ]
+    )
+    assert code == 2
+    assert "verdict: InputOnly (one-step invariance of X_in failed)" in capsys.readouterr().out
+    cert = json.loads((out / "certificate.json").read_text())
+    assert (cert["verdict"], cert["input_ok"], cert["invariance_ok"]) == ("InputOnly", True, False)
+    assert cert["reason"] == "one-step invariance of X_in failed"
+    s = cert["stability"]
+    assert (s["k_star"], s["X_k_out"], s["reach_nodes"], s["rollouts"]) == (None, None, [], [])
+    assert s["R_as"] is not None and cert["witnesses"]
 
 
 def test_missing_file_exit_code(case_files, tmp_path):

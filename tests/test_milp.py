@@ -156,7 +156,7 @@ class TestBounds:
                 X = X @ sys.A.T + out @ sys.B.T
         assert tightened > 0  # the LP bounds ran and cut
 
-    def test_later_layer_one_bounds_are_relaxation_extrema(self):
+    def test_later_layer_one_bounds_are_relaxation_extrema(self, case_system, case_Xin):
         # at each x_k, each layer-1 neuron that the box of x_k leaves unstable
         # is bounded by its max and min over the step-k relaxation.  At x0
         # that relaxation is X_in alone, so the bounds are X_in's support
@@ -196,6 +196,52 @@ class TestBounds:
                     np.testing.assert_allclose(pre_hi[unstable], lp_hi[unstable], atol=1e-7)
                     tighter[k] += np.count_nonzero((lp_hi < hi - 1e-3) & unstable)
         assert tighter.all()
+        # a neuron whose pre-activation is one z column, w z + b, gets no LP:
+        # over the big-M triangle z spans [0, M_pos], so the interval is the
+        # extremum over the relaxation, solved here cold by linprog.  The
+        # case study's layer-3 saturation neuron, -z + 2, is one at every copy
+        case_study = (case_system, synth_satlqr(CASE_K, [-1.0], [1.0]), case_Xin)
+        cases = [(sys, net, UNIT_BOX) for sys, net in self._bounded_cases(rng)]
+        for sys, net, X_in in [case_study, *cases]:
+            enc = ClosedLoopEncoding(sys, net, X_in)
+            m = enc.model(4, [1.0, 0.0])  # bounds the copies at x0 .. x3
+            bounds, checked = list(zip(m.lb, m.ub)), 0
+            col = net.n_x + 1  # the first z column, after x0 and the unit column
+            for _, layers in enc.bounds:
+                for (W, b), (lo, hi), (pre_lo, pre_hi) in zip(net.layers[1:], layers, layers[1:]):
+                    z = col + np.cumsum((lo < 0.0) & (hi > 0.0)) - 1  # z column of each neuron
+                    col += 2 * np.count_nonzero((lo < 0.0) & (hi > 0.0))
+                    for i in np.flatnonzero(np.count_nonzero(W, axis=1) == 1):
+                        j = np.flatnonzero(W[i])[0]
+                        if not lo[j] < 0.0 < hi[j]:
+                            continue
+                        c = np.zeros(m.c.size)
+                        c[z[j]] = W[i, j]
+                        lp_lo = linprog(c, A_ub=m.A_ub, b_ub=m.b_ub, bounds=bounds).fun + b[i]
+                        lp_hi = -linprog(-c, A_ub=m.A_ub, b_ub=m.b_ub, bounds=bounds).fun + b[i]
+                        assert abs(pre_lo[i] - lp_lo) <= 1e-9 and abs(pre_hi[i] - lp_hi) <= 1e-9
+                        checked += 1
+                lo, hi = layers[-1]
+                col += 2 * np.count_nonzero((lo < 0.0) & (hi > 0.0))
+            assert col == m.c.size
+            if X_in is case_Xin:
+                assert checked == 4
+
+    def test_one_column_bounds_are_exact_when_weights_cancel(self, count_lps):
+        # layer 2's pre-activation 2 a_1 - a_2 - 7.5, with a_1 = x_1 + 5 and
+        # a_2 = x_1 + 3 both active over the unit box, is the one column
+        # x_1 - 0.5: its bounds are x_1's, [-1.5, 0.5], with no LP, not the
+        # interval [-3.5, 2.5] over layer 1's bounds
+        net = ReluNetwork(
+            [(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([5.0, 3.0])),
+             (np.array([[2.0, -1.0]]), np.array([-7.5])),
+             (np.ones((1, 1)), np.zeros(1))]
+        )
+        enc = ClosedLoopEncoding(None, net, UNIT_BOX)
+        enc.output([1.0])
+        [(lo, hi)] = enc.bounds[0][1][1:]
+        np.testing.assert_allclose([lo[0], hi[0]], [-1.5, 0.5], rtol=0.0, atol=1e-12)
+        assert count_lps() == 4  # X_in's box only
 
     def test_columns_only_for_unstable_neurons(self):
         # the model has no equality rows and one binary per unstable neuron:
@@ -428,14 +474,15 @@ class TestReach:
 
     def test_later_state_solves_no_box_lps(self, case_system, case_Xin, count_lps):
         # only X_in is boxed by LPs: extending the case-study encoding from
-        # step 1 to step 2 solves just the 4 bound LPs of the two saturation
-        # neurons, in layers 2 and 3, of the copy at x1
+        # step 1 to step 2 solves just the 2 bound LPs of the layer-2
+        # saturation neuron of the copy at x1; the layer-3 one, -z + 2, has
+        # one column and gets none
         net = synth_satlqr(CASE_K, [-1.0], [1.0])
         enc = ClosedLoopEncoding(case_system, net, case_Xin)
         enc.model(1, [1.0, 0.0])
         before = count_lps()
         enc.model(2, [1.0, 0.0])
-        assert count_lps() - before == 4
+        assert count_lps() - before == 2
 
     def test_k_validation(self, identity_pair_net):
         sys = LtiSystem(np.eye(1), np.eye(1))

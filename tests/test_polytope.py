@@ -386,22 +386,10 @@ class TestMaxPositivelyInvariantLinprog(TestMaxPositivelyInvariant):
     """The checks above with every LP also solved cold by scipy.optimize.linprog."""
 
 
-def _set_algebra_plants():
-    """(A, B) of the 8 plants of perfbench's set_algebra workload: same seed, same recipe."""
-    rng = np.random.default_rng([0, 3])
-    plants = []
-    for _ in range(8):
-        n = int(rng.integers(4, 9))
-        A = rng.standard_normal((n, n))
-        A *= rng.uniform(0.9, 1.1) / np.max(np.abs(np.linalg.eigvals(A)))
-        plants.append((A, rng.standard_normal((n, 1))))
-    return plants
-
-
 @functools.cache
 def _lqr_fixpoint_case(i):
     """Closed loop, constraints and reference invariant set of set-algebra plant i."""
-    A, B = _set_algebra_plants()[i]
+    A, B = helpers.set_algebra_plants()[i]
     n = A.shape[0]
     system = control.LtiSystem(A, B)
     K = control.lqr(system, np.eye(n), np.eye(1)).K

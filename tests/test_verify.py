@@ -84,14 +84,14 @@ class TestVerifyInvariance:
     ):
         # the input check and the one-step check share one encoding; only x0
         # has a network copy encoded, so only X_in is boxed (4 LPs) and the
-        # saturation neurons of layers 2 and 3 bounded (2 LPs each); a
-        # rollout refutes k = 1 with no search, and the other 26 LPs outside
-        # the branch and bound are R_eq and R_as
+        # saturation neuron of layer 2 bounded (2 LPs; layer 3's, -z + 2, has
+        # one column and needs none); a rollout refutes k = 1 with no search,
+        # and the other 26 LPs outside the branch and bound are R_eq and R_as
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=1)
         assert cert.invariance_ok and cert.stability.k_star is None
         assert cert.stability.reach_nodes == [0]
-        assert count_lps() == cert.milp_nodes + 34
+        assert count_lps() == cert.milp_nodes + 32
 
     def test_violated_produces_witness(self, case_system, case_X, case_U, case_net):
         # an expanding box cannot be invariant for this rotation-like plant
@@ -195,10 +195,10 @@ class TestVerifyStability:
         # rows that cut, rows that rays from the origin prove to be facets
         # kept and rows that a point of the set proves to cut appended without
         # an LP, no emptiness LP for R_eq or R_eq /\ X, which hold the origin,
-        # R_as checked non-empty without an LP, and the saturation neurons
-        # of layers 2 and 3 of each encoded network copy bounded by 2 LPs
-        # each (x_0 .. x_4): 50 LPs outside the branch and bound, and 3
-        # loads in all.
+        # R_as checked non-empty without an LP, and the layer-2 saturation
+        # neuron of each encoded network copy (x_0 .. x_4) bounded by 2 LPs,
+        # while layer 3's, of one column, needs none: 40 LPs outside the
+        # branch and bound, and 3 loads in all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
         # from; the warm-started models count 86. Rollouts from the input and
@@ -210,7 +210,7 @@ class TestVerifyStability:
         assert cert.milp_nodes == 86
         assert cert.stability.reach_nodes == [0, 0, 0, 0, 54]
         assert [r.k for r in cert.stability.rollouts] == [1, 2, 3, 4]
-        assert count_lps() == cert.milp_nodes + 50
+        assert count_lps() == cert.milp_nodes + 40
         assert count_loads() == 3
 
     def test_case_study_relaxation_size(self, case_system, case_Xin, case_net):
@@ -279,6 +279,24 @@ def _exact_reach_search(sys, net, X_in, R_as, k_max):
     return None, None
 
 
+def _decision_search(sys, net, X_in, R_as, k_max):
+    """verify_stability's reach search without its rollouts, on a fresh encoding.
+
+    Returns (k*, the proven bounds at k* along R_as's facets), or (None, None)
+    when no k <= k_max passes.
+    """
+    encoding = milp.ClosedLoopEncoding(sys, net, X_in)
+    for k in range(1, k_max + 1):
+        results = milp.reach_results(
+            sys, net, X_in, k, R_as.F, encoding=encoding, cutoffs=R_as.g + CONTAIN_TOL
+        )
+        if len(results) == R_as.nrows and all(
+            r.bound <= g + CONTAIN_TOL for r, g in zip(results, R_as.g)
+        ):
+            return k, Polytope(R_as.F, np.array([r.bound for r in results]))
+    return None, None
+
+
 class TestImitationLadder:
     """Verify on controllers fitted to the saturated LQR (``helpers.imitation_loop``)."""
 
@@ -287,16 +305,17 @@ class TestImitationLadder:
         [
             ([8], 0, Verdict.LQR_OPTIMAL_NEAR_EQ, 3, 200),
             ([8], 2, Verdict.LQR_OPTIMAL_NEAR_EQ, 3, 250),
-            ([16], 2, Verdict.INPUT_ONLY, 4, 400),
+            ([16], 2, Verdict.INPUT_ONLY, None, 400),
         ],
         ids=["w8-seed0", "w8-seed2", "w16-seed2"],
     )
     def test_verdict_within_node_budget(self, monkeypatch, widths, seed, verdict, k_star, budget):
         # every unstable neuron of every copy has LP bounds over the
         # relaxation built so far, which keeps the big-M constants, and with
-        # them the searches, small: 120, 149 and 229 nodes.  Looser bounds
+        # them the searches, small: 114, 149 and 216 nodes.  Looser bounds
         # take these searches to hundreds or tens of thousands of nodes, so
-        # a low cap ends them in seconds
+        # a low cap ends them in seconds.  w16-seed2 is not invariant, so it
+        # ends before the reach search, with no k*
         monkeypatch.setattr(milp, "MAX_NODES", 2_000)
         cert = verify_stability(**helpers.imitation_loop(widths, seed), k_max=10)
         assert (cert.verdict, cert.stability.k_star) == (verdict, k_star)
@@ -321,15 +340,22 @@ class TestDecisionSearch:
         cert = verify_stability(
             case_system, case_net, X_in, case_X, case_U, k_max=10, K_ref=CASE_K
         )
-        R_as = cert.stability.R_as
+        report = cert.stability
+        R_as = report.R_as
         k_star, maxima = _exact_reach_search(case_system, case_net, X_in, R_as, 10)
-        assert cert.verdict == verdict
-        assert cert.stability.k_star == k_star
-        assert len(cert.stability.reach_nodes) == k_star
+        assert cert.verdict == verdict and k_star is not None
+        if cert.invariance_ok:
+            k, X_k_out = report.k_star, report.X_k_out
+            assert len(report.reach_nodes) == k_star
+        else:
+            # verify stops before its reach search, so the decision search runs here
+            assert (report.k_star, report.X_k_out, report.reach_nodes) == (None, None, [])
+            k, X_k_out = _decision_search(case_system, case_net, X_in, R_as, 10)
+        assert k == k_star
         # X_k_out holds proven bounds: inside R_as, and above the maxima
-        np.testing.assert_array_equal(cert.stability.X_k_out.F, R_as.F)
-        assert np.all(cert.stability.X_k_out.g <= R_as.g + CONTAIN_TOL)
-        assert np.all(cert.stability.X_k_out.g >= maxima - 1e-9)
+        np.testing.assert_array_equal(X_k_out.F, R_as.F)
+        assert np.all(X_k_out.g <= R_as.g + CONTAIN_TOL)
+        assert np.all(X_k_out.g >= maxima - 1e-9)
 
     def test_reach_nodes_add_up(
         self, monkeypatch, case_system, case_Xin, case_X, case_U, case_net
@@ -373,28 +399,24 @@ def _small_loop(rng):
 
 
 def test_rollouts_refute_only_what_the_search_refutes(case_X, case_U):
-    # differential: verify's k* is the first k at which the decision search
-    # on a fresh encoding proves every facet of R_as, so each k a rollout
-    # refutes is one the search refutes too; each rollout replays
+    # differential: on an invariant loop, verify's k* is the first k at which
+    # the decision search on a fresh encoding proves every facet of R_as, so
+    # each k a rollout refutes is one the search refutes too; each rollout
+    # replays.  A loop whose invariance fails gets neither rollouts nor a
+    # search.  Few draws keep invariance, hence the 200 draws
     rng = np.random.default_rng(2)
     k_max, searched, by_rollout, seeded = 4, 0, 0, 0
-    for _ in range(30):
+    for _ in range(200):
         sys, net, X_in = _small_loop(rng)
         cert = verify_stability(sys, net, X_in, case_X, case_U, k_max=k_max)
         report = cert.stability
         if report is None or report.R_as is None:
             continue
-        R_as, encoding, k_first = report.R_as, milp.ClosedLoopEncoding(sys, net, X_in), None
-        for k in range(1, k_max + 1):
-            results = milp.reach_results(
-                sys, net, X_in, k, R_as.F, encoding=encoding, cutoffs=R_as.g + CONTAIN_TOL
-            )
-            if len(results) == R_as.nrows and all(
-                r.bound <= g + CONTAIN_TOL for r, g in zip(results, R_as.g)
-            ):
-                k_first = k
-                break
-        assert report.k_star == k_first
+        if not cert.invariance_ok:
+            assert (report.k_star, report.reach_nodes, report.rollouts) == (None, [], [])
+            continue
+        R_as = report.R_as
+        assert report.k_star == _decision_search(sys, net, X_in, R_as, k_max)[0]
         searched += 1
         for r in report.rollouts:
             assert X_in.contains_point(r.x0) and report.reach_nodes[r.k - 1] == 0
@@ -403,8 +425,8 @@ def test_rollouts_refute_only_what_the_search_refutes(case_X, case_U):
             assert r.value > R_as.g[r.facet] + CONTAIN_TOL
             by_rollout += 1
             seeded += any(report.reach_nodes[: r.k - 1])  # after a search refuted an earlier k
-    # the loops reach the reach search, and rollouts refute horizons, also
-    # after a search has refuted an earlier one
+    # the invariant loops reach the reach search, and rollouts refute
+    # horizons, also after a search has refuted an earlier one
     assert searched >= 20 and by_rollout >= 20 and seeded >= 1
 
 
