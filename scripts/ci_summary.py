@@ -20,7 +20,8 @@ Prints, one per line:
   support LPs of X_in that bound x0), the pre-activation bound LPs, the
   branch-and-bound nodes and the set LPs (R_eq and R_as); each is followed
   by the HiGHS simplex iterations of those solves, split the same way, and
-  by the LpModel loads of the pass;
+  by the LpModel loads of the pass; an LP of any other purpose is counted
+  under the purpose's own name;
 - the sha256 over the F and g bytes of the 8 invariant sets of that
   set_algebra pass, in op order, so that a shortcut that changes a row shows
   as a changed hash and not only as a changed LP count;
@@ -36,12 +37,13 @@ Prints, one per line:
   (helpers.set_plant_loop: set-algebra plant 0, 16 neurons, seed 0, from
   X_in = R_K), whose invariance fails: its verdict is settled before any
   reach search;
+- after each imitation loop's line, the LpModel.solve calls of its verify,
+  split as on the case_study pass;
 - one "name = value" line per entry of certnn/tolerances.py.
 
-Exits 1 after printing them when a caller named in CASE_CALLERS solves no LP
-on the case_study pass, or the fixpoint's cut tests or the prune's row tests
-count 0 on the set_algebra pass, as when a caller was renamed: its LPs would
-be counted under another name without a word.
+Every LP count is a difference of certnn.lp.WORK, the ledger in which each
+LpModel load and solve counts itself, a solve under the purpose that its
+caller names.
 """
 
 import collections
@@ -95,128 +97,88 @@ def case_study_lines(out: Path):
         yield f"{name} vertices: {len((out / name).read_text().splitlines()) - 1}"
 
 
+# The labels of the LP purposes (see certnn.lp.WORK) on each pass, in print
+# order; an LP of any other purpose is printed under the purpose's name.
+SET_LABELS = {"cut test": "fixpoint cut tests", "prune test": "prune tests", "emptiness": "emptiness"}
+CASE_LABELS = {
+    "box": "box LPs",
+    "bound": "bound LPs",
+    "node": "BnB nodes",
+    "cut test": "set LPs",
+    "prune test": "set LPs",
+    "emptiness": "set LPs",
+}
+
+
+def by_purpose(work, kind: str, labels: dict) -> str:
+    """work's count of kind ("solves" or "iterations") as "total (n label, ...)"."""
+    split = collections.Counter()
+    for key, n in work.items():
+        if key != "loads" and key[1] == kind:
+            split[labels.get(key[0], key[0])] += n
+    names = dict.fromkeys([*labels.values(), *split])
+    return f"{split.total()} (" + ", ".join(f"{split[name]} {name}" for name in names) + ")"
+
+
 # (hidden widths, seed) of the imitation loops whose verify is summarized
 IMITATION_LOOPS = (([8], 0), ([8], 2), ([16], 2))
 
 
+def verified(loop):
+    """verify_stability on loop at k_max = 10, and the split of its LPs by purpose."""
+    start = lp.WORK.copy()
+    cert = verify_stability(**loop, k_max=10)
+    return cert, f"LpModel.solve calls {by_purpose(lp.WORK - start, 'solves', CASE_LABELS)}"
+
+
 def imitation_lines():
     for widths, seed in IMITATION_LOOPS:
-        cert = verify_stability(**helpers.imitation_loop(widths, seed), k_max=10)
+        cert, lps = verified(helpers.imitation_loop(widths, seed))
         s = cert.stability
+        name = f"imitation loop widths {widths} seed {seed}"
         yield (
-            f"imitation loop widths {widths} seed {seed}: {cert.verdict} k_star {s.k_star}"
+            f"{name}: {cert.verdict} k_star {s.k_star}"
             f" milp_nodes {cert.milp_nodes} reach_nodes {s.reach_nodes}"
         )
-    cert = verify_stability(**helpers.set_plant_loop(0, [16], 0), k_max=10)
-    yield (
-        f"6-state imitation loop widths [16] seed 0: {cert.verdict} ({cert.reason})"
-        f" milp_nodes {cert.milp_nodes}"
-    )
+        yield f"{name}: {lps}"
+    cert, lps = verified(helpers.set_plant_loop(0, [16], 0))
+    name = "6-state imitation loop widths [16] seed 0"
+    yield f"{name}: {cert.verdict} ({cert.reason}) milp_nodes {cert.milp_nodes}"
+    yield f"{name}: {lps}"
 
 
-# The set-algebra LPs by the function that solves them: LpModel.maxima runs the
-# fixpoint's cut tests, polytope._prune the row tests of the redundancy prune,
-# and remove_redundant and max_positively_invariant their emptiness checks.
-SET_CALLERS = {
-    "maxima": "fixpoint cut tests",
-    "_prune": "prune tests",
-    "remove_redundant": "emptiness",
-    "max_positively_invariant": "emptiness",
-}
-# every set_algebra pass solves these; the emptiness checks run only for a set
-# with a negative offset, and the workload has none
-SET_REQUIRED = ("fixpoint cut tests", "prune tests")
+def lp_count_lines():
+    def lines(workload, work, labels):
+        yield f"{workload} pass: LpModel.solve calls {by_purpose(work, 'solves', labels)}"
+        yield f"{workload} pass: simplex iterations {by_purpose(work, 'iterations', labels)}"
+        yield f"{workload} pass: LpModel loads {work['loads']}"
 
-
-# The case-study LPs by the function that solves them, or that calls
-# LpModel.maxima to: milp.ClosedLoopEncoding.__init__ boxes X_in (the only
-# __init__ that calls maxima), milp.ClosedLoopEncoding._encode_network bounds
-# a network copy, and solve_milp's _push solves a branch-and-bound node; every
-# other LP is a set LP (R_eq, R_as).
-CASE_CALLERS = {
-    "__init__": "box LPs",
-    "_encode_network": "bound LPs",
-    "_push": "BnB nodes",
-}
-
-
-def _set_caller(callers):
-    return SET_CALLERS.get(callers[0], callers[0])
-
-
-def _case_caller(callers):
-    return next((CASE_CALLERS[c] for c in callers if c in CASE_CALLERS), "set LPs")
-
-
-def lp_count_lines(missing: list):
-    """The LP count lines; appends to missing each SET_REQUIRED and CASE_CALLERS count of 0."""
-    solve, init = lp.LpModel.solve, lp.LpModel.__init__
-    calls, iterations = collections.Counter(), collections.Counter()
-    loads = 0
-
-    def counting(model):
-        callers = sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name
-        out = solve(model)
-        calls[callers] += 1
-        iterations[callers] += model._highs.getInfo().simplex_iteration_count
-        return out
-
-    def loading(model, *args, **kwargs):
-        nonlocal loads
-        loads += 1
-        init(model, *args, **kwargs)
-
-    def by_caller(counts, name, names):
-        split = collections.Counter()
-        for callers, n in counts.items():
-            split[name(callers)] += n
-        names = dict.fromkeys([*names, *split])  # any other caller by its name
-        return f"{counts.total()} (" + ", ".join(f"{split[name]} {name}" for name in names) + ")"
-
-    def lines(workload, name, names):
-        yield f"{workload} pass: LpModel.solve calls {by_caller(calls, name, names)}"
-        yield f"{workload} pass: simplex iterations {by_caller(iterations, name, names)}"
-        yield f"{workload} pass: LpModel loads {loads}"
-
-    lp.LpModel.solve, lp.LpModel.__init__ = counting, loading
-    try:
-        sets = hashlib.sha256()
-        for op in workloads.set_ops():
-            R = op.run()[1]
-            sets.update(R.F.tobytes() + R.g.tobytes())
-        yield from lines("set_algebra", _set_caller, SET_CALLERS.values())
-        yield f"set_algebra pass: invariant sets sha256 {sets.hexdigest()}"
-        seen = {_set_caller(callers) for callers in calls}
-        missing += [f"set_algebra {name}" for name in SET_REQUIRED if name not in seen]
-        calls.clear()
-        iterations.clear()
-        loads = 0
-        with tempfile.TemporaryDirectory() as work:
-            for op in workloads.case_ops(Path(work)):
-                op.run()
-        yield from lines("case_study", _case_caller, [*CASE_CALLERS.values(), "set LPs"])
-        seen = {_case_caller(callers) for callers in calls}
-        missing += [f"case_study {name}" for name in CASE_CALLERS.values() if name not in seen]
-    finally:
-        lp.LpModel.solve, lp.LpModel.__init__ = solve, init
+    start = lp.WORK.copy()
+    sets = hashlib.sha256()
+    for op in workloads.set_ops():
+        R = op.run()[1]
+        sets.update(R.F.tobytes() + R.g.tobytes())
+    yield from lines("set_algebra", lp.WORK - start, SET_LABELS)
+    yield f"set_algebra pass: invariant sets sha256 {sets.hexdigest()}"
+    start = lp.WORK.copy()
+    with tempfile.TemporaryDirectory() as work:
+        for op in workloads.case_ops(Path(work)):
+            op.run()
+    yield from lines("case_study", lp.WORK - start, CASE_LABELS)
 
 
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 1
-    missing = []
     lines = [
         *case_study_lines(Path(sys.argv[1])),
         *imitation_lines(),
-        *lp_count_lines(missing),
+        *lp_count_lines(),
         f"range_bnb pass: milp nodes {sum(op.run().nodes for op in workloads.range_ops())}",
         *(f"{n} = {v!r}" for n, v in vars(tolerances).items() if n.isupper()),
     ]
     print(*lines, sep="\n")
-    if missing:
-        print(f"error: a pass counts 0 LPs for {', '.join(missing)}", file=sys.stderr)
-        return 1
     return 0
 
 

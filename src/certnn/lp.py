@@ -37,10 +37,21 @@ When an LP has several optimal vertices, a warm start may return another
 one than a cold solve, with the same value.  A warm solve that ends neither
 optimal, infeasible nor unbounded is solved once more from scratch before it
 counts as a failure.
+
+:data:`WORK` is the one ledger of LP work, always on: ``"loads"`` counts
+the ``LpModel`` loads, ``(purpose, "solves")`` the solves and ``(purpose,
+"iterations")`` their simplex iterations, both runs of a retried solve.
+Every caller names its purpose, a label only: "box", "bound" and "node" in
+``milp``; "support", "emptiness", "prune test", "cut test" and "vertex" in
+``polytope``; "emptiness" in ``regions``; "one-shot" in ``solve_lp``.
+Readers take differences of copies, so they can overlap.  The iterations
+are read by ``getInfoValue``, not ``getInfo()``: 0.4 us against 8 us, and
+some 40 us for a warm node LP of the case study (2-core Xeon, scipy 1.17.1).
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 from dataclasses import dataclass
 
@@ -56,6 +67,9 @@ except ImportError:
     ) from None
 
 PRIMAL_SIMPLEX = 4  # HiGHS's simplex_strategy for the primal simplex; 1, its default, is the dual
+
+# the LP work done so far: "loads", and (purpose, "solves") and (purpose, "iterations")
+WORK: collections.Counter = collections.Counter()
 
 
 class LpError(CertnnError):
@@ -121,11 +135,13 @@ class LpModel:
     last rows and ``rows`` reads them all back.  Row i is HiGHS's row i, in
     the order the rows were loaded and appended.  ``solve`` re-solves warm
     from the previous basis, ``clear_basis`` makes the next solve cold, and
-    ``maxima`` solves one LP per objective.  The rows live in HiGHS only;
-    the caller's arrays are never written.
+    ``maxima`` solves one LP per objective, each counted in :data:`WORK`
+    under the caller's purpose.  The rows live in HiGHS only; the caller's
+    arrays are never written.
     """
 
     def __init__(self, c, A, b, lb, ub, *, primal: bool = False):
+        WORK["loads"] += 1
         self._highs = h = _highs._Highs()
         h.setOptionValue("output_flag", False)
         if primal:
@@ -206,15 +222,19 @@ class LpModel:
         """Forget the last basis, so the next solve starts cold, as on a fresh load."""
         self._highs.clearSolver()
 
-    def solve(self) -> LpOutcome:
+    def solve(self, purpose: str) -> LpOutcome:
         """Solve the current LP, classifying the outcome as optimal/infeasible/unbounded."""
         h = self._highs
         st = _highs.HighsModelStatus
         h.run()
+        iterations = h.getInfoValue("simplex_iteration_count")[1]
         if h.getModelStatus() not in (st.kOptimal, st.kInfeasible, st.kUnbounded):
             # a warm start can stop short (status Unknown) where a cold solve settles the LP
             h.clearSolver()
             h.run()
+            iterations += h.getInfoValue("simplex_iteration_count")[1]
+        WORK[purpose, "solves"] += 1
+        WORK[purpose, "iterations"] += iterations
         status = h.getModelStatus()
         if status == st.kOptimal:
             value = -h.getObjectiveValue()
@@ -225,7 +245,7 @@ class LpModel:
             return LpOutcome(LpStatus.UNBOUNDED)
         raise LpError(f"solver failure: {h.modelStatusToString(status)}")
 
-    def maxima(self, C) -> np.ndarray:
+    def maxima(self, C, purpose: str) -> np.ndarray:
         """max c.x for each row c of C, in order, changing only the cost between solves.
 
         Each row is solved as c / |c| and its value scaled back: HiGHS's
@@ -239,7 +259,7 @@ class LpModel:
         values = []
         for c in C / scale[:, None]:
             self.set_objective(c)
-            out = self.solve()
+            out = self.solve(purpose)
             if out.status == LpStatus.INFEASIBLE:
                 raise EmptyInput("the constraints admit no point")
             values.append(np.inf if out.status == LpStatus.UNBOUNDED else out.value)
@@ -254,4 +274,4 @@ def solve_lp(p: LinearProgram) -> LpOutcome:
     A, b = np.reshape(p.A, (-1, p.objective.size)), p.b
     if p.A_eq is not None:
         A, b = np.vstack([A, p.A_eq, -p.A_eq]), np.concatenate([b, p.b_eq, -p.b_eq])
-    return LpModel(p.objective, A, b, p.lb, p.ub).solve()
+    return LpModel(p.objective, A, b, p.lb, p.ub).solve("one-shot")

@@ -202,7 +202,7 @@ class ClosedLoopEncoding:
         self._x = (np.eye(net.n_x, net.n_x + 1), np.zeros(net.n_x))
         # x0's column bounds: the max and the min of each coordinate over X_in
         try:
-            m = self._relaxation.maxima(_objective_rows(self._x[0]))
+            m = self._relaxation.maxima(_objective_rows(self._x[0]), "box")
         except EmptyInput:
             raise EmptyInput("X_in is empty: its constraints admit no point") from None
         if np.isinf(m).any():
@@ -237,7 +237,7 @@ class ClosedLoopEncoding:
             lo[one], hi[one] = _interval_affine(P[one], p[one], self._lb, self._ub)
             bound = (lo < 0.0) & (hi > 0.0) & ~one
             if bound.any():
-                m = self._relaxation.maxima(_objective_rows(P[bound]))
+                m = self._relaxation.maxima(_objective_rows(P[bound]), "bound")
                 lo[bound] = np.maximum(lo[bound], p[bound] - m[1::2])
                 hi[bound] = np.minimum(hi[bound], p[bound] + m[0::2])
                 hi = np.maximum(hi, lo)  # LP tolerances must not leave an empty interval
@@ -367,7 +367,7 @@ def solve_milp(m: MilpModel, cutoff: float | None = None) -> BnbResult:
             raise MilpError(f"node cap {MAX_NODES} exceeded")
         nodes += 1
         relaxation.set_bounds(lb, ub)
-        out = relaxation.solve()
+        out = relaxation.solve("node")
         if out.status == lp.LpStatus.UNBOUNDED:
             raise MilpError("relaxation unbounded; encoder bounds missing")
         if out.status == lp.LpStatus.OPTIMAL:

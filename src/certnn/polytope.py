@@ -137,7 +137,7 @@ def support(P: Polytope, D):
     D = np.asarray(D, dtype=float)
     if D.shape[-1:] != (P.dim,) or D.ndim > 2:
         raise DimensionMismatch(f"directions of shape {D.shape} vs dimension {P.dim}")
-    values = _load(P).maxima(D)
+    values = _load(P).maxima(D, "support")
     return float(values[0]) if D.ndim == 1 else values
 
 
@@ -156,7 +156,7 @@ def remove_redundant(P: Polytope) -> Polytope:
     checks that P is non-empty.
     """
     model = _load(P)
-    if np.any(P.g < 0.0) and model.solve().status == lp.LpStatus.INFEASIBLE:
+    if np.any(P.g < 0.0) and model.solve("emptiness").status == lp.LpStatus.INFEASIBLE:
         raise EmptyInput("cannot remove redundancy from an empty polytope")
     return _prune(model, P, _mirrors(P))
 
@@ -216,7 +216,7 @@ def _prune(model: lp.LpModel, P: Polytope, mirror: np.ndarray) -> Polytope:
         if not implied[i]:
             model.set_rhs(i, P.g[i] + 1.0)
             model.set_objective(P.F[i])
-            out = model.solve()
+            out = model.solve("prune test")
             if out.status != lp.LpStatus.OPTIMAL or out.value > P.g[i] + REDUNDANCY_TOL:
                 model.set_rhs(i, P.g[i])
                 continue  # kept
@@ -381,7 +381,7 @@ def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     if A_cl.shape != (P.dim, P.dim):
         raise DimensionMismatch(f"map shape {A_cl.shape} vs dimension {P.dim}")
     model = _load(P)
-    if np.any(P.g < 0.0) and model.solve().status == lp.LpStatus.INFEASIBLE:
+    if np.any(P.g < 0.0) and model.solve("emptiness").status == lp.LpStatus.INFEASIBLE:
         raise EmptyInput("invariant set of an empty polytope")
     mirror = _mirrors(P)
     slabs = _has_slabs(P, mirror)
@@ -397,7 +397,7 @@ def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
         lead = np.flatnonzero(undecided & (np.arange(cut.size) <= mirror_k))  # one per open pair
         if lead.size:
             try:
-                cut[lead] = model.maxima(F_k[lead]) > g_k[lead] + REDUNDANCY_TOL
+                cut[lead] = model.maxima(F_k[lead], "cut test") > g_k[lead] + REDUNDANCY_TOL
             except EmptyInput:
                 return omega
             cut[mirror_k[lead]] = cut[lead]
@@ -439,7 +439,8 @@ def vertices_2d(P: Polytope) -> np.ndarray:
     rows = np.any(P.F != 0.0, axis=1)
     F, g = P.F[rows], P.g[rows]
     A = np.hstack([F, np.linalg.norm(F, axis=1, keepdims=True)])  # F x + |F_i| r <= g
-    out = lp.LpModel([0.0, 0.0, 1.0], A, g, np.full(3, -np.inf), np.full(3, np.inf)).solve()
+    free = np.full(3, np.inf)
+    out = lp.LpModel([0.0, 0.0, 1.0], A, g, -free, free).solve("vertex")
     if out.value <= 0.0:
         return np.zeros((0, 2))
     pts = HalfspaceIntersection(np.column_stack([F, -g]), out.point[:2]).intersections

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from certnn import lp
-from certnn.errors import CertnnError, EmptyInput
+from certnn.errors import CertnnError, DimensionMismatch, EmptyInput
 from certnn.network import Pattern, ReluNetwork
 from certnn.polytope import Polytope, _load, remove_redundant
 
@@ -35,6 +35,8 @@ class Region:
 
 def enumerate_regions(net: ReluNetwork, X_in: Polytope) -> list[Region]:
     """All realizable activation regions of the network intersected with X_in."""
+    if X_in.dim != net.n_x:
+        raise DimensionMismatch(f"X_in has dimension {X_in.dim}, the network {net.n_x} inputs")
     total = sum(net.hidden_widths)
     if total > NEURON_CAP:
         raise TooManyNeurons(f"{total} hidden neurons exceed the cap {NEURON_CAP}")
@@ -63,7 +65,7 @@ def enumerate_regions(net: ReluNetwork, X_in: Polytope) -> list[Region]:
             depth = X_in.nrows + sum(widths[:layer]) + j
             for bit, row, r in ((1, -V[j], c[j]), (0, V[j], -c[j])):
                 model.add_rows(row[None, :], [r])
-                if model.solve().status != lp.LpStatus.INFEASIBLE:
+                if model.solve("emptiness").status != lp.LpStatus.INFEASIBLE:
                     split(j + 1, gamma + [bit])
                 model.delete_rows(depth)
 

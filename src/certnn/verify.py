@@ -50,7 +50,7 @@ import numpy as np
 
 from certnn import milp
 from certnn.control import LtiSystem, lqr_admissible_set, simulate, spectral_radius
-from certnn.errors import CertnnError
+from certnn.errors import CertnnError, DimensionMismatch
 from certnn.network import ReluNetwork
 from certnn.polytope import EmptyInput, Polytope, intersect
 from certnn.tolerances import CONTAIN_TOL, RESIDUAL_TOL
@@ -219,8 +219,12 @@ def verify_stability(
     search.  The stability residuals are compared with RESIDUAL_TOL.  The
     report's ``reach_nodes`` holds the nodes spent at each k (0 where a
     rollout failed it), its ``rollouts`` those rollouts, and its ``X_k_out``
-    the proven bounds at k* (see the module docstring).
+    the proven bounds at k* (see the module docstring).  Raises
+    DimensionMismatch when X_in, X or U does not fit the system or the
+    network.
     """
+    if (X.dim, U.dim) != (sys.n_x, sys.n_u):
+        raise DimensionMismatch(f"X, U of dimensions {X.dim}, {U.dim}, the system {sys.n_x}, {sys.n_u}")
     encoding = milp.ClosedLoopEncoding(sys, net, X_in)
     input_results = milp.output_range_results(net, X_in, U.F, encoding=encoding)
     input_ok, U_star, input_nodes = _contained(input_results, U)

@@ -78,40 +78,34 @@ def case_Xin():
 
 
 @pytest.fixture
-def count_lps(monkeypatch):
-    """Counts LP solves from fixture set-up on; call it to read the count.
+def count_lps():
+    """Counts LP solves from fixture set-up on, as a difference of ``lp.WORK``.
 
-    Every LP, one-shot (``solve_lp``) or re-solved on a persistent model
-    (branch-and-bound nodes, bound LPs), goes through ``LpModel.solve``.
+    Call it for the solves of every purpose, or with a purpose for those of
+    one.  Every LP, one-shot (``solve_lp``) or re-solved on a persistent
+    model (branch-and-bound nodes, bound LPs), goes through ``LpModel.solve``,
+    which counts it in ``lp.WORK``; nothing is patched.
     """
-    solve = lp.LpModel.solve
-    calls = 0
+    start = lp.WORK.copy()
 
-    def counting(model):
-        nonlocal calls
-        calls += 1
-        return solve(model)
+    def count(purpose=None):
+        if purpose is not None:
+            return lp.WORK[purpose, "solves"] - start[purpose, "solves"]
+        done = lp.WORK - start
+        return sum(n for key, n in done.items() if key != "loads" and key[1] == "solves")
 
-    monkeypatch.setattr(lp.LpModel, "solve", counting)
-    return lambda: calls
+    return count
 
 
 @pytest.fixture
-def count_loads(monkeypatch):
+def count_loads():
     """Counts LP loads (``LpModel`` constructions) from fixture set-up on.
 
-    Call it to read the count.
+    Call it to read the count: the growth of ``lp.WORK["loads"]``; nothing
+    is patched.
     """
-    init = lp.LpModel.__init__
-    loads = 0
-
-    def counting(model, *args, **kwargs):
-        nonlocal loads
-        loads += 1
-        init(model, *args, **kwargs)
-
-    monkeypatch.setattr(lp.LpModel, "__init__", counting)
-    return lambda: loads
+    start = lp.WORK["loads"]
+    return lambda: lp.WORK["loads"] - start
 
 
 @pytest.fixture
@@ -125,8 +119,8 @@ def linprog_path(monkeypatch):
     solve = lp.LpModel.solve
     status = {lp.LpStatus.OPTIMAL: 0, lp.LpStatus.INFEASIBLE: 2, lp.LpStatus.UNBOUNDED: 3}
 
-    def checked(model):
-        out = solve(model)
+    def checked(model, purpose):
+        out = solve(model, purpose)
         ref_status, ref_value = cold_linprog(model._highs)
         assert status[out.status] == ref_status
         if out.status == lp.LpStatus.OPTIMAL:

@@ -140,6 +140,35 @@ def test_paths_agree_on_seeded_lps():
             assert a.value == pytest.approx(-ref.fun, abs=1e-9)
 
 
+def test_work_ledger_counts_loads_solves_and_iterations():
+    # one load per LpModel; maxima over m rows counts m solves under its
+    # purpose; each solve adds the simplex iterations that HiGHS reports
+    # right after it; solve_lp is one load and one "one-shot" solve
+    rng = np.random.default_rng(31)
+    p = random_bounded_lp(rng)
+    C = rng.standard_normal((5, p.objective.size))
+    start = lp.WORK.copy()
+    model = lp.LpModel(p.objective, p.A, p.b, p.lb, p.ub)
+    assert lp.WORK - start == {"loads": 1}
+    model.maxima(C, "ledger test")
+    assert lp.WORK["ledger test", "solves"] - start["ledger test", "solves"] == C.shape[0]
+    total = 0
+    for c in C:
+        model.set_objective(c)
+        model.clear_basis()
+        before = lp.WORK["ledger test", "iterations"]
+        model.solve("ledger test")
+        iterations = model._highs.getInfo().simplex_iteration_count
+        assert lp.WORK["ledger test", "iterations"] - before == iterations
+        total += iterations
+    assert total > 0
+    start = lp.WORK.copy()
+    lp.solve_lp(p)
+    done = lp.WORK - start
+    assert (done["loads"], done["one-shot", "solves"]) == (1, 1)
+    assert set(done) <= {"loads", ("one-shot", "solves"), ("one-shot", "iterations")}
+
+
 def test_model_resolves_match_fresh_solves(lp_path):
     # one model re-solved under changed costs and bounds gives the optimum of
     # the same LP solved from scratch, infeasible boxes included
@@ -153,7 +182,7 @@ def test_model_resolves_match_fresh_solves(lp_path):
         ub = lb + rng.uniform(0.0, 10.0, 5)
         model.set_objective(c)
         model.set_bounds(lb, ub)
-        got = model.solve()
+        got = model.solve("test")
         want = lp.solve_lp(lp.maximize(c, p.A, p.b, lb, ub))
         statuses.add(got.status)
         assert got.status == want.status
@@ -167,15 +196,15 @@ def test_model_changes_status_in_place(lp_path):
     # max x0 + x1 s.t. x0 + x1 <= 1: a bound change makes it infeasible, then
     # free bounds and a cost change make it unbounded
     model = lp.LpModel([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [np.inf, np.inf])
-    out = model.solve()
+    out = model.solve("test")
     assert out.status == lp.LpStatus.OPTIMAL
     assert out.value == pytest.approx(1.0)
     model.set_bounds(np.array([2.0, 0.0]), np.array([np.inf, np.inf]))
-    assert model.solve().status == lp.LpStatus.INFEASIBLE
+    assert model.solve("test").status == lp.LpStatus.INFEASIBLE
     model.set_bounds(np.full(2, -np.inf), np.full(2, np.inf))
-    assert model.solve().value == pytest.approx(1.0)
+    assert model.solve("test").value == pytest.approx(1.0)
     model.set_objective(np.array([1.0, 0.0]))
-    assert model.solve().status == lp.LpStatus.UNBOUNDED
+    assert model.solve("test").status == lp.LpStatus.UNBOUNDED
 
 
 def test_row_edits_match_fresh_model(lp_path):
@@ -189,7 +218,7 @@ def test_row_edits_match_fresh_model(lp_path):
     b_new = A_new @ x0 + rng.uniform(0.1, 1.0, 3)
     lb, ub = np.full(n, -10.0), np.full(n, 10.0)
     model = lp.LpModel(np.zeros(n), A, b, lb, ub)
-    assert model.solve().status == lp.LpStatus.OPTIMAL
+    assert model.solve("test").status == lp.LpStatus.OPTIMAL
     rhs = np.concatenate([b, b_new])
     model.set_rhs(2, np.inf)
     rhs[2] = np.inf
@@ -201,10 +230,11 @@ def test_row_edits_match_fresh_model(lp_path):
     kept = np.isfinite(rhs)
     fresh = lp.LpModel(np.zeros(n), np.vstack([A, A_new])[kept], rhs[kept], lb, ub)
     C = rng.standard_normal((12, n))
-    np.testing.assert_allclose(model.maxima(C), fresh.maxima(C), rtol=0.0, atol=1e-9)
+    got, want = model.maxima(C, "test"), fresh.maxima(C, "test")
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
     model.set_objective(C[0])
     fresh.set_objective(C[0])
-    assert model.solve().value == pytest.approx(fresh.solve().value, abs=1e-9)
+    assert model.solve("test").value == pytest.approx(fresh.solve("test").value, abs=1e-9)
     with pytest.raises(lp.LpError, match="no row"):
         model.set_rhs(m + 3, 1.0)  # one past the appended rows
 
@@ -225,7 +255,8 @@ def test_deleted_rows_match_fresh_model(lp_path):
 
     def assert_matches(rows, rhs):
         fresh = lp.LpModel(np.zeros(n), rows, rhs, lb, ub)
-        np.testing.assert_allclose(model.maxima(C), fresh.maxima(C), rtol=0.0, atol=1e-9)
+        got, want = model.maxima(C, "test"), fresh.maxima(C, "test")
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
     for start in (m + 1, m, 5):
         model.delete_rows(start)
@@ -241,7 +272,7 @@ def test_row_edits_leave_the_callers_arrays(lp_path):
     model = lp.LpModel([1.0, 1.0], np.eye(2), b, np.zeros(2), np.full(2, np.inf))
     model.set_rhs(0, np.inf)
     model.add_rows([[1.0, 1.0]], [1.5])
-    assert model.solve().value == pytest.approx(1.5)
+    assert model.solve("test").value == pytest.approx(1.5)
     assert np.array_equal(b, [1.0, 1.0])
     P = Polytope(np.vstack([np.eye(2), -np.eye(2), np.eye(2)]), np.ones(6))
     g = P.g.copy()
@@ -260,7 +291,8 @@ def test_maxima_scale_with_the_objective(lp_path):
         C = rng.standard_normal((3, n))
         free = np.full(n, np.inf)
         model = lp.LpModel(np.zeros(n), F, g, -free, free)
-        np.testing.assert_allclose(model.maxima(1e-10 * C), 1e-10 * model.maxima(C), rtol=1e-9)
+        tiny = model.maxima(1e-10 * C, "test")
+        np.testing.assert_allclose(tiny, 1e-10 * model.maxima(C, "test"), rtol=1e-9)
 
 
 def test_a_stalled_warm_solve_is_solved_again_cold(lp_path):
@@ -295,7 +327,7 @@ def assert_same_lp(model, other, rows):
     want = sparse.csc_array(rows)
     for got, part in zip(held_lp(model), (want.indptr, want.indices, want.data)):
         np.testing.assert_array_equal(got, part)
-    np.testing.assert_array_equal(model.maxima(DIRECTIONS), other.maxima(DIRECTIONS))
+    np.testing.assert_array_equal(model.maxima(DIRECTIONS, "test"), other.maxima(DIRECTIONS, "test"))
 
 
 @pytest.mark.parametrize("rows", [ROWS, ROWS[:0]], ids=["rows", "no rows"])
@@ -331,10 +363,10 @@ def test_rows_read_back_what_the_model_holds(lp_path):
     assert_rows(A[:m], b[:m])
     model.add_rows(A[m:], b[m:])
     assert_rows(A, b)
-    assert model.solve().status == lp.LpStatus.OPTIMAL
+    assert model.solve("test").status == lp.LpStatus.OPTIMAL
     assert_rows(A, b)
     model.set_rhs(2, np.inf)
-    assert model.solve().status == lp.LpStatus.OPTIMAL
+    assert model.solve("test").status == lp.LpStatus.OPTIMAL
     assert_rows(A, np.where(np.arange(m + 3) == 2, np.inf, b))
     model.delete_rows(m - 1)
     b = np.where(np.arange(m + 3) == 2, np.inf, b)
@@ -346,7 +378,7 @@ def test_rows_read_back_what_the_model_holds(lp_path):
     A[: m - 1, n:] = 0.0
     model.add_rows(A[m - 1 :], b[m - 1 :])
     assert_rows(A, b)
-    assert model.solve().status == lp.LpStatus.OPTIMAL
+    assert model.solve("test").status == lp.LpStatus.OPTIMAL
     assert_rows(A, b)
 
 

@@ -241,7 +241,7 @@ class TestBounds:
         enc.output([1.0])
         [(lo, hi)] = enc.bounds[0][1][1:]
         np.testing.assert_allclose([lo[0], hi[0]], [-1.5, 0.5], rtol=0.0, atol=1e-12)
-        assert count_lps() == 4  # X_in's box only
+        assert (count_lps("box"), count_lps("bound"), count_lps()) == (4, 0, 4)  # X_in's box only
 
     def test_columns_only_for_unstable_neurons(self):
         # the model has no equality rows and one binary per unstable neuron:
@@ -449,7 +449,7 @@ class TestReach:
             for (_, [(lo1, _), (lo2, hi2)]) in enc.bounds:
                 assert np.all(lo1 >= 0.0) and np.any((lo2 < 0.0) & (hi2 > 0.0))
 
-    def test_one_load_per_step(self, lp_path, monkeypatch):
+    def test_one_load_per_step(self, lp_path):
         # extending to step 2 boxes x1, encodes its network copy and answers 4
         # directions on the relaxation loaded at step 0, with no load of its
         # own, and with the values of fresh encodings
@@ -459,16 +459,9 @@ class TestReach:
         dirs = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-0.6, 0.8]])
         enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
         enc.model(1, dirs[0])
-        init, loads = lp.LpModel.__init__, []
-
-        def counting(model, *args, **kwargs):
-            loads.append(model)
-            init(model, *args, **kwargs)
-
-        monkeypatch.setattr(lp.LpModel, "__init__", counting)
+        loads = lp.WORK["loads"]
         got = [r.value for r in reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc)]
-        assert len(loads) == 0
-        monkeypatch.setattr(lp.LpModel, "__init__", init)
+        assert lp.WORK["loads"] == loads
         want = [solve_milp(encode_reach(sys, net, UNIT_BOX, 2, d)).value for d in dirs]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
@@ -480,9 +473,9 @@ class TestReach:
         net = synth_satlqr(CASE_K, [-1.0], [1.0])
         enc = ClosedLoopEncoding(case_system, net, case_Xin)
         enc.model(1, [1.0, 0.0])
-        before = count_lps()
+        lps, box, bound = count_lps(), count_lps("box"), count_lps("bound")
         enc.model(2, [1.0, 0.0])
-        assert count_lps() - before == 2
+        assert (count_lps() - lps, count_lps("box") - box, count_lps("bound") - bound) == (2, 0, 2)
 
     def test_k_validation(self, identity_pair_net):
         sys = LtiSystem(np.eye(1), np.eye(1))

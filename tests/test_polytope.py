@@ -117,7 +117,7 @@ class TestSupportMatrix:
         free = np.full(2, np.inf)
         model = lp.LpModel(np.zeros(2), self.EMPTY.F, self.EMPTY.g, -free, free)
         with pytest.raises(EmptyInput):
-            model.maxima(np.eye(2))
+            model.maxima(np.eye(2), "test")
 
 
 class TestRemoveRedundant:

@@ -7,8 +7,10 @@ import helpers
 from conftest import CASE_K, CASE_Q, CASE_R
 from certnn import milp
 from certnn.control import LtiSystem, lqr, simulate
+from certnn.errors import DimensionMismatch
 from certnn.network import ReluNetwork, retrofit_lqr, saturate, synth_satlqr
 from certnn.polytope import Polytope, bounding_box, contains_set
+from certnn.regions import enumerate_regions
 from certnn.verify import (
     CONTAIN_TOL,
     Certificate,
@@ -22,10 +24,32 @@ from certnn.verify import (
     verify_stability,
 )
 
+# the purposes of the LPs of a case-study verify (see certnn.lp.WORK)
+PURPOSES = ("box", "bound", "node", "cut test", "prune test")
+
 
 @pytest.fixture
 def case_net():
     return synth_satlqr(CASE_K, [-1.0], [1.0])
+
+
+@pytest.mark.parametrize("wrong", ["X", "U", "X_in of the regions"])
+def test_a_set_of_the_wrong_dimension_raises(wrong, case_system, case_Xin, case_X, case_U, case_net):
+    # each set is checked against the plant or the network up front: a
+    # 3-state X, even with a U that fails the input check, a 2-input U, and
+    # a 3-state X_in for the region enumeration
+    cube = Polytope.box(-np.ones(3), np.ones(3))
+    calls = {
+        "X": lambda: verify_stability(
+            case_system, case_net, case_Xin, cube, Polytope.box([-0.01], [0.01]), k_max=1
+        ),
+        "U": lambda: verify_stability(
+            case_system, case_net, case_Xin, case_X, Polytope.box(-np.ones(2), np.ones(2)), k_max=1
+        ),
+        "X_in of the regions": lambda: enumerate_regions(case_net, cube),
+    }
+    with pytest.raises(DimensionMismatch):
+        calls[wrong]()
 
 
 class TestVerifyInput:
@@ -92,6 +116,10 @@ class TestVerifyInvariance:
         assert cert.invariance_ok and cert.stability.k_star is None
         assert cert.stability.reach_nodes == [0]
         assert count_lps() == cert.milp_nodes + 32
+        assert {p: count_lps(p) for p in PURPOSES} == {
+            "box": 4, "bound": 2, "node": cert.milp_nodes, "cut test": 10, "prune test": 16
+        }
+        assert cert.milp_nodes == 32
 
     def test_violated_produces_witness(self, case_system, case_X, case_U, case_net):
         # an expanding box cannot be invariant for this rotation-like plant
@@ -211,6 +239,9 @@ class TestVerifyStability:
         assert cert.stability.reach_nodes == [0, 0, 0, 0, 54]
         assert [r.k for r in cert.stability.rollouts] == [1, 2, 3, 4]
         assert count_lps() == cert.milp_nodes + 40
+        assert {p: count_lps(p) for p in PURPOSES} == {
+            "box": 4, "bound": 10, "node": cert.milp_nodes, "cut test": 10, "prune test": 16
+        }
         assert count_loads() == 3
 
     def test_case_study_relaxation_size(self, case_system, case_Xin, case_net):
