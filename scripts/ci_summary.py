@@ -7,8 +7,9 @@ Usage, from the repository root, after scripts/run_case_study.py:
 
 Prints, one per line:
 - the case study's k*, MILP node count and nodes per reach step;
-- the size of its closed-loop relaxation at k*: columns, rows and binaries,
-  so that a change to the encoding shows;
+- the size of a fresh encoding's closed-loop relaxation at k*: columns,
+  rows and binaries, so that a change to the encoding shows (verify's reach
+  search also carries X_1_out's rows at the states before x_k*);
 - its region count, and the sha256 of certificate.json, r_eq.json,
   trajectory.csv and of every vertex CSV (regions.csv and the five sets of
   certnn sets), then the vertex count of each vertex CSV, so that a lost
@@ -27,12 +28,14 @@ Prints, one per line:
   as a changed hash and not only as a changed LP count;
 - the branch-and-bound nodes of one untraced range_bnb pass (20
   output-range queries: 5 nets, 4 directions each);
-- the verdict, k*, MILP node count and nodes per reach step of three
+- the verdict, k*, MILP node count and nodes per reach step of five
   imitation loops of tests/helpers.py (random ReLU controllers fitted to the
-  saturated LQR: one hidden layer of 8 neurons, seeds 0 and 2, and of 16,
-  seed 2), so that a change to how tight the encoder's bounds are shows
-  even where the case study's nodes do not move; a loop whose one-step
-  invariance fails has no k* and no reach steps;
+  saturated LQR: one hidden layer of 8 neurons, seeds 0 and 2, of 16, seeds
+  2 and 0, and two hidden layers of 8, seed 0), so that a change to how
+  tight the encoder's bounds are shows even where the case study's nodes do
+  not move; the last two have the largest reach searches, so the rows that
+  verify adds at the states before x_k show most there; a loop whose
+  one-step invariance fails has no k* and no reach steps;
 - the verdict, reason and MILP node count of the 6-state imitation loop
   (helpers.set_plant_loop: set-algebra plant 0, 16 neurons, seed 0, from
   X_in = R_K), whose invariance fails: its verdict is settled before any
@@ -121,7 +124,7 @@ def by_purpose(work, kind: str, labels: dict) -> str:
 
 
 # (hidden widths, seed) of the imitation loops whose verify is summarized
-IMITATION_LOOPS = (([8], 0), ([8], 2), ([16], 2))
+IMITATION_LOOPS = (([8], 0), ([8], 2), ([16], 2), ([16], 0), ([8, 8], 0))
 
 
 def verified(loop):

@@ -18,10 +18,14 @@ inequality rows.
 
 The persistent solver is the HiGHS binding that scipy bundles as
 ``scipy.optimize._highspy`` (scipy >= 1.15); importing this module without
-it raises ImportError.  HiGHS runs with its default options but for the
-simplex strategy below.  Its default tolerances (primal and dual
-feasibility ``tolerances.LP_FEAS_TOL``) are absolute, so ``maxima`` solves
-every objective at unit norm.
+it raises ImportError.  HiGHS runs with its default options but for
+presolve, which is off, and the simplex strategy below.  A warm solve never
+presolves, so presolve only ever ran on a cold solve, where it costs more
+than it saves on LPs this small: a cold solve of the case-study relaxation
+at k = 5 (23 columns, 40 rows) takes some 190 us without it and 500 us with
+it.  Its default tolerances (primal and dual feasibility
+``tolerances.LP_FEAS_TOL``) are absolute, so ``maxima`` solves every
+objective at unit norm.
 
 Which simplex re-solves a model is fixed by its kind, from what changes
 between its solves.  The set-algebra models (``polytope._load``) change the
@@ -46,7 +50,8 @@ Every caller names its purpose, a label only: "box", "bound" and "node" in
 ``polytope``; "emptiness" in ``regions``; "one-shot" in ``solve_lp``.
 Readers take differences of copies, so they can overlap.  The iterations
 are read by ``getInfoValue``, not ``getInfo()``: 0.4 us against 8 us, and
-some 40 us for a warm node LP of the case study (2-core Xeon, scipy 1.17.1).
+some 35 us for a warm re-solve of the case-study relaxation that changes
+nothing (2-core Xeon, scipy 1.17.1, as for the times above).
 """
 
 from __future__ import annotations
@@ -144,6 +149,7 @@ class LpModel:
         WORK["loads"] += 1
         self._highs = h = _highs._Highs()
         h.setOptionValue("output_flag", False)
+        h.setOptionValue("presolve", "off")
         if primal:
             h.setOptionValue("simplex_strategy", PRIMAL_SIMPLEX)
         self.c, self.lb, self.ub = np.zeros(0), np.zeros(0), np.zeros(0)

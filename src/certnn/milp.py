@@ -36,9 +36,18 @@ bounds of the copy at a state start from interval arithmetic on its box.
 Every neuron that the interval leaves unstable, in every layer of every
 copy, also gets the max and min of its pre-activation, an affine expression
 of the columns made so far, by LP on the relaxation built so far (none for
-one column: the interval over its bounds is exact), and its bounds are the
-intersection.  A query builds its step's model on the one relaxation and
-sets only the objective, so directions and horizons share one encoding.
+one column: the interval over its bounds is exact on the big-M triangle),
+and its bounds are the intersection.  A query builds its step's model on
+the one relaxation and sets only the objective, so directions and horizons
+share one encoding.
+
+Rows that every reachable state satisfies tighten the relaxation further.
+``ClosedLoopEncoding.add_state_rows(F, g)`` holds them: each later state,
+with expression (S, s), gets the rows F S y <= g - F s before its copy is
+bounded, so the bound LPs of that copy and every search after see them.
+``certnn.verify`` passes the rows of X_1_out, the one-step image bounds
+along X_in's facets, once X_in's invariance is proven, so the reach search
+at step k carries them at x_1 .. x_{k-1}.
 
 One relaxation grows with the encoding: the encoder appends each column
 and row to the same :class:`certnn.lp.LpModel` as it makes them, in
@@ -46,9 +55,10 @@ encoding order, and HiGHS is the only place that holds a row.  The columns
 are x0 (always the first n_x), one unit column fixed to 1, then, per
 network copy and per hidden layer, the z columns of its unstable neurons
 followed by their t columns; the binaries are the t columns in that order.
-The rows are those of X_in, then, per network copy and per hidden layer,
-the three rows of each unstable neuron, neuron by neuron: z >= a,
-z <= a + M_neg t and z <= M_pos (1 - t).  There are no equality rows.  An
+The rows are those of X_in, then, per network copy, the state rows at its
+state, if any, and per hidden layer the three rows of each unstable neuron,
+neuron by neuron: z >= a, z <= a + M_neg t and z <= M_pos (1 - t).  There
+are no equality rows.  An
 objective d.x_k (or d.u0) is d M, with d m on the unit column, so a model
 stays "max c.x".  The row order is kept because HiGHS's pivots follow it:
 the same rows in another order can branch elsewhere, count other nodes and
@@ -172,13 +182,15 @@ class ClosedLoopEncoding:
     model of max direction.x_k.  Steps are only ever added: asking for an
     earlier step (``output`` included) raises MilpError.  All steps grow one
     relaxation, so the support LPs of X_in, the bound LPs and every direction
-    of every step share one loaded LP.  ``bounds[k]`` records the copy at
-    x_k: the box (lo, hi) of x_k, the interval of its expression (exact for
-    x0, an enclosure after), and, per hidden layer, the pre-activation bounds
-    (lo, hi) it was encoded with.  ``system`` is read only when a step is
-    added, so output-range callers may pass None.  Raises DimensionMismatch
-    when X_in or the system does not fit the network, EmptyInput for an
-    empty and UnboundedInput for an unbounded X_in.
+    of every step share one loaded LP.  ``add_state_rows`` adds rows at
+    every state whose copy is not yet encoded.  ``bounds[k]`` records the
+    copy at x_k: the box (lo, hi) of x_k, the interval of its expression
+    (exact for x0, an enclosure after), and, per hidden layer, the
+    pre-activation bounds (lo, hi) it was encoded with.  ``system`` is read
+    only when a step is added, so output-range callers may pass None.
+    Raises DimensionMismatch when X_in or the system does not fit the
+    network, EmptyInput for an empty and UnboundedInput for an unbounded
+    X_in.
     """
 
     def __init__(self, system, net: ReluNetwork, X_in: Polytope):
@@ -209,6 +221,7 @@ class ClosedLoopEncoding:
             raise UnboundedInput("input polytope unbounded in some coordinate")
         self._lb[: net.n_x], self._ub[: net.n_x] = -m[1::2], m[0::2]
         self._k = 0
+        self._state_rows = None
         self.bounds: list[tuple] = []
         self._encode_copy()
 
@@ -219,13 +232,15 @@ class ClosedLoopEncoding:
         Layer by layer, the pre-activation is the expression (W E, W e + b)
         of the layer before's output (E, e), bounded by interval arithmetic
         from the layer before's bounds, or over its column's bounds when it
-        has one column, which is exact.  Else one ``maxima`` call on the
-        relaxation built so far, this copy's earlier layers included, bounds
-        each neuron that the interval leaves unstable, and the bounds are the
-        intersection.  An inactive neuron's output is 0 and an active one's
-        its pre-activation; an unstable one gets its z and t columns and the
-        three big-M rows of the module docstring.  u is the output's
-        expression, ``bounds`` each hidden layer's pre-activation bounds.
+        has one column, which is exact on the big-M triangle (and sound
+        under state rows, which only shrink the relaxation).  Else one
+        ``maxima`` call on the relaxation built so far, this copy's earlier
+        layers included, bounds each neuron that the interval leaves
+        unstable, and the bounds are the intersection.  An inactive neuron's
+        output is 0 and an active one's its pre-activation; an unstable one
+        gets its z and t columns and the three big-M rows of the module
+        docstring.  u is the output's expression, ``bounds`` each hidden
+        layer's pre-activation bounds.
         """
         E, e = x
         bounds = []
@@ -272,16 +287,32 @@ class ClosedLoopEncoding:
     def _encode_copy(self):
         """Box the current state, then bound and encode its network copy.
 
-        The relaxation is first reset to its root bounds (a search leaves a
-        node's bounds on it) and to a cold basis, so the bound LPs give what
-        they give on a fresh encoding.  The box is the interval of the
-        state's expression over the root column bounds.
+        The state rows of ``add_state_rows``, if any, are appended first, on
+        the state's expression.  The relaxation is then reset to its root
+        bounds (a search leaves a node's bounds on it) and to a cold basis,
+        so the bound LPs give what they give on a fresh encoding with those
+        rows.  The box is the interval of the state's expression over the
+        root column bounds.
         """
+        if self._state_rows is not None:
+            (F, g), (S, s) = self._state_rows, self._x
+            self._relaxation.add_rows(F @ S, g - F @ s)
         self._relaxation.set_bounds(self._lb, self._ub)
         self._relaxation.clear_basis()
         lo, hi = _interval_affine(*self._x, self._lb, self._ub)
         self._u, layers = self._encode_network(self._x, lo, hi)
         self.bounds.append(((lo, hi), layers))
+
+    def add_state_rows(self, F, g):
+        """Hold F x <= g at every later state: the rows F S y <= g - F s on its expression (S, s).
+
+        The rows are appended at each state whose network copy is not
+        encoded yet, the current one included, just before that copy is
+        bounded, so its bound LPs and every later search see them.  Only for
+        rows that every later state satisfies, as X_in's and X_1_out's do
+        once X_in's invariance is proven.
+        """
+        self._state_rows = (np.asarray(F, dtype=float), np.asarray(g, dtype=float))
 
     def _extend(self):
         A, B = self._system.A, self._system.B

@@ -14,10 +14,13 @@ removal, FOCS 1994).  Intersection only stacks rows; the one operation that
 prunes is the maximal positively invariant set of a stable linear map, which
 keeps one loaded LP for its whole fixpoint: each step tests only the images
 of the rows that cut at the step before, appends the rows that cut and
-removes redundancy once at the end, on the same load.  The same two rays per
-new row leave the current set at points of it, and a row that such a point
-violates cuts without an LP.  A set whose right-hand sides are all >= 0
-holds the origin and needs no emptiness LP.  A set whose rows come in exact
+removes redundancy once at the end, on the same load.  Before it loads, it
+merges the rows of equal normals into the first of them at the smallest
+offset, since a stack of constraint sets can repeat a row, as the case
+study's R_as stack does.  The same two rays per new row leave the current
+set at points of it, and a row that such a point violates cuts without an
+LP.  A set whose right-hand sides are all >= 0 holds the origin and needs
+no emptiness LP.  A set whose rows come in exact
 mirror pairs (F_j = -F_i, g_j = g_i), as the constraints of a state box and
 an input box centred on the origin do, is symmetric about the origin, and so
 is every step of its fixpoint.  The pair rule then answers both rows of a
@@ -342,6 +345,21 @@ def intersect(P: Polytope, Q: Polytope) -> Polytope:
     return Polytope(np.vstack([P.F, Q.F]), np.concatenate([P.g, Q.g]))
 
 
+def _merge_parallel(P: Polytope) -> Polytope:
+    """P with the rows of equal normals merged into the first of them, at their smallest offset.
+
+    Normals are compared exactly, -0.0 as 0.0, as in _mirrors; the other
+    rows keep their place.  The point set does not change.
+    """
+    _, first, group = np.unique(P.F + 0.0, axis=0, return_index=True, return_inverse=True)
+    if first.size == P.nrows:
+        return P
+    group, keep = group.reshape(-1), np.sort(first)
+    g = np.full(first.size, np.inf)
+    np.minimum.at(g, group, P.g)
+    return Polytope(P.F[keep], g[group[keep]])
+
+
 def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     """Largest O inside P with A_cl O inside O, for a stable linear map.
 
@@ -369,6 +387,12 @@ def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     LPs instead of 270 (89 cut tests and 46 prune tests instead of 178 and
     92), with the same rows in the same order.
 
+    Rows of P with equal normals are first merged into the first of them,
+    at their smallest offset (see _merge_parallel): the same set with fewer
+    rows to test, and a repeated row no longer hides a mirror matching.  The
+    case study's stack R_eq /\\ X /\\ U goes from 10 rows to 6, and its
+    fixpoint from 24 LPs to 10.
+
     When the pairs are matched and g > 0, the rows of O_k, which all hold on
     O_k, bound it by a parallelotope (see _slab_bounds).  After the point
     cuts, an open row whose support on it is at most g (no slack, so the LP
@@ -380,6 +404,7 @@ def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     A_cl = np.asarray(A_cl, dtype=float)
     if A_cl.shape != (P.dim, P.dim):
         raise DimensionMismatch(f"map shape {A_cl.shape} vs dimension {P.dim}")
+    P = _merge_parallel(P)
     model = _load(P)
     if np.any(P.g < 0.0) and model.solve("emptiness").status == lp.LpStatus.INFEASIBLE:
         raise EmptyInput("invariant set of an empty polytope")

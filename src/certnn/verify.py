@@ -25,11 +25,24 @@ stops at its first refuted facet.  A refutation is an exact maximum above
 the cutoff, so it fails its k on the proven bound as the exact search
 would; no replay is needed to trust it, since failing is the conservative
 answer.  At k* the certificate's X_k_out holds the proven bounds (each
-within the facet's offset), not the maxima.  On the case-study X_in scaled
-by 0.999, the decision search at k* = 5 spends 54 nodes (pinned by
-TestVerifyStability.test_case_study_lp_budget); re-optimizing the facets of
-R_as at k = 5 on a fresh encoding spends 158 (a one-off measurement, pinned
-by no test).
+within the facet's offset), not the maxima.
+
+Once X_in is proven invariant, x_1 lies in X_in and, by induction, so does
+every later state.  So each x_j with j >= 1 is the image of a point of X_in
+and lies in X_1_out: X_in's rows at the proven one-step bounds, each at
+most g_i + CONTAIN_TOL.  Before the reach search the encoding takes
+X_1_out's rows, at offsets bound + CONTAIN_TOL, at every state that has no
+network copy yet, so the search at k carries them at x_1 .. x_{k-1} (see
+``milp.ClosedLoopEncoding.add_state_rows``).  U_star and X_1_out are solved
+before, so the rows do not touch them.  Strictly, the induction needs X_in
+grown by CONTAIN_TOL to be invariant, since the one-step check proves x_1
+only within CONTAIN_TOL of X_in; where it is, the rows cut no reachable
+state and leave every exact maximum as it is.  On the case-study X_in
+scaled by 0.999, the decision search at k* = 5 spends 38 nodes with the
+rows, 42 with X_in's own offsets g + CONTAIN_TOL and 54 without rows
+(pinned by TestVerifyStability.test_case_study_lp_budget); re-optimizing
+the facets of R_as at k = 5 on a fresh encoding without rows spends 158 (a
+one-off measurement, pinned by no test).
 
 Before the search at each k, the closed loop is rolled out k steps from
 seeds in X_in: the x0 of every maximizer of the input and one-step checks,
@@ -215,13 +228,13 @@ def verify_stability(
     at the equilibrium region, construction of R_as, then, if all of these
     held, a linear search for the first k <= k_max with the k-step reachable
     set certified inside R_as (directions = facets of R_as, so containment
-    is componentwise); a rollout that leaves R_as fails a k before its
-    search.  The stability residuals are compared with RESIDUAL_TOL.  The
-    report's ``reach_nodes`` holds the nodes spent at each k (0 where a
-    rollout failed it), its ``rollouts`` those rollouts, and its ``X_k_out``
-    the proven bounds at k* (see the module docstring).  Raises
-    DimensionMismatch when X_in, X or U does not fit the system or the
-    network.
+    is componentwise), with X_1_out's rows at the states before x_k; a rollout
+    that leaves R_as fails a k before its search.  The stability residuals
+    are compared with RESIDUAL_TOL.  The report's ``reach_nodes`` holds the
+    nodes spent at each k (0 where a rollout failed it), its ``rollouts``
+    those rollouts, and its ``X_k_out`` the proven bounds at k* (see the
+    module docstring).  Raises DimensionMismatch when X_in, X or U does not
+    fit the system or the network.
     """
     if (X.dim, U.dim) != (sys.n_x, sys.n_u):
         raise DimensionMismatch(f"X, U of dimensions {X.dim}, {U.dim}, the system {sys.n_x}, {sys.n_u}")
@@ -273,6 +286,10 @@ def verify_stability(
         return fallback("empty stability set")
     if not invariance_ok:
         return fallback("one-step invariance of X_in failed")
+    # every state lies in X_in, so every x_j with j >= 1 is the image of a
+    # point of X_in and lies within X_1_out: its rows tighten the copies at
+    # x_1 .. x_{k-1} of the reach search
+    encoding.add_state_rows(X_1.F, X_1.g + CONTAIN_TOL)
 
     x0 = [x for x in seeds if X_in.contains_point(x)]
     x_k = x0

@@ -153,14 +153,15 @@ def output_range_oracle(net, F_in, g_in, directions):
     return float(best[0]) if np.ndim(directions) == 1 else best
 
 
-def reach_oracle(A, B, net, F_in, g_in, k, directions):
+def reach_oracle(A, B, net, F_in, g_in, k, directions, state_rows=None):
     """max d.x_k over k closed-loop steps by pattern-sequence enumeration.
 
     All constraints are affine in x0 once the activation pattern of every step
     is fixed; infeasible prefixes are pruned (this only skips empty branches,
     the enumeration stays exhaustive).  directions is one direction d (returns
     a float) or a matrix with one direction per row (returns an array); the
-    pattern sequences are enumerated once for all.
+    pattern sequences are enumerated once for all.  state_rows = (F_s, g_s)
+    adds the rows F_s x_j <= g_s at every state x_1 .. x_{k-1}.
     """
     D = np.atleast_2d(directions)
     best = np.full(len(D), -np.inf)
@@ -172,6 +173,9 @@ def reach_oracle(A, B, net, F_in, g_in, k, directions):
                 if val is not None and np.isfinite(val):
                     best[i] = max(best[i], val + float(d @ b_state))
             return
+        if step > 0 and state_rows is not None:
+            F_s, g_s = state_rows
+            F, g = np.vstack([F, F_s @ W_state]), np.concatenate([g, g_s - F_s @ b_state])
         for gammas in _all_patterns(net.hidden_widths):
             rows, rhs = _pattern_rows(net, gammas)
             F_new = np.vstack([F, rows @ W_state])

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import helpers
-from conftest import CASE_C_AS, CASE_c_AS, CASE_C_IN, CASE_c_IN, CASE_F_EQ, CASE_g_EQ, \
-    CASE_F_LQR, CASE_g_LQR, random_net
+from conftest import CASE_A, CASE_B, CASE_C_AS, CASE_c_AS, CASE_C_IN, CASE_c_IN, CASE_F_EQ, \
+    CASE_g_EQ, CASE_F_LQR, CASE_g_LQR, CASE_K, random_net
 from certnn import control, lp, polytope
+from certnn.network import synth_satlqr
+from certnn.verify import equilibrium_gain_bias
 from certnn.polytope import (
     DimensionMismatch,
     EmptyInput,
@@ -23,6 +25,7 @@ from certnn.polytope import (
 )
 
 UNIT_BOX = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+U_CASE = Polytope.box([-1.0], [1.0])
 STRIP = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.ones(2))  # |x1| <= 1 holds the x2 axis
 CORNER_BOX = Polytope.box([0.0, -1.0, -1.0], [1.0, 1.0, 1.0])  # the origin on a facet: a zero g
 
@@ -524,7 +527,10 @@ def test_unmatched_rows_take_the_per_row_scan(count_lps):
     # a duplicate row or an offset off by one ulp leaves a row without
     # exactly one mirror: every row is then decided on its own, with the
     # rows and the LP counts of the per-row scan, which takes 26 LPs on
-    # plant 0's own matched set too (see test_six_state_fixpoint_lp_count)
+    # plant 0's own matched set too (see test_six_state_fixpoint_lp_count).
+    # The fixpoint merges a duplicate row first (see
+    # test_parallel_rows_merge_before_the_fixpoint), so only its one-ulp
+    # case is unmatched
     duplicate, nudged = _unmatched(_symmetric_case(0, duplicates=False))
     for Q, lps in ((duplicate, 7), (nudged, 6)):
         np.testing.assert_array_equal(polytope._mirrors(Q), np.arange(Q.nrows))
@@ -534,15 +540,84 @@ def test_unmatched_rows_take_the_per_row_scan(count_lps):
         keep = helpers.redundancy_oracle(Q.F, Q.g)
         assert np.array_equal(R.F, Q.F[keep]) and np.array_equal(R.g, Q.g[keep])
     A, P, _ = _lqr_fixpoint_case(0)
-    duplicate, nudged = _unmatched(P)
-    for Q, lps in ((duplicate, 29), (nudged, 26)):
-        before = count_lps()
-        omega = max_positively_invariant(A, Q)
-        assert count_lps() - before == lps
-        F, g = helpers.mpi_reference(A, Q.F, Q.g)
-        assert omega.F.shape == F.shape
-        np.testing.assert_allclose(omega.F, F, rtol=0.0, atol=1e-12)
-        np.testing.assert_array_equal(omega.g, g)
+    nudged = _unmatched(P)[1]
+    before = count_lps()
+    omega = max_positively_invariant(A, nudged)
+    assert count_lps() - before == 26
+    F, g = helpers.mpi_reference(A, nudged.F, nudged.g)
+    assert omega.F.shape == F.shape
+    np.testing.assert_allclose(omega.F, F, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(omega.g, g)
+
+
+def _case_study_stack():
+    """The case study's R_as fixpoint as (closed loop, None, R_eq /\\ X /\\ {x : |gain x| <= 1}).
+
+    The stack has 10 rows, and 6 normals: R_eq's x1 rows recur in X at
+    offset 5 instead of 10, and its saturation rows, at 1 - 2.2e-16 and
+    1 + 2.2e-16, recur as the input-admissible rows at 1.
+    """
+    net = synth_satlqr(CASE_K, [-1.0], [1.0])
+    gain, _ = equilibrium_gain_bias(net)
+    _, R_eq = net.equilibrium_region()
+    X = intersect(R_eq, Polytope.box([-5.0, -5.0], [5.0, 5.0]))
+    U = control.input_admissible_states(-gain, U_CASE)
+    return CASE_A + CASE_B @ gain, None, intersect(X, U)
+
+
+def _repeated_normal(seed):
+    """A stable map, a symmetric set P (see _symmetric_case), and P with a row repeated.
+
+    The repeat is appended at an offset 0.25 above the row's, and the row is
+    one that the reference invariant set of P keeps, so the offset that the
+    merge keeps shapes the set.
+    """
+    A, P = _stable_map_case(seed)[0], _symmetric_case(seed, duplicates=False)
+    F, _ = helpers.mpi_reference(A, P.F, P.g)
+    i = next(i for i, row in enumerate(P.F) if any(np.array_equal(row, f) for f in F))
+    return A, P, Polytope(np.vstack([P.F, P.F[i]]), np.append(P.g, P.g[i] + 0.25))
+
+
+def _exact_duplicate():
+    """Set-algebra plant 0's closed loop and its set, with the set's first row appended again."""
+    A, P, _ = _lqr_fixpoint_case(0)
+    return A, P, _unmatched(P)[0]
+
+
+PARALLEL_CASES = {
+    "case_study": _case_study_stack,
+    **{f"repeated{seed}": functools.partial(_repeated_normal, seed) for seed in range(6)},
+    "exact_duplicate": _exact_duplicate,
+}
+
+
+@pytest.mark.parametrize("name", PARALLEL_CASES)
+def test_parallel_rows_merge_before_the_fixpoint(monkeypatch, count_lps, name):
+    # rows of equal normals merge into the first of them at the smallest
+    # offset before the fixpoint loads: the same set as the every-row
+    # reference, in fewer LPs than the fixpoint of the unmerged rows.  A
+    # repeat merged into a symmetric set restores its mirror matching, and
+    # the fixpoint is then that of the set itself, row for row
+    A, P, Q = PARALLEL_CASES[name]()
+    merged = polytope._merge_parallel(Q)
+    if P is None:  # the case study: 6 rows, and its saturation pair is no exact mirror
+        assert (Q.nrows, merged.nrows) == (10, 6)
+        np.testing.assert_array_equal(polytope._mirrors(merged), np.arange(6))
+    else:
+        assert np.array_equal(merged.F, P.F) and np.array_equal(merged.g, P.g)
+    before = count_lps()
+    omega = max_positively_invariant(A, Q)
+    lps = count_lps() - before
+    if P is not None:
+        reference = max_positively_invariant(A, P)
+        assert np.array_equal(omega.F, reference.F) and np.array_equal(omega.g, reference.g)
+    F, g = helpers.mpi_reference(A, Q.F, Q.g)
+    _assert_irredundant_same_set(omega, Polytope(F, g))
+    monkeypatch.setattr(polytope, "_merge_parallel", lambda P: P)
+    before = count_lps()
+    unmerged = max_positively_invariant(A, Q)
+    assert lps < count_lps() - before
+    assert contains_set(unmerged, omega) and contains_set(omega, unmerged)
 
 
 @pytest.mark.parametrize("seed", range(6))

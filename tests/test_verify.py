@@ -110,14 +110,15 @@ class TestVerifyInvariance:
         # has a network copy encoded, so only X_in is boxed (4 LPs) and the
         # saturation neuron of layer 2 bounded (2 LPs; layer 3's, -z + 2, has
         # one column and needs none); a rollout refutes k = 1 with no search,
-        # and the other 26 LPs outside the branch and bound are R_eq and R_as
+        # and the other 12 LPs outside the branch and bound are R_eq and R_as,
+        # whose fixpoint starts from 6 rows once its parallel rows merge
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=1)
         assert cert.invariance_ok and cert.stability.k_star is None
         assert cert.stability.reach_nodes == [0]
-        assert count_lps() == cert.milp_nodes + 32
+        assert count_lps() == cert.milp_nodes + 18
         assert {p: count_lps(p) for p in PURPOSES} == {
-            "box": 4, "bound": 2, "node": cert.milp_nodes, "cut test": 10, "prune test": 16
+            "box": 4, "bound": 2, "node": cert.milp_nodes, "cut test": 6, "prune test": 6
         }
         assert cert.milp_nodes == 32
 
@@ -219,28 +220,29 @@ class TestVerifyStability:
         # one closed-loop encoding per call on one growing load, whose step 0
         # is the input check, only X_in boxed (4 LPs; every later state's box
         # is the interval of its expression), R_eq pruned on one load, R_as from a
-        # single invariant-set fixpoint on one load that re-tests only the
+        # single invariant-set fixpoint on one load, from the 6 rows left once
+        # the parallel rows of R_eq /\ X /\ U merge, that re-tests only the
         # rows that cut, rows that rays from the origin prove to be facets
         # kept and rows that a point of the set proves to cut appended without
         # an LP, no emptiness LP for R_eq or R_eq /\ X, which hold the origin,
         # R_as checked non-empty without an LP, and the layer-2 saturation
         # neuron of each encoded network copy (x_0 .. x_4) bounded by 2 LPs,
-        # while layer 3's, of one column, needs none: 40 LPs outside the
+        # while layer 3's, of one column, needs none: 26 LPs outside the
         # branch and bound, and 3 loads in all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
-        # from; the warm-started models count 86. Rollouts from the input and
+        # from; the warm-started models count 70. Rollouts from the input and
         # one-step maximizers refute k = 1..4 with no search, and the reach
-        # search spends 54 at k = 5.
+        # search, with X_1_out's rows at x_1 .. x_4, spends 38 at k = 5.
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
         assert cert.stability.k_star == 5
-        assert cert.milp_nodes == 86
-        assert cert.stability.reach_nodes == [0, 0, 0, 0, 54]
+        assert cert.milp_nodes == 70
+        assert cert.stability.reach_nodes == [0, 0, 0, 0, 38]
         assert [r.k for r in cert.stability.rollouts] == [1, 2, 3, 4]
-        assert count_lps() == cert.milp_nodes + 40
+        assert count_lps() == cert.milp_nodes + 26
         assert {p: count_lps(p) for p in PURPOSES} == {
-            "box": 4, "bound": 10, "node": cert.milp_nodes, "cut test": 10, "prune test": 16
+            "box": 4, "bound": 10, "node": cert.milp_nodes, "cut test": 6, "prune test": 6
         }
         assert count_loads() == 3
 
@@ -332,25 +334,105 @@ class TestImitationLadder:
     """Verify on controllers fitted to the saturated LQR (``helpers.imitation_loop``)."""
 
     @pytest.mark.parametrize(
-        "widths, seed, verdict, k_star, budget",
+        "widths, seed, verdict, k_star, budget, cap",
         [
-            ([8], 0, Verdict.LQR_OPTIMAL_NEAR_EQ, 3, 200),
-            ([8], 2, Verdict.LQR_OPTIMAL_NEAR_EQ, 3, 250),
-            ([16], 2, Verdict.INPUT_ONLY, None, 400),
+            ([8], 0, Verdict.LQR_OPTIMAL_NEAR_EQ, 3, 200, 2_000),
+            ([8], 2, Verdict.LQR_OPTIMAL_NEAR_EQ, 3, 250, 2_000),
+            ([16], 2, Verdict.INPUT_ONLY, None, 400, 2_000),
+            ([16], 0, Verdict.LQR_OPTIMAL_NEAR_EQ, 5, 4_000, 20_000),
         ],
-        ids=["w8-seed0", "w8-seed2", "w16-seed2"],
+        ids=["w8-seed0", "w8-seed2", "w16-seed2", "w16-seed0"],
     )
-    def test_verdict_within_node_budget(self, monkeypatch, widths, seed, verdict, k_star, budget):
+    def test_verdict_within_node_budget(
+        self, monkeypatch, widths, seed, verdict, k_star, budget, cap
+    ):
         # every unstable neuron of every copy has LP bounds over the
         # relaxation built so far, which keeps the big-M constants, and with
-        # them the searches, small: 114, 149 and 216 nodes.  Looser bounds
+        # them the searches, small: 110, 105 and 216 nodes.  Looser bounds
         # take these searches to hundreds or tens of thousands of nodes, so
         # a low cap ends them in seconds.  w16-seed2 is not invariant, so it
-        # ends before the reach search, with no k*
-        monkeypatch.setattr(milp, "MAX_NODES", 2_000)
+        # ends before the reach search, with no k*.  w16-seed0 spends 591
+        # nodes with X_1_out's rows at every earlier state of its reach
+        # search, 2,661 with X_in's rows and 16,087 without rows
+        monkeypatch.setattr(milp, "MAX_NODES", cap)
         cert = verify_stability(**helpers.imitation_loop(widths, seed), k_max=10)
         assert (cert.verdict, cert.stability.k_star) == (verdict, k_star)
         assert cert.milp_nodes <= budget
+
+
+# imitation loops whose invariance holds; one small hidden layer keeps the
+# pattern-enumeration oracle cheap up to k = 3
+INVARIANT_LOOPS = {
+    "w2-seed5": ([2], 5), "w3-seed2": ([3], 2), "w8-seed0": ([8], 0), "w8-seed2": ([8], 2)
+}
+
+
+class TestStateRows:
+    """Rows at the earlier states of the reach search (``add_state_rows``)."""
+
+    @pytest.mark.parametrize(
+        "name, offsets",
+        [("w2-seed5", "X_in"), ("w3-seed2", "X_1_out"), ("w2-seed5", "cut")],
+    )
+    def test_maxima_match_the_oracle(self, name, offsets):
+        # an encoding that carries rows at x_1 .. x_{k-1} gives the oracle's
+        # maxima under the same rows.  On an invariant loop X_in's own rows
+        # hold at every state, and so do those of X_1_out, X_in's rows at
+        # the one-step maxima, which verify passes: either leaves the maxima
+        # as they are.  At 0.6 of X_in's offsets the rows cut from k = 2 on
+        loop = helpers.imitation_loop(*INVARIANT_LOOPS[name])
+        sys, net, X_in = loop["sys"], loop["net"], loop["X_in"]
+        g = 0.6 * X_in.g if offsets == "cut" else X_in.g
+        if offsets == "X_1_out":
+            g = helpers.reach_oracle(sys.A, sys.B, net, X_in.F, X_in.g, 1, X_in.F)
+        rows = (X_in.F, g)
+        encoding = milp.ClosedLoopEncoding(sys, net, X_in)
+        encoding.add_state_rows(*rows)
+        bare = milp.ClosedLoopEncoding(sys, net, X_in)
+
+        def maxima(enc, k):
+            results = milp.reach_results(sys, net, X_in, k, X_in.F, encoding=enc)
+            return np.array([r.value for r in results])
+
+        for k in (1, 2, 3):
+            want = helpers.reach_oracle(sys.A, sys.B, net, X_in.F, X_in.g, k, X_in.F, rows)
+            got, free = maxima(encoding, k), maxima(bare, k)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+            if offsets != "cut" or k == 1:
+                np.testing.assert_allclose(got, free, rtol=0.0, atol=1e-6)
+            else:
+                assert np.all(got <= free + 1e-6) and np.any(got < free - 1e-3)
+
+    @pytest.mark.parametrize("name", INVARIANT_LOOPS)
+    def test_rows_change_no_answer(self, monkeypatch, name):
+        # verify adds its rows once the input and one-step checks hold, so
+        # U_star and X_1_out are bit-identical without them, and the verdict
+        # and k* are the same.  The rows hold at every later state, so on an
+        # encoding that carries them the maxima at k = 2 and 3 along the
+        # facets of X_in and R_as are those of a fresh encoding
+        loop = helpers.imitation_loop(*INVARIANT_LOOPS[name])
+        add, passed = milp.ClosedLoopEncoding.add_state_rows, []
+        monkeypatch.setattr(
+            milp.ClosedLoopEncoding, "add_state_rows", lambda self, F, g: passed.append((F, g))
+        )
+        bare = verify_stability(**loop, k_max=10)
+        monkeypatch.setattr(milp.ClosedLoopEncoding, "add_state_rows", add)
+        cert = verify_stability(**loop, k_max=10)
+        assert cert.invariance_ok and cert.certified
+        for P, Q in ((cert.U_star, bare.U_star), (cert.X_1_out, bare.X_1_out)):
+            assert np.array_equal(P.F, Q.F) and np.array_equal(P.g, Q.g)
+        assert (cert.verdict, cert.stability.k_star) == (bare.verdict, bare.stability.k_star)
+        (rows,) = passed
+        sys, net, X_in = loop["sys"], loop["net"], loop["X_in"]
+        D = np.vstack([X_in.F, cert.stability.R_as.F])
+        encoding, fresh = (milp.ClosedLoopEncoding(sys, net, X_in) for _ in range(2))
+        encoding.add_state_rows(*rows)
+        for k in (2, 3):
+            got, want = (
+                [r.value for r in milp.reach_results(sys, net, X_in, k, D, encoding=e)]
+                for e in (encoding, fresh)
+            )
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
 
 
 class TestDecisionSearch:
