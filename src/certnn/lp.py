@@ -34,8 +34,8 @@ basis primal feasible, so they run HiGHS's primal simplex (``primal=True``),
 where the default dual simplex would first repair dual feasibility.  The
 MILP relaxations keep the dual simplex: a node changes only column bounds,
 which leaves the basis dual feasible, and with every MILP LP on the primal
-simplex the four case-study bench verifies count 146/132/50/88 nodes
-instead of 86/76/40/58.
+simplex the four case-study bench verifies count 118/92/50/72 nodes
+instead of 70/58/40/50.
 
 When an LP has several optimal vertices, a warm start may return another
 one than a cold solve, with the same value.  A warm solve that ends neither

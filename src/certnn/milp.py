@@ -427,6 +427,8 @@ def _solve_directions(make_model, directions, cutoffs=None) -> list[BnbResult]:
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if cutoffs is None:
         cutoffs = [None] * len(directions)
+    elif len(cutoffs) != len(directions):
+        raise MilpError(f"{len(cutoffs)} cutoffs for {len(directions)} directions, not one each")
     results = []
     for d, cutoff in zip(directions, cutoffs):
         res = solve_milp(make_model(d), cutoff)
@@ -463,10 +465,11 @@ def reach_results(
     """One branch and bound per direction at step k, all on one encoding.
 
     Pass ``encoding`` (a ClosedLoopEncoding of the same system, net and X_in)
-    to share it with queries at other horizons.  With ``cutoffs``, one per
-    direction, each search only decides whether its maximum exceeds its
+    to share it with queries at other horizons.  With ``cutoffs``, one cutoff
+    per direction, each search only decides whether its maximum exceeds its
     cutoff (see ``solve_milp``); the directions are solved in order and the
-    results end with the first refuted one.
+    results end with the first refuted one.  Cutoffs of another length than
+    the directions raise MilpError before any search.
     """
     if encoding is None:
         encoding = ClosedLoopEncoding(system, net, X_in)

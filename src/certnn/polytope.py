@@ -6,38 +6,38 @@ matrix of directions on that load, so containment and the bounding box are
 one support call; an unbounded direction has support +inf.  Redundancy
 removal also loads the rows once: it tests one row at a time by relaxing
 that row's right-hand side in place, and drops a redundant row by setting
-its right-hand side to +inf.  When the origin is strictly inside, two rays
-from the origin per row, along its normal and at the support point of an
-ellipsoid inside the set, first prove some rows to be facets, and those rows
-need no LP (the ray-shooting step of Clarkson's output-sensitive redundancy
-removal, FOCS 1994).  Intersection only stacks rows; the one operation that
-prunes is the maximal positively invariant set of a stable linear map, which
-keeps one loaded LP for its whole fixpoint: each step tests only the images
-of the rows that cut at the step before, appends the rows that cut and
-removes redundancy once at the end, on the same load.  Before it loads, it
-merges the rows of equal normals into the first of them at the smallest
-offset, since a stack of constraint sets can repeat a row, as the case
-study's R_as stack does.  The same two rays per new row leave the current
-set at points of it, and a row that such a point violates cuts without an
-LP.  A set whose right-hand sides are all >= 0 holds the origin and needs
-no emptiness LP.  A set whose rows come in exact
-mirror pairs (F_j = -F_i, g_j = g_i), as the constraints of a state box and
-an input box centred on the origin do, is symmetric about the origin, and so
-is every step of its fixpoint.  The pair rule then answers both rows of a
-pair with one LP, in the fixpoint's cut tests and in the redundancy scan:
-a set_algebra benchmark pass solves 135 LPs instead of 270, with the same
-rows.  A matched set with g > 0 also bounds itself from outside: each pair
-gives |F_i x| <= g_i, so n of its rows bound a parallelotope that holds it
-(see _slab_bounds), and a row whose support on that parallelotope is at
-most g_i cuts no fixpoint step and is redundant, with no LP.  The fixpoint
-takes those n rows from the current set; the redundancy scan takes them
-from the ray-proven facets, which it never drops, so the parallelotope
-holds on every set the scan passes through.  That takes a pass from 135 to
-85 LPs, with the same rows.  Set equality is always decided by mutual
-containment, never by comparing rows, because equivalent H-representations
-can differ in row order and scaling.  Every loaded set is re-solved by
-HiGHS's primal simplex, which goes on from the last basis after a change of
-cost (see certnn.lp).  The vertices of a 2-D polygon, for plots, are Qhull's
+its right-hand side to +inf.  When the origin is strictly inside, one ray
+from the origin per row, at the support point along that row of an
+ellipsoid inside the set, first proves some rows to be facets, and those
+rows need no LP (the ray-shooting step of Clarkson's output-sensitive
+redundancy removal, FOCS 1994).  Intersection only stacks rows; the one
+operation that prunes is the maximal positively invariant set of a stable
+linear map, which keeps one loaded LP for its whole fixpoint: each step
+tests only the images of the rows that cut at the step before, appends the
+rows that cut and removes redundancy once at the end, on the same load.
+Before it loads, it merges the rows of equal normals into the first of them
+at the smallest offset, since a stack of constraint sets can repeat a row,
+as the case study's R_as stack does.  The same ray per new row leaves the
+current set at a point of it, and a row that the point violates cuts
+without an LP.  A set whose right-hand sides are all >= 0 holds the origin
+and needs no emptiness LP.  A set whose rows come in exact mirror pairs
+(F_j = -F_i, g_j = g_i), as the constraints of a state box and an input box
+centred on the origin do, is symmetric about the origin, and so is every
+step of its fixpoint.  The pair rule then answers both rows of a pair with
+one LP, in the fixpoint's cut tests and in the redundancy scan.  A matched
+set with g > 0 also bounds itself from outside: each pair gives
+|F_i x| <= g_i, so n of its rows bound a parallelotope that holds it (see
+_slab_bounds), and a row whose support on that parallelotope is at most g_i
+cuts no fixpoint step and is redundant, with no LP.  The fixpoint takes
+those n rows from the current set; the redundancy scan takes them from the
+ray-proven facets, which it never drops, so the parallelotope holds on
+every set the scan passes through.  With the rays, the pairs and the slabs,
+a set_algebra benchmark pass (8 plants) solves 87 LPs: 50 cut tests and 37
+prune tests.  Set equality is always decided by mutual containment, never
+by comparing rows, because equivalent H-representations can differ in row
+order and scaling.  Every loaded set is re-solved by HiGHS's primal
+simplex, which goes on from the last basis after a change of cost (see
+certnn.lp).  The vertices of a 2-D polygon, for plots, are Qhull's
 halfspace intersection from its Chebyshev centre (scipy.spatial).
 """
 
@@ -125,10 +125,18 @@ def is_empty(P: Polytope) -> bool:
     return out.status == lp.LpStatus.INFEASIBLE
 
 
-def _load(P: Polytope) -> lp.LpModel:
-    """The rows of P as an LP with zero cost: its first solve is the emptiness check."""
+def _load(P: Polytope, empty: str = "") -> lp.LpModel:
+    """The rows of P as an LP with zero cost: its first solve is the emptiness check.
+
+    Given the message empty, that check runs here, and an empty P raises
+    EmptyInput(empty).  It is one LP, and only when some offset is
+    negative: when g >= 0 the origin is in P.
+    """
     free = np.full(P.dim, np.inf)
-    return lp.LpModel(np.zeros(P.dim), P.F, P.g, -free, free, primal=True)
+    model = lp.LpModel(np.zeros(P.dim), P.F, P.g, -free, free, primal=True)
+    if empty and np.any(P.g < 0.0) and model.solve("emptiness").status == lp.LpStatus.INFEASIBLE:
+        raise EmptyInput(empty)
+    return model
 
 
 def support(P: Polytope, D):
@@ -150,18 +158,14 @@ def remove_redundant(P: Polytope) -> Polytope:
     Row i is redundant iff maximizing F_i x over the remaining rows (with the
     bounding relaxation F_i x <= g_i + 1 to keep the LP bounded) stays below
     g_i.  Rows are scanned sequentially so that of two duplicates exactly one
-    survives.  When the rows form mirror pairs (see _mirrors), one LP decides
+    survives.  A row that the ray of _ray_facets proves to be a facet needs
+    no LP.  When the rows form mirror pairs (see _mirrors), one LP decides
     both rows of a pair, and when also g > 0, the slabs of the ray-proven
     facets, which the scan never drops, drop the rows they imply without an
-    LP (see _prune); on the set_algebra benchmark workload the pairs and the
-    slabs together take a pass from 270 to 85 LPs.  P is loaded once; an
-    empty P raises EmptyInput.  When g >= 0 the origin is in P, and no LP
-    checks that P is non-empty.
+    LP (see _prune).  P is loaded once (see _load); an empty P
+    raises EmptyInput.
     """
-    model = _load(P)
-    if np.any(P.g < 0.0) and model.solve("emptiness").status == lp.LpStatus.INFEASIBLE:
-        raise EmptyInput("cannot remove redundancy from an empty polytope")
-    return _prune(model, P, _mirrors(P))
+    return _prune(_load(P, "cannot remove redundancy from an empty polytope"), P, _mirrors(P))
 
 
 def _mirrors(P: Polytope) -> np.ndarray:
@@ -187,16 +191,15 @@ def _mirrors(P: Polytope) -> np.ndarray:
 def _prune(model: lp.LpModel, P: Polytope, mirror: np.ndarray) -> Polytope:
     """remove_redundant on a model whose inequality rows are those of P, in order.
 
-    A row that a ray from the origin proves to be a facet is kept without an
-    LP (see _ray_facets); every other row is tested in order as described
+    A row that its ray from the origin proves to be a facet is kept without
+    an LP (see _ray_facets); every other row is tested in order as described
     in remove_redundant.  mirror is _mirrors(P), or the same map carried
     through max_positively_invariant.  A row and its mirror m[i] are decided
     together at the first of the two: the set is symmetric, so the LP of
     F_i answers that of -F_i; a ray-proven facet keeps its mirror, and a
     redundant pair is dropped at once.  That keeps the point set: for
-    g >= 0 the row -F_i x <= g_i never helps imply F_i x <= g_i.  On the 8
-    plants of the set_algebra benchmark workload the pairs halve the prune
-    tests, from 92 to 46 per pass.  With m[i] = i this is the per-row scan.
+    g >= 0 the row -F_i x <= g_i never helps imply F_i x <= g_i.  With
+    m[i] = i this is the per-row scan.
 
     When the rows are matched and g > 0, the rows that _slab_bounds picks
     from the ray-proven facets bound P by a parallelotope, and a row whose
@@ -204,8 +207,7 @@ def _prune(model: lp.LpModel, P: Polytope, mirror: np.ndarray) -> Polytope:
     The scan never drops those facets and never tests one, so their slabs
     hold on every set it passes through.  A basis from all rows would be
     unsound: a row that the scan dropped earlier may be implied only while
-    the row now under test is present.  The slabs take the prune tests of a
-    set_algebra pass from 46 to 36.
+    the row now under test is present.
     """
     keep = np.ones(P.nrows, dtype=bool)
     facets = _ray_facets(P)
@@ -235,18 +237,18 @@ def _has_slabs(P: Polytope, mirror: np.ndarray) -> bool:
 
 
 def _rays(P: Polytope, C) -> np.ndarray:
-    """The directions of the rays aimed along each row c of C: c, then M^-1 c.
+    """The direction of the one ray aimed along each row c of C: M^-1 c.
 
     Only when g > 0, so the origin is strictly inside P.  With
     M = F^T diag(g)^-2 F the ellipsoid {x : sum_j (F_j x / g_j)^2 <= 1} lies
     in P, and M^-1 c points at its support point along c; for the
     near-ellipsoidal sets of a stable loop that ray often leaves P through
     the face that maximizes c.  M is singular when P holds a line, and then
-    only the rows of C are returned.
+    the rows of C themselves are the directions.
     """
     G = P.F / P.g[:, None]
     try:
-        return np.vstack([C, np.linalg.solve(G.T @ G, C.T).T])
+        return np.linalg.solve(G.T @ G, C.T).T
     except np.linalg.LinAlgError:
         return C
 
@@ -280,8 +282,8 @@ def _first_hits(P: Polytope, D):
 def _ray_facets(P: Polytope) -> np.ndarray:
     """Mask of the rows that a ray from the origin proves to be facets.
 
-    Only when g > 0.  Two rays per row (see _rays): along its normal and at
-    the support point of P's inner ellipsoid.  Where the row f that a ray
+    Only when g > 0.  One ray per row (see _rays), at the support point of
+    P's inner ellipsoid along the row's normal.  Where the row f that a ray
     meets first rises above g_f by more than 10 * LP_FEAS_TOL, ten times
     HiGHS's feasibility tolerance, before another row stops the ray (see
     _first_hits), the LP scan would keep row f too.  Ties (duplicate or
@@ -298,16 +300,15 @@ def _ray_facets(P: Polytope) -> np.ndarray:
 def _point_cuts(omega: Polytope, F, g) -> np.ndarray:
     """Mask of the rows of F x <= g that a point of omega proves to cut omega.
 
-    Only when omega has g > 0.  Two rays per row r (see _rays) end at points
-    x of omega (see _first_hits); r . x > g_r + REDUNDANCY_TOL shows that
-    the support of r on omega exceeds g_r as the LP test of
+    Only when omega has g > 0.  The one ray per row r (see _rays) ends at a
+    point x of omega (see _first_hits); r . x > g_r + REDUNDANCY_TOL shows
+    that the support of r on omega exceeds g_r as the LP test of
     max_positively_invariant requires.  The other rows are left to the LP.
     """
     cuts = np.zeros(len(g), dtype=bool)
     if omega.nrows and np.all(omega.g > 0.0):
         _, hit, _ = _first_hits(omega, _rays(omega, F))
-        reach = np.sum(hit.reshape(-1, *F.shape) * F, axis=2)  # one row of r . x per ray family
-        cuts = np.any(reach > g + REDUNDANCY_TOL, axis=0)
+        cuts = np.sum(hit * F, axis=1) > g + REDUNDANCY_TOL
     return cuts
 
 
@@ -369,45 +370,38 @@ def max_positively_invariant(A_cl, P: Polytope) -> Polytope:
     as a cut).  Only the rows that cut at step k are tested at step k + 1:
     x in O_(k+1) puts A_cl x in O_k, so the support of F_j A_cl^(k+2) on
     O_(k+1) is at most that of F_j A_cl^(k+1) on O_k, and a row that did not
-    cut at step k never cuts again.  A row that a point of O_k proves to cut
-    (see _point_cuts) needs no LP; only the other rows are solved.  When no
-    row cuts, O_k is invariant and is returned with its redundant rows
-    removed.  When the rows squeeze every point out, the empty stack is
-    returned: it is the (trivially invariant) fixpoint.  One LP is loaded for
-    the whole fixpoint: the cutting rows are appended to it and the final
-    pruning runs on it.  When g >= 0 the origin is in P, and no LP checks
-    that P is non-empty.
+    cut at step k never cuts again.  A row that the end point of its ray in
+    O_k proves to cut (see _point_cuts) needs no LP; only the other rows are
+    solved.  When no row cuts, O_k is invariant and is returned with its
+    redundant rows removed.  When the rows squeeze every point out, the
+    empty stack is returned: it is the (trivially invariant) fixpoint.  One
+    LP is loaded for the whole fixpoint (see _load): the cutting
+    rows are appended to it and the final pruning runs on it.
 
     When P's rows form mirror pairs (see _mirrors), so does every O_k, and
     O_k is symmetric about the origin: -F_j A_cl^(k+1) has the support of
     F_j A_cl^(k+1), and a point x that proves one row to cut proves the
     mirror to cut at -x.  One LP then decides each undecided pair, and the
     map of mirrors follows the rows through each step into the final prune.
-    On the 8 plants of the set_algebra benchmark workload a pass solves 135
-    LPs instead of 270 (89 cut tests and 46 prune tests instead of 178 and
-    92), with the same rows in the same order.
 
     Rows of P with equal normals are first merged into the first of them,
     at their smallest offset (see _merge_parallel): the same set with fewer
     rows to test, and a repeated row no longer hides a mirror matching.  The
     case study's stack R_eq /\\ X /\\ U goes from 10 rows to 6, and its
-    fixpoint from 24 LPs to 10.
+    fixpoint solves 10 LPs.
 
     When the pairs are matched and g > 0, the rows of O_k, which all hold on
     O_k, bound it by a parallelotope (see _slab_bounds).  After the point
     cuts, an open row whose support on it is at most g (no slack, so the LP
     would agree) cannot cut and needs no LP.  The final prune takes its
     slabs from the ray-proven facets instead, the only rows it never drops
-    (see _prune).  With both, a set_algebra pass solves 85 LPs instead of
-    135 (49 cut tests and 36 prune tests), with the same rows in order.
+    (see _prune).
     """
     A_cl = np.asarray(A_cl, dtype=float)
     if A_cl.shape != (P.dim, P.dim):
         raise DimensionMismatch(f"map shape {A_cl.shape} vs dimension {P.dim}")
     P = _merge_parallel(P)
-    model = _load(P)
-    if np.any(P.g < 0.0) and model.solve("emptiness").status == lp.LpStatus.INFEASIBLE:
-        raise EmptyInput("invariant set of an empty polytope")
+    model = _load(P, "invariant set of an empty polytope")
     mirror = _mirrors(P)
     slabs = _has_slabs(P, mirror)
     omega, F_k, g_k, mirror_k = P, P.F, P.g, mirror

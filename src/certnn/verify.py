@@ -40,9 +40,7 @@ only within CONTAIN_TOL of X_in; where it is, the rows cut no reachable
 state and leave every exact maximum as it is.  On the case-study X_in
 scaled by 0.999, the decision search at k* = 5 spends 38 nodes with the
 rows, 42 with X_in's own offsets g + CONTAIN_TOL and 54 without rows
-(pinned by TestVerifyStability.test_case_study_lp_budget); re-optimizing
-the facets of R_as at k = 5 on a fresh encoding without rows spends 158 (a
-one-off measurement, pinned by no test).
+(pinned by TestVerifyStability.test_case_study_lp_budget).
 
 Before the search at each k, the closed loop is rolled out k steps from
 seeds in X_in: the x0 of every maximizer of the input and one-step checks,

@@ -729,3 +729,15 @@ class TestCutoff:
         got = reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc, cutoffs=maxima + 0.1)
         assert len(got) == len(dirs)
         assert all(r.status == BnbStatus.BELOW_CUTOFF for r in got)
+
+    def test_one_cutoff_per_direction(self, case_system, case_Xin, count_lps):
+        # a cutoff list shorter or longer than the directions would decide
+        # only some of them (zip drops the rest), and a caller such as
+        # verify's containment check would read the short result list as a
+        # pass: it is refused before any search
+        net = synth_satlqr(CASE_K, [-1.0], [1.0])
+        F, g = case_Xin.F, case_Xin.g
+        for cutoffs in (g[:2] + 1e-9, np.append(g, 1.0) + 1e-9, []):
+            with pytest.raises(MilpError, match=rf"{len(cutoffs)} cutoffs for {len(F)} directions"):
+                reach_results(case_system, net, case_Xin, 1, F, cutoffs=cutoffs)
+        assert count_lps("node") == 0

@@ -252,6 +252,17 @@ def test_ray_facets_are_kept_by_the_oracle():
     assert proven > kept // 2  # of the facets of the sets with g > 0
 
 
+def test_rays_aim_at_the_inner_ellipsoid():
+    # one ray per row c, along M^-1 c with M = F^T diag(g)^-2 F; a set that
+    # holds a line has a singular M, and only there are the rows themselves
+    # the rays
+    C = np.array([[1.0, 2.0], [-0.5, 1.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(polytope._rays(STRIP, C), C)
+    P = Polytope(np.array([[2.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), np.ones(4))
+    M = np.diag([5.0, 2.0])  # (F / g)^T (F / g)
+    np.testing.assert_allclose(polytope._rays(P, C), np.linalg.solve(M, C.T).T, rtol=1e-15)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_point_cuts_are_lp_cuts():
     # a row that a boundary point of the set proves to cut has a support above
@@ -274,8 +285,9 @@ def test_point_cuts_are_lp_cuts():
 
 
 def test_remove_redundant_of_box_needs_no_lp(count_lps):
-    # the origin is inside, so no LP checks emptiness, and the ray along each
-    # row normal proves that row to be a facet
+    # the origin is inside, so no LP checks emptiness; M is diagonal for a
+    # box, so the ray at the inner ellipsoid's support point along each row
+    # runs along the row's normal and proves that row to be a facet
     box = Polytope.box([-1.0, -2.0, -0.5], [3.0, 0.25, 1.0])
     R = remove_redundant(box)
     assert np.array_equal(R.F, box.F) and np.array_equal(R.g, box.g)
@@ -445,14 +457,16 @@ def test_max_positively_invariant_matches_every_row_reference(lp_path, case):
 
 
 def test_six_state_fixpoint_lp_count(count_lps):
-    # set-algebra plant 0 (6 states): 6 LPs, one per mirror pair of rows
-    # that neither a point nor the set's own slabs decide; one LP per pair
-    # takes 13, one LP per row 26, and rays along the row normals alone, with
-    # an LP for every cut test and for emptiness, take 37
+    # set-algebra plant 0 (6 states): 8 LPs, one per mirror pair of rows
+    # that neither a point nor the set's own slabs decide; without the slabs
+    # one LP per pair takes 15, and one LP per row 30.  Only the ray at the
+    # inner ellipsoid's support point runs: a second ray along each row
+    # normal would prove two more pairs to cut (6 LPs), a gain too small to
+    # keep it
     A, P, (F, _) = _lqr_fixpoint_case(0)
     before = count_lps()
     assert max_positively_invariant(A, P).nrows == len(F) == 24
-    assert count_lps() - before == 6
+    assert count_lps() - before == 8
 
 
 def _symmetric_case(seed, duplicates):
@@ -526,8 +540,9 @@ def _unmatched(P):
 def test_unmatched_rows_take_the_per_row_scan(count_lps):
     # a duplicate row or an offset off by one ulp leaves a row without
     # exactly one mirror: every row is then decided on its own, with the
-    # rows and the LP counts of the per-row scan, which takes 26 LPs on
-    # plant 0's own matched set too (see test_six_state_fixpoint_lp_count).
+    # rows and the LP counts of the per-row scan, which takes 30 LPs on
+    # plant 0's own matched set too, with one ray per row (see
+    # test_six_state_fixpoint_lp_count).
     # The fixpoint merges a duplicate row first (see
     # test_parallel_rows_merge_before_the_fixpoint), so only its one-ulp
     # case is unmatched
@@ -543,7 +558,7 @@ def test_unmatched_rows_take_the_per_row_scan(count_lps):
     nudged = _unmatched(P)[1]
     before = count_lps()
     omega = max_positively_invariant(A, nudged)
-    assert count_lps() - before == 26
+    assert count_lps() - before == 30
     F, g = helpers.mpi_reference(A, nudged.F, nudged.g)
     assert omega.F.shape == F.shape
     np.testing.assert_allclose(omega.F, F, rtol=0.0, atol=1e-12)
@@ -716,7 +731,7 @@ def test_slabs_never_run_on_unmatched_sets(monkeypatch, count_lps):
     # one offset moved up by one ulp leaves rows without a mirror, and a zero
     # offset leaves no room for slabs: those sets take the per-row path, with
     # its rows and LP counts (see test_unmatched_rows_take_the_per_row_scan
-    # for plant 0's), and never ask for a slab bound
+    # for plant 0's 30, one ray per row), and never ask for a slab bound
     def no_slabs(F, g, D):
         raise AssertionError("a slab bound on a set without the slab rule")
 
@@ -724,7 +739,7 @@ def test_slabs_never_run_on_unmatched_sets(monkeypatch, count_lps):
     A, P, _ = _lqr_fixpoint_case(0)
     before = count_lps()
     max_positively_invariant(A, _unmatched(P)[1])
-    assert count_lps() - before == 26
+    assert count_lps() - before == 30
     _, nudged = _unmatched(_hexagon())
     before = count_lps()
     R = remove_redundant(nudged)
