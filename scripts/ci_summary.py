@@ -42,7 +42,9 @@ Prints, one per line:
   reach search;
 - after each imitation loop's line, the LpModel.solve calls of its verify,
   split as on the case_study pass;
-- one "name = value" line per entry of certnn/tolerances.py.
+- one "name = value" line per entry of certnn/tolerances.py;
+- one line with the sorted names of certnn.__all__, so that a change to the
+  package's public API shows as well.
 
 Every LP count is a difference of certnn.lp.WORK, the ledger in which each
 LpModel load and solve counts itself, a solve under the purpose that its
@@ -63,6 +65,7 @@ import helpers  # noqa: E402
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
+import certnn  # noqa: E402
 from certnn import lp, tolerances  # noqa: E402
 from certnn.control import system_from_json  # noqa: E402
 from certnn.milp import ClosedLoopEncoding  # noqa: E402
@@ -180,6 +183,7 @@ def main() -> int:
         *lp_count_lines(),
         f"range_bnb pass: milp nodes {sum(op.run().nodes for op in workloads.range_ops())}",
         *(f"{n} = {v!r}" for n, v in vars(tolerances).items() if n.isupper()),
+        f"certnn public names: {', '.join(sorted(certnn.__all__))}",
     ]
     print(*lines, sep="\n")
     return 0

@@ -14,8 +14,8 @@ from certnn.milp import (
     BnbResult,
     ClosedLoopEncoding,
     MilpModel,
-    output_range,
-    reach_set,
+    output_range_results,
+    reach_results,
     solve_milp,
 )
 from certnn.network import ReluNetwork, retrofit_lqr, saturate, synth_satlqr
@@ -33,8 +33,8 @@ __all__ = [
     "ReluNetwork",
     "lqr",
     "lqr_admissible_set",
-    "output_range",
-    "reach_set",
+    "output_range_results",
+    "reach_results",
     "retrofit_lqr",
     "saturate",
     "simulate",

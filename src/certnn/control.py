@@ -120,7 +120,7 @@ def simulate(sys: LtiSystem, net: ReluNetwork, x0, k: int) -> Trajectory:
         x = sys.A @ x + sys.B @ u
         inputs.append(u)
         states.append(x)
-    return Trajectory(np.array(states), np.array(inputs))
+    return Trajectory(np.array(states), np.reshape(inputs, (k, sys.n_u)))
 
 
 def system_from_json(data: dict) -> tuple[LtiSystem, dict]:

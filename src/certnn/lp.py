@@ -13,8 +13,9 @@ invariant-set fixpoint and every step of a closed-loop encoding.
 :meth:`LpModel.rows` reads the rows back.  :meth:`LpModel.maxima` answers a
 whole matrix of objectives on one load: the support functions of a polytope
 and the bound LPs of a network layer are each one call.  :func:`solve_lp` is
-the one-shot use of the same object; it passes an equality row as two
-inequality rows.
+the one-shot use of the same object on a :class:`LinearProgram`; it passes
+an equality row as two inequality rows.  No certnn module solves a one-shot
+LP any more: each loads an :class:`LpModel` itself.
 
 The persistent solver is the HiGHS binding that scipy bundles as
 ``scipy.optimize._highspy`` (scipy >= 1.15); importing this module without
@@ -114,17 +115,6 @@ class LpOutcome:
     status: LpStatus
     value: float | None = None
     point: np.ndarray | None = None
-
-
-def maximize(c, A=None, b=None, lb=None, ub=None) -> LinearProgram:
-    """Convenience constructor with free variables by default."""
-    c = np.asarray(c, dtype=float).reshape(-1)
-    n = c.size
-    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float).reshape(-1, n)
-    b = np.zeros(0) if b is None else np.asarray(b, dtype=float).reshape(-1)
-    lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, dtype=float).reshape(-1)
-    ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float).reshape(-1)
-    return LinearProgram(c, A, b, lb, ub)
 
 
 class LpModel:

@@ -186,8 +186,9 @@ class ClosedLoopEncoding:
     every state whose copy is not yet encoded.  ``bounds[k]`` records the
     copy at x_k: the box (lo, hi) of x_k, the interval of its expression
     (exact for x0, an enclosure after), and, per hidden layer, the
-    pre-activation bounds (lo, hi) it was encoded with.  ``system`` is read
-    only when a step is added, so output-range callers may pass None.
+    pre-activation bounds (lo, hi) it was encoded with.  ``system``, ``net``
+    and ``X_in`` are the objects it was built from; ``system`` is read only
+    when a step is added, so output-range callers may pass None.
     Raises DimensionMismatch when X_in or the system does not fit the
     network, EmptyInput for an empty and UnboundedInput for an unbounded
     X_in.
@@ -201,8 +202,7 @@ class ClosedLoopEncoding:
                 f"the system has {system.n_x} states and {system.n_u} inputs,"
                 f" the network {net.n_x} inputs and {net.n_u} outputs"
             )
-        self._system = system
-        self._net = net
+        self.system, self.net, self.X_in = system, net, X_in
         # the root column bounds, which a search overwrites in the relaxation:
         # x0, then the unit column fixed to 1
         free = np.full(net.n_x, np.inf)
@@ -244,7 +244,7 @@ class ClosedLoopEncoding:
         """
         E, e = x
         bounds = []
-        for W, b in self._net.layers[:-1]:
+        for W, b in self.net.layers[:-1]:
             P, p = W @ E, W @ e + b
             lo, hi = _interval_affine(W, b, lo, hi)
             # one column spans its bounds (z: [0, M_pos], x0: X_in's box), so its interval is exact
@@ -281,7 +281,7 @@ class ClosedLoopEncoding:
             E[np.flatnonzero(unstable), N + np.arange(n)] = 1.0
             e = np.where(on, p, 0.0)
             lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
-        W, b = self._net.layers[-1]
+        W, b = self.net.layers[-1]
         return (W @ E, W @ e + b), bounds
 
     def _encode_copy(self):
@@ -315,7 +315,7 @@ class ClosedLoopEncoding:
         self._state_rows = (np.asarray(F, dtype=float), np.asarray(g, dtype=float))
 
     def _extend(self):
-        A, B = self._system.A, self._system.B
+        A, B = self.system.A, self.system.B
         if self._u is None:
             self._encode_copy()
         (S, s), (U, u) = self._x, self._u
@@ -342,7 +342,7 @@ class ClosedLoopEncoding:
         if direction.size != M.shape[0]:
             raise MilpError(f"direction length {direction.size}, expected {M.shape[0]}")
         c = direction @ M
-        c[self._net.n_x] = direction @ const
+        c[self.net.n_x] = direction @ const
         return MilpModel(c, self._lb.copy(), self._ub.copy(), self._binaries, self._relaxation)
 
     def output(self, direction) -> MilpModel:
@@ -441,22 +441,26 @@ def _solve_directions(make_model, directions, cutoffs=None) -> list[BnbResult]:
     return results
 
 
+def _check_encoding(encoding, **given):
+    """MilpError naming the first given object that is not the one encoding was built from."""
+    for name, obj in given.items():
+        if obj is not getattr(encoding, name):
+            raise MilpError(f"the encoding was built from another {name} than the one passed")
+
+
 def output_range_results(
     net: ReluNetwork, X_in: Polytope, directions, encoding=None
 ) -> list[BnbResult]:
     """One branch and bound per direction of the network output, all on one encoding.
 
     Pass ``encoding`` (a ClosedLoopEncoding of the same net and X_in, still
-    at step 0) to share it with the closed-loop queries that follow.
+    at step 0) to share it with the closed-loop queries that follow; a net
+    or X_in that is not the encoding's own object raises MilpError.
     """
     if encoding is None:
         encoding = ClosedLoopEncoding(None, net, X_in)
+    _check_encoding(encoding, net=net, X_in=X_in)
     return _solve_directions(encoding.output, directions)
-
-
-def output_range(net: ReluNetwork, X_in: Polytope, directions) -> np.ndarray:
-    """Exact per-direction maxima of the network output over X_in."""
-    return np.array([r.value for r in output_range_results(net, X_in, directions)])
 
 
 def reach_results(
@@ -465,17 +469,14 @@ def reach_results(
     """One branch and bound per direction at step k, all on one encoding.
 
     Pass ``encoding`` (a ClosedLoopEncoding of the same system, net and X_in)
-    to share it with queries at other horizons.  With ``cutoffs``, one cutoff
-    per direction, each search only decides whether its maximum exceeds its
-    cutoff (see ``solve_milp``); the directions are solved in order and the
-    results end with the first refuted one.  Cutoffs of another length than
-    the directions raise MilpError before any search.
+    to share it with queries at other horizons; a system, net or X_in that
+    is not the encoding's own object raises MilpError.  With ``cutoffs``,
+    one cutoff per direction, each search only decides whether its maximum
+    exceeds its cutoff (see ``solve_milp``); the directions are solved in
+    order and the results end with the first refuted one.  Cutoffs of
+    another length than the directions raise MilpError before any search.
     """
     if encoding is None:
         encoding = ClosedLoopEncoding(system, net, X_in)
+    _check_encoding(encoding, system=system, net=net, X_in=X_in)
     return _solve_directions(lambda d: encoding.model(k, d), directions, cutoffs)
-
-
-def reach_set(system, net: ReluNetwork, X_in: Polytope, k: int, directions) -> np.ndarray:
-    """Exact per-direction maxima of the k-step closed-loop state over X_in."""
-    return np.array([r.value for r in reach_results(system, net, X_in, k, directions)])

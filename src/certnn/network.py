@@ -222,10 +222,10 @@ def retrofit_lqr(net: ReluNetwork, K) -> tuple[ReluNetwork, float]:
     return ReluNetwork(list(net.layers[:-1]) + [(new[:, :-1], new[:, -1])]), cost
 
 
-def synth_satlqr(K, lb, ub, radius: float = 10.0) -> ReluNetwork:
-    """Saturated-LQR test network: clamp(-K x, lb, ub) on the box |x_i| <= radius.
+def synth_satlqr(K, lb, ub) -> ReluNetwork:
+    """Saturated-LQR test network: clamp(-K x, lb, ub) on the box |x_i| <= 10.
 
-    The hidden layer carries one shifted pair (x_i + radius, -x_i + radius)
+    The hidden layer carries one shifted pair (x_i + 10, -x_i + 10)
     per state; inside the box both halves are active, the pair difference
     reconstructs 2 x_i, and the output layer -K/2 recombines them into -K x
     with zero bias.  The shift keeps the equilibrium activation region
@@ -237,7 +237,7 @@ def synth_satlqr(K, lb, ub, radius: float = 10.0) -> ReluNetwork:
     n_u, n_x = K.shape
     # integer, so every zero is +0.0 once ReluNetwork casts it to float
     W1 = np.kron(np.eye(n_x, dtype=int), [[1], [-1]])
-    b1 = np.full(2 * n_x, float(radius))
+    b1 = np.full(2 * n_x, 10.0)
     W2 = np.kron(K, [[-0.5, 0.5]])
     b2 = np.zeros(n_u)
     return saturate(ReluNetwork([(W1, b1), (W2, b2)]), lb, ub)

@@ -120,9 +120,12 @@ def json_array(value, name: str) -> np.ndarray:
 
 
 def is_empty(P: Polytope) -> bool:
-    """True iff the phase-one feasibility LP finds no point with F x <= g."""
-    out = lp.solve_lp(lp.maximize(np.zeros(P.dim), P.F, P.g))
-    return out.status == lp.LpStatus.INFEASIBLE
+    """True iff F x <= g admits no point: one LP, and only when some offset is negative."""
+    try:
+        _load(P, "empty")
+    except EmptyInput:
+        return True
+    return False
 
 
 def _load(P: Polytope, empty: str = "") -> lp.LpModel:
@@ -332,11 +335,14 @@ def _slab_bounds(F, g, D) -> np.ndarray:
     return np.full(len(D), np.inf)
 
 
-def contains_set(outer: Polytope, inner: Polytope, tol: float = LP_FEAS_TOL) -> bool:
-    """True iff inner is a subset of outer, by inner's support along the rows of outer."""
+def contains_set(outer: Polytope, inner: Polytope) -> bool:
+    """True iff inner is a subset of outer, by inner's support along the rows of outer.
+
+    Each support may exceed its row's offset by LP_FEAS_TOL, HiGHS's own tolerance.
+    """
     if outer.dim != inner.dim:
         raise DimensionMismatch(f"dimensions {outer.dim} and {inner.dim} differ")
-    return bool(np.all(support(inner, outer.F) <= outer.g + tol))
+    return bool(np.all(support(inner, outer.F) <= outer.g + LP_FEAS_TOL))
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:

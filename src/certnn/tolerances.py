@@ -8,7 +8,7 @@ module imports nothing from certnn.
 """
 
 # HiGHS's primal and dual feasibility tolerance, which every LP runs with: the
-# default slack of polytope.contains_set, and ten times it is the least rise
+# slack of polytope.contains_set, and ten times it is the least rise
 # above a row that lets the ray facet proof of polytope._ray_facets (one ray per
 # row, at the inner ellipsoid's support point) keep the row without an LP.
 LP_FEAS_TOL = 1e-7

@@ -39,8 +39,9 @@ grown by CONTAIN_TOL to be invariant, since the one-step check proves x_1
 only within CONTAIN_TOL of X_in; where it is, the rows cut no reachable
 state and leave every exact maximum as it is.  On the case-study X_in
 scaled by 0.999, the decision search at k* = 5 spends 38 nodes with the
-rows, 42 with X_in's own offsets g + CONTAIN_TOL and 54 without rows
-(pinned by TestVerifyStability.test_case_study_lp_budget).
+rows, 42 with X_in's own offsets g + CONTAIN_TOL and 54 without rows; only
+the 38, and the verify's 70 nodes in all, are pinned (by
+TestVerifyStability.test_case_study_lp_budget).
 
 Before the search at each k, the closed loop is rolled out k steps from
 seeds in X_in: the x0 of every maximizer of the input and one-step checks,

@@ -24,7 +24,7 @@ from conftest import (
 )
 from certnn.cli import main as cli_main
 from certnn.control import LtiSystem, lqr, lqr_admissible_set
-from certnn.milp import output_range, reach_set
+from certnn.milp import output_range_results, reach_results
 from certnn.network import ReluNetwork, retrofit_lqr, saturate, synth_satlqr
 from certnn.polytope import Polytope, bounding_box, support
 from certnn.verify import verify_stability
@@ -80,7 +80,7 @@ def test_03_output_range_exactness():
     for _ in range(50):
         width = int(rng.integers(2, 9))
         net = random_net(rng, 2, [width], 2)
-        got = output_range(net, X_in, fan)
+        got = np.array([r.value for r in output_range_results(net, X_in, fan)])
         want = helpers.output_range_oracle(net, X_in.F, X_in.g, fan)
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.monotonic() - start
@@ -103,7 +103,7 @@ def test_04_reach_exactness():
         sys = LtiSystem(A, B)
         width = int(rng.integers(3, 7))
         net = random_net(rng, 2, [width], 1, scale=0.5)
-        got = reach_set(sys, net, X_in, 2, dirs)
+        got = np.array([r.value for r in reach_results(sys, net, X_in, 2, dirs)])
         want = helpers.reach_oracle(A, B, net, X_in.F, X_in.g, 2, dirs)
         worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.monotonic() - start

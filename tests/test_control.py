@@ -185,6 +185,13 @@ class TestSimulate:
             )
             np.testing.assert_allclose(traj.inputs[t], net.eval(traj.states[t]), atol=1e-12)
 
+    def test_zero_steps(self, case_system):
+        # no step: the start state alone and no input, still one column per input
+        net = synth_satlqr(CASE_K, [-1.0], [1.0])
+        traj = simulate(case_system, net, [1.0, -0.5], 0)
+        np.testing.assert_array_equal(traj.states, [[1.0, -0.5]])
+        assert traj.inputs.shape == (0, 1)
+
     def test_converges_under_stabilizing_feedback(self, case_system):
         net = synth_satlqr(CASE_K, [-1.0], [1.0])
         traj = simulate(case_system, net, [0.5, 0.5], 100)

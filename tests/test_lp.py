@@ -20,31 +20,33 @@ def random_bounded_lp(rng, n=4, m=8):
     x0 = rng.standard_normal(n)
     b = A @ x0 + rng.uniform(0.1, 1.0, m)  # feasible by construction
     c = rng.standard_normal(n)
-    return lp.maximize(c, A, b, lb=-10.0 * np.ones(n), ub=10.0 * np.ones(n))
+    return lp.LinearProgram(c, A, b, np.full(n, -10.0), np.full(n, 10.0))
+
+
+FREE = [-np.inf], [np.inf]  # the bounds of one free variable
 
 
 def test_single_variable_box():
-    out = lp.solve_lp(lp.maximize([1.0], lb=[-1.0], ub=[1.0]))
+    out = lp.LpModel([1.0], np.zeros((0, 1)), [], [-1.0], [1.0]).solve("test")
     assert out.status == lp.LpStatus.OPTIMAL
     assert out.value == pytest.approx(1.0)
 
 
 def test_two_variables():
-    out = lp.solve_lp(
-        lp.maximize([1.0, 1.0], A=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, 1.0])
-    )
+    free = np.full(2, np.inf)
+    out = lp.LpModel([1.0, 1.0], np.eye(2), [1.0, 1.0], -free, free).solve("test")
     assert out.status == lp.LpStatus.OPTIMAL
     assert out.value == pytest.approx(2.0)
     np.testing.assert_allclose(out.point, [1.0, 1.0], atol=1e-7)
 
 
 def test_infeasible():
-    out = lp.solve_lp(lp.maximize([1.0], A=[[1.0], [-1.0]], b=[-1.0, -1.0]))
+    out = lp.LpModel([1.0], [[1.0], [-1.0]], [-1.0, -1.0], *FREE).solve("test")
     assert out.status == lp.LpStatus.INFEASIBLE
 
 
 def test_unbounded():
-    out = lp.solve_lp(lp.maximize([1.0]))
+    out = lp.LpModel([1.0], np.zeros((0, 1)), [], *FREE).solve("test")
     assert out.status == lp.LpStatus.UNBOUNDED
 
 
@@ -52,7 +54,7 @@ def test_optimal_point_feasible_and_consistent():
     rng = np.random.default_rng(7)
     for _ in range(50):
         p = random_bounded_lp(rng)
-        out = lp.solve_lp(p)
+        out = lp.LpModel(p.objective, p.A, p.b, p.lb, p.ub).solve("test")
         assert out.status == lp.LpStatus.OPTIMAL
         assert np.all(p.A @ out.point <= p.b + 1e-7)
         assert out.value == pytest.approx(float(p.objective @ out.point), abs=1e-7)
@@ -70,7 +72,8 @@ def test_weak_duality_spot_check():
         # fold the box bounds into rows so the dual is the plain inequality dual
         A_full = np.vstack([A, np.eye(n), -np.eye(n)])
         b_full = np.concatenate([b, 10.0 * np.ones(2 * n)])
-        primal = lp.solve_lp(lp.maximize(c, A_full, b_full))
+        free = np.full(n, np.inf)
+        primal = lp.solve_lp(lp.LinearProgram(c, A_full, b_full, -free, free))
         # dual: min b.y s.t. A^T y = c, y >= 0
         dual = lp.solve_lp(
             lp.LinearProgram(
@@ -91,9 +94,9 @@ def test_weak_duality_spot_check():
 def test_row_permutation_invariance():
     rng = np.random.default_rng(3)
     p = random_bounded_lp(rng)
-    out = lp.solve_lp(p)
+    out = lp.LpModel(p.objective, p.A, p.b, p.lb, p.ub).solve("test")
     perm = rng.permutation(p.A.shape[0])
-    out_p = lp.solve_lp(lp.maximize(p.objective, p.A[perm], p.b[perm], p.lb, p.ub))
+    out_p = lp.LpModel(p.objective, p.A[perm], p.b[perm], p.lb, p.ub).solve("test")
     assert out_p.value == pytest.approx(out.value, abs=1e-7)
     np.testing.assert_allclose(out_p.point, out.point, atol=1e-6)
 
@@ -101,9 +104,9 @@ def test_row_permutation_invariance():
 def test_objective_scaling():
     rng = np.random.default_rng(4)
     p = random_bounded_lp(rng)
-    out = lp.solve_lp(p)
+    out = lp.LpModel(p.objective, p.A, p.b, p.lb, p.ub).solve("test")
     lam = 3.5
-    out_s = lp.solve_lp(lp.maximize(lam * p.objective, p.A, p.b, p.lb, p.ub))
+    out_s = lp.LpModel(lam * p.objective, p.A, p.b, p.lb, p.ub).solve("test")
     assert out_s.value == pytest.approx(lam * out.value, abs=1e-6)
     support = np.abs(out.point) > 1e-7
     support_s = np.abs(out_s.point) > 1e-7
@@ -112,7 +115,11 @@ def test_objective_scaling():
 
 def _seeded_lps():
     """The seeded problems above plus one infeasible and one unbounded LP."""
-    problems = [lp.maximize([1.0], A=[[1.0], [-1.0]], b=[-1.0, -1.0]), lp.maximize([1.0])]
+    free = np.array([-np.inf]), np.array([np.inf])
+    problems = [
+        lp.LinearProgram(np.ones(1), np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]), *free),
+        lp.LinearProgram(np.ones(1), np.zeros((0, 1)), np.zeros(0), *free),
+    ]
     for seed in (3, 4, 7, 11):
         rng = np.random.default_rng(seed)
         problems.extend(random_bounded_lp(rng) for _ in range(10))
@@ -183,7 +190,7 @@ def test_model_resolves_match_fresh_solves(lp_path):
         model.set_objective(c)
         model.set_bounds(lb, ub)
         got = model.solve("test")
-        want = lp.solve_lp(lp.maximize(c, p.A, p.b, lb, ub))
+        want = lp.LpModel(c, p.A, p.b, lb, ub).solve("test")
         statuses.add(got.status)
         assert got.status == want.status
         if got.status == lp.LpStatus.OPTIMAL:

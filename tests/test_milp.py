@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -13,10 +15,8 @@ from certnn.milp import (
     UnboundedInput,
     encode_output_range,
     encode_reach,
-    output_range,
     output_range_results,
     reach_results,
-    reach_set,
     solve_milp,
 )
 from certnn.errors import DimensionMismatch
@@ -274,7 +274,7 @@ class TestBounds:
 
     def test_unbounded_input(self, identity_pair_net):
         with pytest.raises(UnboundedInput):
-            output_range(
+            output_range_results(
                 identity_pair_net, Polytope(np.array([[1.0]]), np.array([1.0])), [[1.0]]
             )
 
@@ -282,7 +282,7 @@ class TestBounds:
 class TestOutputRange:
     def test_identity_pair(self, identity_pair_net):
         X = Polytope.box([-2.0], [3.0])
-        vals = output_range(identity_pair_net, X, [[1.0], [-1.0]])
+        vals = [r.value for r in output_range_results(identity_pair_net, X, [[1.0], [-1.0]])]
         np.testing.assert_allclose(vals, [3.0, 2.0], atol=1e-7)
 
     def test_affine_network(self):
@@ -290,29 +290,29 @@ class TestOutputRange:
         net = ReluNetwork(
             [(np.eye(2), 10.0 * np.ones(2)), (np.array([[1.0, 1.0]]), np.zeros(1))]
         )
-        vals = output_range(net, UNIT_BOX, [[1.0]])
-        assert vals[0] == pytest.approx(22.0, abs=1e-7)
+        (res,) = output_range_results(net, UNIT_BOX, [[1.0]])
+        assert res.value == pytest.approx(22.0, abs=1e-7)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(15):
             net = random_net(rng, 2, [int(rng.integers(2, 6))], 2)
             for d in [[1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]:
-                got = output_range(net, UNIT_BOX, [d])[0]
+                got = output_range_results(net, UNIT_BOX, [d])[0].value
                 want = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, np.asarray(d))
                 assert got == pytest.approx(want, abs=1e-6)
 
     def test_two_hidden_layers_vs_oracle(self):
         rng = np.random.default_rng(2)
         net = random_net(rng, 2, [3, 3], 1)
-        got = output_range(net, UNIT_BOX, [[1.0]])[0]
+        got = output_range_results(net, UNIT_BOX, [[1.0]])[0].value
         want = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, np.array([1.0]))
         assert got == pytest.approx(want, abs=1e-6)
 
     def test_empty_input_raises(self, identity_pair_net):
         empty = Polytope(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
         with pytest.raises((MilpError, EmptyInput)):
-            output_range(identity_pair_net, empty, [[1.0]])
+            output_range_results(identity_pair_net, empty, [[1.0]])
 
     def test_optimum_attained_by_witness(self):
         rng = np.random.default_rng(5)
@@ -344,7 +344,7 @@ class TestReach:
         K = np.array([[0.3, 0.4]])
         net = synth_satlqr(K, [-1.0], [1.0])
         d = np.array([1.0, 0.0])
-        got = reach_set(sys, net, UNIT_BOX, 1, [d])[0]
+        got = reach_results(sys, net, UNIT_BOX, 1, [d])[0].value
         want = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, 1, d)
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -354,7 +354,7 @@ class TestReach:
         for _ in range(3):
             net = random_net(rng, 2, [3], 1, scale=0.5)
             for d in [[1.0, 0.0], [0.0, 1.0]]:
-                got = reach_set(sys, net, UNIT_BOX, 2, [d])[0]
+                got = reach_results(sys, net, UNIT_BOX, 2, [d])[0].value
                 want = helpers.reach_oracle(
                     sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, 2, np.asarray(d)
                 )
@@ -366,7 +366,7 @@ class TestReach:
         sys = self._sys()
         net = synth_satlqr(np.array([[0.3, 0.4]]), [-1.0], [1.0])
         k = 3
-        vals = reach_set(sys, net, UNIT_BOX, k, FAN8)
+        vals = np.array([r.value for r in reach_results(sys, net, UNIT_BOX, k, FAN8)])
         X = rng.uniform(-1.0, 1.0, size=(500, 2))
         for _ in range(k):
             U = helpers.batch_eval(net, X)
@@ -521,7 +521,7 @@ def test_mismatched_input_set_is_refused():
     # a 3-D X_in on a network of 2 inputs
     net = random_net(np.random.default_rng(13), 2, [3], 1)
     with pytest.raises(DimensionMismatch, match="X_in"):
-        output_range(net, Polytope.box([-1.0] * 3, [1.0] * 3), [[1.0]])
+        output_range_results(net, Polytope.box([-1.0] * 3, [1.0] * 3), [[1.0]])
 
 
 @pytest.mark.parametrize(
@@ -533,7 +533,50 @@ def test_mismatched_plant_is_refused(A, B):
     # a plant whose states or inputs differ from the network's inputs or outputs
     net = random_net(np.random.default_rng(13), 2, [3], 1)
     with pytest.raises(DimensionMismatch, match="system"):
-        reach_set(LtiSystem(A, B), net, UNIT_BOX, 1, [[1.0, 0.0]])
+        reach_results(LtiSystem(A, B), net, UNIT_BOX, 1, [[1.0, 0.0]])
+
+
+def test_an_encoding_over_another_input_set_is_refused():
+    # u = 0.15 (x1 + x2), every neuron active: its maximum is 0.3 over the
+    # unit box and 0.6 over the box of half-width 2.  An encoding of the unit
+    # box answers for the unit box only, so a query over the larger box that
+    # is handed it is refused instead of returning 0.3
+    net = ReluNetwork([(np.eye(2), np.full(2, 10.0)), (np.full((1, 2), 0.15), [-3.0])])
+    wide = Polytope.box([-2.0, -2.0], [2.0, 2.0])
+    enc = ClosedLoopEncoding(None, net, UNIT_BOX)
+    with pytest.raises(MilpError, match="X_in"):
+        output_range_results(net, wide, [[1.0]], encoding=enc)
+    assert output_range_results(net, wide, [[1.0]])[0].value == pytest.approx(0.6, abs=1e-7)
+    (res,) = output_range_results(net, UNIT_BOX, [[1.0]], encoding=enc)
+    assert res.value == pytest.approx(0.3, abs=1e-7)
+
+
+@pytest.mark.parametrize("name", ["system", "net", "X_in"])
+def test_a_query_refuses_objects_other_than_its_encodings(name):
+    # objects are compared by identity: an equal copy of the system, the net
+    # or X_in is refused, and the error names the argument that differs
+    sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
+    net = random_net(np.random.default_rng(14), 2, [3], 1, scale=0.5)
+    enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+    args = {"system": sys, "net": net, "X_in": UNIT_BOX}
+    args[name] = copy.deepcopy(args[name])
+    with pytest.raises(MilpError, match=name):
+        reach_results(args["system"], args["net"], args["X_in"], 1, [[1.0, 0.0]], encoding=enc)
+    if name != "system":
+        with pytest.raises(MilpError, match=name):
+            output_range_results(args["net"], args["X_in"], [[1.0]], encoding=enc)
+    (res,) = output_range_results(net, UNIT_BOX, [[1.0]], encoding=enc)
+    assert res.status == BnbStatus.OPTIMAL
+
+
+def test_a_reach_query_refuses_an_output_range_encoding():
+    # an encoding built without a system cannot add steps; a reach query
+    # handed one is refused before any step is added
+    sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
+    net = random_net(np.random.default_rng(14), 2, [3], 1, scale=0.5)
+    enc = ClosedLoopEncoding(None, net, UNIT_BOX)
+    with pytest.raises(MilpError, match="system"):
+        reach_results(sys, net, UNIT_BOX, 1, [[1.0, 0.0]], encoding=enc)
 
 
 def test_node_cap_raises(monkeypatch):
@@ -581,7 +624,7 @@ def test_identically_zero_neuron_is_inactive():
     net = ReluNetwork(
         [(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2)), (np.ones((1, 2)), np.zeros(1))]
     )
-    np.testing.assert_allclose(output_range(net, UNIT_BOX, [[1.0]]), [1.0], atol=1e-7)
+    assert output_range_results(net, UNIT_BOX, [[1.0]])[0].value == pytest.approx(1.0, abs=1e-7)
 
 
 class TestLpPaths:
@@ -639,10 +682,10 @@ class TestLpPaths:
     def test_empty_and_unbounded_inputs(self, lp_path, identity_pair_net):
         empty = Polytope(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
         with pytest.raises(EmptyInput):
-            output_range(identity_pair_net, empty, [[1.0]])
+            output_range_results(identity_pair_net, empty, [[1.0]])
         half_line = Polytope(np.array([[1.0]]), np.array([1.0]))
         with pytest.raises(UnboundedInput):
-            output_range(identity_pair_net, half_line, [[1.0]])
+            output_range_results(identity_pair_net, half_line, [[1.0]])
 
 
 class TestCutoff:

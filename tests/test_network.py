@@ -270,7 +270,7 @@ class TestSynthSatLqr:
 
     def test_exact_feedback_near_origin(self):
         K = np.array([[0.3, -0.2], [0.1, 0.4]])
-        net = synth_satlqr(K, [-1.0, -1.0], [1.0, 1.0], radius=5.0)
+        net = synth_satlqr(K, [-1.0, -1.0], [1.0, 1.0])
         rng = np.random.default_rng(10)
         for _ in range(100):
             x = rng.uniform(-1.0, 1.0, 2)
