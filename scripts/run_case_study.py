@@ -4,7 +4,9 @@
 Builds the plant and constraint files, synthesizes a saturated-LQR
 controller, runs the full certification pipeline, exports the certification
 sets, and simulates a batch of closed-loop trajectories.  Outputs land in
---out-dir (default: case_study_out/).
+--out-dir (default: case_study_out/).  Exits with the exit code of the
+first command that fails (verify exits 2 on a verdict short of certified),
+or 0 when every command succeeds.
 """
 
 import argparse
@@ -72,28 +74,23 @@ def main():
     xin_path = out / "xin.json"
     xin_path.write_text(json.dumps(Polytope(C_IN, c_IN).to_json(), indent=1))
 
-    common = ["--system", str(sys_path), "--network", str(net_path)]
-    print("\n== verify ==")
-    code = cli_main(
-        ["verify", *common, "--xin", str(xin_path), "--out-dir", str(out), "--kmax", str(args.kmax)]
-    )
-    print(f"exit code: {code}")
-
-    print("\n== sets ==")
-    cli_main(
-        ["sets", *common, "--xin", str(xin_path), "--out-dir", str(out), "--kmax", str(args.kmax)]
-    )
-
-    print("\n== regions ==")
-    cli_main(["regions", *common, "--xin", str(xin_path), "--out-dir", str(out)])
-
-    print("\n== simulate ==")
-    cli_main(["simulate", *common, "--out-dir", str(out), "--x0", "2.0,-1.5", "--steps", "60"])
-    traj = (out / "trajectory.csv").read_text().strip().splitlines()
-    last = traj[-1].split(",")
-    print(f"final state after 60 steps: ({float(last[1]):.2e}, {float(last[2]):.2e})")
+    common = ["--system", str(sys_path), "--network", str(net_path), "--out-dir", str(out)]
+    xin = ["--xin", str(xin_path)]
+    codes = []
+    for command, extra in (
+        ("verify", [*xin, "--kmax", str(args.kmax)]),
+        ("sets", [*xin, "--kmax", str(args.kmax)]),
+        ("regions", xin),
+        ("simulate", ["--x0", "2.0,-1.5", "--steps", "60"]),
+    ):
+        print(f"\n== {command} ==")
+        codes.append(cli_main([command, *common, *extra]))
+        print(f"exit code: {codes[-1]}")
+    if codes[-1] == 0:
+        last = (out / "trajectory.csv").read_text().strip().splitlines()[-1].split(",")
+        print(f"final state after 60 steps: ({float(last[1]):.2e}, {float(last[2]):.2e})")
     print(f"\nall outputs written to {out}/")
-    return code
+    return next((code for code in codes if code != 0), 0)
 
 
 if __name__ == "__main__":

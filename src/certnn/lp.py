@@ -2,20 +2,19 @@
 
 Problems are stated as maximize c.x subject to A x <= b and per-variable
 bounds, A dense.  An :class:`LpModel` loads one such problem into HiGHS
-once, by the same appends that later grow it, and HiGHS is the only place
-that holds its rows.  Its column bounds (the nodes of a branch and bound),
-its cost and the right-hand sides of its rows then change in place, columns
-and rows can be appended, the last rows deleted again, and each solve starts
-HiGHS's simplex from the basis of the previous solve instead of presolving
-the problem from scratch.  A right-hand side of +inf drops its row, so one
-load serves every redundancy test of a polytope, every step of an
-invariant-set fixpoint and every step of a closed-loop encoding.
-:meth:`LpModel.rows` reads the rows back.  :meth:`LpModel.maxima` answers a
-whole matrix of objectives on one load: the support functions of a polytope
-and the bound LPs of a network layer are each one call.  :func:`solve_lp` is
-the one-shot use of the same object on a :class:`LinearProgram`; it passes
-an equality row as two inequality rows.  No certnn module solves a one-shot
-LP any more: each loads an :class:`LpModel` itself.
+once, by the same appends that later grow it, and keeps no copy: HiGHS
+alone holds its rows, its cost and its column bounds.  The column bounds
+(the nodes of a branch and bound), the cost and the right-hand sides of the
+rows change in place, columns and rows can be appended, the last rows
+deleted again, and each solve starts HiGHS's simplex from the basis of the
+previous solve.  A right-hand side of +inf drops its row, so one load
+serves every redundancy test of a polytope, every step of an invariant-set
+fixpoint and every step of a closed-loop encoding.  :meth:`LpModel.rows`
+reads the rows back and :meth:`LpModel.maxima` answers a whole matrix of
+objectives on one load: the support functions of a polytope and the bound
+LPs of a network layer are each one call.  :func:`solve_lp`, which no
+certnn module calls, is the one-shot use of the same object on a
+:class:`LinearProgram`; it passes an equality row as two inequality rows.
 
 The persistent solver is the HiGHS binding that scipy bundles as
 ``scipy.optimize._highspy`` (scipy >= 1.15); importing this module without
@@ -118,21 +117,21 @@ class LpOutcome:
 
 
 class LpModel:
-    """maximize c.x  s.t.  A x <= b,  lb <= x <= ub, loaded once.
+    """maximize c.x  s.t.  A x <= b,  lb <= x <= ub, loaded once and held by HiGHS alone.
 
     A is dense; only its nonzeros are loaded.  ``primal`` picks HiGHS's
     primal simplex over its default, the dual (see the module docstring).
     It is built from an empty HiGHS model by ``add_cols``, ``set_objective``
-    and ``add_rows``, the appends it later grows by.
-    ``set_bounds`` and ``set_objective`` pass only the entries that changed
-    to HiGHS, ``set_rhs`` changes one row (+inf drops it), ``add_cols``
-    appends columns, ``add_rows`` appends rows, ``delete_rows`` deletes the
-    last rows and ``rows`` reads them all back.  Row i is HiGHS's row i, in
-    the order the rows were loaded and appended.  ``solve`` re-solves warm
-    from the previous basis, ``clear_basis`` makes the next solve cold, and
-    ``maxima`` solves one LP per objective, each counted in :data:`WORK`
-    under the caller's purpose.  The rows live in HiGHS only; the caller's
-    arrays are never written.
+    and ``add_rows``, the appends it later grows by.  ``set_bounds`` and
+    ``set_objective`` pass whole vectors, one entry per column (another
+    length raises LpError), ``set_rhs`` changes one row (+inf drops it),
+    ``add_cols`` appends columns, ``add_rows`` appends rows, ``delete_rows``
+    deletes the last rows and ``rows`` reads them all back.  Row i is
+    HiGHS's row i, in the order the rows were loaded and appended.  ``solve``
+    re-solves warm from the previous basis, ``clear_basis`` makes the next
+    solve cold, and ``maxima`` solves one LP per objective, each counted in
+    :data:`WORK` under the caller's purpose.  The model keeps no copy of the
+    rows, the cost or the column bounds, and never writes the caller's arrays.
     """
 
     def __init__(self, c, A, b, lb, ub, *, primal: bool = False):
@@ -142,23 +141,25 @@ class LpModel:
         h.setOptionValue("presolve", "off")
         if primal:
             h.setOptionValue("simplex_strategy", PRIMAL_SIMPLEX)
-        self.c, self.lb, self.ub = np.zeros(0), np.zeros(0), np.zeros(0)
         self.add_cols(lb, ub)
-        self.set_objective(np.asarray(c, dtype=float))
+        self.set_objective(c)
         self.add_rows(A, b)
 
+    num_cols = property(lambda self: self._highs.getNumCol())
+
+    def _columns(self, *vectors):
+        """(n, the n column indices, *vectors); LpError unless each vector has n entries."""
+        n = self.num_cols
+        if any(np.shape(v) != (n,) for v in vectors):
+            raise LpError(f"vectors of shapes {[np.shape(v) for v in vectors]} for {n} columns")
+        return n, np.arange(n, dtype=np.int32), *vectors
+
     def set_bounds(self, lb, ub):
-        changed = np.flatnonzero((lb != self.lb) | (ub != self.ub))
-        self.lb[changed] = lb[changed]
-        self.ub[changed] = ub[changed]
-        if changed.size:
-            self._highs.changeColsBounds(changed.size, changed, self.lb[changed], self.ub[changed])
+        self._highs.changeColsBounds(*self._columns(lb, ub))
 
     def set_objective(self, c):
-        changed = np.flatnonzero(c != self.c)
-        self.c[changed] = c[changed]
-        if changed.size:
-            self._highs.changeColsCost(changed.size, changed, -self.c[changed])  # HiGHS minimizes
+        n, cols, c = self._columns(c)
+        self._highs.changeColsCost(n, cols, np.negative(c, dtype=float))  # HiGHS minimizes
 
     def set_rhs(self, i: int, value: float):
         """Change the right-hand side of row i; +inf drops the row."""
@@ -176,14 +177,11 @@ class LpModel:
         )
         if status == _highs.HighsStatus.kError:
             raise LpError("HiGHS rejected the columns")
-        self.c = np.concatenate([self.c, np.zeros(n)])
-        self.lb = np.concatenate([self.lb, lb])
-        self.ub = np.concatenate([self.ub, ub])
 
     def add_rows(self, A, b):
         """Append the rows A x <= b, in order."""
         b = np.asarray(b, dtype=float).reshape(-1)
-        A = np.asarray(A, dtype=float).reshape(b.size, self.c.size)
+        A = np.asarray(A, dtype=float).reshape(b.size, self.num_cols)
         row, col = np.nonzero(A)
         start = np.searchsorted(row, np.arange(b.size)).astype(np.int32)
         status = self._highs.addRows(

@@ -74,9 +74,9 @@ branches on such a node; otherwise it returns the maximum and its point,
 as a search without a cutoff would (see ``solve_milp``).
 
 Every :class:`MilpModel` of an encoding carries that one relaxation.  A
-search sets its objective and root bounds on it; a node passes only the
-binary bounds in which it differs from the node solved before it, and HiGHS
-re-solves warm from the previous basis.  The bound LPs of a layer are one
+search sets its objective and root bounds on it; a node passes its column
+bounds whole, HiGHS holds the only copy of them, and it re-solves warm from
+the previous basis.  The bound LPs of a layer are one
 ``LpModel.maxima`` call that swaps only the cost; before a copy is bounded,
 the relaxation is reset to its root bounds and a cold basis, so the bounds
 of each copy, and with them each step's model, are those of a fresh
@@ -138,7 +138,7 @@ class MilpModel:
 
     def _relaxation(self) -> lp.LpModel:
         """``relaxation``, or MilpError when it holds a later step's columns and rows."""
-        if self.relaxation.c.size != self.c.size:
+        if self.relaxation.num_cols != self.c.size:
             raise MilpError("the model is of an earlier step; its encoding has grown since")
         return self.relaxation
 
@@ -188,7 +188,8 @@ class ClosedLoopEncoding:
     (exact for x0, an enclosure after), and, per hidden layer, the
     pre-activation bounds (lo, hi) it was encoded with.  ``system``, ``net``
     and ``X_in`` are the objects it was built from; ``system`` is read only
-    when a step is added, so output-range callers may pass None.
+    when a step is added, so output-range callers may pass None, and then
+    ``model`` raises MilpError.
     Raises DimensionMismatch when X_in or the system does not fit the
     network, EmptyInput for an empty and UnboundedInput for an unbounded
     X_in.
@@ -354,6 +355,8 @@ class ClosedLoopEncoding:
         """Model whose optimum is max direction.x_k over k closed-loop steps from X_in."""
         if k < 1:
             raise MilpError("need k >= 1")
+        if self.system is None:
+            raise MilpError("the encoding was built without a system, so it has no step k >= 1")
         self._at(k)
         return self._with_objective(self._x, direction)
 

@@ -11,11 +11,13 @@ componentwise comparison rather than an over-approximation, and
 ``_contained`` decides all three with one rule: each proven upper bound of
 the branch and bound, not the value at its point, is at most the facet's
 offset plus CONTAIN_TOL.  The three checks share one closed-loop encoding,
-whose step 0 is the output-range model of the network over X_in.  The
-input and one-step checks set the verdict floor (Invariant, InputOnly or
-Failed); the rollouts and the reach search run only when X_in is
-invariant, the stability conditions hold and R_as is built: no search can
-certify a loop whose invariance failed.
+whose step 0 is the output-range model of the network over X_in.
+Admissible invariance also needs X_in inside X, decided by the same rule on
+X_in's support along each facet of X: an LP each, on a load of its own.
+The input and invariance checks set the verdict floor (Invariant,
+InputOnly or Failed); the rollouts and the reach search run only when X_in
+is invariant and inside X, the stability conditions hold and R_as is
+built: no search can certify a loop whose invariance failed.
 
 The input and one-step checks solve each facet to optimality, since U_star
 and X_1_out are outputs.  The reach search only needs a yes or a no per
@@ -64,7 +66,7 @@ from certnn import milp
 from certnn.control import LtiSystem, lqr_admissible_set, simulate, spectral_radius
 from certnn.errors import CertnnError, DimensionMismatch
 from certnn.network import ReluNetwork
-from certnn.polytope import EmptyInput, Polytope, intersect
+from certnn.polytope import EmptyInput, Polytope, intersect, support
 from certnn.tolerances import CONTAIN_TOL, RESIDUAL_TOL
 
 
@@ -223,8 +225,10 @@ def verify_stability(
 ) -> Certificate:
     """Full certificate: constraint satisfaction plus asymptotic stability.
 
-    Pipeline: input check, one-step invariance of X_in, stability conditions
-    at the equilibrium region, construction of R_as, then, if all of these
+    Pipeline: input check, one-step invariance of X_in and X_in inside X
+    (``invariance_ok`` needs both; when X_in leaves X, ``reason`` names the
+    facet of X and X_in's support along it), stability conditions at the
+    equilibrium region, construction of R_as, then, if all of these
     held, a linear search for the first k <= k_max with the k-step reachable
     set certified inside R_as (directions = facets of R_as, so containment
     is componentwise), with X_1_out's rows at the states before x_k; a rollout
@@ -242,7 +246,11 @@ def verify_stability(
     input_ok, U_star, input_nodes = _contained(input_results, U)
     results = milp.reach_results(sys, net, X_in, 1, X_in.F, encoding=encoding)
     one_step_ok, X_1, one_step_nodes = _contained(results, X_in)
-    invariance_ok = input_ok and one_step_ok
+    # admissible invariance also needs X_in inside X, by _contained's rule on
+    # X_in's support along each facet of X (one LP each)
+    X_in_support = support(X_in, X.F)
+    leaves_X = np.flatnonzero(X_in_support > X.g + CONTAIN_TOL)
+    invariance_ok = input_ok and one_step_ok and leaves_X.size == 0
     # Each facet whose maximizer leaves X_in gives a witness: a point x0 of
     # X_in (the first block of model variables) whose image violates it.
     witnesses = [r.point[: sys.n_x] for r, g in zip(results, X_in.g) if r.value > g + CONTAIN_TOL]
@@ -283,6 +291,11 @@ def verify_stability(
         report.R_as = R_as
     except EmptyStabilitySet:
         return fallback("empty stability set")
+    if leaves_X.size:
+        i = leaves_X[0]
+        return fallback(
+            f"X_in leaves X: its support along X's facet {i} is {X_in_support[i]:.6g} > {X.g[i]:.6g}"
+        )
     if not invariance_ok:
         return fallback("one-step invariance of X_in failed")
     # every state lies in X_in, so every x_j with j >= 1 is the image of a

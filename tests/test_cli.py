@@ -1,5 +1,8 @@
 import csv
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,6 +575,34 @@ def test_missing_field_names_file_and_field(case_files, tmp_path, capsys, file, 
     assert capsys.readouterr().err == f"error: {path}: missing field '{field}'\n"
 
 
+@pytest.mark.parametrize(
+    "command, drop, line",
+    [
+        ("sets", ("Q", "R"), "sets needs Q and R in the system file"),
+        ("retrofit", ("Q", "R"), "k-source 'lqr' needs Q and R in the system file"),
+        ("saturate", ("U_box",), "saturate needs box input constraints (U_box) in the system file"),
+    ],
+)
+def test_a_command_names_what_its_system_file_lacks(
+    case_files, tmp_path, capsys, command, drop, line
+):
+    # Q and R are optional in a system file, and U may be a polytope, but
+    # sets and retrofit --k-source lqr need the LQR weights and saturate a box
+    sys_path, net_path, xin_path, tmp = case_files
+    system = json.loads(open(sys_path).read())
+    for field in drop:
+        del system[field]
+    if "U_box" in drop:
+        system["U"] = Polytope.box([-1.0], [1.0]).to_json()
+    path = tmp_path / "lacking.json"
+    path.write_text(json.dumps(system))
+    argv = [command, "--system", str(path), "--network", net_path, "--out-dir", str(tmp / "out")]
+    if command == "sets":
+        argv += ["--xin", xin_path]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
 def _retrofit_argv(sys_path, net_path, k_source, out):
     return [
         "retrofit", "--system", sys_path, "--network", net_path,
@@ -677,3 +708,26 @@ def test_bad_file_or_flag_is_one_error_line(case_files, tmp_path, capsys, role, 
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: " + line.format(bad=bad)) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "codes, expected",
+    [({}, 0), ({"sets": 1}, 1), ({"verify": 2, "regions": 1}, 2), ({"simulate": 1}, 1)],
+    ids=["all-pass", "sets", "verify-first", "simulate"],
+)
+def test_case_study_script_exits_with_the_first_failing_code(
+    tmp_path, monkeypatch, codes, expected
+):
+    # scripts/run_case_study.py runs verify, sets, regions and simulate; a
+    # failing command after verify fails the script too, not only a later
+    # reader of its outputs
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_case_study.py"
+    spec = importlib.util.spec_from_file_location("run_case_study", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    ran = []
+    monkeypatch.setattr(script, "cli_main", lambda a: ran.append(a[0]) or codes.get(a[0], 0))
+    monkeypatch.setattr(sys, "argv", ["run_case_study.py", "--out-dir", str(tmp_path)])
+    (tmp_path / "trajectory.csv").write_text("step,x1,x2,u1\n60,0.0,0.0,0.0\n")
+    assert script.main() == expected
+    assert ran == ["verify", "sets", "regions", "simulate"]

@@ -214,6 +214,23 @@ def test_model_changes_status_in_place(lp_path):
     assert model.solve("test").status == lp.LpStatus.UNBOUNDED
 
 
+@pytest.mark.parametrize("length", [1, 3])
+def test_a_vector_of_another_length_raises(length):
+    # the model keeps no copy of its cost or bounds: set_bounds and
+    # set_objective hand HiGHS whole vectors, so a short or long one is refused
+    # before HiGHS reads it, and the model keeps solving as it was
+    model = lp.LpModel([1.0, 1.0], [[1.0, 1.0]], [1.0], [0.0, 0.0], [np.inf, np.inf])
+    assert model.num_cols == 2
+    v = np.zeros(length)
+    with pytest.raises(lp.LpError, match="2 columns"):
+        model.set_objective(v)
+    with pytest.raises(lp.LpError, match="2 columns"):
+        model.set_bounds(v, v + 1.0)
+    with pytest.raises(lp.LpError, match="2 columns"):
+        model.set_bounds(np.zeros(2), v + 1.0)
+    assert model.solve("test").value == pytest.approx(1.0)
+
+
 def test_row_edits_match_fresh_model(lp_path):
     # right-hand sides changed in place (+inf drops a row) and appended rows
     # give the optima of a model loaded fresh on the resulting rows

@@ -579,6 +579,17 @@ def test_a_reach_query_refuses_an_output_range_encoding():
         reach_results(sys, net, UNIT_BOX, 1, [[1.0, 0.0]], encoding=enc)
 
 
+def test_a_step_of_an_encoding_without_a_system_raises():
+    # asked directly for a closed-loop step, an output-range encoding raises
+    # MilpError, not the AttributeError of reading a None system, and it
+    # still answers at step 0
+    net = random_net(np.random.default_rng(14), 2, [3], 1, scale=0.5)
+    enc = ClosedLoopEncoding(None, net, UNIT_BOX)
+    with pytest.raises(MilpError, match="without a system"):
+        enc.model(1, [1.0, 0.0])
+    assert solve_milp(enc.output([1.0])).status == BnbStatus.OPTIMAL
+
+
 def test_node_cap_raises(monkeypatch):
     net = random_net(np.random.default_rng(10), 2, [3, 3], 2)
     model = encode_output_range(net, UNIT_BOX, [0.0, -1.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from conftest import CASE_K, CASE_Q, CASE_R
+from conftest import CASE_A, CASE_B, CASE_K, CASE_Q, CASE_R
 from certnn import milp
 from certnn.control import LtiSystem, lqr, simulate
 from certnn.errors import DimensionMismatch
@@ -25,7 +25,7 @@ from certnn.verify import (
 )
 
 # the purposes of the LPs of a case-study verify (see certnn.lp.WORK)
-PURPOSES = ("box", "bound", "node", "cut test", "prune test")
+PURPOSES = ("box", "bound", "node", "support", "cut test", "prune test")
 
 
 @pytest.fixture
@@ -109,18 +109,41 @@ class TestVerifyInvariance:
         # the input check and the one-step check share one encoding; only x0
         # has a network copy encoded, so only X_in is boxed (4 LPs) and the
         # saturation neuron of layer 2 bounded (2 LPs; layer 3's, -z + 2, has
-        # one column and needs none); a rollout refutes k = 1 with no search,
-        # and the other 12 LPs outside the branch and bound are R_eq and R_as,
-        # whose fixpoint starts from 6 rows once its parallel rows merge
+        # one column and needs none); X_in ⊆ X is X_in's support along X's 4
+        # facets (4 LPs, re-pinned from 18 to 22 LPs outside the branch and
+        # bound when verify began to check it); a rollout refutes k = 1 with no
+        # search, and the other 12 LPs are R_eq and R_as, whose fixpoint starts
+        # from 6 rows once its parallel rows merge
         X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=1)
         assert cert.invariance_ok and cert.stability.k_star is None
         assert cert.stability.reach_nodes == [0]
-        assert count_lps() == cert.milp_nodes + 18
+        assert count_lps() == cert.milp_nodes + 22
         assert {p: count_lps(p) for p in PURPOSES} == {
-            "box": 4, "bound": 2, "node": cert.milp_nodes, "cut test": 6, "prune test": 6
+            "box": 4, "bound": 2, "node": cert.milp_nodes, "support": 4,
+            "cut test": 6, "prune test": 6,
         }
         assert cert.milp_nodes == 32
+
+    @pytest.mark.parametrize("half_width", [1.0, 2.0])
+    def test_x_in_must_lie_in_x(self, half_width, case_system, case_Xin, case_U, case_net):
+        # X_in is invariant and reaches x_1 = 3.575 (its support along x_1), so
+        # a state box |x_i| <= 1 or 2 does not hold it: admissible invariance
+        # fails, the verdict stays at the floor and the reason names X, the
+        # facet and the support; witnesses still list one-step violations only.
+        # The case study's own X, |x_i| <= 5, holds X_in: TestVerifyStability
+        # pins its certificate
+        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
+        X = Polytope.box(-np.full(2, half_width), np.full(2, half_width))
+        cert = verify_stability(case_system, case_net, X_in, X, case_U, k_max=10, K_ref=CASE_K)
+        assert cert.input_ok and cert.witnesses == []
+        assert not cert.invariance_ok and not cert.certified
+        assert cert.verdict == Verdict.INPUT_ONLY and cert.stability.k_star is None
+        s = support(X_in, np.eye(2)[0])
+        assert s == pytest.approx(3.575, abs=1e-3)
+        assert cert.reason == (
+            f"X_in leaves X: its support along X's facet 0 is {s:.6g} > {half_width:.6g}"
+        )
 
     def test_violated_produces_witness(self, case_system, case_X, case_U, case_net):
         # an expanding box cannot be invariant for this rotation-like plant
@@ -226,8 +249,10 @@ class TestVerifyStability:
         # an LP, no emptiness LP for R_eq or R_eq /\ X, which hold the origin,
         # R_as checked non-empty without an LP, and the layer-2 saturation
         # neuron of each encoded network copy (x_0 .. x_4) bounded by 2 LPs,
-        # while layer 3's, of one column, needs none: 26 LPs outside the
-        # branch and bound, and 3 loads in all.
+        # while layer 3's, of one column, needs none, and X_in ⊆ X checked by
+        # X_in's support along X's 4 facets on a load of its own (re-pinned
+        # from 26 LPs and 3 loads when verify began to check it): 30 LPs
+        # outside the branch and bound, and 4 loads in all.
         # On ties a warm start can return another optimal vertex than a cold
         # solve, so the node count depends on which basis each root LP starts
         # from; the warm-started models count 70. Rollouts from the input and
@@ -239,11 +264,12 @@ class TestVerifyStability:
         assert cert.milp_nodes == 70
         assert cert.stability.reach_nodes == [0, 0, 0, 0, 38]
         assert [r.k for r in cert.stability.rollouts] == [1, 2, 3, 4]
-        assert count_lps() == cert.milp_nodes + 26
+        assert count_lps() == cert.milp_nodes + 30
         assert {p: count_lps(p) for p in PURPOSES} == {
-            "box": 4, "bound": 10, "node": cert.milp_nodes, "cut test": 6, "prune test": 6
+            "box": 4, "bound": 10, "node": cert.milp_nodes, "support": 4,
+            "cut test": 6, "prune test": 6,
         }
-        assert count_loads() == 3
+        assert count_loads() == 4
 
     def test_case_study_relaxation_size(self, case_system, case_Xin, case_net):
         # at k* = 5 the copies at x_0 .. x_4 each have layer 1 active and one
@@ -272,6 +298,35 @@ class TestVerifyStability:
         assert cert.verdict in (Verdict.INVARIANT, Verdict.INPUT_ONLY, Verdict.FAILED)
         assert not cert.certified
         assert cert.reason == "bias annihilation"
+
+    @pytest.mark.parametrize("scale", [1.0, 1.1])
+    def test_unstable_equilibrium_loop_is_not_certified(self, scale, case_Xin, case_X, case_U):
+        # a zero gain leaves the plant's own A at the equilibrium: spectral
+        # radius 1.000023 for the case-study plant, 1.1 times that scaled
+        scaled = LtiSystem(scale * CASE_A, CASE_B)
+        zero = synth_satlqr(np.zeros((1, 2)), [-1.0], [1.0])
+        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
+        cert = verify_stability(scaled, zero, X_in, case_X, case_U, k_max=3)
+        assert cert.stability.spectral_radius == pytest.approx(1.000023 * scale, abs=1e-6)
+        assert cert.verdict == Verdict.INPUT_ONLY and not cert.certified
+        assert cert.reason == "equilibrium-region closed loop not stable"
+        assert cert.stability.R_as is None
+
+    @pytest.mark.parametrize(
+        "low, site",
+        [(1.0, "R_eq meets no admissible state"), (0.1, "no invariant set of the equilibrium")],
+    )
+    def test_empty_stability_set_is_not_certified(self, low, site, case_system, case_U, case_net):
+        # X = [low, 5]^2 holds X_in = [2, 3]^2 but not the origin: with low = 1
+        # R_eq /\ X has no admissible state, and with low = 0.1 it has some,
+        # none of which the equilibrium feedback keeps; each raise site of
+        # stability_set ends verify at the floor verdict
+        X_in, X = Polytope.box([2.0, 2.0], [3.0, 3.0]), Polytope.box([low, low], [5.0, 5.0])
+        cert = verify_stability(case_system, case_net, X_in, X, case_U)
+        assert cert.verdict == Verdict.INPUT_ONLY and cert.reason == "empty stability set"
+        assert cert.stability.R_eq is not None and cert.stability.R_as is None
+        with pytest.raises(EmptyStabilitySet, match=site):
+            _stability_set(case_system, case_net, X, case_U)
 
     def test_input_violation_short_circuits(self, case_system, case_Xin, case_X, case_net):
         tight_U = Polytope.box([-0.1], [0.1])
