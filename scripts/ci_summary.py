@@ -89,7 +89,7 @@ def case_study_lines(out: Path):
     if s["k_star"] is not None:
         system, _ = system_from_json(json.loads((out / "system.json").read_text()))
         net = ReluNetwork.load(out / "network.json")
-        X_in = Polytope.from_json(json.loads((out / "xin.json").read_text()))
+        X_in = Polytope.from_json(json.loads((out / "xin0.json").read_text()))
         m = ClosedLoopEncoding(system, net, X_in).model(s["k_star"], np.ones(system.n_x))
         yield (
             f"case study: relaxation at k_star: columns {m.c.size} rows {m.A_ub.shape[0]}"

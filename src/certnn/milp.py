@@ -436,8 +436,9 @@ def _solve_directions(make_model, directions, cutoffs=None) -> list[BnbResult]:
     for d, cutoff in zip(directions, cutoffs):
         res = solve_milp(make_model(d), cutoff)
         if res.status == BnbStatus.INFEASIBLE:
-            # an empty X_in raises EmptyInput when its encoding is built
-            raise MilpError("direction query infeasible: the LP solver failed")
+            # the relaxation of a nonempty X_in (an empty one raises when
+            # encoded) has an integral point, so the state rows admit none
+            raise EmptyInput("X_in and the state rows admit no point")
         results.append(res)
         if cutoff is not None and res.status == BnbStatus.OPTIMAL:
             break

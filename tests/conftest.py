@@ -1,3 +1,17 @@
+"""Shared fixtures and the case study's constants.
+
+The case study's plant, LQR weights, published X_in facets and the scale at
+which X_in is certified, and ``random_net``, are imported from
+perfbench/workloads.py and re-exported here, so that tier-1, the CI summary
+and the benchmark certify one loop.  The published reference figures below
+(CASE_K, CASE_F_LQR, ...) stay here, apart from workloads.py, as
+independent oracles: a typo in its plant still fails the tests that compare
+against them.
+"""
+
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,33 +19,24 @@ from certnn import lp
 from certnn.control import LtiSystem
 from certnn.network import ReluNetwork
 from certnn.polytope import Polytope
-from helpers import cold_linprog
 
+# perfbench/workloads.py, which helpers imports as well
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-# Double-integrator case study: plant, constraints and reference sets.
-CASE_A = np.array([[0.5403, -0.8415], [0.8415, 0.5403]])
-CASE_B = np.array([[-0.4597], [0.8415]])
-CASE_Q = 2.0 * np.eye(2)
-CASE_R = np.array([[1.0]])
+from helpers import cold_linprog  # noqa: E402
+from workloads import (  # noqa: E402, F401
+    CASE_A,
+    CASE_B,
+    CASE_C_IN,
+    CASE_PUBLISHED_SCALE,
+    CASE_Q,
+    CASE_R,
+    CASE_c_IN,
+    random_net,
+)
+
+# the published LQR gain, regions and sets of the case study
 CASE_K = np.array([[0.2501, 0.8290]])
-
-CASE_C_IN = np.array(
-    [
-        [0.0707, -0.9975],
-        [-0.1509, -0.9885],
-        [-0.8011, -0.5984],
-        [-0.9797, 0.2004],
-        [0.8776, -0.4795],
-        [0.9797, -0.2004],
-        [0.8012, 0.5984],
-        [0.1509, 0.9885],
-        [-0.0707, 0.9975],
-        [-0.8776, 0.4754],
-    ]
-)
-CASE_c_IN = np.array(
-    [3.0297, 2.9401, 3.5051, 3.2918, 3.3082, 3.2918, 3.5051, 2.9401, 3.0297, 3.3082]
-)
 
 CASE_F_LQR = np.array(
     [[-0.6870, 0.24566], [0.6870, -0.2456], [-0.2501, -0.8290], [0.2501, 0.8290]]
@@ -74,7 +79,15 @@ def case_U():
 
 @pytest.fixture
 def case_Xin():
+    """The published X_in, at its 4-decimal offsets."""
     return Polytope(CASE_C_IN, CASE_c_IN)
+
+
+@pytest.fixture
+def certified_Xin():
+    """The published X_in scaled by CASE_PUBLISHED_SCALE: at its 4-decimal
+    offsets the set is marginally non-invariant for the case-study controller."""
+    return Polytope(CASE_C_IN, CASE_PUBLISHED_SCALE * CASE_c_IN)
 
 
 @pytest.fixture
@@ -149,12 +162,6 @@ def identity_pair_net():
     )
 
 
-def random_net(rng, n_x, widths, n_u, scale=1.0):
-    layers = []
-    prev = n_x
-    for w in list(widths) + [n_u]:
-        W = scale * rng.standard_normal((w, prev))
-        b = scale * rng.standard_normal(w)
-        layers.append((W, b))
-        prev = w
-    return ReluNetwork(layers)
+def scaled(net, s):
+    """net with every weight and bias times s."""
+    return ReluNetwork([(s * W, s * b) for W, b in net.layers])

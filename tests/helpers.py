@@ -12,8 +12,10 @@ warm-started HiGHS model holds once more from scratch.
 ``check_polygon_vertices`` checks a vertex list against the rows of its
 polygon.  ``imitation_loop`` builds the closed loops of the imitation ladder:
 random ReLU controllers fitted to a saturated LQR, by default the case
-study's; ``set_plant_loop`` builds one on a plant of perfbench's set_algebra
-workload, whose plants ``set_algebra_plants`` redraws.
+study's; ``set_plant_loop`` builds one on a plant of the benchmark's
+set_algebra workload.  The case study and those plants are imported from
+perfbench/workloads.py, so perfbench/ must be on sys.path (conftest.py and
+scripts/ci_summary.py put it there).
 """
 
 import itertools
@@ -26,6 +28,7 @@ from scipy.optimize._highspy import _core as highs
 from certnn.control import LtiSystem, lqr, lqr_admissible_set
 from certnn.network import ReluNetwork, retrofit_lqr, saturate
 from certnn.polytope import Polytope, remove_redundant
+from workloads import CASE_A, CASE_B, CASE_C_IN, CASE_Q, CASE_R, CASE_c_IN, set_plants
 
 
 def _hidden_under_pattern(net, gammas):
@@ -336,18 +339,6 @@ def retrofit_reference(net, K):
     return sol[: n_u * n_L].reshape(n_u, n_L), sol[n_u * n_L :], float(np.sum((sol - target) ** 2))
 
 
-def set_algebra_plants():
-    """(A, B) of the 8 plants of perfbench's set_algebra workload: same seed, same recipe."""
-    rng = np.random.default_rng([0, 3])
-    plants = []
-    for _ in range(8):
-        n = int(rng.integers(4, 9))
-        A = rng.standard_normal((n, n))
-        A *= rng.uniform(0.9, 1.1) / np.max(np.abs(np.linalg.eigvals(A)))
-        plants.append((A, rng.standard_normal((n, 1))))
-    return plants
-
-
 def imitation_loop(widths, seed, plant=None, box=4.0, X_in=None):
     """A ReLU controller fitted to a saturated LQR, as ``verify_stability`` kwargs.
 
@@ -359,11 +350,9 @@ def imitation_loop(widths, seed, plant=None, box=4.0, X_in=None):
     by default the case-study input set at half its offsets, and X the box
     |x_i| <= 5.
     """
-    from conftest import CASE_A, CASE_B, CASE_C_IN, CASE_c_IN  # conftest imports this module
-
     if plant is None:
         system = LtiSystem(CASE_A, CASE_B)
-        plant = system, lqr(system, 2.0 * np.eye(2), np.eye(1)).K
+        plant = system, lqr(system, CASE_Q, CASE_R).K
     system, K = plant
     n = system.n_x
     rng = np.random.default_rng(seed)
@@ -392,9 +381,7 @@ def set_plant_loop(i, widths, seed):
     K is the plant's LQR gain under Q = I, R = 1, the set_algebra workload's
     weights, and R_K its maximal admissible invariant set in X and U.
     """
-    A, B = set_algebra_plants()[i]
-    system = LtiSystem(A, B)
-    K = lqr(system, np.eye(system.n_x), np.eye(1)).K
-    X = Polytope.box(-5.0 * np.ones(system.n_x), 5.0 * np.ones(system.n_x))
-    R_K = lqr_admissible_set(system, K, X, Polytope.box([-1.0], [1.0]))
-    return imitation_loop(widths, seed, plant=(system, K), box=2.0, X_in=R_K)
+    p = set_plants()[i]
+    K = lqr(p["system"], p["Q"], p["R"]).K
+    R_K = lqr_admissible_set(p["system"], K, p["X"], p["U"])
+    return imitation_loop(widths, seed, plant=(p["system"], K), box=2.0, X_in=R_K)

@@ -8,20 +8,10 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 import helpers
-from conftest import (
-    CASE_A,
-    CASE_B,
-    CASE_C_IN,
-    CASE_F_LQR,
-    CASE_Q,
-    CASE_R,
-    CASE_c_IN,
-    CASE_g_LQR,
-    random_net,
-)
+import workloads
+from conftest import CASE_A, CASE_B, CASE_F_LQR, CASE_Q, CASE_R, CASE_g_LQR, random_net, scaled
 from certnn.cli import main as cli_main
 from certnn.control import LtiSystem, lqr, lqr_admissible_set
 from certnn.milp import output_range_results, reach_results
@@ -102,7 +92,7 @@ def test_04_reach_exactness():
         B = rng.standard_normal((2, 1))
         sys = LtiSystem(A, B)
         width = int(rng.integers(3, 7))
-        net = random_net(rng, 2, [width], 1, scale=0.5)
+        net = scaled(random_net(rng, 2, [width], 1), 0.5)
         got = np.array([r.value for r in reach_results(sys, net, X_in, 2, dirs)])
         want = helpers.reach_oracle(A, B, net, X_in.F, X_in.g, 2, dirs)
         worst = max(worst, float(np.max(np.abs(got - want))))
@@ -192,45 +182,25 @@ def test_06_retrofit():
     )
 
 
-def test_07_end_to_end_case_study(tmp_path):
+def test_07_end_to_end_case_study(tmp_path, certified_Xin):
     start = time.monotonic()
-    sys = LtiSystem(CASE_A, CASE_B)
-    K = lqr(sys, CASE_Q, CASE_R).K
-    net = synth_satlqr(K, [-1.0], [1.0])
-    # the published facet offsets are printed to 4 decimals; at that precision
-    # the set is marginally non-invariant for this controller, so the check
-    # runs on the 0.999-scaled set (see README)
-    X_in = Polytope(CASE_C_IN, 0.999 * CASE_c_IN)
-
-    sys_path = tmp_path / "system.json"
-    sys_path.write_text(
-        json.dumps(
-            {
-                "A": CASE_A.tolist(),
-                "B": CASE_B.tolist(),
-                "X": Polytope.box([-5.0, -5.0], [5.0, 5.0]).to_json(),
-                "U_box": {"lb": [-1.0], "ub": [1.0]},
-                "Q": CASE_Q.tolist(),
-                "R": CASE_R.tolist(),
-            }
-        )
-    )
-    net_path = tmp_path / "network.json"
-    net.save(net_path)
-    xin_path = tmp_path / "xin.json"
-    xin_path.write_text(json.dumps(X_in.to_json()))
+    # the benchmark's case-study files, whose xin0.json is the certified X_in
+    # (see README)
+    workloads.write_case_inputs(tmp_path)
     out = tmp_path / "out"
 
     code = cli_main(
         [
-            "verify", "--system", str(sys_path), "--network", str(net_path),
-            "--xin", str(xin_path), "--out-dir", str(out), "--kmax", "10",
+            "verify", "--system", str(tmp_path / "system.json"),
+            "--network", str(tmp_path / "network.json"),
+            "--xin", str(tmp_path / "xin0.json"), "--out-dir", str(out), "--kmax", "10",
         ]
     )
     cert = json.loads((out / "certificate.json").read_text())
     verdict_ok = code == 0 and cert["verdict"] == "LqrOptimalNearEq"
     k_star = cert["stability"]["k_star"]
 
+    net, X_in = ReluNetwork.load(tmp_path / "network.json"), certified_Xin
     rng = np.random.default_rng(0)
     lo, hi = bounding_box(X_in)
     X = helpers.sample_polytope(rng, X_in.F, X_in.g, 10_000, lo, hi)

@@ -8,38 +8,22 @@ import numpy as np
 import pytest
 
 import helpers
-from conftest import CASE_A, CASE_B, CASE_C_IN, CASE_K, CASE_Q, CASE_R, CASE_c_IN
+import workloads
+from conftest import CASE_A, CASE_B, CASE_K, CASE_Q, CASE_R
 from certnn import milp
 from certnn.cli import main
-from certnn.network import ReluNetwork, synth_satlqr
+from certnn.network import ReluNetwork
 from certnn.polytope import Polytope
 
 
 @pytest.fixture
 def case_files(tmp_path):
-    system = {
-        "A": CASE_A.tolist(),
-        "B": CASE_B.tolist(),
-        "X": Polytope.box([-5.0, -5.0], [5.0, 5.0]).to_json(),
-        "U_box": {"lb": [-1.0], "ub": [1.0]},
-        "Q": CASE_Q.tolist(),
-        "R": CASE_R.tolist(),
-    }
-    sys_path = tmp_path / "system.json"
-    sys_path.write_text(json.dumps(system))
-
-    # use the gain computed from (Q, R) so the LQR-match check is exact
-    from certnn.control import LtiSystem, lqr
-
-    K = lqr(LtiSystem(CASE_A, CASE_B), CASE_Q, CASE_R).K
-    net = synth_satlqr(K, [-1.0], [1.0])
-    net_path = tmp_path / "network.json"
-    net.save(net_path)
-
-    xin = Polytope(CASE_C_IN, 0.999 * CASE_c_IN)
-    xin_path = tmp_path / "xin.json"
-    xin_path.write_text(json.dumps(xin.to_json()))
-    return str(sys_path), str(net_path), str(xin_path), tmp_path
+    """The benchmark's case-study files: system, network (the saturated LQR of
+    the system's Q and R, so the LQR-match check is exact) and the certified
+    X_in, xin0.json."""
+    workloads.write_case_inputs(tmp_path)
+    paths = (tmp_path / name for name in ("system.json", "network.json", "xin0.json"))
+    return *map(str, paths), tmp_path
 
 
 def test_verify_certifies_case_study(case_files, capsys):

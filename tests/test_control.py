@@ -51,9 +51,15 @@ class TestSpectralRadius:
     def test_rotation(self):
         assert spectral_radius(np.array([[0.0, 1.0], [-1.0, 0.0]])) == pytest.approx(1.0)
 
+    def test_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            spectral_radius(np.ones((2, 3)))
+
+    def test_empty_matrix(self):
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
+
     def test_case_study_closed_loop(self, case_system):
-        K = np.array([[0.2501, 0.8290]])
-        A_cl = case_system.A - case_system.B @ K
+        A_cl = case_system.A - case_system.B @ CASE_K
         rho = spectral_radius(A_cl)
         # oracle: roots of the 2x2 characteristic polynomial
         tr, det = np.trace(A_cl), np.linalg.det(A_cl)

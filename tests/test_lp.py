@@ -320,15 +320,17 @@ def test_maxima_scale_with_the_objective(lp_path):
 
 
 def test_a_stalled_warm_solve_is_solved_again_cold(lp_path):
-    # on the 67th of these polytopes HiGHS's warm re-solve of the third
-    # direction stops with status Unknown; each direction solved alone and
-    # cold is unbounded
+    # on the 67th of these polytopes, loaded for the dual simplex, HiGHS's
+    # warm re-solve of the third direction stops with status Unknown; each
+    # direction solved alone and cold is unbounded
     rng = np.random.default_rng(0)
     for _ in range(67):
         n = rng.integers(2, 6)
         m = rng.integers(n + 1, 3 * n + 2)
         F, g, C = rng.standard_normal((m, n)), rng.uniform(0.5, 2.0, m), rng.standard_normal((4, n))
-    assert np.array_equal(support(Polytope(F, g), C), np.full(4, np.inf))
+    free = np.full(n, np.inf)
+    model = lp.LpModel(np.zeros(n), F, g, -free, free)
+    assert np.array_equal(model.maxima(C, "test"), np.full(4, np.inf))
 
 
 # explicit zeros and an all-zero row

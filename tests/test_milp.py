@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import helpers
-from conftest import CASE_K, random_net
+from conftest import CASE_K, random_net, scaled
 from certnn import lp, milp
 from certnn.control import LtiSystem
 from certnn.milp import (
@@ -352,7 +352,7 @@ class TestReach:
         rng = np.random.default_rng(6)
         sys = self._sys()
         for _ in range(3):
-            net = random_net(rng, 2, [3], 1, scale=0.5)
+            net = scaled(random_net(rng, 2, [3], 1), 0.5)
             for d in [[1.0, 0.0], [0.0, 1.0]]:
                 got = reach_results(sys, net, UNIT_BOX, 2, [d])[0].value
                 want = helpers.reach_oracle(
@@ -379,7 +379,7 @@ class TestReach:
         rng = np.random.default_rng(8)
         sys = self._sys()
         for _ in range(3):
-            net = random_net(rng, 2, [3, 2], 1, scale=0.5)
+            net = scaled(random_net(rng, 2, [3, 2], 1), 0.5)
             enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
             got = enc.output([1.0])
             want = encode_output_range(net, UNIT_BOX, [1.0])
@@ -413,7 +413,7 @@ class TestReach:
     def test_shared_encoding_matches_oracle(self):
         rng = np.random.default_rng(9)
         sys = self._sys()
-        net = random_net(rng, 2, [3], 1, scale=0.5)
+        net = scaled(random_net(rng, 2, [3], 1), 0.5)
         dirs = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-0.6, 0.8]])
         enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
         for k in range(1, 4):
@@ -455,7 +455,7 @@ class TestReach:
         # own, and with the values of fresh encodings
         rng = np.random.default_rng(23)
         sys = self._sys()
-        net = random_net(rng, 2, [3, 2], 1, scale=0.5)
+        net = scaled(random_net(rng, 2, [3, 2], 1), 0.5)
         dirs = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-0.6, 0.8]])
         enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
         enc.model(1, dirs[0])
@@ -501,7 +501,7 @@ def test_model_of_an_earlier_step_is_refused():
     # model of an earlier step no longer matches it and is refused, not
     # solved, and its rows, which only the relaxation holds, are refused too
     sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
-    net = random_net(np.random.default_rng(12), 2, [3], 1, scale=0.5)
+    net = scaled(random_net(np.random.default_rng(12), 2, [3], 1), 0.5)
     enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
     output, step1 = enc.output([1.0]), enc.model(1, [1.0, 0.0])
     assert solve_milp(step1).status == BnbStatus.OPTIMAL
@@ -556,7 +556,7 @@ def test_a_query_refuses_objects_other_than_its_encodings(name):
     # objects are compared by identity: an equal copy of the system, the net
     # or X_in is refused, and the error names the argument that differs
     sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
-    net = random_net(np.random.default_rng(14), 2, [3], 1, scale=0.5)
+    net = scaled(random_net(np.random.default_rng(14), 2, [3], 1), 0.5)
     enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
     args = {"system": sys, "net": net, "X_in": UNIT_BOX}
     args[name] = copy.deepcopy(args[name])
@@ -573,7 +573,7 @@ def test_a_reach_query_refuses_an_output_range_encoding():
     # an encoding built without a system cannot add steps; a reach query
     # handed one is refused before any step is added
     sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
-    net = random_net(np.random.default_rng(14), 2, [3], 1, scale=0.5)
+    net = scaled(random_net(np.random.default_rng(14), 2, [3], 1), 0.5)
     enc = ClosedLoopEncoding(None, net, UNIT_BOX)
     with pytest.raises(MilpError, match="system"):
         reach_results(sys, net, UNIT_BOX, 1, [[1.0, 0.0]], encoding=enc)
@@ -583,11 +583,42 @@ def test_a_step_of_an_encoding_without_a_system_raises():
     # asked directly for a closed-loop step, an output-range encoding raises
     # MilpError, not the AttributeError of reading a None system, and it
     # still answers at step 0
-    net = random_net(np.random.default_rng(14), 2, [3], 1, scale=0.5)
+    net = scaled(random_net(np.random.default_rng(14), 2, [3], 1), 0.5)
     enc = ClosedLoopEncoding(None, net, UNIT_BOX)
     with pytest.raises(MilpError, match="without a system"):
         enc.model(1, [1.0, 0.0])
     assert solve_milp(enc.output([1.0])).status == BnbStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("query", ["output", "model"])
+def test_a_direction_of_the_wrong_length_raises(query):
+    # output directions have one entry per network output, model directions
+    # one per state
+    sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
+    net = scaled(random_net(np.random.default_rng(14), 2, [3], 1), 0.5)
+    enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+    ask = enc.output if query == "output" else lambda d: enc.model(1, d)
+    with pytest.raises(MilpError, match="direction length 3, expected"):
+        ask([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("loop", ["all active", "case study"])
+def test_state_rows_that_admit_no_point_raise_empty_input(loop, case_system):
+    # x_1 <= -1 and x_1 >= 1 at every later state: no trajectory satisfies
+    # the rows.  The case study's saturation neurons meet them in their bound
+    # LPs; the all-active net, u = 0.1 x on the unit box, needs no bound LP,
+    # so its reach search meets them.  Either way the rows, not the LP
+    # solver, are blamed
+    if loop == "case study":
+        sys, net = case_system, synth_satlqr(CASE_K, [-1.0], [1.0])
+    else:
+        eye = np.eye(2)
+        sys = LtiSystem(0.5 * eye, eye)
+        net = ReluNetwork([(eye, np.full(2, 100.0)), (0.1 * eye, np.full(2, -10.0))])
+    enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
+    enc.add_state_rows([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])
+    with pytest.raises(EmptyInput, match="admit no point"):
+        reach_results(sys, net, UNIT_BOX, 2, np.eye(2), encoding=enc)
 
 
 def test_node_cap_raises(monkeypatch):
@@ -663,7 +694,7 @@ class TestLpPaths:
         rng = np.random.default_rng(22)
         sys = self._sys()
         dirs = np.array([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8]])
-        net = random_net(rng, 2, [3], 1, scale=0.5)
+        net = scaled(random_net(rng, 2, [3], 1), 0.5)
         enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
         for k in range(1, 4):
             wants = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, dirs)
@@ -750,7 +781,7 @@ class TestCutoff:
         sys = self._sys()
         dirs = np.array([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8]])
         for _ in range(2):
-            net = random_net(rng, 2, [3], 1, scale=0.5)
+            net = scaled(random_net(rng, 2, [3], 1), 0.5)
             for k in range(1, 4):
                 wants = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, dirs)
                 for d, want in zip(dirs, wants):
@@ -767,7 +798,7 @@ class TestCutoff:
         # with the first one whose maximum exceeds its cutoff
         rng = np.random.default_rng(33)
         sys = self._sys()
-        net = random_net(rng, 2, [3], 1, scale=0.5)
+        net = scaled(random_net(rng, 2, [3], 1), 0.5)
         dirs = np.array([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8], [0.0, 1.0]])
         enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
         exact = reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc)

@@ -26,6 +26,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ReluNetwork([(np.eye(2), np.zeros(2)), (np.ones((1, 3)), np.zeros(1))])
 
+    def test_weights_and_biases_disagree(self):
+        with pytest.raises(ValueError, match="layer shape mismatch"):
+            ReluNetwork([(np.eye(2), np.zeros(3)), (np.ones((1, 2)), np.zeros(1))])
+
     def test_nonfinite(self):
         with pytest.raises(ValueError):
             ReluNetwork([(np.array([[np.nan]]), np.zeros(1)), (np.eye(1), np.zeros(1))])
@@ -61,6 +65,10 @@ class TestActivationPattern:
 
     def test_tie_counts_active(self, identity_pair_net):
         assert tuple(identity_pair_net.activation_pattern([0.0])[0]) == (1, 1)
+
+    def test_dimension_mismatch(self, identity_pair_net):
+        with pytest.raises(DimensionMismatch, match="input length 2"):
+            identity_pair_net.activation_pattern([1.0, 2.0])
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000))

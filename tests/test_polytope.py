@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
+import workloads
 from conftest import CASE_A, CASE_B, CASE_C_AS, CASE_c_AS, CASE_C_IN, CASE_c_IN, CASE_F_EQ, \
     CASE_g_EQ, CASE_F_LQR, CASE_g_LQR, CASE_K, random_net
 from certnn import control, lp, polytope
@@ -294,6 +295,27 @@ def test_remove_redundant_of_box_needs_no_lp(count_lps):
     assert count_lps() == 0
 
 
+# (error, message, call) of each argument the set layer rejects
+REJECTED = {
+    "F-not-a-matrix": (ValueError, "F must be a matrix", lambda: Polytope(np.ones(2), np.ones(2))),
+    "non-finite": (ValueError, "finite", lambda: Polytope(np.eye(2), [1.0, np.nan])),
+    "json-list": (ValueError, "an object", lambda: Polytope.from_json([[1.0, 0.0]])),
+    "support-width": (DimensionMismatch, "directions", lambda: support(UNIT_BOX, np.ones((2, 3)))),
+    "intersect-dims": (DimensionMismatch, "dimensions", lambda: intersect(UNIT_BOX, CORNER_BOX)),
+    "map-shape": (
+        DimensionMismatch, "map shape", lambda: max_positively_invariant(np.eye(3), UNIT_BOX)
+    ),
+    "vertices-3d": (DimensionMismatch, "2-D only", lambda: vertices_2d(CORNER_BOX)),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_bad_arguments_are_rejected(name):
+    error, message, call = REJECTED[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestContainment:
     def test_nested_boxes(self):
         big = Polytope.box([-2.0, -2.0], [2.0, 2.0])
@@ -404,15 +426,10 @@ class TestMaxPositivelyInvariantLinprog(TestMaxPositivelyInvariant):
 @functools.cache
 def _lqr_fixpoint_case(i):
     """Closed loop, constraints and reference invariant set of set-algebra plant i."""
-    A, B = helpers.set_algebra_plants()[i]
-    n = A.shape[0]
-    system = control.LtiSystem(A, B)
-    K = control.lqr(system, np.eye(n), np.eye(1)).K
-    P = intersect(
-        Polytope.box(-5.0 * np.ones(n), 5.0 * np.ones(n)),
-        control.input_admissible_states(K, Polytope.box([-1.0], [1.0])),
-    )
-    A_cl = A - B @ K
+    p = workloads.set_plants()[i]
+    K = control.lqr(p["system"], p["Q"], p["R"]).K
+    P = intersect(p["X"], control.input_admissible_states(K, p["U"]))
+    A_cl = p["system"].A - p["system"].B @ K
     return A_cl, P, helpers.mpi_reference(A_cl, P.F, P.g)
 
 

@@ -7,13 +7,10 @@ fails here and not only in a traced benchmark run.
 """
 
 import importlib
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import tracing  # noqa: E402
+import tracing  # perfbench/, which conftest.py puts on sys.path
 
 
 @pytest.mark.parametrize("target", sorted(tracing.TARGETS))

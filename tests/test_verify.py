@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from conftest import CASE_A, CASE_B, CASE_K, CASE_Q, CASE_R
+from conftest import CASE_A, CASE_B, CASE_K, CASE_PUBLISHED_SCALE
 from certnn import milp
 from certnn.control import LtiSystem, lqr, simulate
 from certnn.errors import DimensionMismatch
@@ -96,15 +96,14 @@ class TestVerifyInput:
 class TestVerifyInvariance:
     """The one-step check of verify_stability: invariance_ok, X_1_out and witnesses."""
 
-    def test_case_study_invariant(self, case_system, case_Xin, case_X, case_U, case_net):
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
-        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=1)
+    def test_case_study_invariant(self, case_system, certified_Xin, case_X, case_U, case_net):
+        cert = verify_stability(case_system, case_net, certified_Xin, case_X, case_U, k_max=1)
         assert cert.invariance_ok
         assert cert.witnesses == []
-        assert contains_set(X_in, cert.X_1_out)
+        assert contains_set(certified_Xin, cert.X_1_out)
 
     def test_case_study_lp_budget(
-        self, case_system, case_Xin, case_X, case_U, case_net, count_lps
+        self, case_system, certified_Xin, case_X, case_U, case_net, count_lps
     ):
         # the input check and the one-step check share one encoding; only x0
         # has a network copy encoded, so only X_in is boxed (4 LPs) and the
@@ -114,8 +113,7 @@ class TestVerifyInvariance:
         # bound when verify began to check it); a rollout refutes k = 1 with no
         # search, and the other 12 LPs are R_eq and R_as, whose fixpoint starts
         # from 6 rows once its parallel rows merge
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
-        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=1)
+        cert = verify_stability(case_system, case_net, certified_Xin, case_X, case_U, k_max=1)
         assert cert.invariance_ok and cert.stability.k_star is None
         assert cert.stability.reach_nodes == [0]
         assert count_lps() == cert.milp_nodes + 22
@@ -126,20 +124,21 @@ class TestVerifyInvariance:
         assert cert.milp_nodes == 32
 
     @pytest.mark.parametrize("half_width", [1.0, 2.0])
-    def test_x_in_must_lie_in_x(self, half_width, case_system, case_Xin, case_U, case_net):
+    def test_x_in_must_lie_in_x(self, half_width, case_system, certified_Xin, case_U, case_net):
         # X_in is invariant and reaches x_1 = 3.575 (its support along x_1), so
         # a state box |x_i| <= 1 or 2 does not hold it: admissible invariance
         # fails, the verdict stays at the floor and the reason names X, the
         # facet and the support; witnesses still list one-step violations only.
         # The case study's own X, |x_i| <= 5, holds X_in: TestVerifyStability
         # pins its certificate
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         X = Polytope.box(-np.full(2, half_width), np.full(2, half_width))
-        cert = verify_stability(case_system, case_net, X_in, X, case_U, k_max=10, K_ref=CASE_K)
+        cert = verify_stability(
+            case_system, case_net, certified_Xin, X, case_U, k_max=10, K_ref=CASE_K
+        )
         assert cert.input_ok and cert.witnesses == []
         assert not cert.invariance_ok and not cert.certified
         assert cert.verdict == Verdict.INPUT_ONLY and cert.stability.k_star is None
-        s = support(X_in, np.eye(2)[0])
+        s = support(certified_Xin, np.eye(2)[0])
         assert s == pytest.approx(3.575, abs=1e-3)
         assert cert.reason == (
             f"X_in leaves X: its support along X's facet 0 is {s:.6g} > {half_width:.6g}"
@@ -224,10 +223,9 @@ class TestStabilitySet:
 
 
 class TestVerifyStability:
-    def test_case_study_full_pipeline(self, case_system, case_Xin, case_X, case_U, case_net):
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
+    def test_case_study_full_pipeline(self, case_system, certified_Xin, case_X, case_U, case_net):
         cert = verify_stability(
-            case_system, case_net, X_in, case_X, case_U, k_max=10, K_ref=CASE_K
+            case_system, case_net, certified_Xin, case_X, case_U, k_max=10, K_ref=CASE_K
         )
         assert cert.verdict == Verdict.LQR_OPTIMAL_NEAR_EQ
         assert cert.certified
@@ -237,7 +235,7 @@ class TestVerifyStability:
         assert np.all(support(X_k_out, R_as.F) <= R_as.g + 1e-6)
 
     def test_case_study_lp_budget(
-        self, case_system, case_Xin, case_X, case_U, case_net, count_lps, count_loads
+        self, case_system, certified_Xin, case_X, case_U, case_net, count_lps, count_loads
     ):
         # one closed-loop encoding per call on one growing load, whose step 0
         # is the input check, only X_in boxed (4 LPs; every later state's box
@@ -258,8 +256,7 @@ class TestVerifyStability:
         # from; the warm-started models count 70. Rollouts from the input and
         # one-step maximizers refute k = 1..4 with no search, and the reach
         # search, with X_1_out's rows at x_1 .. x_4, spends 38 at k = 5.
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
-        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
+        cert = verify_stability(case_system, case_net, certified_Xin, case_X, case_U, k_max=10)
         assert cert.stability.k_star == 5
         assert cert.milp_nodes == 70
         assert cert.stability.reach_nodes == [0, 0, 0, 0, 38]
@@ -271,18 +268,16 @@ class TestVerifyStability:
         }
         assert count_loads() == 4
 
-    def test_case_study_relaxation_size(self, case_system, case_Xin, case_net):
+    def test_case_study_relaxation_size(self, case_system, certified_Xin, case_net):
         # at k* = 5 the copies at x_0 .. x_4 each have layer 1 active and one
         # unstable saturation neuron in each of layers 2 and 3: 10 binaries,
         # 23 columns (x0, the unit column, z and t of each) and 40 rows (the
         # 10 of X_in, then 3 per unstable neuron), none of them equalities
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
-        m = milp.ClosedLoopEncoding(case_system, case_net, X_in).model(5, [1.0, 0.0])
+        m = milp.ClosedLoopEncoding(case_system, case_net, certified_Xin).model(5, [1.0, 0.0])
         assert (m.c.size, m.A_ub.shape[0], m.binaries.size, m.A_eq.shape[0]) == (23, 40, 10, 0)
 
-    def test_without_reference_gain(self, case_system, case_Xin, case_X, case_U, case_net):
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
-        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
+    def test_without_reference_gain(self, case_system, certified_Xin, case_X, case_U, case_net):
+        cert = verify_stability(case_system, case_net, certified_Xin, case_X, case_U, k_max=10)
         assert cert.verdict == Verdict.ASYMPTOTICALLY_STABLE
         assert cert.stability.lqr_match_residual is None
 
@@ -300,13 +295,12 @@ class TestVerifyStability:
         assert cert.reason == "bias annihilation"
 
     @pytest.mark.parametrize("scale", [1.0, 1.1])
-    def test_unstable_equilibrium_loop_is_not_certified(self, scale, case_Xin, case_X, case_U):
+    def test_unstable_equilibrium_loop_is_not_certified(self, scale, certified_Xin, case_X, case_U):
         # a zero gain leaves the plant's own A at the equilibrium: spectral
         # radius 1.000023 for the case-study plant, 1.1 times that scaled
         scaled = LtiSystem(scale * CASE_A, CASE_B)
         zero = synth_satlqr(np.zeros((1, 2)), [-1.0], [1.0])
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
-        cert = verify_stability(scaled, zero, X_in, case_X, case_U, k_max=3)
+        cert = verify_stability(scaled, zero, certified_Xin, case_X, case_U, k_max=3)
         assert cert.stability.spectral_radius == pytest.approx(1.000023 * scale, abs=1e-6)
         assert cert.verdict == Verdict.INPUT_ONLY and not cert.certified
         assert cert.reason == "equilibrium-region closed loop not stable"
@@ -335,12 +329,13 @@ class TestVerifyStability:
         assert cert.reason == "input constraint violation"
         assert not cert.input_ok
 
-    def test_certificate_json_round_trip(self, case_system, case_Xin, case_X, case_U, case_net):
+    def test_certificate_json_round_trip(
+        self, case_system, certified_Xin, case_X, case_U, case_net
+    ):
         import json
 
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
         cert = verify_stability(
-            case_system, case_net, X_in, case_X, case_U, k_max=10, K_ref=CASE_K
+            case_system, case_net, certified_Xin, case_X, case_U, k_max=10, K_ref=CASE_K
         )
         blob = json.dumps(cert.to_json())
         data = json.loads(blob)
@@ -494,7 +489,9 @@ class TestDecisionSearch:
     exact search's."""
 
     CASES = {
-        "case_study": (lambda F, g: Polytope(F, 0.999 * g), Verdict.LQR_OPTIMAL_NEAR_EQ),
+        "case_study": (
+            lambda F, g: Polytope(F, CASE_PUBLISHED_SCALE * g), Verdict.LQR_OPTIMAL_NEAR_EQ
+        ),
         "box_0.02": (lambda F, g: Polytope.box([-0.02, -0.02], [0.02, 0.02]), Verdict.INPUT_ONLY),
     }
 
@@ -525,7 +522,7 @@ class TestDecisionSearch:
         assert np.all(X_k_out.g >= maxima - 1e-9)
 
     def test_reach_nodes_add_up(
-        self, monkeypatch, case_system, case_Xin, case_X, case_U, case_net
+        self, monkeypatch, case_system, certified_Xin, case_X, case_U, case_net
     ):
         # the exact searches are the input and one-step checks, the searches
         # with a cutoff the reach search
@@ -538,8 +535,7 @@ class TestDecisionSearch:
             return res
 
         monkeypatch.setattr(milp, "solve_milp", recording)
-        X_in = Polytope(case_Xin.F, 0.999 * case_Xin.g)
-        cert = verify_stability(case_system, case_net, X_in, case_X, case_U, k_max=10)
+        cert = verify_stability(case_system, case_net, certified_Xin, case_X, case_U, k_max=10)
         reach_nodes = cert.stability.reach_nodes
         assert len(reach_nodes) == cert.stability.k_star
         assert sum(reach_nodes) == sum(decided)
