@@ -43,8 +43,10 @@ Prints, one per line:
 - after each imitation loop's line, the LpModel.solve calls of its verify,
   split as on the case_study pass;
 - one "name = value" line per entry of certnn/tolerances.py;
-- one line with the sorted names of certnn.__all__, so that a change to the
-  package's public API shows as well.
+- one line with the sorted names of certnn.__all__, then one line per name
+  of it, in that order, and one per public method of ClosedLoopEncoding,
+  each with its inspect.signature, so that a change to the package's public
+  API, an option added or removed included, shows as well.
 
 Every LP count is a difference of certnn.lp.WORK, the ledger in which each
 LpModel load and solve counts itself, a solve under the purpose that its
@@ -53,6 +55,7 @@ caller names.
 
 import collections
 import hashlib
+import inspect
 import json
 import sys
 import tempfile
@@ -173,6 +176,15 @@ def lp_count_lines():
     yield from lines("case_study", lp.WORK - start, CASE_LABELS)
 
 
+def signature_lines():
+    """Each certnn.__all__ name and public ClosedLoopEncoding method, with its signature."""
+    for name in sorted(certnn.__all__):
+        yield f"certnn.{name}{inspect.signature(getattr(certnn, name))}"
+    for name, method in inspect.getmembers(ClosedLoopEncoding, inspect.isfunction):
+        if not name.startswith("_"):
+            yield f"certnn.ClosedLoopEncoding.{name}{inspect.signature(method)}"
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -184,6 +196,7 @@ def main() -> int:
         f"range_bnb pass: milp nodes {sum(op.run().nodes for op in workloads.range_ops())}",
         *(f"{n} = {v!r}" for n, v in vars(tolerances).items() if n.isupper()),
         f"certnn public names: {', '.join(sorted(certnn.__all__))}",
+        *signature_lines(),
     ]
     print(*lines, sep="\n")
     return 0

@@ -39,7 +39,7 @@ of the columns made so far, by LP on the relaxation built so far (none for
 one column: the interval over its bounds is exact on the big-M triangle),
 and its bounds are the intersection.  A query builds its step's model on
 the one relaxation and sets only the objective, so directions and horizons
-share one encoding.
+share one encoding: ``ClosedLoopEncoding.solve`` runs every search.
 
 Rows that every reachable state satisfies tighten the relaxation further.
 ``ClosedLoopEncoding.add_state_rows(F, g)`` holds them: each later state,
@@ -179,7 +179,8 @@ class ClosedLoopEncoding:
     Step 0 is x0 in X_in with the network copy u0 = N(x0); ``output`` returns
     its model of max direction.u0, the open-loop output range.
     ``model(k, direction)`` extends the encoding up to step k and returns the
-    model of max direction.x_k.  Steps are only ever added: asking for an
+    model of max direction.x_k.  ``solve(directions, k, cutoffs)``, the one
+    query, searches those models.  Steps are only ever added: asking for an
     earlier step (``output`` included) raises MilpError.  All steps grow one
     relaxation, so the support LPs of X_in, the bound LPs and every direction
     of every step share one loaded LP.  ``add_state_rows`` adds rows at
@@ -301,7 +302,12 @@ class ClosedLoopEncoding:
         self._relaxation.set_bounds(self._lb, self._ub)
         self._relaxation.clear_basis()
         lo, hi = _interval_affine(*self._x, self._lb, self._ub)
-        self._u, layers = self._encode_network(self._x, lo, hi)
+        try:
+            self._u, layers = self._encode_network(self._x, lo, hi)
+        except EmptyInput:  # X_in is nonempty (checked when encoded)
+            if self._state_rows is None:
+                raise
+            raise EmptyInput("X_in and the state rows admit no point") from None
         self.bounds.append(((lo, hi), layers))
 
     def add_state_rows(self, F, g):
@@ -359,6 +365,29 @@ class ClosedLoopEncoding:
             raise MilpError("the encoding was built without a system, so it has no step k >= 1")
         self._at(k)
         return self._with_objective(self._x, direction)
+
+    def solve(self, directions, k: int | None = None, cutoffs=None) -> list[BnbResult]:
+        """One branch and bound per direction: of u0 when k is None, else of x_k.
+
+        With ``cutoffs``, one per direction, each search only decides whether
+        its maximum exceeds its cutoff (see ``solve_milp``), in order, and the
+        results end with the first refuted direction; cutoffs of another
+        length raise MilpError before any search.
+        """
+        directions = np.atleast_2d(np.asarray(directions, dtype=float))
+        cutoffs = [None] * len(directions) if cutoffs is None else cutoffs
+        if len(cutoffs) != len(directions):
+            raise MilpError(f"{len(cutoffs)} cutoffs for {len(directions)} directions, not one each")
+        results = []
+        for d, cutoff in zip(directions, cutoffs):
+            res = solve_milp(self.output(d) if k is None else self.model(k, d), cutoff)
+            if res.status == BnbStatus.INFEASIBLE:
+                # a nonempty X_in's relaxation has an integral point, so the state rows admit none
+                raise EmptyInput("X_in and the state rows admit no point")
+            results.append(res)
+            if cutoff is not None and res.status == BnbStatus.OPTIMAL:
+                break
+        return results
 
 
 def encode_output_range(net: ReluNetwork, X_in: Polytope, direction) -> MilpModel:
@@ -426,61 +455,11 @@ def solve_milp(m: MilpModel, cutoff: float | None = None) -> BnbResult:
     return BnbResult(BnbStatus.INFEASIBLE, nodes=nodes)
 
 
-def _solve_directions(make_model, directions, cutoffs=None) -> list[BnbResult]:
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if cutoffs is None:
-        cutoffs = [None] * len(directions)
-    elif len(cutoffs) != len(directions):
-        raise MilpError(f"{len(cutoffs)} cutoffs for {len(directions)} directions, not one each")
-    results = []
-    for d, cutoff in zip(directions, cutoffs):
-        res = solve_milp(make_model(d), cutoff)
-        if res.status == BnbStatus.INFEASIBLE:
-            # the relaxation of a nonempty X_in (an empty one raises when
-            # encoded) has an integral point, so the state rows admit none
-            raise EmptyInput("X_in and the state rows admit no point")
-        results.append(res)
-        if cutoff is not None and res.status == BnbStatus.OPTIMAL:
-            break
-    return results
+def output_range_results(net: ReluNetwork, X_in: Polytope, directions) -> list[BnbResult]:
+    """One branch and bound per direction of the network output, on a fresh encoding."""
+    return ClosedLoopEncoding(None, net, X_in).solve(directions)
 
 
-def _check_encoding(encoding, **given):
-    """MilpError naming the first given object that is not the one encoding was built from."""
-    for name, obj in given.items():
-        if obj is not getattr(encoding, name):
-            raise MilpError(f"the encoding was built from another {name} than the one passed")
-
-
-def output_range_results(
-    net: ReluNetwork, X_in: Polytope, directions, encoding=None
-) -> list[BnbResult]:
-    """One branch and bound per direction of the network output, all on one encoding.
-
-    Pass ``encoding`` (a ClosedLoopEncoding of the same net and X_in, still
-    at step 0) to share it with the closed-loop queries that follow; a net
-    or X_in that is not the encoding's own object raises MilpError.
-    """
-    if encoding is None:
-        encoding = ClosedLoopEncoding(None, net, X_in)
-    _check_encoding(encoding, net=net, X_in=X_in)
-    return _solve_directions(encoding.output, directions)
-
-
-def reach_results(
-    system, net: ReluNetwork, X_in: Polytope, k: int, directions, encoding=None, cutoffs=None
-) -> list[BnbResult]:
-    """One branch and bound per direction at step k, all on one encoding.
-
-    Pass ``encoding`` (a ClosedLoopEncoding of the same system, net and X_in)
-    to share it with queries at other horizons; a system, net or X_in that
-    is not the encoding's own object raises MilpError.  With ``cutoffs``,
-    one cutoff per direction, each search only decides whether its maximum
-    exceeds its cutoff (see ``solve_milp``); the directions are solved in
-    order and the results end with the first refuted one.  Cutoffs of
-    another length than the directions raise MilpError before any search.
-    """
-    if encoding is None:
-        encoding = ClosedLoopEncoding(system, net, X_in)
-    _check_encoding(encoding, system=system, net=net, X_in=X_in)
-    return _solve_directions(lambda d: encoding.model(k, d), directions, cutoffs)
+def reach_results(system, net: ReluNetwork, X_in: Polytope, k: int, directions) -> list[BnbResult]:
+    """One branch and bound per direction of the state x_k, on a fresh encoding."""
+    return ClosedLoopEncoding(system, net, X_in).solve(directions, k)

@@ -10,8 +10,8 @@ the facets of the set it must lie in (U, X_in, R_as), so containment is a
 componentwise comparison rather than an over-approximation, and
 ``_contained`` decides all three with one rule: each proven upper bound of
 the branch and bound, not the value at its point, is at most the facet's
-offset plus CONTAIN_TOL.  The three checks share one closed-loop encoding,
-whose step 0 is the output-range model of the network over X_in.
+offset plus CONTAIN_TOL.  The three checks are ``solve`` calls on one
+closed-loop encoding, whose step 0 is the output-range model over X_in.
 Admissible invariance also needs X_in inside X, decided by the same rule on
 X_in's support along each facet of X: an LP each, on a load of its own.
 The input and invariance checks set the verdict floor (Invariant,
@@ -242,9 +242,9 @@ def verify_stability(
     if (X.dim, U.dim) != (sys.n_x, sys.n_u):
         raise DimensionMismatch(f"X, U of dimensions {X.dim}, {U.dim}, the system {sys.n_x}, {sys.n_u}")
     encoding = milp.ClosedLoopEncoding(sys, net, X_in)
-    input_results = milp.output_range_results(net, X_in, U.F, encoding=encoding)
+    input_results = encoding.solve(U.F)
     input_ok, U_star, input_nodes = _contained(input_results, U)
-    results = milp.reach_results(sys, net, X_in, 1, X_in.F, encoding=encoding)
+    results = encoding.solve(X_in.F, 1)
     one_step_ok, X_1, one_step_nodes = _contained(results, X_in)
     # admissible invariance also needs X_in inside X, by _contained's rule on
     # X_in's support along each facet of X (one LP each)
@@ -313,9 +313,7 @@ def verify_stability(
             report.rollouts.append(rollout)
             report.reach_nodes.append(0)
             continue
-        results = milp.reach_results(
-            sys, net, X_in, k, R_as.F, encoding=encoding, cutoffs=R_as.g + CONTAIN_TOL
-        )
+        results = encoding.solve(R_as.F, k, R_as.g + CONTAIN_TOL)
         ok, X_k, nodes = _contained(results, R_as)
         cert.milp_nodes += nodes
         report.reach_nodes.append(nodes)

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -417,7 +415,7 @@ class TestReach:
         dirs = np.array([[1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-0.6, 0.8]])
         enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
         for k in range(1, 4):
-            got = [r.value for r in reach_results(sys, net, UNIT_BOX, k, dirs, encoding=enc)]
+            got = [r.value for r in enc.solve(dirs, k)]
             want = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, dirs)
             np.testing.assert_allclose(got, want, atol=1e-6)
 
@@ -435,11 +433,11 @@ class TestReach:
             net = ReluNetwork([(W1, b1), (W2, -W2 @ b1), (0.5 * rng.standard_normal((1, 2)), np.zeros(1))])
             enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
             wants = helpers.output_range_oracle(net, UNIT_BOX.F, UNIT_BOX.g, [[1.0], [-1.0]])
-            for want, r in zip(wants, output_range_results(net, UNIT_BOX, [[1.0], [-1.0]], enc)):
+            for want, r in zip(wants, enc.solve([[1.0], [-1.0]])):
                 assert r.value == pytest.approx(want, abs=1e-6)
             for k in range(1, 4):
                 wants = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, dirs)
-                results = reach_results(sys, net, UNIT_BOX, k, dirs, encoding=enc)
+                results = enc.solve(dirs, k)
                 for d, want, r in zip(dirs, wants, results):
                     assert r.value == pytest.approx(want, abs=1e-6)
                     x = r.point[: sys.n_x]
@@ -460,7 +458,7 @@ class TestReach:
         enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
         enc.model(1, dirs[0])
         loads = lp.WORK["loads"]
-        got = [r.value for r in reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc)]
+        got = [r.value for r in enc.solve(dirs, 2)]
         assert lp.WORK["loads"] == loads
         want = [solve_milp(encode_reach(sys, net, UNIT_BOX, 2, d)).value for d in dirs]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
@@ -536,47 +534,14 @@ def test_mismatched_plant_is_refused(A, B):
         reach_results(LtiSystem(A, B), net, UNIT_BOX, 1, [[1.0, 0.0]])
 
 
-def test_an_encoding_over_another_input_set_is_refused():
-    # u = 0.15 (x1 + x2), every neuron active: its maximum is 0.3 over the
-    # unit box and 0.6 over the box of half-width 2.  An encoding of the unit
-    # box answers for the unit box only, so a query over the larger box that
-    # is handed it is refused instead of returning 0.3
-    net = ReluNetwork([(np.eye(2), np.full(2, 10.0)), (np.full((1, 2), 0.15), [-3.0])])
-    wide = Polytope.box([-2.0, -2.0], [2.0, 2.0])
-    enc = ClosedLoopEncoding(None, net, UNIT_BOX)
-    with pytest.raises(MilpError, match="X_in"):
-        output_range_results(net, wide, [[1.0]], encoding=enc)
-    assert output_range_results(net, wide, [[1.0]])[0].value == pytest.approx(0.6, abs=1e-7)
-    (res,) = output_range_results(net, UNIT_BOX, [[1.0]], encoding=enc)
-    assert res.value == pytest.approx(0.3, abs=1e-7)
-
-
-@pytest.mark.parametrize("name", ["system", "net", "X_in"])
-def test_a_query_refuses_objects_other_than_its_encodings(name):
-    # objects are compared by identity: an equal copy of the system, the net
-    # or X_in is refused, and the error names the argument that differs
-    sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
-    net = scaled(random_net(np.random.default_rng(14), 2, [3], 1), 0.5)
-    enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
-    args = {"system": sys, "net": net, "X_in": UNIT_BOX}
-    args[name] = copy.deepcopy(args[name])
-    with pytest.raises(MilpError, match=name):
-        reach_results(args["system"], args["net"], args["X_in"], 1, [[1.0, 0.0]], encoding=enc)
-    if name != "system":
-        with pytest.raises(MilpError, match=name):
-            output_range_results(args["net"], args["X_in"], [[1.0]], encoding=enc)
-    (res,) = output_range_results(net, UNIT_BOX, [[1.0]], encoding=enc)
-    assert res.status == BnbStatus.OPTIMAL
-
-
 def test_a_reach_query_refuses_an_output_range_encoding():
-    # an encoding built without a system cannot add steps; a reach query
-    # handed one is refused before any step is added
-    sys = LtiSystem(np.array([[0.9, 0.2], [0.0, 0.8]]), np.array([[0.0], [1.0]]))
+    # an encoding built without a system cannot add steps; a reach search on
+    # one is refused before any step is added, and it still answers at step 0
     net = scaled(random_net(np.random.default_rng(14), 2, [3], 1), 0.5)
     enc = ClosedLoopEncoding(None, net, UNIT_BOX)
     with pytest.raises(MilpError, match="system"):
-        reach_results(sys, net, UNIT_BOX, 1, [[1.0, 0.0]], encoding=enc)
+        enc.solve([[1.0, 0.0]], 1)
+    assert solve_milp(enc.output([1.0])).status == BnbStatus.OPTIMAL
 
 
 def test_a_step_of_an_encoding_without_a_system_raises():
@@ -607,8 +572,8 @@ def test_state_rows_that_admit_no_point_raise_empty_input(loop, case_system):
     # x_1 <= -1 and x_1 >= 1 at every later state: no trajectory satisfies
     # the rows.  The case study's saturation neurons meet them in their bound
     # LPs; the all-active net, u = 0.1 x on the unit box, needs no bound LP,
-    # so its reach search meets them.  Either way the rows, not the LP
-    # solver, are blamed
+    # so its reach search meets them.  Either way one message blames the
+    # state rows, not the LP solver
     if loop == "case study":
         sys, net = case_system, synth_satlqr(CASE_K, [-1.0], [1.0])
     else:
@@ -617,8 +582,8 @@ def test_state_rows_that_admit_no_point_raise_empty_input(loop, case_system):
         net = ReluNetwork([(eye, np.full(2, 100.0)), (0.1 * eye, np.full(2, -10.0))])
     enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
     enc.add_state_rows([[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0])
-    with pytest.raises(EmptyInput, match="admit no point"):
-        reach_results(sys, net, UNIT_BOX, 2, np.eye(2), encoding=enc)
+    with pytest.raises(EmptyInput, match="X_in and the state rows admit no point"):
+        enc.solve(np.eye(2), 2)
 
 
 def test_node_cap_raises(monkeypatch):
@@ -698,7 +663,7 @@ class TestLpPaths:
         enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
         for k in range(1, 4):
             wants = helpers.reach_oracle(sys.A, sys.B, net, UNIT_BOX.F, UNIT_BOX.g, k, dirs)
-            results = reach_results(sys, net, UNIT_BOX, k, dirs, encoding=enc)
+            results = enc.solve(dirs, k)
             for d, want, r in zip(dirs, wants, results):
                 assert r.value == pytest.approx(want, abs=1e-6)
                 x = x0 = r.point[: sys.n_x]
@@ -713,7 +678,7 @@ class TestLpPaths:
         for sys, net, X_in, dirs, want in satlqr_loops:
             enc = ClosedLoopEncoding(sys, net, X_in)
             for k, want_k in zip((1, 2), want):
-                results = reach_results(sys, net, X_in, k, dirs, encoding=enc)
+                results = enc.solve(dirs, k)
                 for d, r, w in zip(dirs, results, want_k):
                     assert r.value == pytest.approx(w, abs=1e-6)
                     x = r.point[: sys.n_x]
@@ -794,24 +759,24 @@ class TestCutoff:
                     self._check(lambda: encode_reach(sys, net, UNIT_BOX, k, d), want, replay)
 
     def test_directions_stop_at_first_refutation(self):
-        # with cutoffs, reach_results solves the directions in order and ends
+        # with cutoffs, solve decides the directions in order and ends
         # with the first one whose maximum exceeds its cutoff
         rng = np.random.default_rng(33)
         sys = self._sys()
         net = scaled(random_net(rng, 2, [3], 1), 0.5)
         dirs = np.array([[1.0, 0.0], [0.0, -1.0], [-0.6, 0.8], [0.0, 1.0]])
         enc = ClosedLoopEncoding(sys, net, UNIT_BOX)
-        exact = reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc)
+        exact = enc.solve(dirs, 2)
         maxima = np.array([r.value for r in exact])
         cutoffs = maxima + np.array([0.1, 0.1, -0.1, 0.1])
-        got = reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc, cutoffs=cutoffs)
+        got = enc.solve(dirs, 2, cutoffs)
         assert [r.status for r in got] == [
             BnbStatus.BELOW_CUTOFF,
             BnbStatus.BELOW_CUTOFF,
             BnbStatus.OPTIMAL,
         ]
         assert got[2].value == pytest.approx(maxima[2], abs=1e-9)
-        got = reach_results(sys, net, UNIT_BOX, 2, dirs, encoding=enc, cutoffs=maxima + 0.1)
+        got = enc.solve(dirs, 2, maxima + 0.1)
         assert len(got) == len(dirs)
         assert all(r.status == BnbStatus.BELOW_CUTOFF for r in got)
 
@@ -820,9 +785,9 @@ class TestCutoff:
         # only some of them (zip drops the rest), and a caller such as
         # verify's containment check would read the short result list as a
         # pass: it is refused before any search
-        net = synth_satlqr(CASE_K, [-1.0], [1.0])
+        enc = ClosedLoopEncoding(case_system, synth_satlqr(CASE_K, [-1.0], [1.0]), case_Xin)
         F, g = case_Xin.F, case_Xin.g
         for cutoffs in (g[:2] + 1e-9, np.append(g, 1.0) + 1e-9, []):
             with pytest.raises(MilpError, match=rf"{len(cutoffs)} cutoffs for {len(F)} directions"):
-                reach_results(case_system, net, case_Xin, 1, F, cutoffs=cutoffs)
+                enc.solve(F, 1, cutoffs)
         assert count_lps("node") == 0

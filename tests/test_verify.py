@@ -79,14 +79,17 @@ class TestVerifyInput:
 
     def test_decided_on_proven_bound(self, monkeypatch, case_system, case_Xin, case_X, case_net):
         # an incumbent stopped short of the maximum must not pass a U whose
-        # offset lies between the incumbent and the proven bound
-        solve = milp.output_range_results
+        # offset lies between the incumbent and the proven bound: every search
+        # of the verify returns its value 0.2 short and keeps its bound
+        solve = milp.solve_milp
 
-        def short_incumbents(net, X_in, directions, encoding=None):
-            results = solve(net, X_in, directions, encoding=encoding)
-            return [replace(r, value=r.value - 0.2) for r in results]
+        def short_incumbent(m, cutoff=None):
+            res = solve(m, cutoff)
+            if res.status == milp.BnbStatus.OPTIMAL:
+                res = replace(res, value=res.value - 0.2)
+            return res
 
-        monkeypatch.setattr(milp, "output_range_results", short_incumbents)
+        monkeypatch.setattr(milp, "solve_milp", short_incumbent)
         U = Polytope.box([-0.9], [0.9])  # the saturated net reaches |u| = 1
         cert = verify_stability(case_system, case_net, case_Xin, case_X, U, k_max=1)
         assert not cert.input_ok
@@ -355,7 +358,7 @@ def _exact_reach_search(sys, net, X_in, R_as, k_max):
     """
     encoding = milp.ClosedLoopEncoding(sys, net, X_in)
     for k in range(1, k_max + 1):
-        results = milp.reach_results(sys, net, X_in, k, R_as.F, encoding=encoding)
+        results = encoding.solve(R_as.F, k)
         if all(r.bound <= g + CONTAIN_TOL for r, g in zip(results, R_as.g)):
             return k, np.array([r.value for r in results])
     return None, None
@@ -369,9 +372,7 @@ def _decision_search(sys, net, X_in, R_as, k_max):
     """
     encoding = milp.ClosedLoopEncoding(sys, net, X_in)
     for k in range(1, k_max + 1):
-        results = milp.reach_results(
-            sys, net, X_in, k, R_as.F, encoding=encoding, cutoffs=R_as.g + CONTAIN_TOL
-        )
+        results = encoding.solve(R_as.F, k, R_as.g + CONTAIN_TOL)
         if len(results) == R_as.nrows and all(
             r.bound <= g + CONTAIN_TOL for r, g in zip(results, R_as.g)
         ):
@@ -440,7 +441,7 @@ class TestStateRows:
         bare = milp.ClosedLoopEncoding(sys, net, X_in)
 
         def maxima(enc, k):
-            results = milp.reach_results(sys, net, X_in, k, X_in.F, encoding=enc)
+            results = enc.solve(X_in.F, k)
             return np.array([r.value for r in results])
 
         for k in (1, 2, 3):
@@ -478,7 +479,7 @@ class TestStateRows:
         encoding.add_state_rows(*rows)
         for k in (2, 3):
             got, want = (
-                [r.value for r in milp.reach_results(sys, net, X_in, k, D, encoding=e)]
+                [r.value for r in e.solve(D, k)]
                 for e in (encoding, fresh)
             )
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
