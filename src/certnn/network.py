@@ -231,9 +231,7 @@ def synth_satlqr(K, lb, ub) -> ReluNetwork:
     with zero bias.  The shift keeps the equilibrium activation region
     full-dimensional.  Saturation per the box bounds is then appended.
     """
-    K = np.asarray(K, dtype=float)
-    if K.ndim == 1:
-        K = K.reshape(1, -1)
+    K = np.atleast_2d(np.asarray(K, dtype=float))
     n_u, n_x = K.shape
     # integer, so every zero is +0.0 once ReluNetwork casts it to float
     W1 = np.kron(np.eye(n_x, dtype=int), [[1], [-1]])

@@ -13,9 +13,10 @@ module imports nothing from certnn.
 # row, at the inner ellipsoid's support point) keep the row without an LP.
 LP_FEAS_TOL = 1e-7
 
-# A proven upper bound at most g_i + CONTAIN_TOL lies within facet i of U, X_in
-# or R_as in every containment check of verify; it is below LP_FEAS_TOL, so an
-# LP answer off by its tolerance can still pass a facet.
+# A bound at most g_i + CONTAIN_TOL lies within facet i of U, X_in, X or R_as
+# in every containment check of verify, whose one rule verify._cutoffs holds;
+# its other use pads the state rows X_1_out + CONTAIN_TOL of the reach search.
+# It is below LP_FEAS_TOL, so an LP answer off by its tolerance can still pass.
 CONTAIN_TOL = 1e-9
 
 # verify_stability takes the sup-norm of the equilibrium-region bias, and of

@@ -1,33 +1,33 @@
 """Certification pipeline for a network-controlled LTI system.
 
 ``verify_stability`` is the pipeline.  Its chain: input-constraint check
-(output range vs U), one-step control-invariance of the initial set, the
-two stability conditions at the equilibrium region (zero resulting bias,
-stable equilibrium-region closed loop), construction of the stability set
-R_as, and a search for the smallest horizon k at which the k-step reachable
-set is certified inside R_as.  Each containment check bounds its set along
-the facets of the set it must lie in (U, X_in, R_as), so containment is a
-componentwise comparison rather than an over-approximation, and
-``_contained`` decides all three with one rule: each proven upper bound of
-the branch and bound, not the value at its point, is at most the facet's
-offset plus CONTAIN_TOL.  The three checks are ``solve`` calls on one
-closed-loop encoding, whose step 0 is the output-range model over X_in.
-Admissible invariance also needs X_in inside X, decided by the same rule on
-X_in's support along each facet of X: an LP each, on a load of its own.
-The input and invariance checks set the verdict floor (Invariant,
-InputOnly or Failed); the rollouts and the reach search run only when X_in
-is invariant and inside X, the stability conditions hold and R_as is
-built: no search can certify a loop whose invariance failed.
+(output range vs U), one-step control-invariance of the initial set and
+X_in inside X, the two stability conditions at the equilibrium region (zero
+resulting bias, stable equilibrium-region closed loop), construction of the
+stability set R_as, and a search for the smallest horizon k at which the
+k-step reachable set is certified inside R_as.  Each of the four
+containment checks bounds its set along the facets of the set it must lie
+in (U, X_in, X, R_as), so containment is a componentwise comparison, and is
+one ``_contained`` call: a bound lies within facet i iff it is at most
+g_i + CONTAIN_TOL, the one rule, which ``_cutoffs`` holds.  For U, X_in and
+R_as the bounds are the branch and bound's proven upper bounds, not the
+values at its points, of ``solve`` calls on one closed-loop encoding whose
+step 0 is the output-range model over X_in; for X they are X_in's supports
+along X's facets, an LP each on a load of its own.  The input and
+invariance checks set the verdict floor (Invariant, InputOnly or Failed);
+the rollouts and the reach search run only when X_in is invariant and
+inside X, the stability conditions hold and R_as is built: no search can
+certify a loop whose invariance failed.
 
 The input and one-step checks solve each facet to optimality, since U_star
-and X_1_out are outputs.  The reach search only needs a yes or a no per
-facet, so it is a decision search: each facet's branch and bound has the
-cutoff g_i + CONTAIN_TOL (the containment rule itself), and a failing k
-stops at its first refuted facet.  A refutation is an exact maximum above
-the cutoff, so it fails its k on the proven bound as the exact search
-would; no replay is needed to trust it, since failing is the conservative
-answer.  At k* the certificate's X_k_out holds the proven bounds (each
-within the facet's offset), not the maxima.
+and X_1_out are outputs; the one-step facets they refute give the
+witnesses.  The reach search only needs a yes or a no per facet, so it is a
+decision search: each facet's branch and bound has its ``_cutoffs`` entry
+as cutoff, and a failing k stops at its first refuted facet.  A refutation
+is an exact maximum above the cutoff, so it fails its k on the proven bound
+as the exact search would; no replay is needed to trust it, since failing
+is the conservative answer.  At k* the certificate's X_k_out holds the
+proven bounds (each within its cutoff), not the maxima.
 
 Once X_in is proven invariant, x_1 lies in X_in and, by induction, so does
 every later state.  So each x_j with j >= 1 is the image of a point of X_in
@@ -47,13 +47,13 @@ TestVerifyStability.test_case_study_lp_budget).
 
 Before the search at each k, the closed loop is rolled out k steps from
 seeds in X_in: the x0 of every maximizer of the input and one-step checks,
-and of every search that refuted an earlier k.  A rolled-out state that
-exceeds a facet of R_as by more than CONTAIN_TOL, ``_contained``'s rule
-applied to a real trajectory, fails k with no search: the search would
-refute it as well.  The report's ``rollouts`` records each such k, the
-facet, the seed x0 and the state's value along the facet, and its
-``reach_nodes`` holds 0 at that k.  On the case-study X_in the rollouts
-refute k = 1..4, so the reach search runs at k = 5 only.
+and of every search that refuted an earlier k.  A rolled-out state whose
+value along a facet of R_as exceeds the facet's cutoff, the rule applied to
+a real trajectory, fails k with no search: the search would refute it too.
+The report's ``rollouts`` records each such k, the facet, the seed x0 and
+the state's value along the facet, and its ``reach_nodes`` holds 0 at that
+k.  On the case-study X_in the rollouts refute k = 1..4, so the reach
+search runs at k = 5 only.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class Verdict:
 class Rollout:
     """A trajectory from x0 in X_in whose state x_k exceeds facet ``facet`` of R_as.
 
-    ``value`` is F_facet . x_k, above g_facet + CONTAIN_TOL.
+    ``value`` is F_facet . x_k, above the facet's cutoff (see ``_cutoffs``).
     """
 
     k: int
@@ -137,29 +137,30 @@ def _jsonable(v):
     return [_jsonable(x) for x in v] if isinstance(v, list) else v
 
 
-def _contained(results, P: Polytope) -> tuple[bool, Polytope, int]:
-    """Whether the proven bounds of results, one per facet of P in order, lie within P.
+def _cutoffs(P: Polytope) -> np.ndarray:
+    """The containment rule: a bound along facet i of P lies within P iff it is at most entry i."""
+    return P.g + CONTAIN_TOL
 
-    Returns (ok, the set of those bounds along P's facets, the nodes spent).
-    Results that end early end at a refuted facet, a bound above g_i + CONTAIN_TOL.
+
+def _contained(bounds, P: Polytope) -> tuple[np.ndarray, Polytope]:
+    """The mask of the bounds, one per facet of P in order, above ``_cutoffs(P)``, and their set.
+
+    Bounds that end early, as a decision search's do, end at a refuted facet.
     """
-    c = np.array([r.bound for r in results])
-    ok = bool(np.all(c <= P.g[: c.size] + CONTAIN_TOL))
-    return ok, Polytope(P.F[: c.size].copy(), c), sum(r.nodes for r in results)
+    c = np.asarray(bounds, dtype=float)
+    return c > _cutoffs(P)[: c.size], Polytope(P.F[: c.size].copy(), c)
 
 
 def _rollout_refutation(k: int, x0: list, x_k: list, R_as: Polytope) -> Rollout | None:
-    """The rollout, x0[i] to x_k[i], that exceeds a facet of R_as the most.
-
-    None unless it exceeds it by more than CONTAIN_TOL, ``_contained``'s rule.
-    """
+    """The rollout, x0[i] to x_k[i], that exceeds ``_cutoffs(R_as)`` the most; None if none does."""
     if not x0:
         return None
-    excess = np.array(x_k) @ R_as.F.T - R_as.g
+    values = np.array(x_k) @ R_as.F.T
+    excess = values - _cutoffs(R_as)
     i, j = np.unravel_index(np.argmax(excess), excess.shape)
-    if excess[i, j] <= CONTAIN_TOL:
+    if excess[i, j] <= 0.0:
         return None
-    return Rollout(int(k), int(j), x0[i], float(excess[i, j] + R_as.g[j]))
+    return Rollout(int(k), int(j), x0[i], float(values[i, j]))
 
 
 def equilibrium_gain_bias(net: ReluNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -243,17 +244,16 @@ def verify_stability(
         raise DimensionMismatch(f"X, U of dimensions {X.dim}, {U.dim}, the system {sys.n_x}, {sys.n_u}")
     encoding = milp.ClosedLoopEncoding(sys, net, X_in)
     input_results = encoding.solve(U.F)
-    input_ok, U_star, input_nodes = _contained(input_results, U)
+    input_refuted, U_star = _contained([r.bound for r in input_results], U)
     results = encoding.solve(X_in.F, 1)
-    one_step_ok, X_1, one_step_nodes = _contained(results, X_in)
-    # admissible invariance also needs X_in inside X, by _contained's rule on
-    # X_in's support along each facet of X (one LP each)
-    X_in_support = support(X_in, X.F)
-    leaves_X = np.flatnonzero(X_in_support > X.g + CONTAIN_TOL)
-    invariance_ok = input_ok and one_step_ok and leaves_X.size == 0
-    # Each facet whose maximizer leaves X_in gives a witness: a point x0 of
-    # X_in (the first block of model variables) whose image violates it.
-    witnesses = [r.point[: sys.n_x] for r, g in zip(results, X_in.g) if r.value > g + CONTAIN_TOL]
+    one_step_refuted, X_1 = _contained([r.bound for r in results], X_in)
+    # admissible invariance also needs X_in inside X: its supports, one LP each
+    X_refuted, X_in_hull = _contained(support(X_in, X.F), X)
+    input_ok = not input_refuted.any()
+    invariance_ok = input_ok and not one_step_refuted.any() and not X_refuted.any()
+    # Each refuted one-step facet gives a witness: its maximizer's x0 (the
+    # first block of model variables), a point of X_in whose image violates it.
+    witnesses = [r.point[: sys.n_x] for r, out in zip(results, one_step_refuted) if out]
     # the x0 of each maximizer so far seeds the rollouts of the reach search
     seeds = [r.point[: sys.n_x] for r in input_results + results]
 
@@ -270,7 +270,7 @@ def verify_stability(
         X_1_out=X_1,
         stability=report,
         witnesses=witnesses,
-        milp_nodes=input_nodes + one_step_nodes,
+        milp_nodes=sum(r.nodes for r in input_results + results),
     )
 
     def fallback(reason: str) -> Certificate:
@@ -291,10 +291,10 @@ def verify_stability(
         report.R_as = R_as
     except EmptyStabilitySet:
         return fallback("empty stability set")
-    if leaves_X.size:
-        i = leaves_X[0]
+    if X_refuted.any():
+        i = np.flatnonzero(X_refuted)[0]
         return fallback(
-            f"X_in leaves X: its support along X's facet {i} is {X_in_support[i]:.6g} > {X.g[i]:.6g}"
+            f"X_in leaves X: its support along X's facet {i} is {X_in_hull.g[i]:.6g} > {X.g[i]:.6g}"
         )
     if not invariance_ok:
         return fallback("one-step invariance of X_in failed")
@@ -313,17 +313,17 @@ def verify_stability(
             report.rollouts.append(rollout)
             report.reach_nodes.append(0)
             continue
-        results = encoding.solve(R_as.F, k, R_as.g + CONTAIN_TOL)
-        ok, X_k, nodes = _contained(results, R_as)
-        cert.milp_nodes += nodes
-        report.reach_nodes.append(nodes)
-        if ok:
+        results = encoding.solve(R_as.F, k, _cutoffs(R_as))
+        refuted, X_k = _contained([r.bound for r in results], R_as)
+        report.reach_nodes.append(sum(r.nodes for r in results))
+        if not refuted.any():
             report.k_star, report.X_k_out = k, X_k
             break
         # the refuted facet's maximizer seeds the rollouts of the later k
         seed = results[-1].point[: sys.n_x]
         if X_in.contains_point(seed):
             x0, x_k = x0 + [seed], x_k + [simulate(sys, net, seed, k).states[-1]]
+    cert.milp_nodes += sum(report.reach_nodes)
     if report.k_star is None:
         return fallback(f"no k <= {k_max} with reachable set inside R_as")
     if match is not None and match <= RESIDUAL_TOL:

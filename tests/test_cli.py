@@ -270,6 +270,22 @@ def test_sets_outputs(case_files):
     assert r_as.contains_point([0.0, 0.0])
 
 
+def test_sets_on_a_loop_whose_invariance_fails(case_files, case_Xin, capsys):
+    # the published X_in at its 4-decimal offsets is marginally not invariant:
+    # sets exits 2 and writes the sets it has, but no X_k_out, since no reach
+    # search ran
+    sys_path, net_path, _, tmp = case_files
+    xin = tmp / "xin_published.json"
+    xin.write_text(json.dumps(case_Xin.to_json()))
+    out = tmp / "sets"
+    argv = ["sets", "--system", sys_path, "--network", net_path, "--xin", str(xin)]
+    assert main([*argv, "--out-dir", str(out), "--kmax", "10"]) == 2
+    assert capsys.readouterr().out == "verdict: InputOnly\n"
+    names = ("r_lqr", "r_eq", "r_as", "x1_out")
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(f"{n}.{e}" for n in names for e in ("json", "csv"))
+
+
 def _vertices(path):
     with open(path) as f:
         rows = list(csv.reader(f))

@@ -264,6 +264,11 @@ class TestSynthSatLqr:
         rng = np.random.default_rng(9)
         K = np.array([[0.2501, 0.8290]])
         net = synth_satlqr(K, [-1.0], [1.0])
+        # a 1-D K is the gain of one input: the network of its (1, n) row
+        flat = synth_satlqr(K[0], [-1.0], [1.0])
+        for (W, b), (W_flat, b_flat) in zip(net.layers, flat.layers, strict=True):
+            np.testing.assert_array_equal(W, W_flat)
+            np.testing.assert_array_equal(b, b_flat)
         for _ in range(200):
             x = rng.uniform(-8.0, 8.0, 2)
             expected = np.clip(-K @ x, -1.0, 1.0)

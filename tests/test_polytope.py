@@ -9,6 +9,7 @@ import workloads
 from conftest import CASE_A, CASE_B, CASE_C_AS, CASE_c_AS, CASE_C_IN, CASE_c_IN, CASE_F_EQ, \
     CASE_g_EQ, CASE_F_LQR, CASE_g_LQR, CASE_K, random_net
 from certnn import control, lp, polytope
+from certnn.errors import NoConvergence
 from certnn.network import synth_satlqr
 from certnn.verify import equilibrium_gain_bias
 from certnn.polytope import (
@@ -390,6 +391,14 @@ class TestMaxPositivelyInvariant:
         P = Polytope.box(-np.ones(3), np.ones(3))
         omega = max_positively_invariant(A, P)
         self._assert_same_set(omega, *helpers.mpi_oracle(A, P.F, P.g, 3))
+
+    def test_no_fixpoint_within_the_iteration_cap(self):
+        # a rotation by 0.7 rad keeps cutting the unit box towards its inner
+        # disc, which no polytope is, so the fixpoint exhausts its budget
+        c, s = np.cos(0.7), np.sin(0.7)
+        message = f"no fixpoint after {polytope.MAX_FIXPOINT_ITER} iterations"
+        with pytest.raises(NoConvergence, match=message):
+            max_positively_invariant(np.array([[c, -s], [s, c]]), UNIT_BOX)
 
     def test_squeezed_to_empty(self):
         # x -> 2x pushes every point of [1, 2] out within two steps

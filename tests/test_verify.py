@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from conftest import CASE_A, CASE_B, CASE_K, CASE_PUBLISHED_SCALE
-from certnn import milp
+from certnn import milp, verify
 from certnn.control import LtiSystem, lqr, simulate
 from certnn.errors import DimensionMismatch
 from certnn.network import ReluNetwork, retrofit_lqr, saturate, synth_satlqr
@@ -541,6 +541,32 @@ class TestDecisionSearch:
         assert len(reach_nodes) == cert.stability.k_star
         assert sum(reach_nodes) == sum(decided)
         assert cert.milp_nodes == sum(exact) + sum(reach_nodes)
+
+
+@pytest.mark.parametrize(
+    "cutoff, verdict, reason, k_star, reach_nodes, n_witnesses",
+    [
+        (np.inf, Verdict.LQR_OPTIMAL_NEAR_EQ, None, 1, [4], 0),
+        (-np.inf, Verdict.FAILED, "input constraint violation", None, [], 10),
+    ],
+    ids=["nothing-refuted", "all-refuted"],
+)
+def test_every_containment_decision_reads_the_cutoffs(
+    monkeypatch, cutoff, verdict, reason, k_star, reach_nodes, n_witnesses,
+    case_system, certified_Xin, case_X, case_U, case_net,
+):
+    # verify decides U, X_in, X and R_as, its witnesses, its reach cutoffs
+    # and its rollouts by verify._cutoffs alone.  At +inf nothing is refuted:
+    # no rollout fails k = 1 and each of R_as's 4 decision searches ends at
+    # its root.  At -inf every facet is refuted: the input check fails, and
+    # each of X_in's 10 one-step facets gives a witness
+    monkeypatch.setattr(verify, "_cutoffs", lambda P: np.full(P.g.shape, cutoff))
+    cert = verify_stability(
+        case_system, case_net, certified_Xin, case_X, case_U, k_max=10, K_ref=CASE_K
+    )
+    assert (cert.verdict, cert.reason, len(cert.witnesses)) == (verdict, reason, n_witnesses)
+    report = cert.stability
+    assert (report.k_star, report.reach_nodes, report.rollouts) == (k_star, reach_nodes, [])
 
 
 def _small_loop(rng):
